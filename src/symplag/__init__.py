@@ -1,21 +1,7 @@
 """Numerical toolkit for elliptic Lagrangian surfaces in affine symplectic R^4."""
 
 from .config import DEFAULT_TOLS, Tolerances
-from .core import (
-    AffineAlgebra4,
-    AffineSymplecticElement,
-    J4,
-    LagrangianPlane,
-    SpAlgebra4,
-    SymMat2,
-    SymplMat4,
-    act,
-    exp_algebra,
-    isl2c_embed,
-    isl2c_embed_algebra,
-    plane_chart,
-    symplectic_defect,
-)
+from .core import J4, symplectic_defect
 from .grids import ComplexGrid, GridGeometry, d_z, d_zbar, load_grid, save_grid
 from .invariants import (
     FormCoefficients,
@@ -32,7 +18,6 @@ from .invariants import (
     shift_family,
 )
 from .frames import (
-    FirstOrderFrameData,
     FrameField,
     ImmersionGrid,
     MaurerCartanField,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import warnings
@@ -325,7 +324,7 @@ def _run_invariants(cfg: JobConfig, rep: Report) -> None:
     margin = int(cfg.params.get("margin", 8))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        F, _, inv = reduction_pipeline(m, tols=tols, margin=margin)
+        F, inv = reduction_pipeline(m, tols=tols, margin=margin)
         _, gauge = extract_invariants(F, tols)
     gmax = max(gauge.values())
     rep.residuals["gauge"] = {"max": gmax, "mean": float(np.mean(list(gauge.values())))}
@@ -467,17 +466,7 @@ def build_config(argv: list[str]) -> JobConfig:
                      tolerances=tols, output_dir=out_dir)
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("SYMPLAG_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
     if argv is None:
         argv = sys.argv[1:]
     try:

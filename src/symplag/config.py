@@ -10,8 +10,7 @@ from dataclasses import dataclass
 class Tolerances:
     """Named tolerances; every pass/fail flag in the toolkit traces to one of these.
 
-    tol_group     -- symplectic defect allowed for group elements
-    tol_rank      -- determinant/rank threshold for chart domains and never-zero fields
+    tol_rank      -- determinant/rank threshold for rank drops and never-zero fields
     tol_resid     -- generic residual threshold (closedness, holomorphy, realness)
     tol_umbilic   -- below this |h| a node counts as umbilic
     tol_frame     -- symplectic defect allowed for integrated frame nodes
@@ -20,7 +19,6 @@ class Tolerances:
     tol_congruent -- congruence defect below which two immersions count as congruent
     """
 
-    tol_group: float = 1e-10
     tol_rank: float = 1e-12
     tol_resid: float = 1e-6
     tol_umbilic: float = 1e-8

@@ -1,268 +1,20 @@
-"""Linear algebra for Sp(4,R), the affine symplectic group, and Lagrangian planes.
+"""Symplectic structure of R^4 shared by the frame machinery.
 
 All matrix conventions follow the block form J = [[0, I2], [-I2, 0]]; a 4x4
-matrix X is symplectic when X^T J X = J.  Group elements are immutable value
-objects wrapping read-only numpy arrays, so they are safe to share.
+matrix X is symplectic when X^T J X = J.  Group and algebra elements are plain
+numpy arrays: an affine symplectic motion is the 5x5 matrix [[1, 0], [P, X]]
+acting on R^4 by q -> P + X q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-from scipy.linalg import expm
 
-from .config import DEFAULT_TOLS, Tolerances
-from .errors import ChartDomainError, DeterminantError
-
-I2 = np.eye(2)
-J4 = np.block([[np.zeros((2, 2)), I2], [-I2, np.zeros((2, 2))]])
+J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
 J4.flags.writeable = False
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 def symplectic_defect(M: np.ndarray) -> float:
     """Sup-norm of M^T J M - J; zero exactly when M is symplectic."""
     M = np.asarray(M, dtype=float)
     return float(np.max(np.abs(M.T @ J4 @ M - J4)))
-
-
-@dataclass(frozen=True)
-class SymMat2:
-    """Real symmetric 2x2 matrix, off-diagonal entry stored once."""
-
-    xx: float
-    xy: float
-    yy: float
-
-    @staticmethod
-    def from_array(m: np.ndarray) -> "SymMat2":
-        m = np.asarray(m, dtype=float)
-        return SymMat2(float(m[0, 0]), 0.5 * float(m[0, 1] + m[1, 0]), float(m[1, 1]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.xx, self.xy], [self.xy, self.yy]])
-
-    def quadratic_norm(self) -> float:
-        """Signature-(2,1) inner product value (b, b) = -det b."""
-        return -(self.xx * self.yy - self.xy**2)
-
-
-@dataclass(frozen=True)
-class SymplMat4:
-    """Element of Sp(4,R), validated against the symplectic defect."""
-
-    entries: np.ndarray
-    tol: float = DEFAULT_TOLS.tol_group
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries))
-        d = symplectic_defect(self.entries)
-        if d > self.tol:
-            raise ValueError(f"matrix is not symplectic: defect {d:.3e} > {self.tol:.3e}")
-
-    def defect(self) -> float:
-        return symplectic_defect(self.entries)
-
-    def block(self, name: str) -> np.ndarray:
-        i, j = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}[name]
-        return self.entries[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.entries[:, j]
-
-    def __matmul__(self, other: "SymplMat4") -> "SymplMat4":
-        return SymplMat4(self.entries @ other.entries, max(self.tol, other.tol))
-
-
-@dataclass(frozen=True)
-class SpAlgebra4:
-    """sp(4,R) element x(a, b, c) = [[a, b], [c, -a^T]]."""
-
-    a: np.ndarray
-    b: SymMat2
-    c: SymMat2
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _frozen(self.a))
-
-    @staticmethod
-    def from_array(m: np.ndarray) -> "SpAlgebra4":
-        m = np.asarray(m, dtype=float)
-        return SpAlgebra4(m[:2, :2], SymMat2.from_array(m[:2, 2:]), SymMat2.from_array(m[2:, :2]))
-
-    def as_array(self) -> np.ndarray:
-        a = self.a
-        return np.block([[a, self.b.as_array()], [self.c.as_array(), -a.T]])
-
-
-@dataclass(frozen=True)
-class AffineSymplecticElement:
-    """Point P plus symplectic matrix X; acts on R^4 by q -> P + X q."""
-
-    P: np.ndarray
-    X: SymplMat4
-
-    def __post_init__(self):
-        object.__setattr__(self, "P", _frozen(self.P))
-
-    @staticmethod
-    def identity() -> "AffineSymplecticElement":
-        return AffineSymplecticElement(np.zeros(4), SymplMat4(np.eye(4)))
-
-    @staticmethod
-    def from_matrix5(m: np.ndarray, tol: float = DEFAULT_TOLS.tol_group) -> "AffineSymplecticElement":
-        m = np.asarray(m, dtype=float)
-        return AffineSymplecticElement(m[1:, 0], SymplMat4(m[1:, 1:], tol))
-
-    def as_matrix5(self) -> np.ndarray:
-        m = np.zeros((5, 5))
-        m[0, 0] = 1.0
-        m[1:, 0] = self.P
-        m[1:, 1:] = self.X.entries
-        return m
-
-    def inverse(self) -> "AffineSymplecticElement":
-        Xinv = -J4 @ self.X.entries.T @ J4  # symplectic inverse
-        return AffineSymplecticElement(-Xinv @ self.P, SymplMat4(Xinv, self.X.tol))
-
-    def __matmul__(self, other: "AffineSymplecticElement") -> "AffineSymplecticElement":
-        return AffineSymplecticElement(
-            self.P + self.X.entries @ other.P,
-            SymplMat4(self.X.entries @ other.X.entries, max(self.X.tol, other.X.tol)),
-        )
-
-
-@dataclass(frozen=True)
-class AffineAlgebra4:
-    """Lie algebra element S(p, x) of the affine symplectic group."""
-
-    p: np.ndarray
-    x: SpAlgebra4
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", _frozen(self.p))
-
-    @staticmethod
-    def from_matrix5(m: np.ndarray) -> "AffineAlgebra4":
-        m = np.asarray(m, dtype=float)
-        return AffineAlgebra4(m[1:, 0], SpAlgebra4.from_array(m[1:, 1:]))
-
-    def as_matrix5(self) -> np.ndarray:
-        m = np.zeros((5, 5))
-        m[1:, 0] = self.p
-        m[1:, 1:] = self.x.as_array()
-        return m
-
-
-def act(g: AffineSymplecticElement, q: np.ndarray) -> np.ndarray:
-    """Affine action P + X q."""
-    return g.P + g.X.entries @ np.asarray(q, dtype=float)
-
-
-def exp_algebra(x, s: float = 1.0, tol: float = DEFAULT_TOLS.tol_group):
-    """Matrix exponential of s*x.
-
-    SpAlgebra4 input yields a SymplMat4, AffineAlgebra4 an AffineSymplecticElement.
-    scipy's scaling-and-squaring Pade implementation keeps the relative error
-    well below 1e-13 for the norms used here, so the result stays in the group
-    at tol_group.
-    """
-    if isinstance(x, AffineAlgebra4):
-        return AffineSymplecticElement.from_matrix5(expm(s * x.as_matrix5()), tol)
-    if isinstance(x, SpAlgebra4):
-        return SymplMat4(expm(s * x.as_array()), tol)
-    raise TypeError(f"expected SpAlgebra4 or AffineAlgebra4, got {type(x)!r}")
-
-
-@dataclass(frozen=True)
-class LagrangianPlane:
-    """Oriented Lagrangian 2-plane spanned by the ordered columns of a 4x2 matrix."""
-
-    span: np.ndarray
-    tol: float = DEFAULT_TOLS.tol_rank
-
-    def __post_init__(self):
-        object.__setattr__(self, "span", _frozen(self.span))
-        if self.span.shape != (4, 2):
-            raise ValueError("span must be 4x2")
-        if np.linalg.matrix_rank(self.span, tol=max(self.tol, 1e-12)) < 2:
-            raise ValueError("span must have rank 2")
-        a1, a2 = self.span[:2, :], self.span[2:, :]
-        sym = a1.T @ a2 - a2.T @ a1
-        if np.max(np.abs(sym)) > 1e-8 * max(1.0, np.max(np.abs(self.span)) ** 2):
-            raise ValueError("columns do not span a Lagrangian plane")
-
-    @staticmethod
-    def from_graph(S: SymMat2) -> "LagrangianPlane":
-        """Plane spanned by the columns of [[I2], [S]] (the chart's inverse)."""
-        return LagrangianPlane(np.vstack([np.eye(2), S.as_array()]))
-
-
-def plane_chart(V: LagrangianPlane, tol: float = DEFAULT_TOLS.tol_rank) -> SymMat2:
-    """Graph-chart value (bottom block)(top block)^-1 of an oriented Lagrangian plane.
-
-    Defined only where det(top block) > 0; an orientation-reversed plane is
-    rejected rather than silently flipped.
-    """
-    top = V.span[:2, :]
-    bottom = V.span[2:, :]
-    if np.linalg.det(top) <= tol:
-        raise ChartDomainError(
-            f"plane not in the graph chart: det(top) = {np.linalg.det(top):.3e}"
-        )
-    return SymMat2.from_array(bottom @ np.linalg.inv(top))
-
-
-# Identification of R^4 with C^2: (x1, x2, x3, x4) <-> (x1 - i x2, x3 + i x4).
-
-
-def real_point_from_c2(u: complex, w: complex) -> np.ndarray:
-    return np.array([u.real, -u.imag, w.real, w.imag])
-
-
-def c2_point_from_real(q: np.ndarray) -> tuple[complex, complex]:
-    q = np.asarray(q, dtype=float)
-    return complex(q[0], -q[1]), complex(q[2], q[3])
-
-
-def _complex_block_embed(A: np.ndarray) -> np.ndarray:
-    """Real 4x4 image of a complex 2x2 matrix under the C^2 identification."""
-    v = A.real
-    w = A.imag
-    return np.array(
-        [
-            [v[0, 0], w[0, 0], v[0, 1], -w[0, 1]],
-            [-w[0, 0], v[0, 0], -w[0, 1], -v[0, 1]],
-            [v[1, 0], w[1, 0], v[1, 1], -w[1, 1]],
-            [w[1, 0], -v[1, 0], w[1, 1], v[1, 1]],
-        ]
-    )
-
-
-def isl2c_embed(
-    A: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOLS.tol_group
-) -> AffineSymplecticElement:
-    """Embed (A, v) with A in SL(2,C), v in C^2 as an affine symplectic element."""
-    A = np.asarray(A, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    det = np.linalg.det(A)
-    if abs(det - 1.0) > tol:
-        raise DeterminantError(f"|det A - 1| = {abs(det - 1.0):.3e} > {tol:.3e}")
-    P = real_point_from_c2(complex(v[0]), complex(v[1]))
-    return AffineSymplecticElement(P, SymplMat4(_complex_block_embed(A), tol))
-
-
-def isl2c_embed_algebra(a: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOLS.tol_group) -> AffineAlgebra4:
-    """Embed (a, v) with a traceless complex 2x2, v in C^2 into the affine algebra."""
-    a = np.asarray(a, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if abs(np.trace(a)) > tol:
-        raise DeterminantError(f"|tr a| = {abs(np.trace(a)):.3e} > {tol:.3e}")
-    p = real_point_from_c2(complex(v[0]), complex(v[1]))
-    return AffineAlgebra4(p, SpAlgebra4.from_array(_complex_block_embed(a)))

@@ -9,14 +9,6 @@ class SymplagError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ChartDomainError(SymplagError):
-    """Lagrangian plane outside the graph chart (top block not positively oriented)."""
-
-
-class DeterminantError(SymplagError):
-    """Complex 2x2 input is not unimodular within tolerance."""
-
-
 class GridTooSmall(SymplagError):
     """Grid has fewer than the 5 nodes per axis required by the stencils."""
 

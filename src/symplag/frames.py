@@ -8,8 +8,6 @@ translation part.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,12 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .core import (
-    AffineAlgebra4,
-    AffineSymplecticElement,
-    J4,
-    symplectic_defect,
-)
+from .core import J4, symplectic_defect
 from .errors import (
     FrameDefect,
     IntegrationBlowup,
@@ -44,10 +37,6 @@ class MaurerCartanField:
     A: np.ndarray  # (nx, ny, 5, 5)
     B: np.ndarray
 
-    def node(self, i: int, j: int) -> tuple[AffineAlgebra4, AffineAlgebra4]:
-        return (AffineAlgebra4.from_matrix5(self.A[i, j]),
-                AffineAlgebra4.from_matrix5(self.B[i, j]))
-
 
 @dataclass(frozen=True)
 class FrameField:
@@ -57,9 +46,6 @@ class FrameField:
     S: np.ndarray  # (nx, ny, 5, 5)
     flatness_report: float = 0.0
     path_defect: float = 0.0
-
-    def node(self, i: int, j: int, tol: float = 1e-6) -> AffineSymplecticElement:
-        return AffineSymplecticElement.from_matrix5(self.S[i, j], tol)
 
     def max_symplectic_defect(self) -> float:
         X = self.S[:, :, 1:, 1:]
@@ -81,16 +67,6 @@ class ImmersionGrid:
         if not np.all(np.isfinite(f)):
             raise ValueError("immersion values must be finite")
         object.__setattr__(self, "f", f)
-
-
-@dataclass(frozen=True)
-class FirstOrderFrameData:
-    """Diagnostics of the first/second order reduction stages."""
-
-    l1: np.ndarray
-    l2: np.ndarray
-    phi: np.ndarray
-    ell: np.ndarray
 
 
 # -- Theta from invariants ----------------------------------------------------
@@ -220,22 +196,20 @@ def _sweep(S_start: np.ndarray, M: np.ndarray, h: float, tols: Tolerances) -> np
     return out
 
 
-def _integrate_column_rows(theta: MaurerCartanField, S0: np.ndarray,
-                           tols: Tolerances) -> np.ndarray:
+def _integrate_column_rows(theta: MaurerCartanField, tols: Tolerances) -> np.ndarray:
     """First column in y, then each row in x."""
     geom = theta.geometry
     S = np.empty((geom.nx, geom.ny, 5, 5))
-    S[0, :] = _sweep(S0, theta.B[0, :], geom.dy, tols)
+    S[0, :] = _sweep(np.eye(5), theta.B[0, :], geom.dy, tols)
     for j in range(geom.ny):
         S[:, j] = _sweep(S[0, j], theta.A[:, j], geom.dx, tols)
     return S
 
 
-def _integrate_row_columns(theta: MaurerCartanField, S0: np.ndarray,
-                           tols: Tolerances) -> np.ndarray:
+def _integrate_row_columns(theta: MaurerCartanField, tols: Tolerances) -> np.ndarray:
     geom = theta.geometry
     S = np.empty((geom.nx, geom.ny, 5, 5))
-    S[:, 0] = _sweep(S0, theta.A[:, 0], geom.dx, tols)
+    S[:, 0] = _sweep(np.eye(5), theta.A[:, 0], geom.dx, tols)
     for i in range(geom.nx):
         S[i, :] = _sweep(S[i, 0], theta.B[i, :], geom.dy, tols)
     return S
@@ -243,26 +217,23 @@ def _integrate_row_columns(theta: MaurerCartanField, S0: np.ndarray,
 
 def integrate_frame(
     theta: MaurerCartanField,
-    S0: AffineSymplecticElement | None = None,
     tols: Tolerances = DEFAULT_TOLS,
     compute_path_defect: bool = True,
 ) -> FrameField:
-    """Integrate dS = S Theta from the base node with classical 4th-order steps.
+    """Integrate dS = S Theta from S = I at the base node with classical RK4 steps.
 
     Flatness is measured first; a residual above tol_flat is reported as a
     warning (the integral still exists on each path, it just becomes
     path-dependent, which the transposed-sweep defect quantifies).
     """
-    if S0 is None:
-        S0 = AffineSymplecticElement.identity()
     flat = float(np.max(flatness_residual(theta)))
     if flat > tols.tol_flat:
         warnings.warn(f"flatness residual {flat:.3e} exceeds tol_flat "
                       f"{tols.tol_flat:.3e}; frame is path-dependent")
-    S = _integrate_column_rows(theta, S0.as_matrix5(), tols)
+    S = _integrate_column_rows(theta, tols)
     path_defect = 0.0
     if compute_path_defect:
-        S_alt = _integrate_row_columns(theta, S0.as_matrix5(), tols)
+        S_alt = _integrate_row_columns(theta, tols)
         path_defect = float(np.max(np.abs(S - S_alt)))
     return FrameField(theta.geometry, S, flatness_report=flat, path_defect=path_defect)
 
@@ -318,6 +289,15 @@ def _blocks(M: np.ndarray):
     return (M[..., 1:3, 0], M[..., 1:3, 1:3], M[..., 1:3, 3:5], M[..., 3:5, 1:3])
 
 
+def _decode(M: np.ndarray):
+    """Complex forms omega (from gamma) and eta (from alpha) of a 5x5 algebra field."""
+    _, alpha, _, gamma = _blocks(M)
+    omega = 0.5 * (gamma[..., 0, 0] - gamma[..., 1, 1]) + 1j * gamma[..., 1, 0]
+    eta = 0.5 * (alpha[..., 0, 0] - alpha[..., 1, 1]) \
+        - 0.5j * (alpha[..., 1, 0] + alpha[..., 0, 1])
+    return omega, eta
+
+
 def extract_invariants(
     F: FrameField,
     tols: Tolerances = DEFAULT_TOLS,
@@ -332,18 +312,12 @@ def extract_invariants(
     mc = numerical_maurer_cartan(F)
     tau_x, alpha_x, beta_x, gamma_x = _blocks(mc.A)
     tau_y, alpha_y, beta_y, gamma_y = _blocks(mc.B)
-
-    omega_x = 0.5 * (gamma_x[..., 0, 0] - gamma_x[..., 1, 1]) + 1j * gamma_x[..., 1, 0]
-    omega_y = 0.5 * (gamma_y[..., 0, 0] - gamma_y[..., 1, 1]) + 1j * gamma_y[..., 1, 0]
+    omega_x, eta_x = _decode(mc.A)
+    omega_y, eta_y = _decode(mc.B)
 
     tauc_x = tau_x[..., 0] - 1j * tau_x[..., 1]
     tauc_y = tau_y[..., 0] - 1j * tau_y[..., 1]
     t = _dz_coeff(tauc_x, tauc_y)
-
-    eta_x = 0.5 * (alpha_x[..., 0, 0] - alpha_x[..., 1, 1]) \
-        - 0.5j * (alpha_x[..., 1, 0] + alpha_x[..., 0, 1])
-    eta_y = 0.5 * (alpha_y[..., 0, 0] - alpha_y[..., 1, 1]) \
-        - 0.5j * (alpha_y[..., 1, 0] + alpha_y[..., 0, 1])
     h = _dz_coeff(eta_x, eta_y)
 
     rho_x = 0.5 * (beta_x[..., 0, 0] - beta_x[..., 1, 1]) - 1j * beta_x[..., 1, 0]
@@ -407,7 +381,7 @@ def reduction_pipeline(
     orientation: int = 1,
     tols: Tolerances = DEFAULT_TOLS,
     margin: int = 4,
-) -> tuple[FrameField, FirstOrderFrameData, InvariantTriple]:
+) -> tuple[FrameField, InvariantTriple]:
     """Run the full frame reduction on an immersion and extract (t, h, p).
 
     Stages: tangent frame with the opposite-orientation convention and
@@ -474,17 +448,12 @@ def reduction_pipeline(
     A2[..., 0, 1] = np.sqrt(0.5 * (1.0 - l1)) * np.sin(phi)
     A2[..., 1, 1] = np.sqrt(0.5 * (1.0 + l1))
     S = S @ _gauge_matrix5(A2)
+    del gamma_x, gamma_y  # views that would keep this stage's (nx, ny, 5, 5) fields alive
 
     # stage 3: remove the antiholomorphic part of eta
     mc = numerical_maurer_cartan(FrameField(geom, S))
-    _, alpha_x, _, gamma_x = _blocks(mc.A)
-    _, alpha_y, _, gamma_y = _blocks(mc.B)
-    omega_x = 0.5 * (gamma_x[..., 0, 0] - gamma_x[..., 1, 1]) + 1j * gamma_x[..., 1, 0]
-    omega_y = 0.5 * (gamma_y[..., 0, 0] - gamma_y[..., 1, 1]) + 1j * gamma_y[..., 1, 0]
-    eta_x = 0.5 * (alpha_x[..., 0, 0] - alpha_x[..., 1, 1]) \
-        - 0.5j * (alpha_x[..., 1, 0] + alpha_x[..., 0, 1])
-    eta_y = 0.5 * (alpha_y[..., 0, 0] - alpha_y[..., 1, 1]) \
-        - 0.5j * (alpha_y[..., 1, 0] + alpha_y[..., 0, 1])
+    omega_x, eta_x = _decode(mc.A)
+    omega_y, eta_y = _decode(mc.B)
     # least squares for eta = h omega + ell conj(omega), unknowns (h1, h2, ell)
     rows = []
     rhs = []
@@ -507,10 +476,8 @@ def reduction_pipeline(
 
     # stage 4: conformal gauge so that omega = dz
     mc = numerical_maurer_cartan(FrameField(geom, S))
-    _, _, _, gamma_x = _blocks(mc.A)
-    _, _, _, gamma_y = _blocks(mc.B)
-    omega_x = 0.5 * (gamma_x[..., 0, 0] - gamma_x[..., 1, 1]) + 1j * gamma_x[..., 1, 0]
-    omega_y = 0.5 * (gamma_y[..., 0, 0] - gamma_y[..., 1, 1]) + 1j * gamma_y[..., 1, 0]
+    omega_x, _ = _decode(mc.A)
+    omega_y, _ = _decode(mc.B)
     c = _dz_coeff(omega_x, omega_y)
     r4 = np.abs(c) ** -0.5
     s4 = 0.5 * _unwrap2d(np.angle(c))
@@ -545,17 +512,12 @@ def reduction_pipeline(
             geom.dx, geom.dy,
         )
         S = S[margin:-margin, margin:-margin]
-        l1 = l1[margin:-margin, margin:-margin]
-        l2 = l2[margin:-margin, margin:-margin]
-        phi = phi[margin:-margin, margin:-margin]
-        ell = ell[margin:-margin, margin:-margin]
     frame = FrameField(geom, S)
     inv, report = extract_invariants(frame, tols)
     if inv.h.min_abs() < tols.tol_umbilic:
         warnings.warn("min |h| below tol_umbilic: umbilic nodes present",
                       UmbilicGaugeWarning)
-    data = FirstOrderFrameData(l1=l1, l2=l2, phi=phi, ell=ell)
-    return frame, data, inv
+    return frame, inv
 
 
 def _affine_inverse5(S: np.ndarray) -> np.ndarray:
@@ -581,8 +543,8 @@ def congruence_defect(
     frame signs are tried and the smaller defect returned.  A value below
     tol_congruent certifies congruence.
     """
-    F1, _, _ = reduction_pipeline(m1, orientation, tols, margin)
-    F2, _, _ = reduction_pipeline(m2, orientation, tols, margin)
+    F1, _ = reduction_pipeline(m1, orientation, tols, margin)
+    F2, _ = reduction_pipeline(m2, orientation, tols, margin)
     best = np.inf
     for sign in (1.0, -1.0):
         S0 = F1.S[0, 0].copy()
@@ -604,51 +566,55 @@ def save_immersion(
     When a frame field is supplied its 16 symplectic-matrix entries are
     appended per row (s11..s44, row-major).  Geometry goes in a .json sidecar.
     """
-    path = Path(path)
     geom = m.geometry
     if frame is not None and frame.geometry != geom:
         raise ValueError("frame and immersion must share one grid geometry")
     header = ["i", "j", "x", "y", "f1", "f2", "f3", "f4"]
+    ii, jj = np.indices((geom.nx, geom.ny))
+    xx, yy = geom.mesh()
+    cols = [np.stack([ii, jj, xx, yy], axis=-1), m.f]
     if frame is not None:
         header += [f"s{r}{c}" for r in range(1, 5) for c in range(1, 5)]
-    xs, ys = geom.x, geom.y
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(geom.nx):
-            for j in range(geom.ny):
-                row = [i, j, f"{xs[i]:.17g}", f"{ys[j]:.17g}"]
-                row += [f"{v:.17g}" for v in m.f[i, j]]
-                if frame is not None:
-                    row += [f"{v:.17g}" for v in frame.S[i, j, 1:, 1:].ravel()]
-                w.writerow(row)
-    with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-        json.dump(geom.as_dict(), fh, indent=2)
+        cols.append(frame.S[..., 1:, 1:].reshape(geom.nx, geom.ny, 16))
+    table = np.concatenate(cols, axis=-1).reshape(geom.nx * geom.ny, len(header))
+    grids._save_table(path, geom, header, table)
+
+
+def _node_index(path: str | Path, geom: GridGeometry, ij: np.ndarray) -> np.ndarray:
+    """C-order node number of each row's `i, j` pair; every node must occur once."""
+    shape = np.array([geom.nx, geom.ny])
+    bad = np.any((ij != np.round(ij)) | (ij < 0) | (ij >= shape), axis=1)
+    if np.any(bad):
+        r = int(np.argmax(bad))
+        raise ValueError(f"{path}: row {r + 1} names node {tuple(ij[r].tolist())}, "
+                         f"not a node of the {geom.nx}x{geom.ny} grid")
+    k = ij[:, 0].astype(int) * geom.ny + ij[:, 1].astype(int)
+    counts = np.bincount(k, minlength=geom.nx * geom.ny)
+    for problem, nodes in (("duplicate", counts > 1), ("missing", counts == 0)):
+        if np.any(nodes):
+            node = divmod(int(np.argmax(nodes)), geom.ny)
+            raise ValueError(f"{path}: {problem} node {node}")
+    return k
 
 
 def load_immersion(path: str | Path) -> tuple[ImmersionGrid, FrameField | None]:
-    """Read an immersion CSV back; returns the frame field too when present."""
-    path = Path(path)
-    with open(path.with_suffix(path.suffix + ".json")) as fh:
-        geom = GridGeometry.from_dict(json.load(fh))
-    f = np.empty((geom.nx, geom.ny, 4))
+    """Read an immersion CSV back; returns the frame field too when present.
+
+    Rows are placed by their `i, j` columns; a non-integer or out-of-range
+    index, or a node that is duplicated or missing, raises ValueError.
+    """
+    geom, header, data = grids._load_table(path)
+    k = _node_index(path, geom, data[:, :2])
+    n = geom.nx * geom.ny
+    f = np.empty((n, 4))
+    f[k] = data[:, 4:8]
+    f = f.reshape(geom.nx, geom.ny, 4)
     S = None
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        header = next(rows)
-        has_frame = len(header) > 8
-        if has_frame:
-            S = np.zeros((geom.nx, geom.ny, 5, 5))
-            S[..., 0, 0] = 1.0
-        count = 0
-        for r in rows:
-            i, j = int(r[0]), int(r[1])
-            f[i, j] = [float(v) for v in r[4:8]]
-            if has_frame:
-                S[i, j, 1:, 1:] = np.array([float(v) for v in r[8:24]]).reshape(4, 4)
-                S[i, j, 1:, 0] = f[i, j]
-            count += 1
-    if count != geom.nx * geom.ny:
-        raise ValueError(f"{path}: expected {geom.nx * geom.ny} rows, got {count}")
+    if len(header) > 8:
+        S = np.zeros((n, 5, 5))
+        S[:, 0, 0] = 1.0
+        S[k, 1:, 1:] = data[:, 8:24].reshape(-1, 4, 4)
+        S = S.reshape(geom.nx, geom.ny, 5, 5)
+        S[..., 1:, 0] = f
     m = ImmersionGrid(geom, f)
     return m, (FrameField(geom, S) if S is not None else None)

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .core import AffineAlgebra4, SpAlgebra4, real_point_from_c2
 from .errors import NotHolomorphic, ParameterDomain
-from .frames import ImmersionGrid
+from .frames import ImmersionGrid, _midpoints
 from .grids import ComplexGrid, GridGeometry, d_z, d_zbar
 from .invariants import InvariantTriple
 
@@ -43,11 +42,11 @@ class ConstantFamilyParams:
             raise ParameterDomain("p must avoid +-2")
 
 
-def constant_ab(p: float) -> tuple[AffineAlgebra4, AffineAlgebra4]:
+def constant_ab(p: float) -> tuple[np.ndarray, np.ndarray]:
     """Homogeneous coefficient matrices of Theta for h = 1 and constant real p.
 
-    Returned as affine-algebra elements with zero translation part; the
-    translation (which carries t) is assembled by theta_from_invariants.
+    Returned as the 4x4 sp(4) parts; the translation part (which carries t)
+    is assembled by theta_from_invariants.
     """
     A = np.array(
         [
@@ -65,9 +64,7 @@ def constant_ab(p: float) -> tuple[AffineAlgebra4, AffineAlgebra4]:
             [1.0, 0.0, 1.0, 0.0],
         ]
     )
-    zero = np.zeros(4)
-    return (AffineAlgebra4(zero, SpAlgebra4.from_array(A)),
-            AffineAlgebra4(zero, SpAlgebra4.from_array(B)))
+    return A, B
 
 
 def separated_t(params: ConstantFamilyParams, x, y):
@@ -202,14 +199,7 @@ def _curve_coefficient(pv: np.ndarray, lam: float) -> np.ndarray:
 def _sweep_holomorphic(T0: np.ndarray, N: np.ndarray, dz: complex) -> np.ndarray:
     """RK4 sweep of dT/dz = T N(z) along one grid line (n, 3, 3) samples."""
     n = N.shape[0]
-    mid = np.empty((n - 1,) + N.shape[1:], dtype=complex)
-    if n >= 4:
-        mid[1:-1] = (-N[:-3] + 9.0 * N[1:-2] + 9.0 * N[2:-1] - N[3:]) / 16.0
-        w = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
-        mid[0] = np.tensordot(w, N[:4], axes=(0, 0))
-        mid[-1] = np.tensordot(w, N[-1:-5:-1], axes=(0, 0))
-    else:
-        mid[:] = 0.5 * (N[:-1] + N[1:])
+    mid = _midpoints(N)
     out = np.empty((n, 3, 3), dtype=complex)
     out[0] = T0
     T = T0

@@ -8,7 +8,6 @@ on polynomials of total degree <= 4.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -158,32 +157,58 @@ def d_zbar(f: ComplexGrid) -> ComplexGrid:
 # -- serialization: CSV per field with a JSON geometry sidecar ----------------
 
 
-def save_grid(f: ComplexGrid, path: str | Path) -> None:
-    """Write `x,y,re,im` rows (17 significant digits) plus a .json sidecar."""
+def _save_table(path: str | Path, geom: GridGeometry, header: list[str],
+                table: np.ndarray) -> None:
+    """Write `table` as CSV rows at 17 significant digits plus a .json sidecar.
+
+    Lines end in CRLF, the RFC 4180 line ending that the csv module writes.
+    """
     path = Path(path)
-    xx, yy = f.geometry.mesh()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "re", "im"])
-        for i in range(f.geometry.nx):
-            for j in range(f.geometry.ny):
-                v = f.values[i, j]
-                w.writerow([f"{xx[i, j]:.17g}", f"{yy[i, j]:.17g}",
-                            f"{v.real:.17g}", f"{v.imag:.17g}"])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", newline="\r\n",
+               header=",".join(header), comments="")
     with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-        json.dump(f.geometry.as_dict(), fh, indent=2)
+        json.dump(geom.as_dict(), fh, indent=2)
 
 
-def load_grid(path: str | Path) -> ComplexGrid:
+def _load_table(path: str | Path) -> tuple[GridGeometry, list[str], np.ndarray]:
+    """Read a CSV written by `_save_table`: geometry, header and (rows, columns) values."""
     path = Path(path)
     with open(path.with_suffix(path.suffix + ".json")) as fh:
         geom = GridGeometry.from_dict(json.load(fh))
-    values = np.empty((geom.nx, geom.ny), dtype=complex)
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        next(rows)  # header
-        flat = [complex(float(r[2]), float(r[3])) for r in rows]
-    if len(flat) != geom.nx * geom.ny:
-        raise ValueError(f"{path}: expected {geom.nx * geom.ny} rows, got {len(flat)}")
-    values[:] = np.array(flat, dtype=complex).reshape(geom.nx, geom.ny)
-    return ComplexGrid(geom, values)
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.size == 0 or data.shape[1] != len(header):
+        raise ValueError(f"{path}: expected rows of {len(header)} values under the header")
+    return geom, header, data
+
+
+def save_grid(f: ComplexGrid, path: str | Path) -> None:
+    """Write `x,y,re,im` rows (17 significant digits) plus a .json sidecar."""
+    xx, yy = f.geometry.mesh()
+    table = np.stack([xx, yy, f.values.real, f.values.imag], axis=-1)
+    _save_table(path, f.geometry, ["x", "y", "re", "im"], table.reshape(-1, 4))
+
+
+def load_grid(path: str | Path) -> ComplexGrid:
+    """Read a `save_grid` CSV back.
+
+    Rows are placed in C order; a row whose (x, y) lies more than a quarter
+    grid step off its node raises ValueError.
+    """
+    geom, _, data = _load_table(path)
+    n = geom.nx * geom.ny
+    if len(data) != n:
+        raise ValueError(f"{path}: expected {n} rows, got {len(data)}")
+    xx, yy = geom.mesh()
+    off = np.maximum(np.abs(data[:, 0] - xx.ravel()) / geom.dx,
+                     np.abs(data[:, 1] - yy.ravel()) / geom.dy)
+    bad = ~(off <= 0.25)  # a NaN coordinate counts as off
+    if np.any(bad):
+        r = int(np.argmax(bad))
+        raise ValueError(f"{path}: row {r + 1} at (x, y) = ({data[r, 0]:.17g}, "
+                         f"{data[r, 1]:.17g}) is not node {divmod(r, geom.ny)}")
+    values = np.empty(n, dtype=complex)
+    values.real = data[:, 2]
+    values.imag = data[:, 3]
+    return ComplexGrid(geom, values.reshape(geom.nx, geom.ny))

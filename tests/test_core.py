@@ -1,19 +1,8 @@
 import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 import symplag as sg
-from symplag.core import I2, _complex_block_embed, c2_point_from_real, real_point_from_c2
-from symplag.errors import ChartDomainError, DeterminantError
-
-
-def small_reals(n):
-    return st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=n, max_size=n)
-
-
-def algebra_from(vals):
-    a = np.array(vals[:4]).reshape(2, 2)
-    return sg.SpAlgebra4(a, sg.SymMat2(*vals[4:7]), sg.SymMat2(*vals[7:10]))
+from symplag.frames import _affine_inverse5
 
 
 def test_j4_squares_to_minus_identity():
@@ -22,122 +11,16 @@ def test_j4_squares_to_minus_identity():
     assert sg.symplectic_defect(sg.J4) == 0.0
 
 
-def test_symmat2_roundtrip_and_norm():
-    b = sg.SymMat2(1.0, 2.0, 3.0)
-    assert np.array_equal(sg.SymMat2.from_array(b.as_array()).as_array(), b.as_array())
-    # (b, b) = -det b = -(1*3 - 4) = 1
-    assert b.quadratic_norm() == pytest.approx(1.0)
-
-
-def test_symplmat4_rejects_non_symplectic():
-    with pytest.raises(ValueError):
-        sg.SymplMat4(2.0 * np.eye(4))
-
-
-def test_algebra_array_roundtrip():
-    x = algebra_from(list(range(1, 11)))
-    m = x.as_array()
-    assert np.array_equal(m[:2, 2:], m[:2, 2:].T)
-    assert np.array_equal(m[2:, :2], m[2:, :2].T)
-    assert np.array_equal(m[2:, 2:], -m[:2, :2].T)
-    assert np.array_equal(sg.SpAlgebra4.from_array(m).as_array(), m)
-
-
-@settings(max_examples=25, deadline=None)
-@given(small_reals(10))
-def test_exp_algebra_lands_in_group(vals):
-    X = sg.exp_algebra(algebra_from(vals))
-    assert X.defect() <= 1e-10
-
-
-def test_exp_matches_series_oracle():
-    # independent oracle: truncated Taylor series of the exponential
-    x = algebra_from([0.3, -0.2, 0.1, 0.25, 0.4, -0.1, 0.2, 0.05, 0.15, -0.3])
-    m = x.as_array()
-    term = np.eye(4)
-    total = np.eye(4)
-    for k in range(1, 30):
-        term = term @ m / k
-        total = total + term
-    assert np.max(np.abs(sg.exp_algebra(x).entries - total)) < 1e-14
-
-
-def test_affine_inverse_and_composition():
-    x = algebra_from([0.3, -0.2, 0.1, 0.25, 0.4, -0.1, 0.2, 0.05, 0.15, -0.3])
-    g = sg.exp_algebra(sg.AffineAlgebra4(np.array([1.0, -2.0, 0.5, 0.0]), x))
-    gi = g.inverse()
-    prod = (g @ gi).as_matrix5()
-    assert np.max(np.abs(prod - np.eye(5))) < 1e-12
-    q = np.array([0.2, -0.7, 1.1, 0.4])
-    assert np.max(np.abs(sg.act(gi, sg.act(g, q)) - q)) < 1e-12
-
-
-def test_act_is_a_left_action():
-    rng = np.random.default_rng(3)
-    g1 = sg.exp_algebra(sg.AffineAlgebra4(rng.normal(size=4), algebra_from(list(rng.normal(size=10) * 0.3))))
-    g2 = sg.exp_algebra(sg.AffineAlgebra4(rng.normal(size=4), algebra_from(list(rng.normal(size=10) * 0.3))))
-    q = rng.normal(size=4)
-    assert np.max(np.abs(sg.act(g1 @ g2, q) - sg.act(g1, sg.act(g2, q)))) < 1e-12
-
-
-def test_affine_matrix5_roundtrip():
-    g = sg.AffineSymplecticElement(np.array([1.0, 2.0, 3.0, 4.0]), sg.SymplMat4(np.eye(4)))
-    m = g.as_matrix5()
-    assert m[0, 0] == 1.0 and np.array_equal(m[1:, 0], g.P)
-    g2 = sg.AffineSymplecticElement.from_matrix5(m)
-    assert np.array_equal(g2.P, g.P)
-
-
-def test_lagrangian_plane_graph_chart_roundtrip():
-    S = sg.SymMat2(0.7, -0.3, 1.2)
-    V = sg.LagrangianPlane.from_graph(S)
-    back = sg.plane_chart(V)
-    assert np.max(np.abs(back.as_array() - S.as_array())) < 1e-12
-
-
-def test_lagrangian_plane_rejects_bad_span():
-    with pytest.raises(ValueError):
-        sg.LagrangianPlane(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_plane_chart_rejects_reversed_orientation():
-    V = sg.LagrangianPlane(np.vstack([np.diag([1.0, -1.0]), np.zeros((2, 2))]))
-    with pytest.raises(ChartDomainError):
-        sg.plane_chart(V)
-
-
-def test_c2_identification_roundtrip():
-    q = np.array([0.1, -0.2, 0.3, 0.4])
-    u, w = c2_point_from_real(q)
-    assert np.max(np.abs(real_point_from_c2(u, w) - q)) < 1e-15
-
-
-def test_complex_embed_is_multiplicative():
-    rng = np.random.default_rng(11)
-    A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    B = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    lhs = _complex_block_embed(A @ B)
-    rhs = _complex_block_embed(A) @ _complex_block_embed(B)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_embed_action_matches_complex_action():
-    A = np.array([[1.0 + 0.2j, 0.3j], [0.1, 1.0]])
-    A = A / np.sqrt(np.linalg.det(A))
-    v = np.array([0.5 - 0.1j, 0.2 + 0.4j])
-    g = sg.isl2c_embed(A, v)
-    u, w = 0.3 + 0.7j, -0.2 + 0.1j
-    q = real_point_from_c2(u, w)
-    expect = A @ np.array([u, w]) + v
-    assert np.max(np.abs(sg.act(g, q) - real_point_from_c2(*expect))) < 1e-12
-
-
-def test_embed_gates():
-    with pytest.raises(DeterminantError):
-        sg.isl2c_embed(2.0 * np.eye(2), np.zeros(2))
-    with pytest.raises(DeterminantError):
-        sg.isl2c_embed_algebra(np.eye(2), np.zeros(2))
-    a = np.array([[0.1j, 0.2], [0.3, -0.1j]])
-    alg = sg.isl2c_embed_algebra(a, np.zeros(2))
-    g = sg.exp_algebra(alg)
-    assert g.X.defect() <= 1e-10
+def test_affine_inverse5_composes_to_identity():
+    # affine-algebra matrix: translation p, sp(4) part [[a, b], [c, -a^T]]
+    # with b, c symmetric
+    M = np.zeros((5, 5))
+    M[1:, 0] = [1.0, -2.0, 0.5, 0.0]
+    M[1:3, 1:3] = [[0.3, -0.2], [0.1, 0.25]]
+    M[1:3, 3:5] = [[0.4, -0.1], [-0.1, 0.2]]
+    M[3:5, 1:3] = [[0.05, 0.15], [0.15, -0.3]]
+    M[3:5, 3:5] = -M[1:3, 1:3].T
+    g = expm(M)
+    gi = _affine_inverse5(g)
+    assert np.max(np.abs(g @ gi - np.eye(5))) < 1e-12
+    assert np.max(np.abs(gi @ g - np.eye(5))) < 1e-12

@@ -22,6 +22,18 @@ def family_theta(p=1.0, geom=GEOM, lam=0.0):
     return inv, sg.theta_from_invariants(inv)
 
 
+def affine_motion(p, a, b, c):
+    """expm of the affine-algebra matrix with translation p and sp(4) part
+    [[a, B], [C, -a^T]], where B, C are the symmetric matrices [[v0, v1], [v1, v2]]."""
+    M = np.zeros((5, 5))
+    M[1:, 0] = p
+    M[1:3, 1:3] = a
+    M[1:3, 3:5] = [[b[0], b[1]], [b[1], b[2]]]
+    M[3:5, 1:3] = [[c[0], c[1]], [c[1], c[2]]]
+    M[3:5, 3:5] = -np.transpose(a)
+    return expm(M)
+
+
 def quiet_integrate(theta, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -37,8 +49,8 @@ def quiet_pipeline(m, **kw):
 def test_theta_matches_constant_coefficient_matrices():
     inv, theta = family_theta(p=1.0)
     A, B = sg.constant_ab(1.0)
-    assert np.max(np.abs(theta.A[..., 1:, 1:] - A.x.as_array())) < 1e-12
-    assert np.max(np.abs(theta.B[..., 1:, 1:] - B.x.as_array())) < 1e-12
+    assert np.max(np.abs(theta.A[..., 1:, 1:] - A)) < 1e-12
+    assert np.max(np.abs(theta.B[..., 1:, 1:] - B)) < 1e-12
     t = inv.t.values
     assert np.array_equal(theta.A[..., 1, 0], t.real)
     assert np.array_equal(theta.A[..., 2, 0], -t.imag)
@@ -71,7 +83,7 @@ def test_integrated_frame_matches_exponential():
     rng = np.random.default_rng(2)
     for _ in range(5):
         i, j = rng.integers(0, GEOM.nx), rng.integers(0, GEOM.ny)
-        E = expm(GEOM.x[i] * A.x.as_array() + GEOM.y[j] * B.x.as_array())
+        E = expm(GEOM.x[i] * A + GEOM.y[j] * B)
         assert np.max(np.abs(F.S[i, j, 1:, 1:] - E)) < 1e-10
     assert F.max_symplectic_defect() < 1e-8
 
@@ -141,17 +153,16 @@ def curve_immersion(geom):
 def test_pipeline_on_complex_curve():
     geom = sg.GridGeometry(61, 61, -0.15, -0.15, 0.005, 0.005)
     m = curve_immersion(geom)
-    F, data, inv = quiet_pipeline(m, margin=8)
+    F, inv = quiet_pipeline(m, margin=8)
     assert np.max(np.abs(inv.h.values)) < 1e-8
     assert np.max(np.abs(inv.t.values - inv.t.values[0, 0])) < 1e-8
-    assert np.max(data.l1**2 + data.l2**2) < 1.0
 
 
 def test_pipeline_recovers_family_invariants():
     geom = sg.GridGeometry(61, 61, -0.15, -0.15, 0.005, 0.005)
     params = sg.ConstantFamilyParams(p=1.0)
     m = sg.closed_form_immersion(params, geom)
-    F, _, inv = quiet_pipeline(m, margin=8)
+    F, inv = quiet_pipeline(m, margin=8)
     sub = inv.geometry
     xx, yy = sub.mesh()
     t_want = sg.separated_t(params, xx, yy)
@@ -167,11 +178,10 @@ def test_pipeline_gauge_covariance():
     m = curve_immersion(geom)
     rng = np.random.default_rng(9)
     a = rng.normal(size=(2, 2)) * 0.2
-    x = sg.SpAlgebra4(a, sg.SymMat2(0.1, -0.05, 0.2), sg.SymMat2(0.0, 0.15, -0.1))
-    g = sg.exp_algebra(sg.AffineAlgebra4(rng.normal(size=4) * 0.4, x))
-    moved = sg.ImmersionGrid(geom, g.P + np.einsum("ij,...j->...i", g.X.entries, m.f))
-    _, _, inv1 = quiet_pipeline(m, margin=8)
-    _, _, inv2 = quiet_pipeline(moved, margin=8)
+    g = affine_motion(rng.normal(size=4) * 0.4, a, (0.1, -0.05, 0.2), (0.0, 0.15, -0.1))
+    moved = sg.ImmersionGrid(geom, g[1:, 0] + np.einsum("ij,...j->...i", g[1:, 1:], m.f))
+    _, inv1 = quiet_pipeline(m, margin=8)
+    _, inv2 = quiet_pipeline(moved, margin=8)
     assert np.max(np.abs(inv2.t.values**2 - inv1.t.values**2)) < 1e-7
     assert np.max(np.abs(inv2.h.values - inv1.h.values)) < 1e-7
     assert np.max(np.abs(inv2.p.values - inv1.p.values)) < 1e-7
@@ -189,11 +199,9 @@ def test_congruence_defect_cases():
     geom = sg.GridGeometry(61, 61, -0.15, -0.15, 0.005, 0.005)
     m1 = sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0), geom)
     rng = np.random.default_rng(7)
-    x = sg.SpAlgebra4(rng.normal(size=(2, 2)) * 0.3,
-                      sg.SymMat2(*(rng.normal(size=3) * 0.3)),
-                      sg.SymMat2(*(rng.normal(size=3) * 0.3)))
-    g = sg.exp_algebra(sg.AffineAlgebra4(rng.normal(size=4) * 0.5, x))
-    moved = sg.ImmersionGrid(geom, g.P + np.einsum("ij,...j->...i", g.X.entries, m1.f))
+    a, b, c = (rng.normal(size=size) * 0.3 for size in ((2, 2), 3, 3))
+    g = affine_motion(rng.normal(size=4) * 0.5, a, b, c)
+    moved = sg.ImmersionGrid(geom, g[1:, 0] + np.einsum("ij,...j->...i", g[1:, 1:], m1.f))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert sg.congruence_defect(m1, moved, margin=8) < 1e-8
@@ -216,6 +224,33 @@ def test_immersion_save_load_roundtrip(tmp_path):
     sg.save_immersion(m, path2)
     m3, F3 = sg.load_immersion(path2)
     assert F3 is None and np.array_equal(m3.f, m.f)
+
+
+def _duplicate_row(lines):
+    lines[1 + 3 * 7 + 3] = lines[1 + 0 * 7 + 1]  # node (3, 3) becomes a copy of (0, 1)
+
+
+def _index_out_of_range(lines):
+    lines[1 + 0 * 7 + 4] = "7" + lines[1 + 0 * 7 + 4][1:]  # node (0, 4) renamed (7, 4)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_duplicate_row, r"duplicate node \(0, 1\)"),
+    (_index_out_of_range, r"names node \(7\.0, 4\.0\), not a node of the 7x7 grid"),
+])
+def test_load_immersion_rejects_misplaced_rows(tmp_path, edit, message):
+    geom = sg.GridGeometry(7, 7, 0.0, 0.0, 0.1, 0.1)
+    xx, yy = geom.mesh()
+    m = sg.ImmersionGrid(geom, np.stack([xx, yy, xx * yy, xx - yy], axis=-1))
+    path = tmp_path / "imm.csv"
+    sg.save_immersion(m, path)
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    edit(lines)
+    with open(path, "w", newline="") as fh:
+        fh.writelines(lines)
+    with pytest.raises(ValueError, match=message):
+        sg.load_immersion(path)
 
 
 def test_pipeline_rejects_non_elliptic():

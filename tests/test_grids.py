@@ -90,6 +90,19 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(g.values, f.values)  # 17 significant digits round-trip
 
 
+def test_load_grid_rejects_swapped_rows(tmp_path):
+    f = sg.ComplexGrid(GEOM, np.arange(21 * 17).reshape(21, 17) * (1.0 + 0.5j))
+    path = tmp_path / "field.csv"
+    sg.save_grid(f, path)
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    lines[5], lines[6] = lines[6], lines[5]  # nodes (0, 4) and (0, 5)
+    with open(path, "w", newline="") as fh:
+        fh.writelines(lines)
+    with pytest.raises(ValueError, match=r"row 5 .* is not node \(0, 4\)"):
+        sg.load_grid(path)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_diff4_linearity(a, b):
