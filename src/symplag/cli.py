@@ -24,6 +24,8 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import ConfigError, SymplagError
 from .frames import (
     ImmersionGrid,
+    _base_frame,
+    _motion_defect,
     congruence_defect,
     extract_invariants,
     flatness_residual,
@@ -90,6 +92,7 @@ class Report:
     residuals: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
+    warnings: list = field(default_factory=list)
     wall_time_s: float = 0.0
 
     def add_residual(self, name: str, values: np.ndarray) -> float:
@@ -116,6 +119,7 @@ class Report:
             "residuals": self.residuals,
             "flags": self.flags,
             "outputs": self.outputs,
+            "warnings": self.warnings,
             "wall_time_s": self.wall_time_s,
             "config": self.config,
             "versions": {
@@ -134,6 +138,14 @@ class Report:
 # -- triple construction from params ------------------------------------------
 
 
+def _load(loader, path):
+    """Read an input file; a malformed one is a ConfigError naming the file."""
+    try:
+        return loader(path)
+    except ValueError as e:
+        raise ConfigError(f"cannot load {path}: {e}") from e
+
+
 def _poly_grid(geom: GridGeometry, coeffs) -> ComplexGrid:
     z = geom.zmesh()
     vals = np.zeros_like(z)
@@ -150,9 +162,7 @@ def triple_from_params(geom: GridGeometry, params: dict) -> InvariantTriple:
     umbilic` (polynomial t and p, h = 0), or explicit `t`/`h`/`p` CSV paths.
     """
     if {"t", "h", "p"} <= set(params):
-        t = load_grid(params["t"])
-        h = load_grid(params["h"])
-        p = load_grid(params["p"])
+        t, h, p = (_load(load_grid, params[k]) for k in ("t", "h", "p"))
         return InvariantTriple(t, h, p)
     kind = params.get("kind", "constant")
     lam = float(params.get("lam", 0.0))
@@ -302,11 +312,13 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
         members.append(immersion_from_frame(F))
     margin = int(cfg.params.get("margin", 4))
     k = len(members)
+    # each member is reduced once, and only when it has a partner
+    adapted = [_base_frame(m, 1, tols, margin) for m in members] if k > 1 else []
     matrix = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            matrix[i, j] = matrix[j, i] = congruence_defect(
-                members[i], members[j], tols=tols, margin=margin)
+            matrix[i, j] = matrix[j, i] = _motion_defect(
+                adapted[i], adapted[j], members[i], members[j])
     rep.residuals["congruence_matrix"] = {"lambdas": lambdas,
                                           "matrix": matrix.tolist()}
     off = matrix[~np.eye(k, dtype=bool)]
@@ -320,12 +332,10 @@ def _run_invariants(cfg: JobConfig, rep: Report) -> None:
     src = cfg.params.get("immersion")
     if not src:
         raise ConfigError("invariants command needs params.immersion (CSV path)")
-    m, _ = load_immersion(src)
+    m, _ = _load(load_immersion, src)
     margin = int(cfg.params.get("margin", 8))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        F, inv = reduction_pipeline(m, tols=tols, margin=margin)
-        _, gauge = extract_invariants(F, tols)
+    F, inv = reduction_pipeline(m, tols=tols, margin=margin)
+    _, gauge = extract_invariants(F, tols)
     gmax = max(gauge.values())
     rep.residuals["gauge"] = {"max": gmax, "mean": float(np.mean(list(gauge.values())))}
     rep.add_flag("adapted_gauge", gmax, "tol_gauge", tols.tol_gauge)
@@ -348,12 +358,10 @@ def _run_congruence(cfg: JobConfig, rep: Report) -> None:
         b = cfg.params["second"]
     except KeyError as e:
         raise ConfigError(f"congruence command needs params.{e.args[0]}") from e
-    m1, _ = load_immersion(a)
-    m2, _ = load_immersion(b)
+    m1, _ = _load(load_immersion, a)
+    m2, _ = _load(load_immersion, b)
     margin = int(cfg.params.get("margin", 8))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        d = congruence_defect(m1, m2, tols=tols, margin=margin)
+    d = congruence_defect(m1, m2, tols=tols, margin=margin)
     rep.residuals["congruence_defect"] = {"max": d, "mean": d}
     rep.add_flag("congruent", d, "tol_congruent", tols.tol_congruent)
 
@@ -363,7 +371,7 @@ def _run_export(cfg: JobConfig, rep: Report) -> None:
     if not src:
         raise ConfigError("export command needs params.immersion (CSV path)")
     fmt = cfg.params.get("format", "obj-xy-f1f2")
-    m, _ = load_immersion(src)
+    m, _ = _load(load_immersion, src)
     suffix = ".csv" if fmt == "csv" else ".obj"
     out = cfg.output_dir / (Path(src).stem + f"-{fmt}{suffix}")
     export_mesh(m, fmt, out)
@@ -382,11 +390,20 @@ _RUNNERS = {
 
 
 def run(cfg: JobConfig) -> Report:
-    """Execute one command; returns the report (also written to output_dir)."""
+    """Execute one command; returns the report (also written to output_dir),
+    which lists every warning the command raised; the warnings are passed on."""
     rep = Report(command=cfg.command, config=cfg.as_dict())
     start = time.perf_counter()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _RUNNERS[cfg.command](cfg, rep)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _RUNNERS[cfg.command](cfg, rep)
+    finally:
+        for w in caught:
+            rep.warnings.append({"category": w.category.__name__,
+                                 "message": str(w.message)})
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     rep.wall_time_s = time.perf_counter() - start
     rep.save(cfg.output_dir / "report.json")
     return rep

@@ -29,7 +29,7 @@ class Tolerances:
 
     def replace(self, **kwargs) -> "Tolerances":
         for k, v in kwargs.items():
-            if v <= 0:
+            if not v > 0:
                 raise ValueError(f"tolerance {k} must be positive, got {v}")
         return dataclasses.replace(self, **kwargs)
 

@@ -14,7 +14,12 @@ J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
 J4.flags.writeable = False
 
 
+def _symplectic_error(X: np.ndarray) -> np.ndarray:
+    """X^T J X - J for a (..., 4, 4) stack of matrices."""
+    return np.swapaxes(X, -1, -2) @ J4 @ X - J4
+
+
 def symplectic_defect(M: np.ndarray) -> float:
     """Sup-norm of M^T J M - J; zero exactly when M is symplectic."""
     M = np.asarray(M, dtype=float)
-    return float(np.max(np.abs(M.T @ J4 @ M - J4)))
+    return float(np.max(np.abs(_symplectic_error(M))))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .core import J4, symplectic_defect
+from .core import J4, _symplectic_error
 from .errors import (
     FrameDefect,
     IntegrationBlowup,
@@ -48,9 +48,7 @@ class FrameField:
     path_defect: float = 0.0
 
     def max_symplectic_defect(self) -> float:
-        X = self.S[:, :, 1:, 1:]
-        E = np.swapaxes(X, -1, -2) @ J4 @ X - J4
-        return float(np.max(np.abs(E)))
+        return float(np.max(np.abs(_symplectic_error(self.S[:, :, 1:, 1:]))))
 
 
 @dataclass(frozen=True)
@@ -70,6 +68,13 @@ class ImmersionGrid:
 
 
 # -- Theta from invariants ----------------------------------------------------
+
+
+def _mat2(a, b, c, d) -> np.ndarray:
+    """Per-node 2x2 matrices [[a, b], [c, d]] from fields of a's shape (or scalars)."""
+    out = np.empty(np.shape(a) + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
 
 
 def theta_from_invariants(inv: InvariantTriple) -> MaurerCartanField:
@@ -109,27 +114,10 @@ def theta_from_invariants(inv: InvariantTriple) -> MaurerCartanField:
         M[..., 3:5, 1:3] = gamma
         M[..., 3:5, 3:5] = -np.swapaxes(alpha, -1, -2)
 
-    def sym2(b11, b12, b22):
-        out = np.empty(b11.shape + (2, 2))
-        out[..., 0, 0] = b11
-        out[..., 0, 1] = b12
-        out[..., 1, 0] = b12
-        out[..., 1, 1] = b22
-        return out
-
-    alpha_x = np.empty((nx, ny, 2, 2))
-    alpha_x[..., 0, 0] = h1
-    alpha_x[..., 0, 1] = -h2
-    alpha_x[..., 1, 0] = -h2
-    alpha_x[..., 1, 1] = -h1
-    alpha_y = np.empty((nx, ny, 2, 2))
-    alpha_y[..., 0, 0] = -h2
-    alpha_y[..., 0, 1] = -h1
-    alpha_y[..., 1, 0] = -h1
-    alpha_y[..., 1, 1] = h2
-
-    beta_x = sym2(ups_x + rho_x.real, -rho_x.imag, ups_x - rho_x.real)
-    beta_y = sym2(ups_y + rho_y.real, -rho_y.imag, ups_y - rho_y.real)
+    alpha_x = _mat2(h1, -h2, -h2, -h1)
+    alpha_y = _mat2(-h2, -h1, -h1, h2)
+    beta_x = _mat2(ups_x + rho_x.real, -rho_x.imag, -rho_x.imag, ups_x - rho_x.real)
+    beta_y = _mat2(ups_y + rho_y.real, -rho_y.imag, -rho_y.imag, ups_y - rho_y.real)
 
     gamma_x = np.broadcast_to(np.array([[1.0, 0.0], [0.0, -1.0]]), (nx, ny, 2, 2))
     gamma_y = np.broadcast_to(np.array([[0.0, 1.0], [1.0, 0.0]]), (nx, ny, 2, 2))
@@ -162,57 +150,48 @@ def _midpoints(M: np.ndarray) -> np.ndarray:
     return mid
 
 
-def _project_symplectic(S: np.ndarray) -> np.ndarray:
-    """One Newton step of X <- X (I + J E / 2) onto X^T J X = J."""
-    X = S[1:, 1:]
-    E = X.T @ J4 @ X - J4
-    S = S.copy()
-    S[1:, 1:] = X @ (np.eye(4) + 0.5 * (J4 @ E))
-    return S
-
-
-def _sweep(S_start: np.ndarray, M: np.ndarray, h: float, tols: Tolerances) -> np.ndarray:
-    """RK4 sweep of dS/ds = S M(s) along sampled coefficients M (n, 5, 5)."""
+def _rk4(S: np.ndarray, M: np.ndarray, h, step=None) -> np.ndarray:
+    """RK4 for dS/ds = S M(s) on a batch of lines: start states S (lines, k, k),
+    samples M (n, lines, k, k).  `step(S, k)`, when given, checks the new states
+    after each step and may repair them in place.  Returns all (n, lines, k, k)."""
     n = M.shape[0]
     mid = _midpoints(M)
-    out = np.empty((n, 5, 5))
-    out[0] = S_start
-    S = S_start
+    out = np.empty((n,) + S.shape, dtype=S.dtype)
+    out[0] = S
     for k in range(n - 1):
         k1 = S @ M[k]
         k2 = (S + 0.5 * h * k1) @ mid[k]
         k3 = (S + 0.5 * h * k2) @ mid[k]
         k4 = (S + h * k3) @ M[k + 1]
         S = S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.max(np.abs(S)) > 1e12:
-            raise IntegrationBlowup(f"frame norm exceeded 1e12 at sweep step {k}")
-        d = symplectic_defect(S[1:, 1:])
-        if d > tols.tol_frame:
-            S = _project_symplectic(S)
-            d = symplectic_defect(S[1:, 1:])
-            if d > 100.0 * tols.tol_frame:
-                raise FrameDefect(f"defect {d:.3e} after projection at step {k}")
+        if step is not None:
+            step(S, k)
         out[k + 1] = S
     return out
 
 
-def _integrate_column_rows(theta: MaurerCartanField, tols: Tolerances) -> np.ndarray:
-    """First column in y, then each row in x."""
-    geom = theta.geometry
-    S = np.empty((geom.nx, geom.ny, 5, 5))
-    S[0, :] = _sweep(np.eye(5), theta.B[0, :], geom.dy, tols)
-    for j in range(geom.ny):
-        S[:, j] = _sweep(S[0, j], theta.A[:, j], geom.dx, tols)
-    return S
+def _sweep_grid(A: np.ndarray, B: np.ndarray, hx, hy, step=None) -> np.ndarray:
+    """Integrate from the identity at node (0, 0): up the first column with B, then
+    along every row with A.  A and B are (nx, ny, k, k); so is the result."""
+    start = np.eye(A.shape[-1], dtype=A.dtype)[None]
+    column = _rk4(start, B[0][:, None], hy, step)[:, 0]
+    return _rk4(column, A, hx, step)
 
 
-def _integrate_row_columns(theta: MaurerCartanField, tols: Tolerances) -> np.ndarray:
-    geom = theta.geometry
-    S = np.empty((geom.nx, geom.ny, 5, 5))
-    S[:, 0] = _sweep(np.eye(5), theta.A[:, 0], geom.dx, tols)
-    for i in range(geom.nx):
-        S[i, :] = _sweep(S[i, 0], theta.B[i, :], geom.dy, tols)
-    return S
+def _frame_guard(tols: Tolerances):
+    """Per-step blow-up guard, then one Newton step X <- X (I + J E / 2) onto
+    X^T J X = J on each line whose defect E = X^T J X - J exceeds tol_frame."""
+    def step(S: np.ndarray, k: int) -> None:
+        if np.max(np.abs(S)) > 1e12:
+            raise IntegrationBlowup(f"frame norm exceeded 1e12 at sweep step {k}")
+        E = _symplectic_error(S[:, 1:, 1:])
+        drifted = np.max(np.abs(E), axis=(-1, -2)) > tols.tol_frame
+        if np.any(drifted):
+            S[drifted, 1:, 1:] = S[drifted, 1:, 1:] @ (np.eye(4) + 0.5 * (J4 @ E[drifted]))
+            d = float(np.max(np.abs(_symplectic_error(S[drifted, 1:, 1:]))))
+            if d > 100.0 * tols.tol_frame:
+                raise FrameDefect(f"defect {d:.3e} after projection at step {k}")
+    return step
 
 
 def integrate_frame(
@@ -230,12 +209,15 @@ def integrate_frame(
     if flat > tols.tol_flat:
         warnings.warn(f"flatness residual {flat:.3e} exceeds tol_flat "
                       f"{tols.tol_flat:.3e}; frame is path-dependent")
-    S = _integrate_column_rows(theta, tols)
+    geom = theta.geometry
+    guard = _frame_guard(tols)
+    S = _sweep_grid(theta.A, theta.B, geom.dx, geom.dy, guard)
     path_defect = 0.0
     if compute_path_defect:
-        S_alt = _integrate_row_columns(theta, tols)
-        path_defect = float(np.max(np.abs(S - S_alt)))
-    return FrameField(theta.geometry, S, flatness_report=flat, path_defect=path_defect)
+        S_alt = _sweep_grid(np.swapaxes(theta.B, 0, 1), np.swapaxes(theta.A, 0, 1),
+                            geom.dy, geom.dx, guard)
+        path_defect = float(np.max(np.abs(S - np.swapaxes(S_alt, 0, 1))))
+    return FrameField(geom, S, flatness_report=flat, path_defect=path_defect)
 
 
 def immersion_from_frame(F: FrameField) -> ImmersionGrid:
@@ -429,12 +411,9 @@ def reduction_pipeline(
     u = np.stack([0.5 * (gamma_x[..., 0, 0] + gamma_x[..., 1, 1]),
                   0.5 * (gamma_y[..., 0, 0] + gamma_y[..., 1, 1])], axis=-1)
     # induced quadratic form Gram matrix in the (dx, dy) basis
-    g = np.empty((geom.nx, geom.ny, 2, 2))
-    g[..., 0, 0] = om1[..., 0] ** 2 + om2[..., 0] ** 2 - u[..., 0] ** 2
-    g[..., 1, 1] = om1[..., 1] ** 2 + om2[..., 1] ** 2 - u[..., 1] ** 2
-    g[..., 0, 1] = g[..., 1, 0] = (om1[..., 0] * om1[..., 1]
-                                   + om2[..., 0] * om2[..., 1]
-                                   - u[..., 0] * u[..., 1])
+    g01 = om1[..., 0] * om1[..., 1] + om2[..., 0] * om2[..., 1] - u[..., 0] * u[..., 1]
+    g = _mat2(om1[..., 0] ** 2 + om2[..., 0] ** 2 - u[..., 0] ** 2, g01, g01,
+              om1[..., 1] ** 2 + om2[..., 1] ** 2 - u[..., 1] ** 2)
     if not (np.all(g[..., 0, 0] > 0) and np.all(np.linalg.det(g) > 0)):
         raise NotElliptic("induced quadratic form is not positive definite")
     W = np.stack([om1, om2], axis=-1)  # rows: (dx, dy) coeffs; cols: (omega1, omega2)
@@ -443,10 +422,8 @@ def reduction_pipeline(
     if np.any(l1**2 + l2**2 >= 1.0):
         raise NotElliptic("first-order constraint l1^2 + l2^2 < 1 fails")
     phi = np.arcsin(-l2 / np.sqrt(1.0 - l1**2))
-    A2 = np.zeros((geom.nx, geom.ny, 2, 2))
-    A2[..., 0, 0] = np.sqrt(0.5 * (1.0 - l1)) * np.cos(phi)
-    A2[..., 0, 1] = np.sqrt(0.5 * (1.0 - l1)) * np.sin(phi)
-    A2[..., 1, 1] = np.sqrt(0.5 * (1.0 + l1))
+    r2 = np.sqrt(0.5 * (1.0 - l1))
+    A2 = _mat2(r2 * np.cos(phi), r2 * np.sin(phi), 0.0, np.sqrt(0.5 * (1.0 + l1)))
     S = S @ _gauge_matrix5(A2)
     del gamma_x, gamma_y  # views that would keep this stage's (nx, ny, 5, 5) fields alive
 
@@ -468,9 +445,7 @@ def reduction_pipeline(
     Dt = np.swapaxes(D, -1, -2)
     sol = np.linalg.solve(Dt @ D, Dt @ r)[..., 0]
     ell = sol[..., 2]
-    b3 = np.zeros((geom.nx, geom.ny, 2, 2))
-    b3[..., 0, 0] = ell
-    b3[..., 1, 1] = ell
+    b3 = _mat2(ell, 0.0, 0.0, ell)
     eye2 = np.broadcast_to(np.eye(2), (geom.nx, geom.ny, 2, 2))
     S = S @ _gauge_matrix5(eye2, b3)
 
@@ -481,11 +456,7 @@ def reduction_pipeline(
     c = _dz_coeff(omega_x, omega_y)
     r4 = np.abs(c) ** -0.5
     s4 = 0.5 * _unwrap2d(np.angle(c))
-    A4 = np.empty((geom.nx, geom.ny, 2, 2))
-    A4[..., 0, 0] = r4 * np.cos(s4)
-    A4[..., 0, 1] = -r4 * np.sin(s4)
-    A4[..., 1, 0] = r4 * np.sin(s4)
-    A4[..., 1, 1] = r4 * np.cos(s4)
+    A4 = _mat2(r4 * np.cos(s4), -r4 * np.sin(s4), r4 * np.sin(s4), r4 * np.cos(s4))
     S = S @ _gauge_matrix5(A4)
 
     # stage 5: kill the trace and skew parts of alpha
@@ -497,10 +468,7 @@ def reduction_pipeline(
     wy = (alpha_y[..., 0, 0] + alpha_y[..., 1, 1]) \
         - 1j * (alpha_y[..., 1, 0] - alpha_y[..., 0, 1])
     w = _dz_coeff(wx, wy)
-    b5 = np.empty((geom.nx, geom.ny, 2, 2))
-    b5[..., 0, 0] = 0.5 * w.real
-    b5[..., 0, 1] = b5[..., 1, 0] = -0.5 * w.imag
-    b5[..., 1, 1] = -0.5 * w.real
+    b5 = _mat2(0.5 * w.real, -0.5 * w.imag, -0.5 * w.imag, -0.5 * w.real)
     S = S @ _gauge_matrix5(eye2, b5)
 
     if margin:
@@ -530,6 +498,24 @@ def _affine_inverse5(S: np.ndarray) -> np.ndarray:
     return out
 
 
+def _base_frame(m: ImmersionGrid, orientation: int, tols: Tolerances, margin: int) -> np.ndarray:
+    """A copy of m's adapted frame at the base node of the cropped grid (5x5)."""
+    return reduction_pipeline(m, orientation, tols, margin)[0].S[0, 0].copy()
+
+
+def _motion_defect(S1: np.ndarray, S2: np.ndarray, m1: ImmersionGrid,
+                   m2: ImmersionGrid) -> float:
+    """Sup-norm of m2 minus m1 moved by the motion taking base frame S1 to S2."""
+    best = np.inf
+    for sign in (1.0, -1.0):
+        S0 = S1.copy()
+        S0[1:, 1:] *= sign
+        D = S2 @ _affine_inverse5(S0)
+        moved = D[1:, 0] + np.einsum("ij,...j->...i", D[1:, 1:], m1.f)
+        best = min(best, float(np.max(np.abs(moved - m2.f))))
+    return best
+
+
 def congruence_defect(
     m1: ImmersionGrid,
     m2: ImmersionGrid,
@@ -543,16 +529,8 @@ def congruence_defect(
     frame signs are tried and the smaller defect returned.  A value below
     tol_congruent certifies congruence.
     """
-    F1, _ = reduction_pipeline(m1, orientation, tols, margin)
-    F2, _ = reduction_pipeline(m2, orientation, tols, margin)
-    best = np.inf
-    for sign in (1.0, -1.0):
-        S0 = F1.S[0, 0].copy()
-        S0[1:, 1:] *= sign
-        D = F2.S[0, 0] @ _affine_inverse5(S0)
-        moved = D[1:, 0] + np.einsum("ij,...j->...i", D[1:, 1:], m1.f)
-        best = min(best, float(np.max(np.abs(moved - m2.f))))
-    return best
+    return _motion_defect(_base_frame(m1, orientation, tols, margin),
+                          _base_frame(m2, orientation, tols, margin), m1, m2)
 
 
 # -- serialization ------------------------------------------------------------

@@ -9,13 +9,13 @@ curves via a 2x2 holomorphic linear ODE.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import NotHolomorphic, ParameterDomain
-from .frames import ImmersionGrid, _midpoints
+from .frames import ImmersionGrid, _sweep_grid
 from .grids import ComplexGrid, GridGeometry, d_z, d_zbar
 from .invariants import InvariantTriple
 
@@ -148,7 +148,7 @@ def closed_form_immersion(params: ConstantFamilyParams, geom: GridGeometry) -> I
     p, c1, c2 = params.p, params.c1, params.c2
     xx, yy = geom.mesh()
     sp, sm, _ = _sqrt_terms(p)
-    rad = np.sqrt(complex((p + 2.0) * (4.0 - p * p)))
+    rad = (p + 2.0) * sm  # sqrt((p + 2)(4 - p^2)), continued analytically past p = -2
     chx, shx = np.cosh(sp * xx), np.sinh(sp * xx)
     chy, shy = np.cosh(sm * yy), np.sinh(sm * yy)
     e4x = np.exp(4.0 * xx)
@@ -196,23 +196,6 @@ def _curve_coefficient(pv: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
-def _sweep_holomorphic(T0: np.ndarray, N: np.ndarray, dz: complex) -> np.ndarray:
-    """RK4 sweep of dT/dz = T N(z) along one grid line (n, 3, 3) samples."""
-    n = N.shape[0]
-    mid = _midpoints(N)
-    out = np.empty((n, 3, 3), dtype=complex)
-    out[0] = T0
-    T = T0
-    for k in range(n - 1):
-        k1 = T @ N[k]
-        k2 = (T + 0.5 * dz * k1) @ mid[k]
-        k3 = (T + 0.5 * dz * k2) @ mid[k]
-        k4 = (T + dz * k3) @ N[k + 1]
-        T = T + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = T
-    return out
-
-
 def umbilic_curve(
     spec: UmbilicCurveSpec, tols: Tolerances = DEFAULT_TOLS
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -227,10 +210,7 @@ def umbilic_curve(
         raise NotHolomorphic(f"max |p_zbar| = {holo:.3e} > {tols.tol_resid:.3e}")
     geom = spec.geometry
     N = _curve_coefficient(spec.p_fn.values, spec.lam)
-    T = np.empty((geom.nx, geom.ny, 3, 3), dtype=complex)
-    T[0, :] = _sweep_holomorphic(np.eye(3, dtype=complex), N[0, :], 1j * geom.dy)
-    for j in range(geom.ny):
-        T[:, j] = _sweep_holomorphic(T[0, j], N[:, j], geom.dx)
+    T = _sweep_grid(N, N, geom.dx, 1j * geom.dy)
     frame = T[..., :2, :2]
     curve = T[..., :2, 2]
     det = np.linalg.det(frame)

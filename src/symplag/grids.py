@@ -9,6 +9,7 @@ on polynomials of total degree <= 4.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,6 +72,8 @@ class GridGeometry:
     def __post_init__(self):
         if self.nx < 5 or self.ny < 5:
             raise GridTooSmall(f"grid must be at least 5x5, got {self.nx}x{self.ny}")
+        if not all(math.isfinite(v) for v in (self.x0, self.y0, self.dx, self.dy)):
+            raise ValueError("grid origin and spacings must be finite")
         if self.dx <= 0 or self.dy <= 0:
             raise ValueError("grid spacings must be positive")
 

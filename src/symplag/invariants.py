@@ -28,6 +28,9 @@ class InvariantTriple:
     def __post_init__(self):
         if not (self.t.geometry == self.h.geometry == self.p.geometry):
             raise ValueError("t, h, p must share one grid geometry")
+        for name in ("t", "h", "p"):
+            if not np.all(np.isfinite(getattr(self, name).values)):
+                raise ValueError(f"{name} must be finite")
         if self.t.min_abs() <= DEFAULT_TOLS.tol_rank:
             raise ValueError(f"t must be never zero; min |t| = {self.t.min_abs():.3e}")
 

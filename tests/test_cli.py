@@ -32,6 +32,20 @@ def test_build_config_rejects_bad_grid():
         build_config(["verify", "--grid", "3,3,0,0,0.1,0.1"])
 
 
+def test_nan_tolerance_rejected():
+    with pytest.raises(ValueError):
+        sg.Tolerances().replace(tol_frame=float("nan"))
+    with pytest.raises(ConfigError):
+        build_config(["verify", "--tol-frame", "nan"])
+
+
+def test_nan_grid_spacing_in_config_exits_2(tmp_path):
+    grid = dict(sg.GridGeometry(11, 11, 0.0, 0.0, 0.1, 0.1).as_dict(), dx=float("nan"))
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({"command": "verify", "grid": grid}))  # writes NaN
+    assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
+
+
 def test_build_config_requires_command():
     with pytest.raises(ConfigError):
         build_config([])
@@ -106,6 +120,32 @@ def test_congruence_command_on_identical_inputs(tmp_path):
                    "second": str(out1 / "immersion.csv")},
     }))
     assert main(["--config", str(doc), "--out", str(tmp_path)]) == 0
+
+
+def test_malformed_immersion_csv_exits_2(tmp_path, capsys):
+    geom = sg.GridGeometry(7, 7, 0.0, 0.0, 0.1, 0.1)
+    xx, yy = geom.mesh()
+    path = tmp_path / "imm.csv"
+    sg.save_immersion(sg.ImmersionGrid(geom, np.stack([xx, yy, xx * yy, xx - yy], -1)), path)
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    lines[1 + 3 * 7 + 3] = lines[1 + 0 * 7 + 1]  # node (3, 3) becomes a copy of (0, 1)
+    with open(path, "w", newline="") as fh:
+        fh.writelines(lines)
+    doc = tmp_path / "inv.json"
+    doc.write_text(json.dumps({"command": "invariants", "params": {"immersion": str(path)}}))
+    assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "duplicate node (0, 1)" in err
+
+
+def test_report_lists_warnings(tmp_path):
+    cfg = build_config(["integrate", "--out", str(tmp_path), "--tol-flat", "1e-30"])
+    with pytest.warns(UserWarning, match="exceeds tol_flat"):  # passed on as well
+        run(cfg)
+    listed = json.loads((tmp_path / "report.json").read_text())["warnings"]
+    assert any(w["category"] == "UserWarning" and "exceeds tol_flat" in w["message"]
+               for w in listed)
 
 
 def test_write_obj_smallest_mesh(tmp_path):

@@ -5,9 +5,16 @@ import pytest
 from scipy.linalg import expm
 
 import symplag as sg
-from symplag.errors import NotAdapted, NotElliptic, NotLagrangian
+from symplag.errors import (
+    FrameDefect,
+    IntegrationBlowup,
+    NotAdapted,
+    NotElliptic,
+    NotLagrangian,
+)
 from symplag.frames import (
     FrameField,
+    MaurerCartanField,
     extract_invariants,
     immersion_singular_mask,
     numerical_maurer_cartan,
@@ -74,6 +81,38 @@ def test_flatness_flags_incompatible_triple():
     assert np.max(sg.flatness_residual(theta)) > 0.1
     with pytest.warns(UserWarning):
         sg.integrate_frame(theta, compute_path_defect=False)
+
+
+def _constant_theta(entries):
+    """Flat 1-form A dx with constant A (zero B) given as {(row, col): value}."""
+    A = np.zeros((GEOM.nx, GEOM.ny, 5, 5))
+    for (r, c), v in entries.items():
+        A[..., r, c] = v
+    return MaurerCartanField(GEOM, A, np.zeros_like(A))
+
+
+def test_integration_blowup_guard():
+    theta = _constant_theta({(1, 0): 1e14})  # translation outruns the 1e12 guard
+    with pytest.raises(IntegrationBlowup):
+        quiet_integrate(theta, compute_path_defect=False)
+
+
+def test_unrepairable_frame_raises_frame_defect():
+    # an RK4 step of e^{+-400 x} at dx = 0.005 leaves Sp(4) by O(1), beyond
+    # what one Newton projection can repair
+    theta = _constant_theta({(1, 1): 400.0, (3, 3): -400.0})
+    with pytest.raises(FrameDefect):
+        sg.integrate_frame(theta, compute_path_defect=False)
+
+
+def test_forced_reprojection_keeps_frame_symplectic():
+    _, theta = family_theta(p=1.0)
+    F0 = quiet_integrate(theta, compute_path_defect=False)
+    tight = sg.Tolerances().replace(tol_frame=1e-14)
+    F = quiet_integrate(theta, tols=tight, compute_path_defect=False)
+    assert not np.array_equal(F.S, F0.S)  # some lines were re-projected
+    assert F.max_symplectic_defect() <= 1e-12
+    assert np.max(np.abs(F.S - F0.S)) <= 1e-10
 
 
 def test_integrated_frame_matches_exponential():

@@ -47,8 +47,9 @@ def test_frame_columns_match_exponential():
             assert np.max(np.abs(X2 - E[:, 1])) < 1e-12
 
 
-def test_closed_form_immersion_matches_integration():
-    params = sg.ConstantFamilyParams(p=1.0)
+@pytest.mark.parametrize("p", [1.0, -2.5, 3.0])
+def test_closed_form_immersion_matches_integration(p):
+    params = sg.ConstantFamilyParams(p=p)
     geom = sg.GridGeometry(61, 61, 0.0, 0.0, 0.005, 0.005)
     inv = sg.family_triple(params, geom)
     with warnings.catch_warnings():

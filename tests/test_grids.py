@@ -75,6 +75,13 @@ def test_geometry_validation():
     assert sg.GridGeometry.from_dict(d) == GEOM
 
 
+@pytest.mark.parametrize("name", ["x0", "y0", "dx", "dy"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_geometry_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        sg.GridGeometry.from_dict(dict(GEOM.as_dict(), **{name: value}))
+
+
 def test_complexgrid_shape_check():
     with pytest.raises(ValueError):
         sg.ComplexGrid(GEOM, np.zeros((3, 3)))

@@ -38,6 +38,16 @@ def test_triple_requires_nonzero_t():
         const_triple(0.0)
 
 
+@pytest.mark.parametrize("name", ["t", "h", "p"])
+def test_triple_rejects_non_finite(name):
+    fields = {k: sg.ComplexGrid.constant(GEOM, 1.0) for k in ("t", "h", "p")}
+    values = fields[name].values.copy()
+    values[3, 4] = np.nan
+    fields[name] = fields[name].with_values(values)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        sg.InvariantTriple(**fields)
+
+
 def test_triple_requires_shared_geometry():
     other = sg.GridGeometry(41, 41, 1.0, 0.0, 0.005, 0.005)
     with pytest.raises(ValueError):
