@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import warnings
@@ -25,9 +26,9 @@ from .errors import ConfigError, SymplagError
 from .frames import (
     ImmersionGrid,
     _base_frame,
+    _cropped,
     _motion_defect,
     congruence_defect,
-    extract_invariants,
     flatness_residual,
     immersion_from_frame,
     integrate_frame,
@@ -146,6 +147,34 @@ def _load(loader, path):
         raise ConfigError(f"cannot load {path}: {e}") from e
 
 
+def _number(key: str, value, kind=float):
+    """`value` of params.`key` as a finite float, or an int when kind is int;
+    anything else is a ConfigError naming the key."""
+    try:
+        x = float(value)
+        if math.isfinite(x) and (kind is float or x == int(x)):
+            return kind(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"params.{key} must be a finite {kind.__name__}, got {value!r}")
+
+
+def _family_params(params: dict) -> ConstantFamilyParams:
+    defaults = {"p": 0.0, "c1": 1.0, "c2": 1.0, "a1": 0.0, "a2": 0.0, "m1": 0.0, "m2": 0.0}
+    return ConstantFamilyParams(**{k: _number(k, params.get(k, d)) for k, d in defaults.items()})
+
+
+def _margin(params: dict, default: int, *geoms: GridGeometry) -> int:
+    """params.margin, checked against every grid it is to crop."""
+    margin = _number("margin", params.get("margin", default), int)
+    for geom in geoms:
+        try:
+            _cropped(geom, margin)
+        except ValueError as e:
+            raise ConfigError(f"bad params.margin: {e}") from e
+    return margin
+
+
 def _poly_grid(geom: GridGeometry, coeffs) -> ComplexGrid:
     z = geom.zmesh()
     vals = np.zeros_like(z)
@@ -160,25 +189,24 @@ def triple_from_params(geom: GridGeometry, params: dict) -> InvariantTriple:
 
     Three sources: `kind: constant` (exponential-ansatz family), `kind:
     umbilic` (polynomial t and p, h = 0), or explicit `t`/`h`/`p` CSV paths.
+    A triple the params cannot make (one holding a non-finite value, say) is a
+    ConfigError naming the field at fault.
     """
-    if {"t", "h", "p"} <= set(params):
-        t, h, p = (_load(load_grid, params[k]) for k in ("t", "h", "p"))
-        return InvariantTriple(t, h, p)
-    kind = params.get("kind", "constant")
-    lam = float(params.get("lam", 0.0))
-    if kind == "constant":
-        fam = ConstantFamilyParams(
-            p=float(params.get("p", 0.0)),
-            c1=float(params.get("c1", 1.0)), c2=float(params.get("c2", 1.0)),
-            a1=float(params.get("a1", 0.0)), a2=float(params.get("a2", 0.0)),
-            m1=float(params.get("m1", 0.0)), m2=float(params.get("m2", 0.0)),
-        )
-        return family_triple(fam, geom, lam)
-    if kind == "umbilic":
-        t = _poly_grid(geom, params.get("t_poly", [1.0]))
-        p = _poly_grid(geom, params.get("p_poly", [0.0]))
-        return InvariantTriple(t, ComplexGrid.constant(geom, 0.0),
-                               p.with_values(p.values - lam))
+    try:
+        if {"t", "h", "p"} <= set(params):
+            t, h, p = (_load(load_grid, params[k]) for k in ("t", "h", "p"))
+            return InvariantTriple(t, h, p)
+        kind = params.get("kind", "constant")
+        lam = _number("lam", params.get("lam", 0.0))
+        if kind == "constant":
+            return family_triple(_family_params(params), geom, lam)
+        if kind == "umbilic":
+            t = _poly_grid(geom, params.get("t_poly", [1.0]))
+            p = _poly_grid(geom, params.get("p_poly", [0.0]))
+            return InvariantTriple(t, ComplexGrid.constant(geom, 0.0),
+                                   p.with_values(p.values - lam))
+    except ValueError as e:
+        raise ConfigError(f"bad invariant triple in params: {e}") from e
     raise ConfigError(f"unknown triple kind {kind!r}")
 
 
@@ -275,13 +303,10 @@ def _run_integrate(cfg: JobConfig, rep: Report) -> None:
 def _run_example(cfg: JobConfig, rep: Report) -> None:
     kind = cfg.params.get("kind", "constant")
     if kind == "constant":
-        fam = ConstantFamilyParams(p=float(cfg.params.get("p", 0.0)),
-                                   c1=float(cfg.params.get("c1", 1.0)),
-                                   c2=float(cfg.params.get("c2", 1.0)))
-        m = closed_form_immersion(fam, cfg.grid)
+        m = closed_form_immersion(_family_params(cfg.params), cfg.grid)
     elif kind == "umbilic":
         p_fn = _poly_grid(cfg.grid, cfg.params.get("p_poly", [0.0]))
-        spec = UmbilicCurveSpec(p_fn, float(cfg.params.get("lam", 0.0)))
+        spec = UmbilicCurveSpec(p_fn, _number("lam", cfg.params.get("lam", 0.0)))
         m = umbilic_immersion(spec, cfg.tolerances)
     else:
         raise ConfigError(f"unknown example kind {kind!r}")
@@ -298,7 +323,11 @@ def _run_example(cfg: JobConfig, rep: Report) -> None:
 
 def _run_family(cfg: JobConfig, rep: Report) -> None:
     tols = cfg.tolerances
-    lambdas = [float(v) for v in cfg.params.get("lambdas", [-1.0, 0.0, 1.0])]
+    lambdas = cfg.params.get("lambdas", [-1.0, 0.0, 1.0])
+    if not isinstance(lambdas, (list, tuple)):
+        raise ConfigError(f"params.lambdas must be a list, got {lambdas!r}")
+    lambdas = [_number("lambdas", v) for v in lambdas]
+    margin = _margin(cfg.params, 4, cfg.grid)
     base = triple_from_params(cfg.grid, {k: v for k, v in cfg.params.items()
                                          if k != "lambdas"})
     members = []
@@ -310,7 +339,6 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
         F = integrate_frame(theta_from_invariants(inv), tols=tols,
                             compute_path_defect=False)
         members.append(immersion_from_frame(F))
-    margin = int(cfg.params.get("margin", 4))
     k = len(members)
     # each member is reduced once, and only when it has a partner
     adapted = [_base_frame(m, 1, tols, margin) for m in members] if k > 1 else []
@@ -333,9 +361,8 @@ def _run_invariants(cfg: JobConfig, rep: Report) -> None:
     if not src:
         raise ConfigError("invariants command needs params.immersion (CSV path)")
     m, _ = _load(load_immersion, src)
-    margin = int(cfg.params.get("margin", 8))
-    F, inv = reduction_pipeline(m, tols=tols, margin=margin)
-    _, gauge = extract_invariants(F, tols)
+    margin = _margin(cfg.params, 8, m.geometry)
+    _, inv, gauge = reduction_pipeline(m, tols=tols, margin=margin)
     gmax = max(gauge.values())
     rep.residuals["gauge"] = {"max": gmax, "mean": float(np.mean(list(gauge.values())))}
     rep.add_flag("adapted_gauge", gmax, "tol_gauge", tols.tol_gauge)
@@ -360,7 +387,7 @@ def _run_congruence(cfg: JobConfig, rep: Report) -> None:
         raise ConfigError(f"congruence command needs params.{e.args[0]}") from e
     m1, _ = _load(load_immersion, a)
     m2, _ = _load(load_immersion, b)
-    margin = int(cfg.params.get("margin", 8))
+    margin = _margin(cfg.params, 8, m1.geometry, m2.geometry)
     d = congruence_defect(m1, m2, tols=tols, margin=margin)
     rep.residuals["congruence_defect"] = {"max": d, "mean": d}
     rep.add_flag("congruent", d, "tol_congruent", tols.tol_congruent)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -27,10 +28,13 @@ class Tolerances:
     tol_gauge: float = 1e-6
     tol_congruent: float = 1e-6
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"tolerance {f.name} must be finite and positive, got {v}")
+
     def replace(self, **kwargs) -> "Tolerances":
-        for k, v in kwargs.items():
-            if not v > 0:
-                raise ValueError(f"tolerance {k} must be positive, got {v}")
         return dataclasses.replace(self, **kwargs)
 
     def as_dict(self) -> dict:

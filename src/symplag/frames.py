@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -266,18 +267,30 @@ def _dzbar_coeff(ux, uy):
     return 0.5 * (ux + 1j * uy)
 
 
-def _blocks(M: np.ndarray):
-    """tau (2-vector), alpha, beta, gamma blocks of a 5x5 algebra value field."""
-    return (M[..., 1:3, 0], M[..., 1:3, 1:3], M[..., 1:3, 3:5], M[..., 3:5, 1:3])
+class _Forms(NamedTuple):
+    """Complex forms of one coefficient (A or B) of a 5x5 affine-algebra field."""
+
+    tau: np.ndarray  # translation: tau0 - i tau1
+    omega: np.ndarray  # gamma: (g00 - g11)/2 + i g10
+    gamma_trace: np.ndarray  # g00 + g11
+    eta: np.ndarray  # alpha: (a00 - a11)/2 - i (a10 + a01)/2
+    w: np.ndarray  # alpha trace and skew: (a00 + a11) - i (a10 - a01)
+    rho: np.ndarray  # beta: (b00 - b11)/2 - i b10
 
 
-def _decode(M: np.ndarray):
-    """Complex forms omega (from gamma) and eta (from alpha) of a 5x5 algebra field."""
-    _, alpha, _, gamma = _blocks(M)
-    omega = 0.5 * (gamma[..., 0, 0] - gamma[..., 1, 1]) + 1j * gamma[..., 1, 0]
-    eta = 0.5 * (alpha[..., 0, 0] - alpha[..., 1, 1]) \
-        - 0.5j * (alpha[..., 1, 0] + alpha[..., 0, 1])
-    return omega, eta
+def _decode(M: np.ndarray) -> _Forms:
+    """Read the blocks of a 5x5 algebra field: translation tau in rows 1-2 of
+    column 0, then [[alpha, beta], [gamma, -alpha^T]] in the 4x4 part."""
+    alpha, beta, gamma = M[..., 1:3, 1:3], M[..., 1:3, 3:5], M[..., 3:5, 1:3]
+    return _Forms(
+        tau=M[..., 1, 0] - 1j * M[..., 2, 0],
+        omega=0.5 * (gamma[..., 0, 0] - gamma[..., 1, 1]) + 1j * gamma[..., 1, 0],
+        gamma_trace=gamma[..., 0, 0] + gamma[..., 1, 1],
+        eta=0.5 * (alpha[..., 0, 0] - alpha[..., 1, 1])
+        - 0.5j * (alpha[..., 1, 0] + alpha[..., 0, 1]),
+        w=(alpha[..., 0, 0] + alpha[..., 1, 1]) - 1j * (alpha[..., 1, 0] - alpha[..., 0, 1]),
+        rho=0.5 * (beta[..., 0, 0] - beta[..., 1, 1]) - 1j * beta[..., 1, 0],
+    )
 
 
 def extract_invariants(
@@ -292,35 +305,19 @@ def extract_invariants(
     NotAdapted naming it.
     """
     mc = numerical_maurer_cartan(F)
-    tau_x, alpha_x, beta_x, gamma_x = _blocks(mc.A)
-    tau_y, alpha_y, beta_y, gamma_y = _blocks(mc.B)
-    omega_x, eta_x = _decode(mc.A)
-    omega_y, eta_y = _decode(mc.B)
-
-    tauc_x = tau_x[..., 0] - 1j * tau_x[..., 1]
-    tauc_y = tau_y[..., 0] - 1j * tau_y[..., 1]
-    t = _dz_coeff(tauc_x, tauc_y)
-    h = _dz_coeff(eta_x, eta_y)
-
-    rho_x = 0.5 * (beta_x[..., 0, 0] - beta_x[..., 1, 1]) - 1j * beta_x[..., 1, 0]
-    rho_y = 0.5 * (beta_y[..., 0, 0] - beta_y[..., 1, 1]) - 1j * beta_y[..., 1, 0]
-    p = _dz_coeff(rho_x, rho_y)
+    x, y = _decode(mc.A), _decode(mc.B)
+    t = _dz_coeff(x.tau, y.tau)
+    h = _dz_coeff(x.eta, y.eta)
+    p = _dz_coeff(x.rho, y.rho)
 
     report = {
-        "omega": float(np.max(np.abs(np.stack([omega_x - 1.0, omega_y - 1j])))),
-        "gamma_trace": float(np.max(np.abs(np.stack(
-            [gamma_x[..., 0, 0] + gamma_x[..., 1, 1],
-             gamma_y[..., 0, 0] + gamma_y[..., 1, 1]])))),
-        "alpha_trace": float(np.max(np.abs(np.stack(
-            [alpha_x[..., 0, 0] + alpha_x[..., 1, 1],
-             alpha_y[..., 0, 0] + alpha_y[..., 1, 1]])))),
-        "alpha_skew": float(np.max(np.abs(np.stack(
-            [alpha_x[..., 1, 0] - alpha_x[..., 0, 1],
-             alpha_y[..., 1, 0] - alpha_y[..., 0, 1]])))),
-        "ell": float(np.max(np.abs(_dzbar_coeff(eta_x, eta_y)))),
-        "tau_antiholo": float(np.max(np.abs(_dzbar_coeff(tauc_x, tauc_y)))),
-        "rho_conj": float(np.max(np.abs(
-            _dzbar_coeff(rho_x, rho_y) - np.abs(h) ** 2))),
+        "omega": float(np.max(np.abs(np.stack([x.omega - 1.0, y.omega - 1j])))),
+        "gamma_trace": float(np.max(np.abs(np.stack([x.gamma_trace, y.gamma_trace])))),
+        "alpha_trace": float(np.max(np.abs(np.stack([x.w.real, y.w.real])))),
+        "alpha_skew": float(np.max(np.abs(np.stack([x.w.imag, y.w.imag])))),
+        "ell": float(np.max(np.abs(_dzbar_coeff(x.eta, y.eta)))),
+        "tau_antiholo": float(np.max(np.abs(_dzbar_coeff(x.tau, y.tau)))),
+        "rho_conj": float(np.max(np.abs(_dzbar_coeff(x.rho, y.rho) - np.abs(h) ** 2))),
     }
     if check:
         for name in ("omega", "gamma_trace", "alpha_trace", "alpha_skew", "ell"):
@@ -358,12 +355,80 @@ def _unwrap2d(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gamma_trace_gauge(x: _Forms, y: _Forms) -> np.ndarray:
+    """Stage 2: kill the trace of gamma."""
+    ox, oy = x.omega, y.omega
+    ux, uy = 0.5 * x.gamma_trace, 0.5 * y.gamma_trace
+    # induced quadratic form Gram matrix in the (dx, dy) basis
+    g01 = ox.real * oy.real + ox.imag * oy.imag - ux * uy
+    g = _mat2(ox.real ** 2 + ox.imag ** 2 - ux ** 2, g01, g01,
+              oy.real ** 2 + oy.imag ** 2 - uy ** 2)
+    if not (np.all(g[..., 0, 0] > 0) and np.all(np.linalg.det(g) > 0)):
+        raise NotElliptic("induced quadratic form is not positive definite")
+    W = _mat2(ox.real, ox.imag, oy.real, oy.imag)  # rows: dx, dy; cols: omega1, omega2
+    ell12 = np.linalg.solve(W, np.stack([ux, uy], axis=-1)[..., None])[..., 0]
+    l1, l2 = ell12[..., 0], ell12[..., 1]
+    if np.any(l1**2 + l2**2 >= 1.0):
+        raise NotElliptic("first-order constraint l1^2 + l2^2 < 1 fails")
+    phi = np.arcsin(-l2 / np.sqrt(1.0 - l1**2))
+    r2 = np.sqrt(0.5 * (1.0 - l1))
+    return _gauge_matrix5(_mat2(r2 * np.cos(phi), r2 * np.sin(phi), 0.0,
+                                np.sqrt(0.5 * (1.0 + l1))))
+
+
+def _eta_gauge(x: _Forms, y: _Forms) -> np.ndarray:
+    """Stage 3: remove the antiholomorphic part of eta."""
+    # least squares for eta = h omega + ell conj(omega), unknowns (h1, h2, ell)
+    rows = []
+    rhs = []
+    for f in (x, y):
+        w1, w2 = f.omega.real, f.omega.imag
+        rows.append(np.stack([w1, -w2, w1], axis=-1))
+        rows.append(np.stack([w2, w1, -w2], axis=-1))
+        rhs.append(f.eta.real)
+        rhs.append(f.eta.imag)
+    D = np.stack(rows, axis=-2)  # (nx, ny, 4, 3)
+    r = np.stack(rhs, axis=-1)[..., None]  # (nx, ny, 4, 1)
+    Dt = np.swapaxes(D, -1, -2)
+    ell = np.linalg.solve(Dt @ D, Dt @ r)[..., 0][..., 2]
+    eye2 = np.broadcast_to(np.eye(2), ell.shape + (2, 2))
+    return _gauge_matrix5(eye2, _mat2(ell, 0.0, 0.0, ell))
+
+
+def _conformal_gauge(x: _Forms, y: _Forms) -> np.ndarray:
+    """Stage 4: conformal gauge so that omega = dz."""
+    c = _dz_coeff(x.omega, y.omega)
+    r4 = np.abs(c) ** -0.5
+    s4 = 0.5 * _unwrap2d(np.angle(c))
+    return _gauge_matrix5(_mat2(r4 * np.cos(s4), -r4 * np.sin(s4),
+                                r4 * np.sin(s4), r4 * np.cos(s4)))
+
+
+def _alpha_gauge(x: _Forms, y: _Forms) -> np.ndarray:
+    """Stage 5: kill the trace and skew parts of alpha."""
+    w = _dz_coeff(x.w, y.w)
+    eye2 = np.broadcast_to(np.eye(2), w.shape + (2, 2))
+    b5 = _mat2(0.5 * w.real, -0.5 * w.imag, -0.5 * w.imag, -0.5 * w.real)
+    return _gauge_matrix5(eye2, b5)
+
+
+def _cropped(geom: GridGeometry, margin: int) -> GridGeometry:
+    """geom less `margin` nodes on every side; ValueError unless 5x5 nodes remain."""
+    if margin < 0:
+        raise ValueError(f"margin must be nonnegative, got {margin}")
+    if geom.nx - 2 * margin < 5 or geom.ny - 2 * margin < 5:
+        raise ValueError(f"grid too small for margin {margin}")
+    return GridGeometry(geom.nx - 2 * margin, geom.ny - 2 * margin,
+                        geom.x0 + margin * geom.dx, geom.y0 + margin * geom.dy,
+                        geom.dx, geom.dy)
+
+
 def reduction_pipeline(
     m: ImmersionGrid,
     orientation: int = 1,
     tols: Tolerances = DEFAULT_TOLS,
     margin: int = 4,
-) -> tuple[FrameField, InvariantTriple]:
+) -> tuple[FrameField, InvariantTriple, dict]:
     """Run the full frame reduction on an immersion and extract (t, h, p).
 
     Stages: tangent frame with the opposite-orientation convention and
@@ -375,12 +440,12 @@ def reduction_pipeline(
     Each stage differentiates the running frame, so one-sided stencil error
     compounds in a band along the grid edge; the returned frame field and
     invariants are cropped by `margin` nodes per side to stay clear of it.
+    Returns the frame, the invariants and `extract_invariants`' gauge report.
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
     geom = m.geometry
+    cropped = _cropped(geom, margin)
     fx = diff4(m.f, geom.dx, axis=0)
     fy = diff4(m.f, geom.dy, axis=1)
     lag = np.abs(np.einsum("...i,ij,...j->...", fx, J4, fy))
@@ -401,91 +466,18 @@ def reduction_pipeline(
     S[..., 1:, 1:3] = M
     S[..., 1:, 3:5] = N
 
-    # stage 2: kill the trace of gamma
-    mc = numerical_maurer_cartan(FrameField(geom, S))
-    _, _, _, gamma_x = _blocks(mc.A)
-    _, _, _, gamma_y = _blocks(mc.B)
-    om1 = np.stack([0.5 * (gamma_x[..., 0, 0] - gamma_x[..., 1, 1]),
-                    0.5 * (gamma_y[..., 0, 0] - gamma_y[..., 1, 1])], axis=-1)
-    om2 = np.stack([gamma_x[..., 1, 0], gamma_y[..., 1, 0]], axis=-1)
-    u = np.stack([0.5 * (gamma_x[..., 0, 0] + gamma_x[..., 1, 1]),
-                  0.5 * (gamma_y[..., 0, 0] + gamma_y[..., 1, 1])], axis=-1)
-    # induced quadratic form Gram matrix in the (dx, dy) basis
-    g01 = om1[..., 0] * om1[..., 1] + om2[..., 0] * om2[..., 1] - u[..., 0] * u[..., 1]
-    g = _mat2(om1[..., 0] ** 2 + om2[..., 0] ** 2 - u[..., 0] ** 2, g01, g01,
-              om1[..., 1] ** 2 + om2[..., 1] ** 2 - u[..., 1] ** 2)
-    if not (np.all(g[..., 0, 0] > 0) and np.all(np.linalg.det(g) > 0)):
-        raise NotElliptic("induced quadratic form is not positive definite")
-    W = np.stack([om1, om2], axis=-1)  # rows: (dx, dy) coeffs; cols: (omega1, omega2)
-    ell12 = np.linalg.solve(W, u[..., None])[..., 0]
-    l1, l2 = ell12[..., 0], ell12[..., 1]
-    if np.any(l1**2 + l2**2 >= 1.0):
-        raise NotElliptic("first-order constraint l1^2 + l2^2 < 1 fails")
-    phi = np.arcsin(-l2 / np.sqrt(1.0 - l1**2))
-    r2 = np.sqrt(0.5 * (1.0 - l1))
-    A2 = _mat2(r2 * np.cos(phi), r2 * np.sin(phi), 0.0, np.sqrt(0.5 * (1.0 + l1)))
-    S = S @ _gauge_matrix5(A2)
-    del gamma_x, gamma_y  # views that would keep this stage's (nx, ny, 5, 5) fields alive
-
-    # stage 3: remove the antiholomorphic part of eta
-    mc = numerical_maurer_cartan(FrameField(geom, S))
-    omega_x, eta_x = _decode(mc.A)
-    omega_y, eta_y = _decode(mc.B)
-    # least squares for eta = h omega + ell conj(omega), unknowns (h1, h2, ell)
-    rows = []
-    rhs = []
-    for wa, ea in ((omega_x, eta_x), (omega_y, eta_y)):
-        w1, w2 = wa.real, wa.imag
-        rows.append(np.stack([w1, -w2, w1], axis=-1))
-        rows.append(np.stack([w2, w1, -w2], axis=-1))
-        rhs.append(ea.real)
-        rhs.append(ea.imag)
-    D = np.stack(rows, axis=-2)  # (nx, ny, 4, 3)
-    r = np.stack(rhs, axis=-1)[..., None]  # (nx, ny, 4, 1)
-    Dt = np.swapaxes(D, -1, -2)
-    sol = np.linalg.solve(Dt @ D, Dt @ r)[..., 0]
-    ell = sol[..., 2]
-    b3 = _mat2(ell, 0.0, 0.0, ell)
-    eye2 = np.broadcast_to(np.eye(2), (geom.nx, geom.ny, 2, 2))
-    S = S @ _gauge_matrix5(eye2, b3)
-
-    # stage 4: conformal gauge so that omega = dz
-    mc = numerical_maurer_cartan(FrameField(geom, S))
-    omega_x, _ = _decode(mc.A)
-    omega_y, _ = _decode(mc.B)
-    c = _dz_coeff(omega_x, omega_y)
-    r4 = np.abs(c) ** -0.5
-    s4 = 0.5 * _unwrap2d(np.angle(c))
-    A4 = _mat2(r4 * np.cos(s4), -r4 * np.sin(s4), r4 * np.sin(s4), r4 * np.cos(s4))
-    S = S @ _gauge_matrix5(A4)
-
-    # stage 5: kill the trace and skew parts of alpha
-    mc = numerical_maurer_cartan(FrameField(geom, S))
-    _, alpha_x, _, _ = _blocks(mc.A)
-    _, alpha_y, _, _ = _blocks(mc.B)
-    wx = (alpha_x[..., 0, 0] + alpha_x[..., 1, 1]) \
-        - 1j * (alpha_x[..., 1, 0] - alpha_x[..., 0, 1])
-    wy = (alpha_y[..., 0, 0] + alpha_y[..., 1, 1]) \
-        - 1j * (alpha_y[..., 1, 0] - alpha_y[..., 0, 1])
-    w = _dz_coeff(wx, wy)
-    b5 = _mat2(0.5 * w.real, -0.5 * w.imag, -0.5 * w.imag, -0.5 * w.real)
-    S = S @ _gauge_matrix5(eye2, b5)
+    for gauge in (_gamma_trace_gauge, _eta_gauge, _conformal_gauge, _alpha_gauge):
+        mc = numerical_maurer_cartan(FrameField(geom, S))
+        S = S @ gauge(_decode(mc.A), _decode(mc.B))
 
     if margin:
-        if geom.nx - 2 * margin < 5 or geom.ny - 2 * margin < 5:
-            raise ValueError(f"grid too small for margin {margin}")
-        geom = GridGeometry(
-            geom.nx - 2 * margin, geom.ny - 2 * margin,
-            geom.x0 + margin * geom.dx, geom.y0 + margin * geom.dy,
-            geom.dx, geom.dy,
-        )
         S = S[margin:-margin, margin:-margin]
-    frame = FrameField(geom, S)
+    frame = FrameField(cropped, S)
     inv, report = extract_invariants(frame, tols)
     if inv.h.min_abs() < tols.tol_umbilic:
         warnings.warn("min |h| below tol_umbilic: umbilic nodes present",
                       UmbilicGaugeWarning)
-    return frame, inv
+    return frame, inv, report
 
 
 def _affine_inverse5(S: np.ndarray) -> np.ndarray:

@@ -229,7 +229,7 @@ def test_criterion_09_umbilic_correspondence():
     zz = geom.zmesh()
     curve = np.stack([zz, 0.5 * zz**2], axis=-1)
     m = sg.curve_to_immersion(geom, curve)
-    _, inv = quiet(sg.reduction_pipeline, m, margin=8)
+    _, inv, _ = quiet(sg.reduction_pipeline, m, margin=8)
     h_err = float(np.max(np.abs(inv.h.values)))
     flex = float(np.max(np.abs(sg.flex_defect(curve_grid(geom, curve)) - 1.0)))
     # lambda-family from p_fn = 0: pairwise distinct surfaces, shared Fubini data

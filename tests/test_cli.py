@@ -202,3 +202,56 @@ def test_report_echoes_effective_config(tmp_path):
     rep = run(cfg)
     assert rep.as_dict()["config"]["grid"]["nx"] == 21
     assert rep.as_dict()["config"]["tolerances"]["tol_resid"] == 1e-6
+
+
+@pytest.mark.parametrize("command, params, key", [
+    ("verify", {"p": "nan"}, "p"),
+    ("verify", {"p": "abc"}, "p"),
+    ("verify", {"kind": "umbilic", "lam": float("inf")}, "lam"),
+    ("family", {"p": 1.0, "lambdas": ["x"]}, "lambdas"),
+    ("example", {"kind": "constant", "c1": float("nan")}, "c1"),
+])
+def test_bad_numeric_param_exits_2(tmp_path, capsys, command, params, key):
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({"command": command, "params": params}))  # writes NaN/Infinity
+    assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
+    assert f"params.{key}" in capsys.readouterr().err
+
+
+def test_non_finite_invariant_csv_exits_2(tmp_path, capsys):
+    geom = sg.GridGeometry(11, 11, 0.0, 0.0, 0.01, 0.01)
+    inv = sg.family_triple(sg.ConstantFamilyParams(p=1.0), geom)
+    h = inv.h.values.copy()
+    h[5, 5] = np.nan
+    fields = {"t": inv.t, "h": inv.h.with_values(h), "p": inv.p}
+    for name, g in fields.items():
+        sg.save_grid(g, tmp_path / f"{name}.csv")
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({"command": "verify", "grid": geom.as_dict(),
+                               "params": {k: str(tmp_path / f"{k}.csv") for k in fields}}))
+    assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
+    assert "h must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("margin", [-1, 29, 2.5])
+@pytest.mark.parametrize("command", ["invariants", "congruence", "family"])
+def test_bad_margin_exits_2(tmp_path, capsys, command, margin):
+    # 61^2 input: a margin of 29 leaves a 3x3 grid, too small for the stencils
+    path = tmp_path / "imm.csv"
+    if command != "family":
+        sg.save_immersion(sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0),
+                                                   sg.GridGeometry(61, 61, 0.0, 0.0,
+                                                                   0.005, 0.005)), path)
+    params = {"invariants": {"immersion": str(path)},
+              "congruence": {"first": str(path), "second": str(path)},
+              "family": {"p": 1.0, "lambdas": [0.0, 1.0]}}[command]
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({"command": command, "params": dict(params, margin=margin)}))
+    assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
+    assert "margin" in capsys.readouterr().err
+
+
+def test_infinite_tolerance_rejected(tmp_path):
+    with pytest.raises(ValueError, match="tol_gauge"):
+        sg.Tolerances(tol_gauge=float("inf"))
+    assert main(["verify", "--tol-frame", "inf", "--out", str(tmp_path)]) == 2

@@ -15,6 +15,7 @@ from symplag.errors import (
 from symplag.frames import (
     FrameField,
     MaurerCartanField,
+    _decode,
     extract_invariants,
     immersion_singular_mask,
     numerical_maurer_cartan,
@@ -192,7 +193,7 @@ def curve_immersion(geom):
 def test_pipeline_on_complex_curve():
     geom = sg.GridGeometry(61, 61, -0.15, -0.15, 0.005, 0.005)
     m = curve_immersion(geom)
-    F, inv = quiet_pipeline(m, margin=8)
+    F, inv, _ = quiet_pipeline(m, margin=8)
     assert np.max(np.abs(inv.h.values)) < 1e-8
     assert np.max(np.abs(inv.t.values - inv.t.values[0, 0])) < 1e-8
 
@@ -201,7 +202,7 @@ def test_pipeline_recovers_family_invariants():
     geom = sg.GridGeometry(61, 61, -0.15, -0.15, 0.005, 0.005)
     params = sg.ConstantFamilyParams(p=1.0)
     m = sg.closed_form_immersion(params, geom)
-    F, inv = quiet_pipeline(m, margin=8)
+    F, inv, _ = quiet_pipeline(m, margin=8)
     sub = inv.geometry
     xx, yy = sub.mesh()
     t_want = sg.separated_t(params, xx, yy)
@@ -219,8 +220,8 @@ def test_pipeline_gauge_covariance():
     a = rng.normal(size=(2, 2)) * 0.2
     g = affine_motion(rng.normal(size=4) * 0.4, a, (0.1, -0.05, 0.2), (0.0, 0.15, -0.1))
     moved = sg.ImmersionGrid(geom, g[1:, 0] + np.einsum("ij,...j->...i", g[1:, 1:], m.f))
-    _, inv1 = quiet_pipeline(m, margin=8)
-    _, inv2 = quiet_pipeline(moved, margin=8)
+    _, inv1, _ = quiet_pipeline(m, margin=8)
+    _, inv2, _ = quiet_pipeline(moved, margin=8)
     assert np.max(np.abs(inv2.t.values**2 - inv1.t.values**2)) < 1e-7
     assert np.max(np.abs(inv2.h.values - inv1.h.values)) < 1e-7
     assert np.max(np.abs(inv2.p.values - inv1.p.values)) < 1e-7
@@ -300,3 +301,34 @@ def test_pipeline_rejects_non_elliptic():
     f = np.stack([xx, yy, np.zeros_like(xx), np.zeros_like(yy)], axis=-1)
     with pytest.raises((NotElliptic, np.linalg.LinAlgError)):
         sg.reduction_pipeline(sg.ImmersionGrid(geom, f))
+
+
+def test_pipeline_checks_margin_before_any_stage():
+    # a non-Lagrangian input: the margin check must come before the Lagrangian test
+    geom = sg.GridGeometry(21, 21, 0.0, 0.0, 0.05, 0.05)
+    xx, yy = geom.mesh()
+    m = sg.ImmersionGrid(geom, np.stack([xx, yy, np.zeros_like(xx), xx], axis=-1))
+    for margin in (-1, 9):
+        with pytest.raises(ValueError, match="margin"):
+            sg.reduction_pipeline(m, margin=margin)
+
+
+@pytest.mark.parametrize("kind", ["family", "umbilic"])
+def test_decode_recovers_theta_encoding(kind):
+    if kind == "family":
+        inv = sg.family_triple(sg.ConstantFamilyParams(p=1.0, a1=0.2, m2=0.1), GEOM, 0.5)
+    else:
+        zz = GEOM.zmesh()
+        inv = sg.InvariantTriple(sg.ComplexGrid(GEOM, 2.0 + 0.3 * zz),
+                                 sg.ComplexGrid.constant(GEOM, 0.0),
+                                 sg.ComplexGrid(GEOM, 0.5 * zz))
+    theta = sg.theta_from_invariants(inv)
+    x, y = _decode(theta.A), _decode(theta.B)
+    t, h, p = inv.t.values, inv.h.values, inv.p.values
+    habs2 = np.abs(h) ** 2
+    # the derivative terms of h sit in the trace of beta, which rho does not read
+    for got, want in ((x.omega, 1.0), (y.omega, 1j), (x.gamma_trace, 0.0),
+                      (y.gamma_trace, 0.0), (x.w, 0.0), (y.w, 0.0),
+                      (x.eta, h), (y.eta, 1j * h), (x.tau, t), (y.tau, 1j * t),
+                      (x.rho, p + habs2), (y.rho, 1j * (p - habs2))):
+        assert np.max(np.abs(got - want)) < 1e-12

@@ -104,7 +104,7 @@ def test_umbilic_invariant_roundtrip():
     m = sg.umbilic_immersion(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, inv = sg.reduction_pipeline(m, margin=8)
+        _, inv, _ = sg.reduction_pipeline(m, margin=8)
     zz = inv.geometry.zmesh()
     assert np.max(np.abs(inv.h.values)) < 1e-8
     assert np.max(np.abs(inv.p.values - zz)) < 1e-6

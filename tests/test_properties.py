@@ -1,0 +1,89 @@
+"""Property tests: CSV round trips and constructor validation on drawn inputs."""
+
+import dataclasses
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+import symplag as sg
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+non_positive = st.floats(max_value=0.0, allow_nan=False)
+GEOM = {"nx": 5, "ny": 5, "x0": 0.0, "y0": 0.0, "dx": 0.1, "dy": 0.1}
+
+
+@st.composite
+def geometries(draw):
+    return sg.GridGeometry(draw(st.integers(5, 8)), draw(st.integers(5, 8)),
+                           draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6)),
+                           draw(st.floats(1e-6, 1e3)), draw(st.floats(1e-6, 1e3)))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=25)  # each example writes and reads two files
+@given(st.data())
+def test_grid_csv_roundtrip_is_bit_exact(data):
+    geom = data.draw(geometries())
+    values = np.empty((geom.nx, geom.ny), dtype=complex)
+    values.real = data.draw(arrays(float, values.shape, elements=finite))
+    values.imag = data.draw(arrays(float, values.shape, elements=finite))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.csv"
+        sg.save_grid(sg.ComplexGrid(geom, values), path)
+        back = sg.load_grid(path)
+    assert back.geometry == geom
+    assert same_bits(back.values, values)
+
+
+@settings(max_examples=25)
+@given(st.data(), st.booleans())
+def test_immersion_csv_roundtrip_is_bit_exact(data, with_frame):
+    geom = data.draw(geometries())
+    m = sg.ImmersionGrid(geom, data.draw(arrays(float, (geom.nx, geom.ny, 4), elements=finite)))
+    frame = None
+    if with_frame:
+        S = np.zeros((geom.nx, geom.ny, 5, 5))
+        S[..., 0, 0] = 1.0
+        S[..., 1:, 0] = m.f
+        S[..., 1:, 1:] = data.draw(arrays(float, (geom.nx, geom.ny, 4, 4), elements=finite))
+        frame = sg.FrameField(geom, S)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        sg.save_immersion(m, path, frame=frame)
+        back, back_frame = sg.load_immersion(path)
+    assert back.geometry == geom
+    assert same_bits(back.f, m.f)
+    if with_frame:
+        assert same_bits(back_frame.S, frame.S)
+    else:
+        assert back_frame is None
+
+
+@given(st.sampled_from(["x0", "y0", "dx", "dy"]), non_finite)
+def test_geometry_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError):
+        sg.GridGeometry(**dict(GEOM, **{name: value}))
+
+
+@given(st.sampled_from(["dx", "dy"]), non_positive)
+def test_geometry_rejects_non_positive_spacing(name, value):
+    with pytest.raises(ValueError):
+        sg.GridGeometry(**dict(GEOM, **{name: value}))
+
+
+@given(st.sampled_from([f.name for f in dataclasses.fields(sg.Tolerances)]),
+       st.one_of(non_finite, non_positive))
+def test_tolerances_reject_non_finite_and_non_positive(name, value):
+    with pytest.raises(ValueError, match=name):
+        sg.Tolerances(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        sg.Tolerances().replace(**{name: value})
