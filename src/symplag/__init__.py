@@ -22,6 +22,7 @@ from .frames import (
     ImmersionGrid,
     MaurerCartanField,
     congruence_defect,
+    congruence_matrix,
     extract_invariants,
     flatness_residual,
     immersion_from_frame,

@@ -25,10 +25,9 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import ConfigError, SymplagError
 from .frames import (
     ImmersionGrid,
-    _base_frame,
     _cropped,
-    _motion_defect,
     congruence_defect,
+    congruence_matrix,
     flatness_residual,
     immersion_from_frame,
     integrate_frame,
@@ -175,12 +174,17 @@ def _margin(params: dict, default: int, *geoms: GridGeometry) -> int:
     return margin
 
 
-def _poly_grid(geom: GridGeometry, coeffs) -> ComplexGrid:
+def _poly_grid(geom: GridGeometry, key: str, coeffs) -> ComplexGrid:
+    """The polynomial in z with coefficients params.`key`, constant term first.
+    Each coefficient is a finite number or an [re, im] pair of finite numbers;
+    anything else is a ConfigError naming the key."""
+    if not isinstance(coeffs, (list, tuple)):
+        raise ConfigError(f"params.{key} must be a list of coefficients, got {coeffs!r}")
     z = geom.zmesh()
     vals = np.zeros_like(z)
-    for c in reversed([complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-                       for c in coeffs]):
-        vals = vals * z + c
+    for c in reversed(coeffs):
+        re, im = c if isinstance(c, (list, tuple)) and len(c) == 2 else (c, 0.0)
+        vals = vals * z + complex(_number(key, re), _number(key, im))
     return ComplexGrid(geom, vals)
 
 
@@ -201,8 +205,8 @@ def triple_from_params(geom: GridGeometry, params: dict) -> InvariantTriple:
         if kind == "constant":
             return family_triple(_family_params(params), geom, lam)
         if kind == "umbilic":
-            t = _poly_grid(geom, params.get("t_poly", [1.0]))
-            p = _poly_grid(geom, params.get("p_poly", [0.0]))
+            t = _poly_grid(geom, "t_poly", params.get("t_poly", [1.0]))
+            p = _poly_grid(geom, "p_poly", params.get("p_poly", [0.0]))
             return InvariantTriple(t, ComplexGrid.constant(geom, 0.0),
                                    p.with_values(p.values - lam))
     except ValueError as e:
@@ -305,7 +309,7 @@ def _run_example(cfg: JobConfig, rep: Report) -> None:
     if kind == "constant":
         m = closed_form_immersion(_family_params(cfg.params), cfg.grid)
     elif kind == "umbilic":
-        p_fn = _poly_grid(cfg.grid, cfg.params.get("p_poly", [0.0]))
+        p_fn = _poly_grid(cfg.grid, "p_poly", cfg.params.get("p_poly", [0.0]))
         spec = UmbilicCurveSpec(p_fn, _number("lam", cfg.params.get("lam", 0.0)))
         m = umbilic_immersion(spec, cfg.tolerances)
     else:
@@ -339,17 +343,10 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
         F = integrate_frame(theta_from_invariants(inv), tols=tols,
                             compute_path_defect=False)
         members.append(immersion_from_frame(F))
-    k = len(members)
-    # each member is reduced once, and only when it has a partner
-    adapted = [_base_frame(m, 1, tols, margin) for m in members] if k > 1 else []
-    matrix = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            matrix[i, j] = matrix[j, i] = _motion_defect(
-                adapted[i], adapted[j], members[i], members[j])
+    matrix = congruence_matrix(members, tols, margin)
     rep.residuals["congruence_matrix"] = {"lambdas": lambdas,
                                           "matrix": matrix.tolist()}
-    off = matrix[~np.eye(k, dtype=bool)]
+    off = matrix[~np.eye(len(members), dtype=bool)]
     if off.size:
         rep.add_flag("pairwise_noncongruent", float(np.min(off)),
                      "tol_congruent", tols.tol_congruent, below=False)

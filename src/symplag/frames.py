@@ -233,16 +233,19 @@ def lagrangian_defect(m: ImmersionGrid) -> np.ndarray:
     return np.abs(np.einsum("...i,ij,...j->...", fx, J4, fy))
 
 
+def _tangent_gram(fx: np.ndarray, fy: np.ndarray):
+    """Tangent columns M = [fy, fx] (..., 4, 2), their Gram matrix G = M^T M and det G."""
+    M = np.stack([fy, fx], axis=-1)
+    G = np.swapaxes(M, -1, -2) @ M
+    return M, G, np.linalg.det(G)
+
+
 def immersion_singular_mask(m: ImmersionGrid, tol: float = DEFAULT_TOLS.tol_rank) -> np.ndarray:
     """Nodes where df drops rank (the discrete immersion condition fails)."""
     geom = m.geometry
     fx = diff4(m.f, geom.dx, axis=0)
     fy = diff4(m.f, geom.dy, axis=1)
-    gram = np.empty(m.f.shape[:2] + (2, 2))
-    gram[..., 0, 0] = np.einsum("...i,...i->...", fx, fx)
-    gram[..., 0, 1] = gram[..., 1, 0] = np.einsum("...i,...i->...", fx, fy)
-    gram[..., 1, 1] = np.einsum("...i,...i->...", fy, fy)
-    return np.linalg.det(gram) <= tol
+    return _tangent_gram(fx, fy)[2] <= tol
 
 
 # -- numerical Maurer-Cartan form and invariant extraction --------------------
@@ -296,13 +299,12 @@ def _decode(M: np.ndarray) -> _Forms:
 def extract_invariants(
     F: FrameField,
     tols: Tolerances = DEFAULT_TOLS,
-    check: bool = True,
 ) -> tuple[InvariantTriple, dict]:
     """Read (t, h, p) off the numerical Maurer-Cartan form of an adapted frame.
 
     The gauge report carries the max residuals of every adapted-frame
-    condition; with check=True the worst offender above tol_gauge raises
-    NotAdapted naming it.
+    condition; the first of omega, gamma_trace, alpha_trace, alpha_skew and
+    ell above tol_gauge raises NotAdapted naming it.
     """
     mc = numerical_maurer_cartan(F)
     x, y = _decode(mc.A), _decode(mc.B)
@@ -319,10 +321,9 @@ def extract_invariants(
         "tau_antiholo": float(np.max(np.abs(_dzbar_coeff(x.tau, y.tau)))),
         "rho_conj": float(np.max(np.abs(_dzbar_coeff(x.rho, y.rho) - np.abs(h) ** 2))),
     }
-    if check:
-        for name in ("omega", "gamma_trace", "alpha_trace", "alpha_skew", "ell"):
-            if report[name] > tols.tol_gauge:
-                raise NotAdapted(name, report[name], tols.tol_gauge)
+    for name in ("omega", "gamma_trace", "alpha_trace", "alpha_skew", "ell"):
+        if report[name] > tols.tol_gauge:
+            raise NotAdapted(name, report[name], tols.tol_gauge)
     geom = F.geometry
     inv = InvariantTriple(ComplexGrid(geom, t), ComplexGrid(geom, h), ComplexGrid(geom, p))
     return inv, report
@@ -425,25 +426,23 @@ def _cropped(geom: GridGeometry, margin: int) -> GridGeometry:
 
 def reduction_pipeline(
     m: ImmersionGrid,
-    orientation: int = 1,
     tols: Tolerances = DEFAULT_TOLS,
     margin: int = 4,
 ) -> tuple[FrameField, InvariantTriple, dict]:
     """Run the full frame reduction on an immersion and extract (t, h, p).
 
-    Stages: tangent frame with the opposite-orientation convention and
-    symplectic completion; trace-of-gamma normalization; removal of the
+    Stages: tangent frame with columns (f_y, f_x) and its symplectic
+    completion; trace-of-gamma normalization; removal of the
     antiholomorphic part of eta; conformal gauge to the grid coordinate;
     final trace/skew normalization of alpha.  Raises NotLagrangian or
-    NotElliptic when the input fails the corresponding test.
+    NotElliptic when the input fails the corresponding test; a node where df
+    drops rank (det of the tangent Gram matrix <= tol_rank) is not elliptic.
 
     Each stage differentiates the running frame, so one-sided stencil error
     compounds in a band along the grid edge; the returned frame field and
     invariants are cropped by `margin` nodes per side to stay clear of it.
     Returns the frame, the invariants and `extract_invariants`' gauge report.
     """
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
     geom = m.geometry
     cropped = _cropped(geom, margin)
     fx = diff4(m.f, geom.dx, axis=0)
@@ -453,12 +452,12 @@ def reduction_pipeline(
     if lag_max > tols.tol_frame:
         raise NotLagrangian(f"max |Omega(f_x, f_y)| = {lag_max:.3e} > {tols.tol_frame:.3e}")
 
-    if orientation == 1:
-        X1, X2 = fy, fx
-    else:
-        X1, X2 = fx, fy
-    M = np.stack([X1, X2], axis=-1)  # (nx, ny, 4, 2)
-    G = np.swapaxes(M, -1, -2) @ M
+    M, G, det = _tangent_gram(fx, fy)
+    rank_drop = det <= tols.tol_rank
+    if np.any(rank_drop):
+        node = np.unravel_index(np.argmax(rank_drop), rank_drop.shape)
+        raise NotElliptic(f"df drops rank at node {tuple(map(int, node))}: det of the "
+                          f"tangent Gram matrix {det[node]:.3e} <= tol_rank {tols.tol_rank:.3e}")
     N = -(J4 @ M) @ np.linalg.inv(G)
     S = np.zeros((geom.nx, geom.ny, 5, 5))
     S[..., 0, 0] = 1.0
@@ -490,11 +489,6 @@ def _affine_inverse5(S: np.ndarray) -> np.ndarray:
     return out
 
 
-def _base_frame(m: ImmersionGrid, orientation: int, tols: Tolerances, margin: int) -> np.ndarray:
-    """A copy of m's adapted frame at the base node of the cropped grid (5x5)."""
-    return reduction_pipeline(m, orientation, tols, margin)[0].S[0, 0].copy()
-
-
 def _motion_defect(S1: np.ndarray, S2: np.ndarray, m1: ImmersionGrid,
                    m2: ImmersionGrid) -> float:
     """Sup-norm of m2 minus m1 moved by the motion taking base frame S1 to S2."""
@@ -508,21 +502,39 @@ def _motion_defect(S1: np.ndarray, S2: np.ndarray, m1: ImmersionGrid,
     return best
 
 
+def congruence_matrix(
+    members: list[ImmersionGrid],
+    tols: Tolerances = DEFAULT_TOLS,
+    margin: int = 4,
+) -> np.ndarray:
+    """Symmetric (k, k) matrix of pairwise congruence defects, zero diagonal.
+
+    Entry (i, j), i < j, is the defect of the best symplectic motion taking
+    member i onto member j, built from their adapted frames at the base node
+    of the cropped grid; both frame signs are tried and the smaller defect
+    kept.  Each member is reduced once, and a lone member not at all.
+    """
+    k = len(members)
+    out = np.zeros((k, k))
+    if k < 2:
+        return out
+    # only the 5x5 base-node frames are kept, so the cropped fields are freed
+    base = [reduction_pipeline(m, tols, margin)[0].S[0, 0].copy() for m in members]
+    for i in range(k):
+        for j in range(i + 1, k):
+            out[i, j] = out[j, i] = _motion_defect(base[i], base[j], members[i], members[j])
+    return out
+
+
 def congruence_defect(
     m1: ImmersionGrid,
     m2: ImmersionGrid,
-    orientation: int = 1,
     tols: Tolerances = DEFAULT_TOLS,
     margin: int = 4,
 ) -> float:
-    """Sup-norm defect of the best symplectic motion taking m1 onto m2.
-
-    The motion is built from the two adapted frames at the base node; both
-    frame signs are tried and the smaller defect returned.  A value below
-    tol_congruent certifies congruence.
-    """
-    return _motion_defect(_base_frame(m1, orientation, tols, margin),
-                          _base_frame(m2, orientation, tols, margin), m1, m2)
+    """Sup-norm defect of the best symplectic motion taking m1 onto m2 (see
+    `congruence_matrix`).  A value below tol_congruent certifies congruence."""
+    return float(congruence_matrix([m1, m2], tols, margin)[0, 1])
 
 
 # -- serialization ------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import NonRealH, NotClosed, NotGeneric, UmbilicPoint
-from .grids import ComplexGrid, GridGeometry, cumquad, d_x, d_y, d_z, d_zbar, diff4
+from .grids import ComplexGrid, GridGeometry, cumquad, d_z, d_zbar, diff4
 
 
 @dataclass(frozen=True)
@@ -203,16 +203,16 @@ def is_generic(
 def recover_p(
     h: ComplexGrid,
     tol_umbilic: float = DEFAULT_TOLS.tol_umbilic,
-    tol_generic: float = DEFAULT_TOLS.tol_umbilic,
 ) -> tuple[np.ndarray, ComplexGrid, float]:
     """Recover (s, p) from h alone via s = -D4/P2, p = h s + D2.
 
     Returns (s real grid, p, max imaginary residual of s).  s is real-valued
     when the compatibility equations hold; the imaginary part is reported as
-    a diagnostic rather than silently dropped.
+    a diagnostic rather than silently dropped.  Raises UmbilicPoint where
+    |h| < tol_umbilic and NotGeneric where |P2| <= tol_umbilic.
     """
     d2, _, p2, d4 = genericity_ops(h, tol_umbilic=tol_umbilic)
-    bad = np.abs(p2.values) <= tol_generic
+    bad = np.abs(p2.values) <= tol_umbilic
     if bad.any():
         idx = np.argwhere(bad)
         raise NotGeneric(

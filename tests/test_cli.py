@@ -255,3 +255,25 @@ def test_infinite_tolerance_rejected(tmp_path):
     with pytest.raises(ValueError, match="tol_gauge"):
         sg.Tolerances(tol_gauge=float("inf"))
     assert main(["verify", "--tol-frame", "inf", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("coeffs", ["[null]", "[[1]]", '[[1, "a"]]', '[{"a": 1}]', "[1e400]"])
+@pytest.mark.parametrize("command, key", [("verify", "t_poly"), ("verify", "p_poly"),
+                                          ("example", "p_poly")])
+def test_bad_poly_coefficients_exit_2(tmp_path, capsys, command, key, coeffs):
+    # JSON text as written, so that 1e400 arrives as inf
+    doc = tmp_path / "cfg.json"
+    doc.write_text(f'{{"command": "{command}", '
+                   f'"params": {{"kind": "umbilic", "{key}": {coeffs}}}}}')
+    assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
+    assert f"params.{key}" in capsys.readouterr().err
+
+
+def test_rank_deficient_immersion_exits_1(tmp_path, capsys):
+    geom = sg.GridGeometry(31, 31, 0.0, 0.0, 0.01, 0.01)
+    path = tmp_path / "imm.csv"
+    sg.save_immersion(sg.ImmersionGrid(geom, np.ones((31, 31, 4))), path)
+    doc = tmp_path / "inv.json"
+    doc.write_text(json.dumps({"command": "invariants", "params": {"immersion": str(path)}}))
+    assert main(["--config", str(doc), "--out", str(tmp_path)]) == 1
+    assert "NotElliptic" in capsys.readouterr().err

@@ -250,6 +250,31 @@ def test_congruence_defect_cases():
         assert sg.congruence_defect(m1, m0, margin=8) > 1e-2
 
 
+def test_congruence_matrix_matches_pairwise_defects():
+    members = [sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0 - lam), GEOM)
+               for lam in (-0.5, 0.0, 0.5, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mat = sg.congruence_matrix(members, margin=8)
+        pairs = {(i, j): sg.congruence_defect(members[i], members[j], margin=8)
+                 for i in range(4) for j in range(i + 1, 4)}
+    assert mat.shape == (4, 4)
+    assert np.array_equal(mat, mat.T)
+    assert np.all(np.diag(mat) == 0.0)
+    for (i, j), d in pairs.items():
+        assert mat[i, j] == d  # bit-equal: same reductions, same motion
+    assert np.all(mat[~np.eye(4, dtype=bool)] > 1e-3)
+
+
+def test_congruence_matrix_does_not_reduce_a_lone_member():
+    geom = sg.GridGeometry(21, 21, 0.0, 0.0, 0.05, 0.05)
+    xx, yy = geom.mesh()
+    m = sg.ImmersionGrid(geom, np.stack([xx, yy, np.zeros_like(xx), xx], axis=-1))
+    with pytest.raises(NotLagrangian):  # what reducing it would raise
+        sg.reduction_pipeline(m)
+    assert np.array_equal(sg.congruence_matrix([m]), [[0.0]])
+
+
 def test_immersion_save_load_roundtrip(tmp_path):
     _, theta = family_theta(p=1.0)
     F = quiet_integrate(theta, compute_path_defect=False)
@@ -299,8 +324,21 @@ def test_pipeline_rejects_non_elliptic():
     geom = sg.GridGeometry(21, 21, 0.1, 0.1, 0.01, 0.01)
     xx, yy = geom.mesh()
     f = np.stack([xx, yy, np.zeros_like(xx), np.zeros_like(yy)], axis=-1)
-    with pytest.raises((NotElliptic, np.linalg.LinAlgError)):
+    with pytest.raises(NotElliptic):
         sg.reduction_pipeline(sg.ImmersionGrid(geom, f))
+
+
+@pytest.mark.parametrize("kind", ["constant", "x_only"])
+def test_pipeline_rejects_rank_deficient_immersion(kind):
+    # df has rank 0 or 1 everywhere: the tangent Gram matrix is singular
+    geom = sg.GridGeometry(31, 31, 0.0, 0.0, 0.01, 0.01)
+    xx, _ = geom.mesh()
+    zero = np.zeros_like(xx)
+    first = zero + 1.0 if kind == "constant" else xx
+    f = np.stack([first, zero + 2.0, zero, zero], axis=-1)
+    with pytest.raises(NotElliptic, match=r"df drops rank at node \(0, 0\)"):
+        sg.reduction_pipeline(sg.ImmersionGrid(geom, f))
+    assert immersion_singular_mask(sg.ImmersionGrid(geom, f)).all()
 
 
 def test_pipeline_checks_margin_before_any_stage():
