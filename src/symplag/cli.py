@@ -24,6 +24,7 @@ from . import __version__
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import ConfigError, SymplagError
 from .frames import (
+    DEFAULT_MARGIN,
     ImmersionGrid,
     _cropped,
     congruence_defect,
@@ -163,9 +164,9 @@ def _family_params(params: dict) -> ConstantFamilyParams:
     return ConstantFamilyParams(**{k: _number(k, params.get(k, d)) for k, d in defaults.items()})
 
 
-def _margin(params: dict, default: int, *geoms: GridGeometry) -> int:
+def _margin(params: dict, *geoms: GridGeometry) -> int:
     """params.margin, checked against every grid it is to crop."""
-    margin = _number("margin", params.get("margin", default), int)
+    margin = _number("margin", params.get("margin", DEFAULT_MARGIN), int)
     for geom in geoms:
         try:
             _cropped(geom, margin)
@@ -331,7 +332,7 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
     if not isinstance(lambdas, (list, tuple)):
         raise ConfigError(f"params.lambdas must be a list, got {lambdas!r}")
     lambdas = [_number("lambdas", v) for v in lambdas]
-    margin = _margin(cfg.params, 4, cfg.grid)
+    margin = _margin(cfg.params, cfg.grid)
     base = triple_from_params(cfg.grid, {k: v for k, v in cfg.params.items()
                                          if k != "lambdas"})
     members = []
@@ -358,7 +359,7 @@ def _run_invariants(cfg: JobConfig, rep: Report) -> None:
     if not src:
         raise ConfigError("invariants command needs params.immersion (CSV path)")
     m, _ = _load(load_immersion, src)
-    margin = _margin(cfg.params, 8, m.geometry)
+    margin = _margin(cfg.params, m.geometry)
     _, inv, gauge = reduction_pipeline(m, tols=tols, margin=margin)
     gmax = max(gauge.values())
     rep.residuals["gauge"] = {"max": gmax, "mean": float(np.mean(list(gauge.values())))}
@@ -384,7 +385,7 @@ def _run_congruence(cfg: JobConfig, rep: Report) -> None:
         raise ConfigError(f"congruence command needs params.{e.args[0]}") from e
     m1, _ = _load(load_immersion, a)
     m2, _ = _load(load_immersion, b)
-    margin = _margin(cfg.params, 8, m1.geometry, m2.geometry)
+    margin = _margin(cfg.params, m1.geometry, m2.geometry)
     d = congruence_defect(m1, m2, tols=tols, margin=margin)
     rep.residuals["congruence_defect"] = {"max": d, "mean": d}
     rep.add_flag("congruent", d, "tol_congruent", tols.tol_congruent)
@@ -483,7 +484,7 @@ def build_config(argv: list[str]) -> JobConfig:
             raise ConfigError("empty grid record in config")
         try:
             grid = GridGeometry.from_dict(doc["grid"])
-        except (KeyError, ValueError, SymplagError) as e:
+        except (KeyError, TypeError, ValueError, SymplagError) as e:
             raise ConfigError(f"bad grid record: {e}") from e
     else:
         grid = DEFAULT_GRID

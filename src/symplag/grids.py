@@ -4,12 +4,18 @@ A scalar field lives on a uniform nx-by-ny grid; values[i, j] is the value at
 (x0 + i*dx, y0 + j*dy).  Derivatives use 4th-order central differences in the
 interior and 4th-order one-sided stencils at the boundary, so they are exact
 on polynomials of total degree <= 4.
+
+`gradient` is the one operator that takes both partials of a field, and
+`wirtinger` the one statement of the convention that turns a pair of x and y
+coefficients into dz and dzbar coefficients; `d_z`, `d_zbar` and the frame
+code build on these two.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +47,19 @@ def diff4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def gradient(values: np.ndarray, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Partials (f_x, f_y) of node values whose leading axes are the grid's
+    (nx, ny); trailing dimensions (e.g. per-node matrices) ride along."""
+    return diff4(values, geom.dx, axis=0), diff4(values, geom.dy, axis=1)
+
+
+def wirtinger(ux, uy) -> tuple:
+    """dz and dzbar coefficients (ux - i uy)/2 and (ux + i uy)/2 of the 1-form
+    ux dx + uy dy (entries may be complex)."""
+    iuy = 1j * uy
+    return 0.5 * (ux - iuy), 0.5 * (ux + iuy)
+
+
 def cumquad(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """Cumulative integral along `axis` from the first node, 4th-order accurate.
 
@@ -70,6 +89,11 @@ class GridGeometry:
     dy: float
 
     def __post_init__(self):
+        for name in ("nx", "ny"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Real) and math.isfinite(v) and v == int(v)):
+                raise ValueError(f"grid {name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.nx < 5 or self.ny < 5:
             raise GridTooSmall(f"grid must be at least 5x5, got {self.nx}x{self.ny}")
         if not all(math.isfinite(v) for v in (self.x0, self.y0, self.dx, self.dy)):
@@ -98,7 +122,7 @@ class GridGeometry:
 
     @staticmethod
     def from_dict(d: dict) -> "GridGeometry":
-        return GridGeometry(int(d["nx"]), int(d["ny"]), float(d["x0"]),
+        return GridGeometry(d["nx"], d["ny"], float(d["x0"]),
                             float(d["y0"]), float(d["dx"]), float(d["dy"]))
 
 
@@ -135,26 +159,14 @@ class ComplexGrid:
         return float(np.min(np.abs(self.values)))
 
 
-def d_x(f: ComplexGrid) -> ComplexGrid:
-    return f.with_values(diff4(f.values, f.geometry.dx, axis=0))
-
-
-def d_y(f: ComplexGrid) -> ComplexGrid:
-    return f.with_values(diff4(f.values, f.geometry.dy, axis=1))
-
-
 def d_z(f: ComplexGrid) -> ComplexGrid:
     """Wirtinger derivative (f_x - i f_y) / 2."""
-    fx = diff4(f.values, f.geometry.dx, axis=0)
-    fy = diff4(f.values, f.geometry.dy, axis=1)
-    return f.with_values(0.5 * (fx - 1j * fy))
+    return f.with_values(wirtinger(*gradient(f.values, f.geometry))[0])
 
 
 def d_zbar(f: ComplexGrid) -> ComplexGrid:
     """Conjugate Wirtinger derivative (f_x + i f_y) / 2."""
-    fx = diff4(f.values, f.geometry.dx, axis=0)
-    fy = diff4(f.values, f.geometry.dy, axis=1)
-    return f.with_values(0.5 * (fx + 1j * fy))
+    return f.with_values(wirtinger(*gradient(f.values, f.geometry))[1])
 
 
 # -- serialization: CSV per field with a JSON geometry sidecar ----------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import NonRealH, NotClosed, NotGeneric, UmbilicPoint
-from .grids import ComplexGrid, GridGeometry, cumquad, d_z, d_zbar, diff4
+from .grids import ComplexGrid, GridGeometry, cumquad, d_z, d_zbar, diff4, gradient
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,10 @@ def p1_from_p2(
     geom = p2.geometry
     p2v = p2.values.real
     h2 = np.real(h.values) ** 2
-    F = diff4(p2v, geom.dy, 1) + 2.0 * diff4(h2, geom.dx, 0)
-    G = -(diff4(p2v, geom.dx, 0) + 2.0 * diff4(h2, geom.dy, 1))
+    p2_x, p2_y = gradient(p2v, geom)
+    h2_x, h2_y = gradient(h2, geom)
+    F = p2_y + 2.0 * h2_x
+    G = -(p2_x + 2.0 * h2_y)
     curl = diff4(F, geom.dy, 1) - diff4(G, geom.dx, 0)
     cmax = float(np.max(np.abs(curl)))
     if cmax > tol_resid:

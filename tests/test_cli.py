@@ -46,6 +46,15 @@ def test_nan_grid_spacing_in_config_exits_2(tmp_path):
     assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("name, value", [("nx", 61.7), ("ny", 7.5), ("x0", None)])
+def test_bad_grid_record_in_config_exits_2(tmp_path, capsys, name, value):
+    grid = dict(sg.GridGeometry(11, 11, 0.0, 0.0, 0.1, 0.1).as_dict(), **{name: value})
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({"command": "verify", "grid": grid}))
+    assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
+    assert "bad grid record" in capsys.readouterr().err
+
+
 def test_build_config_requires_command():
     with pytest.raises(ConfigError):
         build_config([])
@@ -108,6 +117,15 @@ def test_family_command_congruence_matrix(tmp_path):
     off = mat[~np.eye(3, dtype=bool)]
     assert np.all(np.diag(mat) <= 1e-6)
     assert np.all(off > 1e-2)
+
+
+def test_family_command_with_default_params(tmp_path):
+    # no params: p = 0, lambdas -1, 0, 1, the default margin
+    assert main(["family", "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["passed"] is True
+    mat = np.array(rep["residuals"]["congruence_matrix"]["matrix"])
+    assert mat.shape == (3, 3) and np.all(mat[~np.eye(3, dtype=bool)] > 1e-2)
 
 
 def test_congruence_command_on_identical_inputs(tmp_path):

@@ -213,6 +213,19 @@ def test_pipeline_recovers_family_invariants():
     assert np.max(np.abs(inv.p.values - 1.0)) < 1e-5
 
 
+@pytest.mark.parametrize("origin", [0.0, -0.15])
+def test_pipeline_default_margin_passes_gauge_gate(origin):
+    # the default margin crops past the band where edge stencil error spoils
+    # the gauge conditions (a margin of 4 raises NotAdapted here)
+    geom = sg.GridGeometry(61, 61, origin, origin, 0.005, 0.005)
+    m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0), geom)
+    _, inv, report = sg.reduction_pipeline(m)
+    assert (inv.geometry.nx, inv.geometry.ny) == (45, 45)
+    assert max(report[k] for k in ("omega", "gamma_trace", "alpha_trace",
+                                   "alpha_skew", "ell")) <= sg.DEFAULT_TOLS.tol_gauge
+    assert np.max(np.abs(inv.p.values - 1.0)) < 1e-5
+
+
 def test_pipeline_gauge_covariance():
     geom = sg.GridGeometry(61, 61, -0.15, -0.15, 0.005, 0.005)
     m = curve_immersion(geom)

@@ -4,10 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 import symplag as sg
 from symplag.errors import GridTooSmall
-from symplag.grids import cumquad, d_x, d_y, diff4
+from symplag.grids import cumquad, diff4, gradient
 
 
 GEOM = sg.GridGeometry(21, 17, -0.5, 0.25, 0.05, 0.04)
+
+
+def _diff4_pair(values, geom):
+    return diff4(values, geom.dx, 0), diff4(values, geom.dy, 1)
 
 
 def test_diff4_exact_on_quartics():
@@ -15,8 +19,16 @@ def test_diff4_exact_on_quartics():
     f = 2.0 + xx - 3.0 * xx**2 * yy**2 + 0.5 * xx**4 + yy**3
     fx = 1.0 - 6.0 * xx * yy**2 + 2.0 * xx**3
     fy = -6.0 * xx**2 * yy + 3.0 * yy**2
-    assert np.max(np.abs(diff4(f, GEOM.dx, 0) - fx)) < 1e-10
-    assert np.max(np.abs(diff4(f, GEOM.dy, 1) - fy)) < 1e-10
+    # real, complex and per-node (5, 5) matrix values
+    C = np.arange(25.0).reshape(5, 5) / 25.0 - 0.5
+    cases = [(f, fx, fy), ((1.0 - 2.0j) * f, (1.0 - 2.0j) * fx, (1.0 - 2.0j) * fy),
+             (f[..., None, None] * C, fx[..., None, None] * C, fy[..., None, None] * C)]
+    for partials in (_diff4_pair, gradient):
+        for values, want_x, want_y in cases:
+            got_x, got_y = partials(values, GEOM)
+            assert got_x.shape == got_y.shape == values.shape
+            assert np.max(np.abs(got_x - want_x)) < 1e-10
+            assert np.max(np.abs(got_y - want_y)) < 1e-10
 
 
 def test_diff4_order_four_convergence():
@@ -47,6 +59,10 @@ def test_wirtinger_on_holomorphic_and_analytic_field():
 def test_diff4_needs_five_nodes():
     with pytest.raises(GridTooSmall):
         diff4(np.zeros((4, 8)), 0.1, 0)
+    # each axis is checked: the values have four nodes along x, then along y
+    for shape in ((4, 8), (8, 4)):
+        with pytest.raises(GridTooSmall):
+            gradient(np.zeros(shape), GEOM)
 
 
 def test_cumquad_exact_on_cubics():
@@ -73,6 +89,9 @@ def test_geometry_validation():
         sg.GridGeometry(10, 10, 0.0, 0.0, -0.1, 0.1)
     d = GEOM.as_dict()
     assert sg.GridGeometry.from_dict(d) == GEOM
+    # integral sizes of another type are stored as int
+    geom = sg.GridGeometry(np.int64(21), 17.0, -0.5, 0.25, 0.05, 0.04)
+    assert geom == GEOM and type(geom.nx) is int and type(geom.ny) is int
 
 
 @pytest.mark.parametrize("name", ["x0", "y0", "dx", "dy"])
@@ -80,6 +99,15 @@ def test_geometry_validation():
 def test_geometry_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match="finite"):
         sg.GridGeometry.from_dict(dict(GEOM.as_dict(), **{name: value}))
+
+
+@pytest.mark.parametrize("name, value", [("nx", 61.7), ("ny", 7.5), ("nx", float("nan")),
+                                         ("ny", float("inf")), ("nx", "61"), ("ny", None)])
+def test_geometry_rejects_non_integral_size(name, value):
+    d = dict(GEOM.as_dict(), **{name: value})
+    for build in (sg.GridGeometry.from_dict, lambda d: sg.GridGeometry(**d)):
+        with pytest.raises(ValueError, match=f"grid {name} must be an integer"):
+            build(d)
 
 
 def test_complexgrid_shape_check():
