@@ -149,10 +149,10 @@ def _load(loader, path):
 
 def _number(key: str, value, kind=float):
     """`value` of params.`key` as a finite float, or an int when kind is int;
-    anything else is a ConfigError naming the key."""
+    anything else, a JSON boolean included, is a ConfigError naming the key."""
     try:
         x = float(value)
-        if math.isfinite(x) and (kind is float or x == int(x)):
+        if not isinstance(value, bool) and math.isfinite(x) and (kind is float or x == int(x)):
             return kind(x)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -484,7 +484,7 @@ def build_config(argv: list[str]) -> JobConfig:
             raise ConfigError("empty grid record in config")
         try:
             grid = GridGeometry.from_dict(doc["grid"])
-        except (KeyError, TypeError, ValueError, SymplagError) as e:
+        except (ValueError, SymplagError) as e:
             raise ConfigError(f"bad grid record: {e}") from e
     else:
         grid = DEFAULT_GRID

@@ -8,6 +8,7 @@ translation part.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -183,8 +184,9 @@ def _frame_guard(tols: Tolerances):
     """Per-step blow-up guard, then one Newton step X <- X (I + J E / 2) onto
     X^T J X = J on each line whose defect E = X^T J X - J exceeds tol_frame."""
     def step(S: np.ndarray, k: int) -> None:
-        if np.max(np.abs(S)) > 1e12:
-            raise IntegrationBlowup(f"frame norm exceeded 1e12 at sweep step {k}")
+        norm = np.max(np.abs(S))
+        if not norm <= 1e12:  # NaN fails too
+            raise IntegrationBlowup(f"frame norm {norm:.3e} is not below 1e12 at sweep step {k}")
         E = _symplectic_error(S[:, 1:, 1:])
         drifted = np.max(np.abs(E), axis=(-1, -2)) > tols.tol_frame
         if np.any(drifted):
@@ -233,18 +235,6 @@ def _lagrangian(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
 def lagrangian_defect(m: ImmersionGrid) -> np.ndarray:
     """|Omega(f_x, f_y)| with finite-difference partials, per node."""
     return _lagrangian(*gradient(m.f, m.geometry))
-
-
-def _tangent_gram(fx: np.ndarray, fy: np.ndarray):
-    """Tangent columns M = [fy, fx] (..., 4, 2), their Gram matrix G = M^T M and det G."""
-    M = np.stack([fy, fx], axis=-1)
-    G = np.swapaxes(M, -1, -2) @ M
-    return M, G, np.linalg.det(G)
-
-
-def immersion_singular_mask(m: ImmersionGrid, tol: float = DEFAULT_TOLS.tol_rank) -> np.ndarray:
-    """Nodes where df drops rank (the discrete immersion condition fails)."""
-    return _tangent_gram(*gradient(m.f, m.geometry))[2] <= tol
 
 
 # -- numerical Maurer-Cartan form and invariant extraction --------------------
@@ -344,21 +334,29 @@ def _unwrap2d(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _omega_bar_coefficient(ux, uy, ox, oy) -> np.ndarray:
+    """c in u = a omega + c conj(omega), per node, for the 1-forms u = ux dx + uy dy
+    and omega = ox dx + oy dy:  c = (ux oy - uy ox) / (conj(ox) oy - conj(oy) ox).
+    Raises NotElliptic where omega is not a coframe, Im(conj(ox) oy) = 0."""
+    det = (np.conj(ox) * oy).imag
+    degenerate = det == 0
+    if np.any(degenerate):
+        node = np.unravel_index(np.argmax(degenerate), degenerate.shape)
+        raise NotElliptic(f"omega is not a coframe at node {tuple(map(int, node))}")
+    # num / (2i det) with a real divisor.  Peak RSS at 241^2 is sensitive to these
+    # temporaries: a complex divisor, or det from real parts, raised it by 11 MB.
+    num = ux * oy - uy * ox
+    return (num.imag - 1j * num.real) / (2.0 * det)
+
+
 def _gamma_trace_gauge(x: _Forms, y: _Forms) -> np.ndarray:
-    """Stage 2: kill the trace of gamma."""
-    ox, oy = x.omega, y.omega
-    ux, uy = 0.5 * x.gamma_trace, 0.5 * y.gamma_trace
-    # induced quadratic form Gram matrix in the (dx, dy) basis
-    g01 = ox.real * oy.real + ox.imag * oy.imag - ux * uy
-    g = _mat2(ox.real ** 2 + ox.imag ** 2 - ux ** 2, g01, g01,
-              oy.real ** 2 + oy.imag ** 2 - uy ** 2)
-    if not (np.all(g[..., 0, 0] > 0) and np.all(np.linalg.det(g) > 0)):
-        raise NotElliptic("induced quadratic form is not positive definite")
-    W = _mat2(ox.real, ox.imag, oy.real, oy.imag)  # rows: dx, dy; cols: omega1, omega2
-    ell12 = np.linalg.solve(W, np.stack([ux, uy], axis=-1)[..., None])[..., 0]
-    l1, l2 = ell12[..., 0], ell12[..., 1]
+    """Stage 2: kill the trace of gamma = 2 Re(conj(l) omega), whose omega-bar
+    coefficient is l.  The induced form |omega|^2 - Re(conj(l) omega)^2 of a
+    coframe omega is positive definite iff |l| < 1."""
+    l = _omega_bar_coefficient(x.gamma_trace, y.gamma_trace, x.omega, y.omega)
+    l1, l2 = l.real, l.imag
     if np.any(l1**2 + l2**2 >= 1.0):
-        raise NotElliptic("first-order constraint l1^2 + l2^2 < 1 fails")
+        raise NotElliptic("induced quadratic form is not positive definite: |l| >= 1")
     phi = np.arcsin(-l2 / np.sqrt(1.0 - l1**2))
     r2 = np.sqrt(0.5 * (1.0 - l1))
     return _gauge_matrix5(_mat2(r2 * np.cos(phi), r2 * np.sin(phi), 0.0,
@@ -366,20 +364,9 @@ def _gamma_trace_gauge(x: _Forms, y: _Forms) -> np.ndarray:
 
 
 def _eta_gauge(x: _Forms, y: _Forms) -> np.ndarray:
-    """Stage 3: remove the antiholomorphic part of eta."""
-    # least squares for eta = h omega + ell conj(omega), unknowns (h1, h2, ell)
-    rows = []
-    rhs = []
-    for f in (x, y):
-        w1, w2 = f.omega.real, f.omega.imag
-        rows.append(np.stack([w1, -w2, w1], axis=-1))
-        rows.append(np.stack([w2, w1, -w2], axis=-1))
-        rhs.append(f.eta.real)
-        rhs.append(f.eta.imag)
-    D = np.stack(rows, axis=-2)  # (nx, ny, 4, 3)
-    r = np.stack(rhs, axis=-1)[..., None]  # (nx, ny, 4, 1)
-    Dt = np.swapaxes(D, -1, -2)
-    ell = np.linalg.solve(Dt @ D, Dt @ r)[..., 0][..., 2]
+    """Stage 3: remove the antiholomorphic part of eta = h omega + ell conj(omega),
+    whose coefficient ell is real up to round-off."""
+    ell = _omega_bar_coefficient(x.eta, y.eta, x.omega, y.omega).real
     eye2 = np.broadcast_to(np.eye(2), ell.shape + (2, 2))
     return _gauge_matrix5(eye2, _mat2(ell, 0.0, 0.0, ell))
 
@@ -408,7 +395,10 @@ DEFAULT_MARGIN = 8
 
 
 def _cropped(geom: GridGeometry, margin: int) -> GridGeometry:
-    """geom less `margin` nodes on every side; ValueError unless 5x5 nodes remain."""
+    """geom less `margin` nodes on every side; ValueError unless `margin` is an
+    integer and 5x5 nodes remain."""
+    if not isinstance(margin, numbers.Integral):
+        raise ValueError(f"margin must be an integer, got {margin!r}")
     if margin < 0:
         raise ValueError(f"margin must be nonnegative, got {margin}")
     if geom.nx - 2 * margin < 5 or geom.ny - 2 * margin < 5:
@@ -428,9 +418,15 @@ def reduction_pipeline(
     Stages: tangent frame with columns (f_y, f_x) and its symplectic
     completion; trace-of-gamma normalization; removal of the
     antiholomorphic part of eta; conformal gauge to the grid coordinate;
-    final trace/skew normalization of alpha.  Raises NotLagrangian or
-    NotElliptic when the input fails the corresponding test; a node where df
-    drops rank (det of the tangent Gram matrix <= tol_rank) is not elliptic.
+    final trace/skew normalization of alpha.  Stages 2 and 3 each split a
+    1-form u of the running frame along its coframe omega, u = a omega +
+    c conj(omega), and gauge away c: stage 2 with u = gamma_trace, whose c
+    is l, and stage 3 with u = eta, whose c is real.
+
+    Raises NotLagrangian or NotElliptic when the input fails the
+    corresponding test.  The input is not elliptic at a node where df drops
+    rank (det of the tangent Gram matrix <= tol_rank), where omega is not a
+    coframe, or where |l| >= 1.
 
     Each stage differentiates the running frame, so one-sided stencil error
     compounds in a band along the grid edge; the returned frame field and
@@ -444,7 +440,9 @@ def reduction_pipeline(
     if lag_max > tols.tol_frame:
         raise NotLagrangian(f"max |Omega(f_x, f_y)| = {lag_max:.3e} > {tols.tol_frame:.3e}")
 
-    M, G, det = _tangent_gram(fx, fy)
+    M = np.stack([fy, fx], axis=-1)  # tangent columns (..., 4, 2)
+    G = np.swapaxes(M, -1, -2) @ M
+    det = np.linalg.det(G)
     rank_drop = det <= tols.tol_rank
     if np.any(rank_drop):
         node = np.unravel_index(np.argmax(rank_drop), rank_drop.shape)
@@ -575,10 +573,16 @@ def load_immersion(path: str | Path) -> tuple[ImmersionGrid, FrameField | None]:
     """Read an immersion CSV back; returns the frame field too when present.
 
     Rows are placed by their `i, j` columns; a non-integer or out-of-range
-    index, or a node that is duplicated or missing, raises ValueError.
+    index, a node that is duplicated or missing, or a non-finite immersion or
+    frame value raises ValueError.
     """
     geom, header, data = grids._load_table(path)
     k = _node_index(path, geom, data[:, :2])
+    bad = ~np.all(np.isfinite(data[:, 4:]), axis=1)
+    if np.any(bad):
+        r = int(np.argmax(bad))
+        raise ValueError(f"{path}: row {r + 1} (node {divmod(int(k[r]), geom.ny)}) "
+                         f"holds a non-finite value")
     n = geom.nx * geom.ny
     f = np.empty((n, 4))
     f[k] = data[:, 4:8]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -96,8 +96,11 @@ class GridGeometry:
             object.__setattr__(self, name, int(v))
         if self.nx < 5 or self.ny < 5:
             raise GridTooSmall(f"grid must be at least 5x5, got {self.nx}x{self.ny}")
-        if not all(math.isfinite(v) for v in (self.x0, self.y0, self.dx, self.dy)):
-            raise ValueError("grid origin and spacings must be finite")
+        for name in ("x0", "y0", "dx", "dy"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                raise ValueError(f"grid {name} must be a finite number, got {v!r}")
+            object.__setattr__(self, name, float(v))
         if self.dx <= 0 or self.dy <= 0:
             raise ValueError("grid spacings must be positive")
 
@@ -122,8 +125,15 @@ class GridGeometry:
 
     @staticmethod
     def from_dict(d: dict) -> "GridGeometry":
-        return GridGeometry(d["nx"], d["ny"], float(d["x0"]),
-                            float(d["y0"]), float(d["dx"]), float(d["dy"]))
+        """Geometry from an `as_dict` record; a record that is not a mapping or
+        lacks a field is a ValueError naming it."""
+        if not isinstance(d, dict):
+            raise ValueError(f"grid record must be a mapping, got {d!r}")
+        names = [f.name for f in fields(GridGeometry)]
+        for name in names:
+            if name not in d:
+                raise ValueError(f"grid record lacks {name}")
+        return GridGeometry(**{name: d[name] for name in names})
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,28 @@ def test_malformed_immersion_csv_exits_2(tmp_path, capsys):
     assert str(path) in err and "duplicate node (0, 1)" in err
 
 
+@pytest.mark.parametrize("field, drop, message", [("dx", True, "lacks dx"),
+                                                  ("x0", False, "x0 must be a finite number")],
+                         ids=["missing-dx", "null-x0"])
+def test_bad_immersion_sidecar_exits_2(tmp_path, capsys, field, drop, message):
+    geom = sg.GridGeometry(7, 7, 0.0, 0.0, 0.1, 0.1)
+    xx, yy = geom.mesh()
+    path = tmp_path / "imm.csv"
+    sg.save_immersion(sg.ImmersionGrid(geom, np.stack([xx, yy, xx * yy, xx - yy], -1)), path)
+    sidecar = tmp_path / "imm.csv.json"
+    record = json.loads(sidecar.read_text())
+    if drop:
+        del record[field]
+    else:
+        record[field] = None
+    sidecar.write_text(json.dumps(record))
+    doc = tmp_path / "inv.json"
+    doc.write_text(json.dumps({"command": "invariants", "params": {"immersion": str(path)}}))
+    assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+
+
 def test_report_lists_warnings(tmp_path):
     cfg = build_config(["integrate", "--out", str(tmp_path), "--tol-flat", "1e-30"])
     with pytest.warns(UserWarning, match="exceeds tol_flat"):  # passed on as well
@@ -228,6 +250,7 @@ def test_report_echoes_effective_config(tmp_path):
     ("verify", {"kind": "umbilic", "lam": float("inf")}, "lam"),
     ("family", {"p": 1.0, "lambdas": ["x"]}, "lambdas"),
     ("example", {"kind": "constant", "c1": float("nan")}, "c1"),
+    ("verify", {"p": True}, "p"),
 ])
 def test_bad_numeric_param_exits_2(tmp_path, capsys, command, params, key):
     doc = tmp_path / "cfg.json"
@@ -251,7 +274,7 @@ def test_non_finite_invariant_csv_exits_2(tmp_path, capsys):
     assert "h must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("margin", [-1, 29, 2.5])
+@pytest.mark.parametrize("margin", [-1, 29, 2.5, True])
 @pytest.mark.parametrize("command", ["invariants", "congruence", "family"])
 def test_bad_margin_exits_2(tmp_path, capsys, command, margin):
     # 61^2 input: a margin of 29 leaves a 3x3 grid, too small for the stencils

@@ -16,8 +16,8 @@ from symplag.frames import (
     FrameField,
     MaurerCartanField,
     _decode,
+    _omega_bar_coefficient,
     extract_invariants,
-    immersion_singular_mask,
     numerical_maurer_cartan,
 )
 
@@ -98,6 +98,15 @@ def test_integration_blowup_guard():
         quiet_integrate(theta, compute_path_defect=False)
 
 
+def test_integration_blowup_guard_trips_on_nan():
+    # NaN compares False with any bound: the guard must still trip, not return
+    # a NaN frame
+    theta = _constant_theta({(1, 1): 1.0, (3, 3): -1.0})
+    theta.A[30, 30, 1, 2] = np.nan
+    with pytest.raises(IntegrationBlowup, match="sweep step"):
+        sg.integrate_frame(theta, compute_path_defect=False)
+
+
 def test_unrepairable_frame_raises_frame_defect():
     # an RK4 step of e^{+-400 x} at dx = 0.005 leaves Sp(4) by O(1), beyond
     # what one Newton projection can repair
@@ -139,7 +148,6 @@ def test_immersion_from_frame_is_lagrangian():
     _, theta = family_theta(p=3.0)
     m = sg.immersion_from_frame(quiet_integrate(theta, compute_path_defect=False))
     assert np.max(sg.lagrangian_defect(m)) < 1e-8
-    assert not immersion_singular_mask(m).any()
 
 
 def test_roundtrip_extraction():
@@ -312,16 +320,21 @@ def _index_out_of_range(lines):
     lines[1 + 0 * 7 + 4] = "7" + lines[1 + 0 * 7 + 4][1:]  # node (0, 4) renamed (7, 4)
 
 
+def _nan_frame_entry(lines):
+    lines[1 + 2 * 7 + 5] = lines[1 + 2 * 7 + 5].rsplit(",", 1)[0] + ",nan\r\n"  # s44 of (2, 5)
+
+
 @pytest.mark.parametrize("edit, message", [
     (_duplicate_row, r"duplicate node \(0, 1\)"),
     (_index_out_of_range, r"names node \(7\.0, 4\.0\), not a node of the 7x7 grid"),
+    (_nan_frame_entry, r"row 20 \(node \(2, 5\)\) holds a non-finite value"),
 ])
 def test_load_immersion_rejects_misplaced_rows(tmp_path, edit, message):
     geom = sg.GridGeometry(7, 7, 0.0, 0.0, 0.1, 0.1)
     xx, yy = geom.mesh()
     m = sg.ImmersionGrid(geom, np.stack([xx, yy, xx * yy, xx - yy], axis=-1))
     path = tmp_path / "imm.csv"
-    sg.save_immersion(m, path)
+    sg.save_immersion(m, path, frame=FrameField(geom, np.broadcast_to(np.eye(5), (7, 7, 5, 5))))
     with open(path, newline="") as fh:
         lines = fh.readlines()
     edit(lines)
@@ -331,14 +344,37 @@ def test_load_immersion_rejects_misplaced_rows(tmp_path, edit, message):
         sg.load_immersion(path)
 
 
-def test_pipeline_rejects_non_elliptic():
-    # a Lagrangian plane: df degenerate Gauss map, the induced form cannot be
-    # positive definite
-    geom = sg.GridGeometry(21, 21, 0.1, 0.1, 0.01, 0.01)
+@pytest.mark.parametrize("grad_phi, message", [
+    # a Lagrangian plane: the frame is constant, so omega = 0 is no coframe
+    (lambda x, y: (0 * x, 0 * y), "not a coframe"),
+    # cubic graphs: omega is a coframe, but the trace of gamma has |l| >= 1
+    (lambda x, y: (3 * x**2, 3 * y**2), r"\|l\| >= 1"),
+    (lambda x, y: (2 * x * y, x**2), r"\|l\| >= 1"),
+], ids=["plane", "x3+y3", "x2y"])
+def test_pipeline_rejects_non_elliptic(grad_phi, message):
+    # the Lagrangian graph f = (x, y, phi_x, phi_y)
+    geom = sg.GridGeometry(41, 41, 0.1, 0.1, 0.01, 0.01)
     xx, yy = geom.mesh()
-    f = np.stack([xx, yy, np.zeros_like(xx), np.zeros_like(yy)], axis=-1)
-    with pytest.raises(NotElliptic):
+    f = np.stack([xx, yy, *grad_phi(xx, yy)], axis=-1)
+    with pytest.raises(NotElliptic, match=message):
         sg.reduction_pipeline(sg.ImmersionGrid(geom, f))
+
+
+def test_omega_bar_coefficient_recovers_c():
+    # coframes of both orientations whose two vectors are at least 30 degrees
+    # apart, so the division is well conditioned
+    rng = np.random.default_rng(11)
+    shape = (40, 40)
+    r = rng.uniform(0.5, 2.0, size=(2,) + shape)
+    alpha = rng.uniform(0.0, 2.0 * np.pi, size=shape)
+    beta = rng.choice([-1.0, 1.0], size=shape) * rng.uniform(np.pi / 6, 5 * np.pi / 6, size=shape)
+    ox, oy = r[0] * np.exp(1j * alpha), r[1] * np.exp(1j * (alpha + beta))
+    a, c = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+    ux, uy = a * ox + c * np.conj(ox), a * oy + c * np.conj(oy)
+    assert np.max(np.abs(_omega_bar_coefficient(ux, uy, ox, oy) - c)) < 1e-12
+    ox[3, 4], oy[3, 4] = 1.0, -2.0  # omega_x, omega_y dependent over R
+    with pytest.raises(NotElliptic, match=r"not a coframe at node \(3, 4\)"):
+        _omega_bar_coefficient(ux, uy, ox, oy)
 
 
 @pytest.mark.parametrize("kind", ["constant", "x_only"])
@@ -351,7 +387,6 @@ def test_pipeline_rejects_rank_deficient_immersion(kind):
     f = np.stack([first, zero + 2.0, zero, zero], axis=-1)
     with pytest.raises(NotElliptic, match=r"df drops rank at node \(0, 0\)"):
         sg.reduction_pipeline(sg.ImmersionGrid(geom, f))
-    assert immersion_singular_mask(sg.ImmersionGrid(geom, f)).all()
 
 
 def test_pipeline_checks_margin_before_any_stage():
@@ -359,7 +394,7 @@ def test_pipeline_checks_margin_before_any_stage():
     geom = sg.GridGeometry(21, 21, 0.0, 0.0, 0.05, 0.05)
     xx, yy = geom.mesh()
     m = sg.ImmersionGrid(geom, np.stack([xx, yy, np.zeros_like(xx), xx], axis=-1))
-    for margin in (-1, 9):
+    for margin in (-1, 9, 2.5):
         with pytest.raises(ValueError, match="margin"):
             sg.reduction_pipeline(m, margin=margin)
 

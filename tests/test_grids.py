@@ -95,7 +95,7 @@ def test_geometry_validation():
 
 
 @pytest.mark.parametrize("name", ["x0", "y0", "dx", "dy"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), None])
 def test_geometry_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match="finite"):
         sg.GridGeometry.from_dict(dict(GEOM.as_dict(), **{name: value}))
