@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT_TOLS, Tolerances
-from .errors import ConfigError, SymplagError
+from .errors import ConfigError, GridTooSmall, SymplagError
 from .frames import (
     DEFAULT_MARGIN,
     ImmersionGrid,
@@ -113,7 +113,6 @@ class Report:
         return all(f["passed"] for f in self.flags.values())
 
     def as_dict(self) -> dict:
-        import scipy
         return {
             "command": self.command,
             "passed": self.passed,
@@ -126,7 +125,6 @@ class Report:
             "versions": {
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "symplag": __version__,
             },
         }
@@ -143,7 +141,7 @@ def _load(loader, path):
     """Read an input file; a malformed one is a ConfigError naming the file."""
     try:
         return loader(path)
-    except ValueError as e:
+    except (ValueError, GridTooSmall) as e:
         raise ConfigError(f"cannot load {path}: {e}") from e
 
 

@@ -19,6 +19,11 @@ def _symplectic_error(X: np.ndarray) -> np.ndarray:
     return np.swapaxes(X, -1, -2) @ J4 @ X - J4
 
 
+def _symplectic_inverse(X: np.ndarray) -> np.ndarray:
+    """X^-1 = -J X^T J for a (..., 4, 4) stack of symplectic matrices."""
+    return -J4 @ np.swapaxes(X, -1, -2) @ J4
+
+
 def symplectic_defect(M: np.ndarray) -> float:
     """Sup-norm of M^T J M - J; zero exactly when M is symplectic."""
     M = np.asarray(M, dtype=float)

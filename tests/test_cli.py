@@ -157,20 +157,21 @@ def test_malformed_immersion_csv_exits_2(tmp_path, capsys):
     assert str(path) in err and "duplicate node (0, 1)" in err
 
 
-@pytest.mark.parametrize("field, drop, message", [("dx", True, "lacks dx"),
-                                                  ("x0", False, "x0 must be a finite number")],
-                         ids=["missing-dx", "null-x0"])
-def test_bad_immersion_sidecar_exits_2(tmp_path, capsys, field, drop, message):
+@pytest.mark.parametrize("field, value, message", [("dx", "drop", "lacks dx"),
+                                                   ("x0", None, "x0 must be a finite number"),
+                                                   ("nx", 3, "at least 5x5")],
+                         ids=["missing-dx", "null-x0", "nx-3"])
+def test_bad_immersion_sidecar_exits_2(tmp_path, capsys, field, value, message):
     geom = sg.GridGeometry(7, 7, 0.0, 0.0, 0.1, 0.1)
     xx, yy = geom.mesh()
     path = tmp_path / "imm.csv"
     sg.save_immersion(sg.ImmersionGrid(geom, np.stack([xx, yy, xx * yy, xx - yy], -1)), path)
     sidecar = tmp_path / "imm.csv.json"
     record = json.loads(sidecar.read_text())
-    if drop:
+    if value == "drop":
         del record[field]
     else:
-        record[field] = None
+        record[field] = value
     sidecar.write_text(json.dumps(record))
     doc = tmp_path / "inv.json"
     doc.write_text(json.dumps({"command": "invariants", "params": {"immersion": str(path)}}))

@@ -2,7 +2,7 @@ import numpy as np
 from scipy.linalg import expm
 
 import symplag as sg
-from symplag.frames import _affine_inverse5
+from symplag.core import _symplectic_inverse
 
 
 def test_j4_squares_to_minus_identity():
@@ -11,16 +11,14 @@ def test_j4_squares_to_minus_identity():
     assert sg.symplectic_defect(sg.J4) == 0.0
 
 
-def test_affine_inverse5_composes_to_identity():
-    # affine-algebra matrix: translation p, sp(4) part [[a, b], [c, -a^T]]
-    # with b, c symmetric
-    M = np.zeros((5, 5))
-    M[1:, 0] = [1.0, -2.0, 0.5, 0.0]
-    M[1:3, 1:3] = [[0.3, -0.2], [0.1, 0.25]]
-    M[1:3, 3:5] = [[0.4, -0.1], [-0.1, 0.2]]
-    M[3:5, 1:3] = [[0.05, 0.15], [0.15, -0.3]]
-    M[3:5, 3:5] = -M[1:3, 1:3].T
-    g = expm(M)
-    gi = _affine_inverse5(g)
-    assert np.max(np.abs(g @ gi - np.eye(5))) < 1e-12
-    assert np.max(np.abs(gi @ g - np.eye(5))) < 1e-12
+def test_symplectic_inverse_composes_to_identity():
+    # a stack of group elements expm([[a, b], [c, -a^T]]), b and c symmetric
+    rng = np.random.default_rng(5)
+    a, b, c = 0.4 * rng.normal(size=(3, 20, 2, 2))
+    b, c = b + np.swapaxes(b, -1, -2), c + np.swapaxes(c, -1, -2)
+    M = np.block([[a, b], [c, -np.swapaxes(a, -1, -2)]])
+    X = np.stack([expm(m) for m in M])
+    Xi = _symplectic_inverse(X)
+    assert Xi.shape == X.shape
+    assert np.max(np.abs(X @ Xi - np.eye(4))) < 1e-12
+    assert np.max(np.abs(Xi @ X - np.eye(4))) < 1e-12

@@ -16,10 +16,12 @@ from symplag.frames import (
     FrameField,
     MaurerCartanField,
     _decode,
+    _gauge_matrix5,
     _omega_bar_coefficient,
     extract_invariants,
     numerical_maurer_cartan,
 )
+from symplag.grids import gradient
 
 
 GEOM = sg.GridGeometry(61, 61, 0.0, 0.0, 0.005, 0.005)
@@ -100,11 +102,22 @@ def test_integration_blowup_guard():
 
 def test_integration_blowup_guard_trips_on_nan():
     # NaN compares False with any bound: the guard must still trip, not return
-    # a NaN frame
-    theta = _constant_theta({(1, 1): 1.0, (3, 3): -1.0})
-    theta.A[30, 30, 1, 2] = np.nan
-    with pytest.raises(IntegrationBlowup, match="sweep step"):
-        sg.integrate_frame(theta, compute_path_defect=False)
+    # a NaN frame.  The first RK4 step of this finite Theta overflows to inf,
+    # and inf * 0 leaves NaN in the frame.
+    theta = _constant_theta({(1, 1): 1e300, (3, 3): -1e300})
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(IntegrationBlowup, match="frame norm nan .* sweep step 0"):
+        quiet_integrate(theta, compute_path_defect=False)
+
+
+@pytest.mark.parametrize("path_defect", [False, True])
+def test_integrate_rejects_non_finite_theta(path_defect):
+    # NaN flatness raises no warning; unchecked, the sweep returns a finite
+    # frame (path defect off) or raises IntegrationBlowup (path defect on)
+    _, theta = family_theta(p=1.0)
+    theta.B[30, 30, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        sg.integrate_frame(theta, compute_path_defect=path_defect)
 
 
 def test_unrepairable_frame_raises_frame_defect():
@@ -190,6 +203,30 @@ def test_numerical_maurer_cartan_inverts_integration():
     mc = numerical_maurer_cartan(F)
     assert np.max(np.abs(mc.A - theta.A)) < 1e-6
     assert np.max(np.abs(mc.B - theta.B)) < 1e-6
+
+
+@pytest.mark.parametrize("source", ["integrate", "reduction"])
+def test_numerical_maurer_cartan_matches_lu_solve(source):
+    # the closed-form inverse X^-1 = -J X^T J against the general 5x5 LU solve
+    if source == "integrate":
+        F = quiet_integrate(family_theta(p=1.0)[1], compute_path_defect=False)
+    else:
+        F = quiet_pipeline(sg.closed_form_immersion(sg.ConstantFamilyParams(p=-1.3), GEOM))[0]
+    mc = numerical_maurer_cartan(F)
+    for form, dS in zip((mc.A, mc.B), gradient(F.S, F.geometry)):
+        ref = np.linalg.solve(F.S, dS)
+        err = np.max(np.abs(form[..., 1:, :] - ref[..., 1:, :]))
+        assert err <= 1e-12 * np.max(np.abs(dS))
+
+
+def test_gauge_matrix5_is_symplectic():
+    rng = np.random.default_rng(11)
+    A2 = rng.normal(size=(500, 2, 2))
+    A2 = A2[np.abs(np.linalg.det(A2)) > 0.1]
+    b = rng.normal(size=A2.shape)
+    for sym in (None, b + np.swapaxes(b, -1, -2)):
+        Y = _gauge_matrix5(A2, sym)
+        assert sg.symplectic_defect(Y[:, 1:, 1:]) <= 1e-13
 
 
 def curve_immersion(geom):
