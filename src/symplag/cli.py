@@ -359,8 +359,7 @@ def _run_invariants(cfg: JobConfig, rep: Report) -> None:
     m, _ = _load(load_immersion, src)
     margin = _margin(cfg.params, m.geometry)
     _, inv, gauge = reduction_pipeline(m, tols=tols, margin=margin)
-    gmax = max(gauge.values())
-    rep.residuals["gauge"] = {"max": gmax, "mean": float(np.mean(list(gauge.values())))}
+    gmax = rep.add_residual("gauge", list(gauge.values()))
     rep.add_flag("adapted_gauge", gmax, "tol_gauge", tols.tol_gauge)
     # inteq on re-extracted fields re-differentiates them, amplifying the
     # extraction noise by 1/spacing; reported for information, not gated.
@@ -385,7 +384,7 @@ def _run_congruence(cfg: JobConfig, rep: Report) -> None:
     m2, _ = _load(load_immersion, b)
     margin = _margin(cfg.params, m1.geometry, m2.geometry)
     d = congruence_defect(m1, m2, tols=tols, margin=margin)
-    rep.residuals["congruence_defect"] = {"max": d, "mean": d}
+    rep.add_residual("congruence_defect", d)
     rep.add_flag("congruent", d, "tol_congruent", tols.tol_congruent)
 
 

@@ -94,7 +94,7 @@ def theta_from_invariants(inv: InvariantTriple) -> MaurerCartanField:
     h1, h2 = h.real, h.imag
     habs2 = np.abs(h) ** 2
 
-    h_zbar = grids.d_zbar(inv.h).values
+    h_zbar = grids.d_zbar(h, geom)
     ups_x = 2.0 * h_zbar.real
     ups_y = -2.0 * h_zbar.imag
     rho_x = p + habs2

@@ -205,10 +205,10 @@ def umbilic_curve(
     at the base node and the curve is the primitive of its first column.
     Holomorphy of p_fn makes the grid-path integral path-independent.
     """
-    holo = float(np.max(np.abs(d_zbar(spec.p_fn).values)))
+    geom = spec.geometry
+    holo = float(np.max(np.abs(d_zbar(spec.p_fn.values, geom))))
     if holo > tols.tol_resid:
         raise NotHolomorphic(f"max |p_zbar| = {holo:.3e} > {tols.tol_resid:.3e}")
-    geom = spec.geometry
     N = _curve_coefficient(spec.p_fn.values, spec.lam)
     T = _sweep_grid(N, N, geom.dx, 1j * geom.dy)
     frame = T[..., :2, :2]
@@ -217,15 +217,10 @@ def umbilic_curve(
     det_err = float(np.max(np.abs(det - 1.0)))
     if det_err > 1e-8:
         warnings.warn(f"frame determinant drifted by {det_err:.3e}")
-    fd = flex_defect(curve_grid(geom, curve))
+    fd = flex_defect(geom, curve)
     if np.min(fd) < tols.tol_rank:
         warnings.warn("flex points detected on the integrated curve")
     return curve, frame
-
-
-def curve_grid(geom: GridGeometry, curve: np.ndarray) -> tuple[ComplexGrid, ComplexGrid]:
-    """Wrap the two curve components as ComplexGrids."""
-    return (ComplexGrid(geom, curve[..., 0]), ComplexGrid(geom, curve[..., 1]))
 
 
 def curve_to_immersion(geom: GridGeometry, curve: np.ndarray) -> ImmersionGrid:
@@ -241,9 +236,9 @@ def umbilic_immersion(spec: UmbilicCurveSpec, tols: Tolerances = DEFAULT_TOLS) -
     return curve_to_immersion(spec.geometry, curve)
 
 
-def flex_defect(curve: tuple[ComplexGrid, ComplexGrid]) -> np.ndarray:
-    """|f_z wedge f_zz| per node; zero flags a flex point."""
-    c1, c2 = curve
-    d1, d2 = d_z(c1), d_z(c2)
-    dd1, dd2 = d_z(d1), d_z(d2)
-    return np.abs(d1.values * dd2.values - d2.values * dd1.values)
+def flex_defect(geom: GridGeometry, curve: np.ndarray) -> np.ndarray:
+    """|f_z wedge f_zz| per node of a curve held as (nx, ny, 2) node values in C^2;
+    zero flags a flex point."""
+    f_z = d_z(curve, geom)
+    f_zz = d_z(f_z, geom)
+    return np.abs(f_z[..., 0] * f_zz[..., 1] - f_z[..., 1] * f_zz[..., 0])

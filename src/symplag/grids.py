@@ -7,8 +7,9 @@ on polynomials of total degree <= 4.
 
 `gradient` is the one operator that takes both partials of a field, and
 `wirtinger` the one statement of the convention that turns a pair of x and y
-coefficients into dz and dzbar coefficients; `d_z`, `d_zbar` and the frame
-code build on these two.
+coefficients into dz and dzbar coefficients.  The frame code builds on these
+two, and so do `d_z` and `d_zbar`, which like `gradient` take node values and
+their GridGeometry and return an array.
 """
 
 from __future__ import annotations
@@ -58,6 +59,16 @@ def wirtinger(ux, uy) -> tuple:
     ux dx + uy dy (entries may be complex)."""
     iuy = 1j * uy
     return 0.5 * (ux - iuy), 0.5 * (ux + iuy)
+
+
+def d_z(values: np.ndarray, geom: GridGeometry) -> np.ndarray:
+    """Wirtinger derivative (f_x - i f_y) / 2 of node values, as in `gradient`."""
+    return wirtinger(*gradient(values, geom))[0]
+
+
+def d_zbar(values: np.ndarray, geom: GridGeometry) -> np.ndarray:
+    """Conjugate Wirtinger derivative (f_x + i f_y) / 2 of node values, as in `gradient`."""
+    return wirtinger(*gradient(values, geom))[1]
 
 
 def cumquad(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
@@ -167,16 +178,6 @@ class ComplexGrid:
 
     def min_abs(self) -> float:
         return float(np.min(np.abs(self.values)))
-
-
-def d_z(f: ComplexGrid) -> ComplexGrid:
-    """Wirtinger derivative (f_x - i f_y) / 2."""
-    return f.with_values(wirtinger(*gradient(f.values, f.geometry))[0])
-
-
-def d_zbar(f: ComplexGrid) -> ComplexGrid:
-    """Conjugate Wirtinger derivative (f_x + i f_y) / 2."""
-    return f.with_values(wirtinger(*gradient(f.values, f.geometry))[1])
 
 
 # -- serialization: CSV per field with a JSON geometry sidecar ----------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .errors import NonRealH, NotClosed, NotGeneric, UmbilicPoint
 from .grids import ComplexGrid, GridGeometry, cumquad, d_z, d_zbar, diff4, gradient
 
@@ -62,37 +62,33 @@ def inteq_residual(inv: InvariantTriple) -> tuple[ComplexGrid, ComplexGrid, Comp
     r2 = p_zbar - (2 h conj(h)_z - i (|h|^2)_z)
     r3 = (conj(p) h - p conj(h)) - (h_zbar_zbar - conj(h)_zz)
     """
-    t, h, p = inv.t, inv.h, inv.p
-    hbar = h.with_values(np.conj(h.values))
-    habs2 = h.with_values(np.abs(h.values) ** 2)
-    r1 = t.with_values(d_zbar(t).values - np.conj(t.values) * h.values)
-    r2 = p.with_values(
-        d_zbar(p).values - (2.0 * h.values * d_z(hbar).values - 1j * d_z(habs2).values)
-    )
-    r3 = p.with_values(
-        (np.conj(p.values) * h.values - p.values * np.conj(h.values))
-        - (d_zbar(d_zbar(h)).values - d_z(d_z(hbar)).values)
-    )
-    return r1, r2, r3
+    geom = inv.geometry
+    t, h, p = inv.t.values, inv.h.values, inv.p.values
+    hbar = np.conj(h)
+    hbar_z = d_z(hbar, geom)
+    # |h|^2 is differenced as complex: diff4 of the real array differs in the last bits
+    habs2 = np.abs(h) ** 2 + 0j
+    r1 = d_zbar(t, geom) - np.conj(t) * h
+    r2 = d_zbar(p, geom) - (2.0 * h * hbar_z - 1j * d_z(habs2, geom))
+    r3 = (np.conj(p) * h - p * hbar) - (d_zbar(d_zbar(h, geom), geom) - d_z(hbar_z, geom))
+    return ComplexGrid(geom, r1), ComplexGrid(geom, r2), ComplexGrid(geom, r3)
 
 
 def diffeq_residual(
-    t: ComplexGrid,
-    h_real: ComplexGrid,
-    p2: ComplexGrid,
-    tol_resid: float = DEFAULT_TOLS.tol_resid,
+    t: ComplexGrid, h_real: ComplexGrid, p2: ComplexGrid
 ) -> tuple[ComplexGrid, np.ndarray, np.ndarray]:
     """Residuals of the real-h PDE system governing applicable immersions.
 
     r1 = t_zbar - h conj(t);  r2 = h_xy + 2 h p2;  r3 = lap(p2) + 4 (h^2)_xy.
     """
+    tol = DEFAULT_TOLS.tol_resid
     im = float(np.max(np.abs(h_real.values.imag)))
-    if im > tol_resid:
-        raise NonRealH(f"max |Im h| = {im:.3e} > {tol_resid:.3e}")
+    if im > tol:
+        raise NonRealH(f"max |Im h| = {im:.3e} > {tol:.3e}")
     h = h_real.values.real
     p2v = p2.values.real
     geom = h_real.geometry
-    r1 = t.with_values(d_zbar(t).values - h * np.conj(t.values))
+    r1 = ComplexGrid(geom, d_zbar(t.values, geom) - h * np.conj(t.values))
     h_xy = diff4(diff4(h, geom.dx, 0), geom.dy, 1)
     r2 = h_xy + 2.0 * h * p2v
     lap = (
@@ -104,9 +100,7 @@ def diffeq_residual(
     return r1, r2, r3
 
 
-def p1_from_p2(
-    p2: ComplexGrid, h: ComplexGrid, tol_resid: float = DEFAULT_TOLS.tol_resid
-) -> np.ndarray:
+def p1_from_p2(p2: ComplexGrid, h: ComplexGrid) -> np.ndarray:
     """Primitive of [(p2)_y + 2(h^2)_x] dx - [(p2)_x + 2(h^2)_y] dy, zero at the base node.
 
     The 1-form is checked for closedness first; grid-path integration runs
@@ -122,8 +116,9 @@ def p1_from_p2(
     G = -(p2_x + 2.0 * h2_y)
     curl = diff4(F, geom.dy, 1) - diff4(G, geom.dx, 0)
     cmax = float(np.max(np.abs(curl)))
-    if cmax > tol_resid:
-        raise NotClosed(f"curl residual {cmax:.3e} > {tol_resid:.3e}")
+    tol = DEFAULT_TOLS.tol_resid
+    if cmax > tol:
+        raise NotClosed(f"curl residual {cmax:.3e} > {tol:.3e}")
     out = np.empty((geom.nx, geom.ny))
     out[0, :] = cumquad(G[0, :], geom.dy)
     out[:, :] = out[0, :][None, :] + cumquad(F, geom.dx, axis=0)
@@ -149,14 +144,12 @@ def dbar_fubini_residual(inv: InvariantTriple) -> ComplexGrid:
     Returns d_zbar(t^2) - 2 |t|^2 h, which vanishes whenever the first
     compatibility equation holds.
     """
-    t, h = inv.t, inv.h
-    t2 = t.with_values(t.values**2)
-    return t.with_values(d_zbar(t2).values - 2.0 * np.abs(t.values) ** 2 * h.values)
+    geom = inv.geometry
+    t, h = inv.t.values, inv.h.values
+    return ComplexGrid(geom, d_zbar(t**2, geom) - 2.0 * np.abs(t) ** 2 * h)
 
 
-def genericity_ops(
-    h: ComplexGrid, tol_umbilic: float = DEFAULT_TOLS.tol_umbilic
-) -> tuple[ComplexGrid, ComplexGrid, ComplexGrid, ComplexGrid]:
+def genericity_ops(h: ComplexGrid) -> tuple[ComplexGrid, ComplexGrid, ComplexGrid, ComplexGrid]:
     """Second- through fourth-order operators of h used for p-recovery.
 
     D2 = (conj(h)_zz - h_zbar_zbar) / (2 conj(h))
@@ -164,48 +157,36 @@ def genericity_ops(
     P2 = (conj(h)_z / conj(h))_zbar - (h_zbar / h)_z
     D4 = (conj(D3))_zbar - (D3)_z - (conj(h)_z/conj(h)) D3 + (h_zbar/h) conj(D3)
     """
-    if h.min_abs() < tol_umbilic:
-        raise UmbilicPoint(f"min |h| = {h.min_abs():.3e} < {tol_umbilic:.3e}")
+    tol = DEFAULT_TOLS.tol_umbilic
+    if h.min_abs() < tol:
+        raise UmbilicPoint(f"min |h| = {h.min_abs():.3e} < {tol:.3e}")
     geom = h.geometry
     hv = h.values
-    hbar = h.with_values(np.conj(hv))
-    habs2 = h.with_values(np.abs(hv) ** 2)
-    hbar_z = d_z(hbar)
-    h_zbar = d_zbar(h)
-    d2 = h.with_values((d_z(d_z(hbar)).values - d_zbar(d_zbar(h)).values) / (2.0 * np.conj(hv)))
-    d3 = h.with_values(
-        (d_zbar(d2).values - 2.0 * hv * hbar_z.values + 1j * d_z(habs2).values) / hv
-    )
-    p2 = h.with_values(
-        d_zbar(h.with_values(hbar_z.values / np.conj(hv))).values
-        - d_z(h.with_values(h_zbar.values / hv)).values
-    )
-    d3bar = h.with_values(np.conj(d3.values))
-    d4 = h.with_values(
-        d_zbar(d3bar).values
-        - d_z(d3).values
-        - (hbar_z.values / np.conj(hv)) * d3.values
-        + (h_zbar.values / hv) * d3bar.values
-    )
-    return d2, d3, p2, d4
+    hbar = np.conj(hv)
+    hbar_z = d_z(hbar, geom)
+    h_zbar = d_zbar(hv, geom)
+    # |h|^2 is differenced as complex: diff4 of the real array differs in the last bits
+    habs2 = np.abs(hv) ** 2 + 0j
+    d2 = (d_z(hbar_z, geom) - d_zbar(h_zbar, geom)) / (2.0 * hbar)
+    d3 = (d_zbar(d2, geom) - 2.0 * hv * hbar_z + 1j * d_z(habs2, geom)) / hv
+    p2 = d_zbar(hbar_z / hbar, geom) - d_z(h_zbar / hv, geom)
+    d3bar = np.conj(d3)
+    d4 = (d_zbar(d3bar, geom) - d_z(d3, geom)
+          - (hbar_z / hbar) * d3 + (h_zbar / hv) * d3bar)
+    return tuple(ComplexGrid(geom, v) for v in (d2, d3, p2, d4))
 
 
-def is_generic(
-    inv: InvariantTriple,
-    tol: float = DEFAULT_TOLS.tol_umbilic,
-) -> np.ndarray:
+def is_generic(inv: InvariantTriple) -> np.ndarray:
     """Boolean grid: node is generic when the Hopf coefficient and P2 are both nonzero."""
+    tol = DEFAULT_TOLS.tol_umbilic
     hopf_nonzero = np.abs(inv.h.values) > tol
     if not hopf_nonzero.all():
         return hopf_nonzero
-    _, _, p2, _ = genericity_ops(inv.h, tol_umbilic=tol)
+    _, _, p2, _ = genericity_ops(inv.h)
     return hopf_nonzero & (np.abs(p2.values) > tol)
 
 
-def recover_p(
-    h: ComplexGrid,
-    tol_umbilic: float = DEFAULT_TOLS.tol_umbilic,
-) -> tuple[np.ndarray, ComplexGrid, float]:
+def recover_p(h: ComplexGrid) -> tuple[np.ndarray, ComplexGrid, float]:
     """Recover (s, p) from h alone via s = -D4/P2, p = h s + D2.
 
     Returns (s real grid, p, max imaginary residual of s).  s is real-valued
@@ -213,8 +194,8 @@ def recover_p(
     a diagnostic rather than silently dropped.  Raises UmbilicPoint where
     |h| < tol_umbilic and NotGeneric where |P2| <= tol_umbilic.
     """
-    d2, _, p2, d4 = genericity_ops(h, tol_umbilic=tol_umbilic)
-    bad = np.abs(p2.values) <= tol_umbilic
+    d2, _, p2, d4 = genericity_ops(h)
+    bad = np.abs(p2.values) <= DEFAULT_TOLS.tol_umbilic
     if bad.any():
         idx = np.argwhere(bad)
         raise NotGeneric(
@@ -245,5 +226,5 @@ def applicability_residual(h: ComplexGrid, w: ComplexGrid) -> np.ndarray:
     if not w.geometry == h.geometry:
         raise ValueError("h and w must share one grid geometry")
     align = np.abs(np.imag(np.conj(w.values) * h.values))
-    holo = np.abs(d_zbar(w).values)
+    holo = np.abs(d_zbar(w.values, w.geometry))
     return align + holo

@@ -14,7 +14,6 @@ from scipy.linalg import expm
 
 import symplag as sg
 from symplag.frames import FrameField, extract_invariants
-from symplag.generators import curve_grid
 
 
 FINE = sg.GridGeometry(61, 61, 0.0, 0.0, 0.005, 0.005)
@@ -231,7 +230,7 @@ def test_criterion_09_umbilic_correspondence():
     m = sg.curve_to_immersion(geom, curve)
     _, inv, _ = quiet(sg.reduction_pipeline, m, margin=8)
     h_err = float(np.max(np.abs(inv.h.values)))
-    flex = float(np.max(np.abs(sg.flex_defect(curve_grid(geom, curve)) - 1.0)))
+    flex = float(np.max(np.abs(sg.flex_defect(geom, curve) - 1.0)))
     # lambda-family from p_fn = 0: pairwise distinct surfaces, shared Fubini data
     small = sg.GridGeometry(61, 61, -0.3, -0.3, 0.01, 0.01)
     members, fubinis = [], []

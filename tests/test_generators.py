@@ -6,7 +6,6 @@ from scipy.linalg import expm
 
 import symplag as sg
 from symplag.errors import NotHolomorphic, ParameterDomain
-from symplag.generators import curve_grid
 from symplag.grids import diff4
 
 
@@ -114,9 +113,9 @@ def test_flex_defect_on_exact_curve():
     geom = sg.GridGeometry(41, 41, -0.2, -0.2, 0.01, 0.01)
     zz = geom.zmesh()
     curve = np.stack([zz, 0.5 * zz**2], axis=-1)
-    fd = sg.flex_defect(curve_grid(geom, curve))
+    fd = sg.flex_defect(geom, curve)
     assert np.max(np.abs(fd - 1.0)) < 1e-10
     # a flexed curve: (z, z^3/6) has f_z wedge f_zz = z -> 0 at the origin
     curve2 = np.stack([zz, zz**3 / 6.0], axis=-1)
-    fd2 = sg.flex_defect(curve_grid(geom, curve2))
+    fd2 = sg.flex_defect(geom, curve2)
     assert np.max(np.abs(fd2 - np.abs(zz))) < 1e-10

@@ -45,15 +45,35 @@ def test_diff4_order_four_convergence():
 
 
 def test_wirtinger_on_holomorphic_and_analytic_field():
-    f = sg.ComplexGrid.from_function(GEOM, lambda z: z)
-    assert np.max(np.abs(sg.d_z(f).values - 1.0)) < 1e-12
-    assert np.max(np.abs(sg.d_zbar(f).values)) < 1e-12
-    g = sg.ComplexGrid.constant(GEOM, 3.0 - 1j)
-    assert sg.d_z(g).max_abs() < 1e-12
+    zz = GEOM.zmesh()
+    assert np.max(np.abs(sg.d_z(zz, GEOM) - 1.0)) < 1e-12
+    assert np.max(np.abs(sg.d_zbar(zz, GEOM))) < 1e-12
+    assert np.max(np.abs(sg.d_z(np.full(zz.shape, 3.0 - 1j), GEOM))) < 1e-12
     xx, yy = GEOM.mesh()
-    trig = sg.ComplexGrid(GEOM, np.sin(xx) * np.cosh(yy))
+    trig = np.sin(xx) * np.cosh(yy)
     want = 0.5 * (np.cos(xx) * np.cosh(yy) - 1j * np.sin(xx) * np.sinh(yy))
-    assert np.max(np.abs(sg.d_z(trig).values - want)) < 1e-5
+    assert np.max(np.abs(sg.d_z(trig, GEOM) - want)) < 1e-5
+
+
+def test_wirtinger_on_stacked_components():
+    zz = GEOM.zmesh()
+    u = np.stack([np.exp(zz), zz * np.conj(zz)], axis=-1)
+    for op in (sg.d_z, sg.d_zbar):
+        stacked = op(u, GEOM)
+        assert stacked.shape == u.shape
+        for k in range(2):
+            one = op(u[..., k], GEOM)
+            assert np.max(np.abs(stacked[..., k] - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+def test_wirtinger_conjugation_identity():
+    # d_z(conj u) = conj(d_zbar u), checked where u is far from holomorphic
+    zz = GEOM.zmesh()
+    u = np.exp(zz) + 0.3 * np.conj(zz) ** 2 + np.sin(zz.real) * zz.imag
+    u_zbar = sg.d_zbar(u, GEOM)
+    scale = np.max(np.abs(u_zbar))
+    assert scale > 0.1
+    assert np.max(np.abs(sg.d_z(np.conj(u), GEOM) - np.conj(u_zbar))) <= 1e-12 * scale
 
 
 def test_diff4_needs_five_nodes():
