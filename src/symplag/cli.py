@@ -15,6 +15,7 @@ import math
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
@@ -86,7 +87,8 @@ class JobConfig:
 
 @dataclass
 class Report:
-    """Residual summaries plus pass/fail flags, traceable to named tolerances."""
+    """Residual summaries plus pass/fail flags, traceable to named tolerances,
+    and the wall time of each stage of the command."""
 
     command: str
     config: dict
@@ -94,6 +96,7 @@ class Report:
     flags: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
+    timings: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
 
     def add_residual(self, name: str, values: np.ndarray) -> float:
@@ -108,6 +111,15 @@ class Report:
         self.flags[name] = {"value": value, "tolerance": tol_name,
                             "tol": tol, "passed": bool(ok)}
 
+    @contextmanager
+    def timed(self, name: str):
+        """Add the wall time of the block to timings[name], in seconds."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
+
     @property
     def passed(self) -> bool:
         return all(f["passed"] for f in self.flags.values())
@@ -120,6 +132,7 @@ class Report:
             "flags": self.flags,
             "outputs": self.outputs,
             "warnings": self.warnings,
+            "timings": self.timings,
             "wall_time_s": self.wall_time_s,
             "config": self.config,
             "versions": {
@@ -288,10 +301,11 @@ def _run_verify(cfg: JobConfig, rep: Report) -> None:
 
 def _run_integrate(cfg: JobConfig, rep: Report) -> None:
     tols = cfg.tolerances
-    inv = triple_from_params(cfg.grid, cfg.params)
-    theta = theta_from_invariants(inv)
-    F = integrate_frame(theta, tols=tols)
-    m = immersion_from_frame(F)
+    with rep.timed("integrate"):
+        inv = triple_from_params(cfg.grid, cfg.params)
+        theta = theta_from_invariants(inv)
+        F = integrate_frame(theta, tols=tols)
+        m = immersion_from_frame(F)
     rep.add_flag("flatness", F.flatness_report, "tol_flat", tols.tol_flat)
     rep.add_flag("path_defect", F.path_defect, "tol_congruent", tols.tol_congruent)
     rep.add_flag("symplectic_defect", F.max_symplectic_defect(),
@@ -299,29 +313,32 @@ def _run_integrate(cfg: JobConfig, rep: Report) -> None:
     lag = rep.add_residual("lagrangian_defect", lagrangian_defect(m))
     rep.add_flag("lagrangian", lag, "tol_frame", tols.tol_frame)
     out = cfg.output_dir / "immersion.csv"
-    save_immersion(m, out, frame=F)
+    with rep.timed("write"):
+        save_immersion(m, out, frame=F)
     rep.outputs.append(str(out))
 
 
 def _run_example(cfg: JobConfig, rep: Report) -> None:
     kind = cfg.params.get("kind", "constant")
-    if kind == "constant":
-        m = closed_form_immersion(_family_params(cfg.params), cfg.grid)
-    elif kind == "umbilic":
-        p_fn = _poly_grid(cfg.grid, "p_poly", cfg.params.get("p_poly", [0.0]))
-        spec = UmbilicCurveSpec(p_fn, _number("lam", cfg.params.get("lam", 0.0)))
-        m = umbilic_immersion(spec, cfg.tolerances)
-    else:
-        raise ConfigError(f"unknown example kind {kind!r}")
+    with rep.timed("build"):
+        if kind == "constant":
+            m = closed_form_immersion(_family_params(cfg.params), cfg.grid)
+        elif kind == "umbilic":
+            p_fn = _poly_grid(cfg.grid, "p_poly", cfg.params.get("p_poly", [0.0]))
+            spec = UmbilicCurveSpec(p_fn, _number("lam", cfg.params.get("lam", 0.0)))
+            m = umbilic_immersion(spec, cfg.tolerances)
+        else:
+            raise ConfigError(f"unknown example kind {kind!r}")
     lag = rep.add_residual("lagrangian_defect", lagrangian_defect(m))
     rep.add_flag("lagrangian", lag, "tol_frame", cfg.tolerances.tol_frame)
     out = cfg.output_dir / "immersion.csv"
-    save_immersion(m, out)
-    rep.outputs.append(str(out))
-    for fmt in cfg.params.get("export", []):
-        path = cfg.output_dir / f"immersion-{fmt}.obj"
-        export_mesh(m, fmt, path)
-        rep.outputs.append(str(path))
+    with rep.timed("write"):
+        save_immersion(m, out)
+        rep.outputs.append(str(out))
+        for fmt in cfg.params.get("export", []):
+            path = cfg.output_dir / f"immersion-{fmt}.obj"
+            export_mesh(m, fmt, path)
+            rep.outputs.append(str(path))
 
 
 def _run_family(cfg: JobConfig, rep: Report) -> None:
@@ -339,10 +356,12 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
         r1, r2, r3 = inteq_residual(inv)
         mx = max(float(np.max(np.abs(r.values))) for r in (r1, r2, r3))
         rep.add_flag(f"inteq_lam_{lam:g}", mx, "tol_resid", tols.tol_resid)
-        F = integrate_frame(theta_from_invariants(inv), tols=tols,
-                            compute_path_defect=False)
-        members.append(immersion_from_frame(F))
-    matrix = congruence_matrix(members, tols, margin)
+        with rep.timed("integrate"):
+            F = integrate_frame(theta_from_invariants(inv), tols=tols,
+                                compute_path_defect=False)
+            members.append(immersion_from_frame(F))
+    with rep.timed("congruence"):
+        matrix = congruence_matrix(members, tols, margin)
     rep.residuals["congruence_matrix"] = {"lambdas": lambdas,
                                           "matrix": matrix.tolist()}
     off = matrix[~np.eye(len(members), dtype=bool)]
@@ -356,21 +375,25 @@ def _run_invariants(cfg: JobConfig, rep: Report) -> None:
     src = cfg.params.get("immersion")
     if not src:
         raise ConfigError("invariants command needs params.immersion (CSV path)")
-    m, _ = _load(load_immersion, src)
+    with rep.timed("load"):
+        m, _ = _load(load_immersion, src)
     margin = _margin(cfg.params, m.geometry)
-    _, inv, gauge = reduction_pipeline(m, tols=tols, margin=margin)
+    with rep.timed("reduce"):
+        _, inv, gauge = reduction_pipeline(m, tols=tols, margin=margin)
     gmax = rep.add_residual("gauge", list(gauge.values()))
     rep.add_flag("adapted_gauge", gmax, "tol_gauge", tols.tol_gauge)
     # inteq on re-extracted fields re-differentiates them, amplifying the
     # extraction noise by 1/spacing; reported for information, not gated.
-    r1, r2, r3 = inteq_residual(inv)
+    with rep.timed("inteq"):
+        r1, r2, r3 = inteq_residual(inv)
     rep.add_residual("inteq_r1", r1.values)
     rep.add_residual("inteq_r2", r2.values)
     rep.add_residual("inteq_r3", r3.values)
-    for name, g in (("t", inv.t), ("h", inv.h), ("p", inv.p)):
-        out = cfg.output_dir / f"invariant_{name}.csv"
-        save_grid(g, out)
-        rep.outputs.append(str(out))
+    with rep.timed("write"):
+        for name, g in (("t", inv.t), ("h", inv.h), ("p", inv.p)):
+            out = cfg.output_dir / f"invariant_{name}.csv"
+            save_grid(g, out)
+            rep.outputs.append(str(out))
 
 
 def _run_congruence(cfg: JobConfig, rep: Report) -> None:
@@ -380,10 +403,12 @@ def _run_congruence(cfg: JobConfig, rep: Report) -> None:
         b = cfg.params["second"]
     except KeyError as e:
         raise ConfigError(f"congruence command needs params.{e.args[0]}") from e
-    m1, _ = _load(load_immersion, a)
-    m2, _ = _load(load_immersion, b)
+    with rep.timed("load"):
+        m1, _ = _load(load_immersion, a)
+        m2, _ = _load(load_immersion, b)
     margin = _margin(cfg.params, m1.geometry, m2.geometry)
-    d = congruence_defect(m1, m2, tols=tols, margin=margin)
+    with rep.timed("congruence"):
+        d = congruence_defect(m1, m2, tols=tols, margin=margin)
     rep.add_residual("congruence_defect", d)
     rep.add_flag("congruent", d, "tol_congruent", tols.tol_congruent)
 

@@ -537,14 +537,16 @@ def save_immersion(
     if frame is not None and frame.geometry != geom:
         raise ValueError("frame and immersion must share one grid geometry")
     header = ["i", "j", "x", "y", "f1", "f2", "f3", "f4"]
-    ii, jj = np.indices((geom.nx, geom.ny))
-    xx, yy = geom.mesh()
-    cols = [np.stack([ii, jj, xx, yy], axis=-1), m.f]
+    values = m.f
     if frame is not None:
         header += [f"s{r}{c}" for r in range(1, 5) for c in range(1, 5)]
-        cols.append(frame.S[..., 1:, 1:].reshape(geom.nx, geom.ny, 16))
-    table = np.concatenate(cols, axis=-1).reshape(geom.nx * geom.ny, len(header))
-    grids._save_table(path, geom, header, table)
+        S = frame.S[..., 1:, 1:].reshape(geom.nx, geom.ny, 16)
+        values = np.concatenate([values, S], axis=-1)
+    text = grids._axis_text
+    js, ys = text(np.arange(geom.ny, dtype=float)), text(geom.y)
+    lead = ([i + j + x + y for j, y in zip(js, ys)]
+            for i, x in zip(text(np.arange(geom.nx, dtype=float)), text(geom.x)))
+    grids._save_table(path, geom, header, lead, values)
 
 
 def _node_index(path: str | Path, geom: GridGeometry, ij: np.ndarray) -> np.ndarray:

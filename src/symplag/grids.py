@@ -184,16 +184,33 @@ class ComplexGrid:
 
 
 def _save_table(path: str | Path, geom: GridGeometry, header: list[str],
-                table: np.ndarray) -> None:
-    """Write `table` as CSV rows at 17 significant digits plus a .json sidecar.
+                lead, values: np.ndarray) -> None:
+    """Write one CSV row per node at 17 significant digits plus a .json sidecar.
 
-    Lines end in CRLF, the RFC 4180 line ending that the csv module writes.
+    `values` is the (nx, ny, k) float array of the nodes' k value columns;
+    `lead` yields, for each grid row i, the ny nodes' comma-terminated
+    coordinate text that precedes them.  Rows go out in C order, one grid row
+    per `%`, and end in CRLF, the RFC 4180 line ending that the csv module
+    writes.  A non-finite value raises ValueError naming its node, before
+    anything is written.
     """
     path = Path(path)
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", newline="\r\n",
-               header=",".join(header), comments="")
+    bad = ~np.all(np.isfinite(values), axis=-1)
+    if np.any(bad):
+        node = tuple(np.argwhere(bad)[0].tolist())
+        raise ValueError(f"{path}: node {node} holds a non-finite value")
+    cell = ",".join(["%.17g"] * values.shape[-1]) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row, lead_i in zip(values, lead):
+            fh.write("".join([s + cell for s in lead_i]) % tuple(row.ravel().tolist()))
     with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
         json.dump(geom.as_dict(), fh, indent=2)
+
+
+def _axis_text(coords: np.ndarray) -> list[str]:
+    """Comma-terminated `%.17g` text of each coordinate, as `_save_table` writes it."""
+    return ["%.17g," % c for c in coords.tolist()]
 
 
 def _load_table(path: str | Path) -> tuple[GridGeometry, list[str], np.ndarray]:
@@ -211,16 +228,19 @@ def _load_table(path: str | Path) -> tuple[GridGeometry, list[str], np.ndarray]:
 
 def save_grid(f: ComplexGrid, path: str | Path) -> None:
     """Write `x,y,re,im` rows (17 significant digits) plus a .json sidecar."""
-    xx, yy = f.geometry.mesh()
-    table = np.stack([xx, yy, f.values.real, f.values.imag], axis=-1)
-    _save_table(path, f.geometry, ["x", "y", "re", "im"], table.reshape(-1, 4))
+    geom = f.geometry
+    ys = _axis_text(geom.y)
+    lead = ([x + y for y in ys] for x in _axis_text(geom.x))
+    values = np.stack([f.values.real, f.values.imag], axis=-1)
+    _save_table(path, geom, ["x", "y", "re", "im"], lead, values)
 
 
 def load_grid(path: str | Path) -> ComplexGrid:
     """Read a `save_grid` CSV back.
 
     Rows are placed in C order; a row whose (x, y) lies more than a quarter
-    grid step off its node raises ValueError.
+    grid step off its node, or whose re or im is not finite, raises
+    ValueError naming the row and node.
     """
     geom, _, data = _load_table(path)
     n = geom.nx * geom.ny
@@ -234,6 +254,11 @@ def load_grid(path: str | Path) -> ComplexGrid:
         r = int(np.argmax(bad))
         raise ValueError(f"{path}: row {r + 1} at (x, y) = ({data[r, 0]:.17g}, "
                          f"{data[r, 1]:.17g}) is not node {divmod(r, geom.ny)}")
+    bad = ~np.all(np.isfinite(data[:, 2:]), axis=1)
+    if np.any(bad):
+        r = int(np.argmax(bad))
+        raise ValueError(f"{path}: row {r + 1} (node {divmod(r, geom.ny)}) "
+                         f"holds a non-finite value")
     values = np.empty(n, dtype=complex)
     values.real = data[:, 2]
     values.imag = data[:, 3]

@@ -105,6 +105,23 @@ def test_integrate_and_invariants_commands(tmp_path):
     assert np.max(np.abs(t.values - sign * want)) < 1e-5
 
 
+def test_report_times_each_stage(tmp_path):
+    out1 = tmp_path / "ex"
+    assert main(["example", "--out", str(out1)]) == 0
+    rep = json.loads((out1 / "report.json").read_text())
+    assert set(rep["timings"]) == {"build", "write"}
+    doc = tmp_path / "inv.json"
+    doc.write_text(json.dumps({"command": "invariants",
+                               "params": {"immersion": str(out1 / "immersion.csv")}}))
+    out2 = tmp_path / "back"
+    assert main(["--config", str(doc), "--out", str(out2)]) == 0
+    rep = json.loads((out2 / "report.json").read_text())
+    timings = rep["timings"]
+    assert set(timings) == {"load", "reduce", "inteq", "write"}
+    assert all(s >= 0.0 for s in timings.values())
+    assert sum(timings.values()) <= rep["wall_time_s"]
+
+
 def test_family_command_congruence_matrix(tmp_path):
     doc = tmp_path / "fam.json"
     doc.write_text(json.dumps({
@@ -263,16 +280,22 @@ def test_bad_numeric_param_exits_2(tmp_path, capsys, command, params, key):
 def test_non_finite_invariant_csv_exits_2(tmp_path, capsys):
     geom = sg.GridGeometry(11, 11, 0.0, 0.0, 0.01, 0.01)
     inv = sg.family_triple(sg.ConstantFamilyParams(p=1.0), geom)
-    h = inv.h.values.copy()
-    h[5, 5] = np.nan
-    fields = {"t": inv.t, "h": inv.h.with_values(h), "p": inv.p}
+    fields = {"t": inv.t, "h": inv.h, "p": inv.p}
     for name, g in fields.items():
         sg.save_grid(g, tmp_path / f"{name}.csv")
+    # save_grid refuses a NaN, so put one into h's file by hand
+    path = tmp_path / "h.csv"
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    lines[1 + 5 * 11 + 5] = lines[1 + 5 * 11 + 5].rsplit(",", 2)[0] + ",nan,0\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.writelines(lines)
     doc = tmp_path / "cfg.json"
     doc.write_text(json.dumps({"command": "verify", "grid": geom.as_dict(),
                                "params": {k: str(tmp_path / f"{k}.csv") for k in fields}}))
     assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
-    assert "h must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(path) in err and "row 61 (node (5, 5)) holds a non-finite value" in err
 
 
 @pytest.mark.parametrize("margin", [-1, 29, 2.5, True])

@@ -349,6 +349,18 @@ def test_immersion_save_load_roundtrip(tmp_path):
     assert F3 is None and np.array_equal(m3.f, m.f)
 
 
+def test_save_immersion_rejects_non_finite_frame(tmp_path):
+    geom = sg.GridGeometry(7, 7, 0.0, 0.0, 0.1, 0.1)
+    xx, yy = geom.mesh()
+    m = sg.ImmersionGrid(geom, np.stack([xx, yy, xx * yy, xx - yy], axis=-1))
+    S = np.tile(np.eye(5), (7, 7, 1, 1))
+    S[1, 1, 2, 3] = np.inf
+    path = tmp_path / "imm.csv"
+    with pytest.raises(ValueError, match=r"node \(1, 1\) holds a non-finite value"):
+        sg.save_immersion(m, path, frame=FrameField(geom, S))
+    assert not path.exists()
+
+
 def _duplicate_row(lines):
     lines[1 + 3 * 7 + 3] = lines[1 + 0 * 7 + 1]  # node (3, 3) becomes a copy of (0, 1)
 

@@ -158,6 +158,31 @@ def test_load_grid_rejects_swapped_rows(tmp_path):
         sg.load_grid(path)
 
 
+def test_save_grid_rejects_non_finite_value(tmp_path):
+    values = np.ones((21, 17), dtype=complex)
+    values[3, 4] = complex(1.0, np.inf)
+    values[5, 0] = np.nan
+    path = tmp_path / "field.csv"
+    with pytest.raises(ValueError, match=r"node \(3, 4\) holds a non-finite value"):
+        sg.save_grid(sg.ComplexGrid(GEOM, values), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("column", [2, 3], ids=["re", "im"])
+def test_load_grid_rejects_non_finite_value(tmp_path, column):
+    path = tmp_path / "field.csv"
+    sg.save_grid(sg.ComplexGrid(GEOM, np.ones((21, 17), dtype=complex)), path)
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    cells = lines[1 + 2 * 17 + 9].split(",")  # node (2, 9)
+    cells[column] = "nan" if column == 2 else "-inf\r\n"
+    lines[1 + 2 * 17 + 9] = ",".join(cells)
+    with open(path, "w", newline="") as fh:
+        fh.writelines(lines)
+    with pytest.raises(ValueError, match=r"row 44 \(node \(2, 9\)\) holds a non-finite value"):
+        sg.load_grid(path)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_diff4_linearity(a, b):

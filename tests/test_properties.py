@@ -13,6 +13,8 @@ from hypothesis.extra.numpy import arrays
 import symplag as sg
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# what a hand-written formatter is likeliest to get wrong: signed zero, integers
+csv_values = st.one_of(finite, st.just(-0.0), st.integers(-10**17, 10**17).map(float))
 non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
 non_positive = st.floats(max_value=0.0, allow_nan=False)
 GEOM = {"nx": 5, "ny": 5, "x0": 0.0, "y0": 0.0, "dx": 0.1, "dy": 0.1}
@@ -66,6 +68,55 @@ def test_immersion_csv_roundtrip_is_bit_exact(data, with_frame):
         assert same_bits(back_frame.S, frame.S)
     else:
         assert back_frame is None
+
+
+def savetxt_bytes(path: Path, header: list[str], table: np.ndarray) -> bytes:
+    """The bytes np.savetxt writes for a (rows, columns) table, the CSV
+    writers' former implementation and the oracle of their format."""
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", newline="\r\n",
+               header=",".join(header), comments="")
+    return path.read_bytes()
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_grid_csv_bytes_match_savetxt(data):
+    geom = data.draw(geometries())
+    values = np.empty((geom.nx, geom.ny), dtype=complex)  # re + 1j * im would lose -0.0
+    values.real = data.draw(arrays(float, values.shape, elements=csv_values))
+    values.imag = data.draw(arrays(float, values.shape, elements=csv_values))
+    xx, yy = geom.mesh()
+    table = np.stack([xx, yy, values.real, values.imag], axis=-1).reshape(-1, 4)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.csv"
+        sg.save_grid(sg.ComplexGrid(geom, values), path)
+        want = savetxt_bytes(Path(tmp) / "oracle.csv", ["x", "y", "re", "im"], table)
+        assert path.read_bytes() == want
+
+
+@settings(max_examples=25)
+@given(st.data(), st.booleans())
+def test_immersion_csv_bytes_match_savetxt(data, with_frame):
+    geom = data.draw(geometries())
+    f = data.draw(arrays(float, (geom.nx, geom.ny, 4), elements=csv_values))
+    header = ["i", "j", "x", "y", "f1", "f2", "f3", "f4"]
+    ii, jj = np.indices((geom.nx, geom.ny))
+    xx, yy = geom.mesh()
+    cols = [np.stack([ii, jj, xx, yy], axis=-1), f]
+    frame = None
+    if with_frame:
+        S = np.zeros((geom.nx, geom.ny, 5, 5))
+        S[..., 0, 0] = 1.0
+        S[..., 1:, 0] = f
+        S[..., 1:, 1:] = data.draw(arrays(float, (geom.nx, geom.ny, 4, 4), elements=csv_values))
+        frame = sg.FrameField(geom, S)
+        header += [f"s{r}{c}" for r in range(1, 5) for c in range(1, 5)]
+        cols.append(S[..., 1:, 1:].reshape(geom.nx, geom.ny, 16))
+    table = np.concatenate(cols, axis=-1).reshape(-1, len(header))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        sg.save_immersion(sg.ImmersionGrid(geom, f), path, frame=frame)
+        assert path.read_bytes() == savetxt_bytes(Path(tmp) / "oracle.csv", header, table)
 
 
 @given(st.sampled_from(["x0", "y0", "dx", "dy"]), non_finite)
