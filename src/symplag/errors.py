@@ -56,7 +56,7 @@ class IntegrationBlowup(SymplagError):
 
 
 class FrameDefect(SymplagError):
-    """Frame node left the symplectic group beyond repair by projection."""
+    """Integrated frame left the symplectic group by more than tol_frame."""
 
 
 class ParameterDomain(SymplagError):

@@ -186,13 +186,12 @@ def is_generic(inv: InvariantTriple) -> np.ndarray:
     return hopf_nonzero & (np.abs(p2.values) > tol)
 
 
-def recover_p(h: ComplexGrid) -> tuple[np.ndarray, ComplexGrid, float]:
+def recover_p(h: ComplexGrid) -> tuple[np.ndarray, ComplexGrid]:
     """Recover (s, p) from h alone via s = -D4/P2, p = h s + D2.
 
-    Returns (s real grid, p, max imaginary residual of s).  s is real-valued
-    when the compatibility equations hold; the imaginary part is reported as
-    a diagnostic rather than silently dropped.  Raises UmbilicPoint where
-    |h| < tol_umbilic and NotGeneric where |P2| <= tol_umbilic.
+    Returns (s real grid, p).  s is real by construction: P2 and D4 both have
+    the form U - conj(U), so both are purely imaginary.  Raises UmbilicPoint
+    where |h| < tol_umbilic and NotGeneric where |P2| <= tol_umbilic.
     """
     d2, _, p2, d4 = genericity_ops(h)
     bad = np.abs(p2.values) <= DEFAULT_TOLS.tol_umbilic
@@ -201,11 +200,9 @@ def recover_p(h: ComplexGrid) -> tuple[np.ndarray, ComplexGrid, float]:
         raise NotGeneric(
             f"P2 vanishes at {len(idx)} node(s), e.g. (i,j) = {tuple(idx[0])}"
         )
-    s_complex = -d4.values / p2.values
-    s = s_complex.real
-    imag_resid = float(np.max(np.abs(s_complex.imag)))
+    s = (-d4.values / p2.values).real
     p = h.with_values(h.values * s + d2.values)
-    return s, p, imag_resid
+    return s, p
 
 
 def shift_family(inv: InvariantTriple, lam: float) -> InvariantTriple:

@@ -342,3 +342,9 @@ def test_rank_deficient_immersion_exits_1(tmp_path, capsys):
     doc.write_text(json.dumps({"command": "invariants", "params": {"immersion": str(path)}}))
     assert main(["--config", str(doc), "--out", str(tmp_path)]) == 1
     assert "NotElliptic" in capsys.readouterr().err
+
+
+def test_integrate_frame_defect_exits_1(tmp_path, capsys):
+    # the default family frame has a symplectic defect of a few 1e-13
+    assert main(["integrate", "--tol-frame", "1e-14", "--out", str(tmp_path)]) == 1
+    assert "failure: FrameDefect" in capsys.readouterr().err

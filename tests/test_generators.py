@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 import symplag as sg
-from symplag.errors import NotHolomorphic, ParameterDomain
+from symplag.errors import IntegrationBlowup, NotHolomorphic, ParameterDomain
 from symplag.grids import diff4
 
 
@@ -89,6 +89,14 @@ def test_umbilic_curve_unit_determinant():
 def test_umbilic_curve_rejects_antiholomorphic_datum():
     geom, spec = umbilic_setup(np.conj)
     with pytest.raises(NotHolomorphic):
+        sg.umbilic_curve(spec)
+
+
+def test_umbilic_curve_blowup_guard():
+    # the frame grows like e^{1000 |z|}; unguarded, the sweep returns curve
+    # values near 3.7e185
+    geom, spec = umbilic_setup(lambda z: 1e6 + 0 * z, n=61, d=0.005)
+    with pytest.raises(IntegrationBlowup, match="sweep step 7"):
         sg.umbilic_curve(spec)
 
 
