@@ -186,10 +186,11 @@ def _margin(params: dict, *geoms: GridGeometry) -> int:
     return margin
 
 
-def _poly_grid(geom: GridGeometry, key: str, coeffs) -> ComplexGrid:
+def _poly_values(geom: GridGeometry, key: str, coeffs) -> np.ndarray:
     """The polynomial in z with coefficients params.`key`, constant term first.
     Each coefficient is a finite number or an [re, im] pair of finite numbers;
-    anything else is a ConfigError naming the key."""
+    anything else, or a value that overflows on the grid, is a ConfigError
+    naming the key."""
     if not isinstance(coeffs, (list, tuple)):
         raise ConfigError(f"params.{key} must be a list of coefficients, got {coeffs!r}")
     z = geom.zmesh()
@@ -197,30 +198,33 @@ def _poly_grid(geom: GridGeometry, key: str, coeffs) -> ComplexGrid:
     for c in reversed(coeffs):
         re, im = c if isinstance(c, (list, tuple)) and len(c) == 2 else (c, 0.0)
         vals = vals * z + complex(_number(key, re), _number(key, im))
-    return ComplexGrid(geom, vals)
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"params.{key} is not finite on the grid")
+    return vals
 
 
 def triple_from_params(geom: GridGeometry, params: dict) -> InvariantTriple:
     """Build an invariant triple from a params record.
 
     Three sources: `kind: constant` (exponential-ansatz family), `kind:
-    umbilic` (polynomial t and p, h = 0), or explicit `t`/`h`/`p` CSV paths.
-    A triple the params cannot make (one holding a non-finite value, say) is a
-    ConfigError naming the field at fault.
+    umbilic` (polynomial t and p, h = 0), or explicit `t`/`h`/`p` CSV paths,
+    which must share one grid geometry.  A triple the params cannot make (one
+    holding a non-finite value, say) is a ConfigError naming the field at fault.
     """
     try:
         if {"t", "h", "p"} <= set(params):
             t, h, p = (_load(load_grid, params[k]) for k in ("t", "h", "p"))
-            return InvariantTriple(t, h, p)
+            if not t.geometry == h.geometry == p.geometry:
+                raise ConfigError("the t, h and p files must share one grid geometry")
+            return InvariantTriple(t.geometry, t.values, h.values, p.values)
         kind = params.get("kind", "constant")
         lam = _number("lam", params.get("lam", 0.0))
         if kind == "constant":
             return family_triple(_family_params(params), geom, lam)
         if kind == "umbilic":
-            t = _poly_grid(geom, "t_poly", params.get("t_poly", [1.0]))
-            p = _poly_grid(geom, "p_poly", params.get("p_poly", [0.0]))
-            return InvariantTriple(t, ComplexGrid.constant(geom, 0.0),
-                                   p.with_values(p.values - lam))
+            t = _poly_values(geom, "t_poly", params.get("t_poly", [1.0]))
+            p = _poly_values(geom, "p_poly", params.get("p_poly", [0.0]))
+            return InvariantTriple(geom, t, 0.0, p - lam)
     except ValueError as e:
         raise ConfigError(f"bad invariant triple in params: {e}") from e
     raise ConfigError(f"unknown triple kind {kind!r}")
@@ -289,11 +293,11 @@ def _run_verify(cfg: JobConfig, rep: Report) -> None:
     tols = cfg.tolerances
     inv = triple_from_params(cfg.grid, cfg.params)
     r1, r2, r3 = inteq_residual(inv)
-    mx = max(rep.add_residual("inteq_r1", r1.values),
-             rep.add_residual("inteq_r2", r2.values),
-             rep.add_residual("inteq_r3", r3.values))
+    mx = max(rep.add_residual("inteq_r1", r1),
+             rep.add_residual("inteq_r2", r2),
+             rep.add_residual("inteq_r3", r3))
     rep.add_flag("inteq", mx, "tol_resid", tols.tol_resid)
-    df = rep.add_residual("dbar_fubini", dbar_fubini_residual(inv).values)
+    df = rep.add_residual("dbar_fubini", dbar_fubini_residual(inv))
     rep.add_flag("dbar_fubini", df, "tol_resid", tols.tol_resid)
     flat = rep.add_residual("flatness", flatness_residual(theta_from_invariants(inv)))
     rep.add_flag("flatness", flat, "tol_flat", tols.tol_flat)
@@ -324,8 +328,8 @@ def _run_example(cfg: JobConfig, rep: Report) -> None:
         if kind == "constant":
             m = closed_form_immersion(_family_params(cfg.params), cfg.grid)
         elif kind == "umbilic":
-            p_fn = _poly_grid(cfg.grid, "p_poly", cfg.params.get("p_poly", [0.0]))
-            spec = UmbilicCurveSpec(p_fn, _number("lam", cfg.params.get("lam", 0.0)))
+            p = _poly_values(cfg.grid, "p_poly", cfg.params.get("p_poly", [0.0]))
+            spec = UmbilicCurveSpec(cfg.grid, p, _number("lam", cfg.params.get("lam", 0.0)))
             m = umbilic_immersion(spec, cfg.tolerances)
         else:
             raise ConfigError(f"unknown example kind {kind!r}")
@@ -354,7 +358,7 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
     for lam in lambdas:
         inv = shift_family(base, lam)
         r1, r2, r3 = inteq_residual(inv)
-        mx = max(float(np.max(np.abs(r.values))) for r in (r1, r2, r3))
+        mx = max(float(np.max(np.abs(r))) for r in (r1, r2, r3))
         rep.add_flag(f"inteq_lam_{lam:g}", mx, "tol_resid", tols.tol_resid)
         with rep.timed("integrate"):
             F = integrate_frame(theta_from_invariants(inv), tols=tols,
@@ -386,13 +390,13 @@ def _run_invariants(cfg: JobConfig, rep: Report) -> None:
     # extraction noise by 1/spacing; reported for information, not gated.
     with rep.timed("inteq"):
         r1, r2, r3 = inteq_residual(inv)
-    rep.add_residual("inteq_r1", r1.values)
-    rep.add_residual("inteq_r2", r2.values)
-    rep.add_residual("inteq_r3", r3.values)
+    rep.add_residual("inteq_r1", r1)
+    rep.add_residual("inteq_r2", r2)
+    rep.add_residual("inteq_r3", r3)
     with rep.timed("write"):
-        for name, g in (("t", inv.t), ("h", inv.h), ("p", inv.p)):
+        for name, values in (("t", inv.t), ("h", inv.h), ("p", inv.p)):
             out = cfg.output_dir / f"invariant_{name}.csv"
-            save_grid(g, out)
+            save_grid(ComplexGrid(inv.geometry, values), out)
             rep.outputs.append(str(out))
 
 

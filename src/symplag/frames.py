@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .core import J4, _symplectic_error, _symplectic_inverse
+from .core import J4, _symplectic_error, _symplectic_inverse, symplectic_defect
 from .errors import (
     FrameDefect,
     IntegrationBlowup,
@@ -26,7 +26,7 @@ from .errors import (
     NotLagrangian,
     UmbilicGaugeWarning,
 )
-from .grids import ComplexGrid, GridGeometry, diff4, gradient, wirtinger
+from .grids import GridGeometry, diff4, gradient, wirtinger
 from .invariants import InvariantTriple
 from . import grids
 
@@ -50,7 +50,7 @@ class FrameField:
     path_defect: float = 0.0
 
     def max_symplectic_defect(self) -> float:
-        return float(np.max(np.abs(_symplectic_error(self.S[:, :, 1:, 1:]))))
+        return symplectic_defect(self.S[:, :, 1:, 1:])
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,7 @@ def theta_from_invariants(inv: InvariantTriple) -> MaurerCartanField:
       alpha from h, gamma constant, beta from the derivative terms of h and p.
     """
     geom = inv.geometry
-    t = inv.t.values
-    h = inv.h.values
-    p = inv.p.values
+    t, h, p = inv.t, inv.h, inv.p
     t1, t2 = t.real, t.imag
     h1, h2 = h.real, h.imag
     habs2 = np.abs(h) ** 2
@@ -300,9 +298,7 @@ def extract_invariants(
     for name in ("omega", "gamma_trace", "alpha_trace", "alpha_skew", "ell"):
         if report[name] > tols.tol_gauge:
             raise NotAdapted(name, report[name], tols.tol_gauge)
-    geom = F.geometry
-    inv = InvariantTriple(ComplexGrid(geom, t), ComplexGrid(geom, h), ComplexGrid(geom, p))
-    return inv, report
+    return InvariantTriple(F.geometry, t, h, p), report
 
 
 # -- inverse pipeline: immersion -> adapted frame -> invariants ---------------
@@ -463,7 +459,7 @@ def reduction_pipeline(
         S = S[margin:-margin, margin:-margin]
     frame = FrameField(cropped, S)
     inv, report = extract_invariants(frame, tols)
-    if inv.h.min_abs() < tols.tol_umbilic:
+    if np.min(np.abs(inv.h)) < tols.tol_umbilic:
         warnings.warn("min |h| below tol_umbilic: umbilic nodes present",
                       UmbilicGaugeWarning)
     return frame, inv, report

@@ -16,7 +16,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import NotHolomorphic, ParameterDomain
 from .frames import ImmersionGrid, _sweep_grid
-from .grids import ComplexGrid, GridGeometry, d_z, d_zbar
+from .grids import GridGeometry, _node_values, d_z, d_zbar
 from .invariants import InvariantTriple
 
 
@@ -89,15 +89,7 @@ def family_triple(
 ) -> InvariantTriple:
     """Invariant triple (t, 1, p - lam) of the family on a grid."""
     xx, yy = geom.mesh()
-    tv = separated_t(params, xx, yy)
-    if np.min(np.abs(tv)) <= DEFAULT_TOLS.tol_rank:
-        warnings.warn("separated ansatz vanishes somewhere on the grid; "
-                      "t must be never zero")
-    return InvariantTriple(
-        ComplexGrid(geom, tv),
-        ComplexGrid.constant(geom, 1.0),
-        ComplexGrid.constant(geom, params.p - lam),
-    )
+    return InvariantTriple(geom, separated_t(params, xx, yy), 1.0, params.p - lam)
 
 
 def _sqrt_terms(p: float):
@@ -177,14 +169,15 @@ def closed_form_immersion(params: ConstantFamilyParams, geom: GridGeometry) -> I
 
 @dataclass(frozen=True)
 class UmbilicCurveSpec:
-    """Holomorphic datum p_fn and family parameter for the 2x2 curve ODE."""
+    """Holomorphic datum p, as node values on `geometry` (a scalar is
+    broadcast), and family parameter for the 2x2 curve ODE."""
 
-    p_fn: ComplexGrid
+    geometry: GridGeometry
+    p: np.ndarray
     lam: float = 0.0
 
-    @property
-    def geometry(self) -> GridGeometry:
-        return self.p_fn.geometry
+    def __post_init__(self):
+        object.__setattr__(self, "p", _node_values(self.geometry, self.p, "p"))
 
 
 def _curve_coefficient(pv: np.ndarray, lam: float) -> np.ndarray:
@@ -203,13 +196,13 @@ def umbilic_curve(
 
     The frame solves X^-1 dX = [[0, -i(p-lam)], [1, 0]] dz from the identity
     at the base node and the curve is the primitive of its first column.
-    Holomorphy of p_fn makes the grid-path integral path-independent.
+    Holomorphy of p makes the grid-path integral path-independent.
     """
     geom = spec.geometry
-    holo = float(np.max(np.abs(d_zbar(spec.p_fn.values, geom))))
+    holo = float(np.max(np.abs(d_zbar(spec.p, geom))))
     if holo > tols.tol_resid:
         raise NotHolomorphic(f"max |p_zbar| = {holo:.3e} > {tols.tol_resid:.3e}")
-    N = _curve_coefficient(spec.p_fn.values, spec.lam)
+    N = _curve_coefficient(spec.p, spec.lam)
     T = _sweep_grid(N, N, geom.dx, 1j * geom.dy)
     frame = T[..., :2, :2]
     curve = T[..., :2, 2]

@@ -5,11 +5,12 @@ A scalar field lives on a uniform nx-by-ny grid; values[i, j] is the value at
 interior and 4th-order one-sided stencils at the boundary, so they are exact
 on polynomials of total degree <= 4.
 
-`gradient` is the one operator that takes both partials of a field, and
-`wirtinger` the one statement of the convention that turns a pair of x and y
-coefficients into dz and dzbar coefficients.  The frame code builds on these
-two, and so do `d_z` and `d_zbar`, which like `gradient` take node values and
-their GridGeometry and return an array.
+A field is a plain array of node values, passed with its GridGeometry: here
+and in the invariants and frame layers, operators take `(values, geom)` and
+return arrays.  `gradient` is the one operator that takes both partials of a
+field, and `wirtinger` the one statement of the convention that turns x and y
+coefficients into dz and dzbar coefficients.  `ComplexGrid` is only the record
+that `save_grid` writes and `load_grid` reads.
 """
 
 from __future__ import annotations
@@ -147,9 +148,23 @@ class GridGeometry:
         return GridGeometry(**{name: d[name] for name in names})
 
 
+def _node_values(geom: GridGeometry, values, name: str) -> np.ndarray:
+    """Field `name` as a read-only complex (nx, ny) array, a scalar broadcast to the
+    grid; ValueError naming the field on a wrong shape or a non-finite value."""
+    v = np.asarray(values, dtype=complex)
+    shape = (geom.nx, geom.ny)
+    v = np.full(shape, v) if v.ndim == 0 else v.view()
+    if v.shape != shape:
+        raise ValueError(f"{name} has shape {v.shape}, not the grid's {shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(frozen=True)
 class ComplexGrid:
-    """Complex scalar field on a GridGeometry."""
+    """Complex scalar field on a GridGeometry: the record of `save_grid` and `load_grid`."""
 
     geometry: GridGeometry
     values: np.ndarray
@@ -161,23 +176,8 @@ class ComplexGrid:
                              f"({self.geometry.nx}, {self.geometry.ny})")
         object.__setattr__(self, "values", v)
 
-    @staticmethod
-    def from_function(geom: GridGeometry, fn) -> "ComplexGrid":
-        """Sample fn(z) (vectorized over a complex mesh) on the grid."""
-        return ComplexGrid(geom, np.asarray(fn(geom.zmesh()), dtype=complex))
-
-    @staticmethod
-    def constant(geom: GridGeometry, value: complex) -> "ComplexGrid":
-        return ComplexGrid(geom, np.full((geom.nx, geom.ny), value, dtype=complex))
-
     def with_values(self, values: np.ndarray) -> "ComplexGrid":
         return ComplexGrid(self.geometry, values)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def min_abs(self) -> float:
-        return float(np.min(np.abs(self.values)))
 
 
 # -- serialization: CSV per field with a JSON geometry sidecar ----------------

@@ -25,6 +25,10 @@ def _report(name, value, tol, ok=None):
     assert ok
 
 
+def _max_abs(values):
+    return float(np.max(np.abs(values)))
+
+
 def quiet(fn, *a, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -91,25 +95,19 @@ def test_criterion_03_lagrangian_property():
 
 def _umbilic_triple(geom):
     zz = geom.zmesh()
-    return sg.InvariantTriple(
-        sg.ComplexGrid(geom, 2.0 + 0.3 * zz),
-        sg.ComplexGrid.constant(geom, 0.0),
-        sg.ComplexGrid(geom, 0.5 * zz),
-    )
+    return sg.InvariantTriple(geom, 2.0 + 0.3 * zz, 0.0, 0.5 * zz)
 
 
 def test_criterion_04_integrability_suite():
     worst = 0.0
     for p in (0.0, 1.0, 3.0):
         inv = sg.family_triple(sg.ConstantFamilyParams(p=p), FINE)
-        worst = max(worst, *(r.max_abs() for r in sg.inteq_residual(inv)))
-    worst = max(worst, *(r.max_abs()
+        worst = max(worst, *(_max_abs(r) for r in sg.inteq_residual(inv)))
+    worst = max(worst, *(_max_abs(r)
                          for r in sg.inteq_residual(_umbilic_triple(FINE))))
-    viol = sg.InvariantTriple(sg.ComplexGrid.constant(FINE, 1.0),
-                              sg.ComplexGrid.constant(FINE, 1.0),
-                              sg.ComplexGrid.constant(FINE, 0.0))
+    viol = sg.InvariantTriple(FINE, 1.0, 1.0, 0.0)
     r1, _, _ = sg.inteq_residual(viol)
-    flagged = float(np.max(np.abs(r1.values + 1.0)))
+    flagged = _max_abs(r1 + 1.0)
     ok = worst <= 1e-8 and flagged <= 1e-12
     print(f"[{'pass' if ok else 'FAIL'}] criterion 4 integrability: "
           f"residual {worst:.3e} (tol 1e-08), violation r1+1 {flagged:.1e}")
@@ -121,11 +119,8 @@ def _roundtrip_error(inv):
               compute_path_defect=False)
     out, _ = extract_invariants(F)
     # the adapted frame is defined up to a global sign that flips t
-    et = min(float(np.max(np.abs(out.t.values - inv.t.values))),
-             float(np.max(np.abs(out.t.values + inv.t.values))))
-    return max(et,
-               float(np.max(np.abs(out.h.values - inv.h.values))),
-               float(np.max(np.abs(out.p.values - inv.p.values))))
+    et = min(_max_abs(out.t - inv.t), _max_abs(out.t + inv.t))
+    return max(et, _max_abs(out.h - inv.h), _max_abs(out.p - inv.p))
 
 
 def test_criterion_05_invariant_roundtrip():
@@ -139,8 +134,8 @@ def test_criterion_06_applicability_family():
     members, inteq = [], 0.0
     for lam in (-1.0, 0.0, 1.0):
         inv = sg.shift_family(base, lam)
-        assert np.array_equal(inv.t.values**2, base.t.values**2)
-        inteq = max(inteq, *(r.max_abs() for r in sg.inteq_residual(inv)))
+        assert np.array_equal(inv.t**2, base.t**2)
+        inteq = max(inteq, *(_max_abs(r) for r in sg.inteq_residual(inv)))
         F = quiet(sg.integrate_frame, sg.theta_from_invariants(inv),
                   compute_path_defect=False)
         members.append(sg.immersion_from_frame(F))
@@ -172,41 +167,37 @@ def test_criterion_07_fubini_identity():
     worst = 0.0
     for p in (0.0, 1.0, 3.0):
         inv = sg.family_triple(sg.ConstantFamilyParams(p=p), geom)
-        assert max(r.max_abs() for r in sg.inteq_residual(inv)) <= 1e-8
-        worst = max(worst, sg.dbar_fubini_residual(inv).max_abs())
+        assert max(_max_abs(r) for r in sg.inteq_residual(inv)) <= 1e-8
+        worst = max(worst, _max_abs(sg.dbar_fubini_residual(inv)))
     umb = _umbilic_triple(geom)
-    assert max(r.max_abs() for r in sg.inteq_residual(umb)) <= 1e-8
-    worst = max(worst, sg.dbar_fubini_residual(umb).max_abs())
+    assert max(_max_abs(r) for r in sg.inteq_residual(umb)) <= 1e-8
+    worst = max(worst, _max_abs(sg.dbar_fubini_residual(umb)))
     _report("criterion 7 fubini identity", worst, 1e-8)
 
 
 def test_criterion_08_genericity_logic():
     from symplag.errors import UmbilicPoint
     # degenerate cases: P2 vanishes identically
-    h_const = sg.ComplexGrid.constant(FINE, 2.0)
     geom_off = sg.GridGeometry(41, 41, 0.1, 0.1, 0.005, 0.005)
-    h_exp = sg.ComplexGrid.from_function(geom_off,
-                                         lambda z: np.exp(z + np.conj(z)))
-    p2_degen = max(sg.genericity_ops(h_const)[2].max_abs(),
-                   sg.genericity_ops(h_exp)[2].max_abs())
+    z_off = geom_off.zmesh()
+    p2_degen = max(_max_abs(sg.genericity_ops(2.0, FINE)[2]),
+                   _max_abs(sg.genericity_ops(np.exp(z_off + np.conj(z_off)), geom_off)[2]))
     # operator accuracy against symbolic differentiation of h = 1 + x^2
     op_errs = []
     for n, d in ((41, 0.01), (81, 0.005)):
         geom = sg.GridGeometry(n, n, 0.1, 0.1, d, d)
         xx, _ = geom.mesh()
         hv = 1.0 + xx**2
-        d2, d3, p2, d4 = sg.genericity_ops(sg.ComplexGrid(geom, hv))
+        d2, d3, p2, d4 = sg.genericity_ops(hv, geom)
         want_d3 = 2.0 * xx * (1j - 1.0)
         want_d4 = -2j * (1.0 + 2.0 * xx**2 / hv)
-        op_errs.append(max(d2.max_abs(),
-                           float(np.max(np.abs(d3.values - want_d3))),
-                           p2.max_abs(),
-                           float(np.max(np.abs(d4.values - want_d4)))))
+        op_errs.append(max(_max_abs(d2), _max_abs(d3 - want_d3),
+                           _max_abs(p2), _max_abs(d4 - want_d4)))
     # s/p recovery round trip on h = exp(i x^2), where P2 = -i everywhere
     n, d = 81, 0.005
     geom = sg.GridGeometry(n, n, -(n - 1) * d / 2, -(n - 1) * d / 2, d, d)
     xx, _ = geom.mesh()
-    s, p = sg.recover_p(sg.ComplexGrid(geom, np.exp(1j * xx**2)))
+    s, p = sg.recover_p(np.exp(1j * xx**2), geom)
     e = np.exp(2j * xx**2)
     s_want = np.real(((-10 - 16j) * xx**2 * e + (-10 + 16j) * xx**2
                       + (-4 + 3j) * e - 4 - 3j) * np.exp(-1j * xx**2) / 4.0)
@@ -214,7 +205,7 @@ def test_criterion_08_genericity_logic():
               + (-1 + 0.5j) * e - 1 - 1j)
     sl = slice(10, -10)  # one-sided stencils pollute a boundary band
     rt = max(float(np.max(np.abs(s - s_want)[sl, sl])),
-             float(np.max(np.abs(p.values - p_want)[sl, sl])))
+             float(np.max(np.abs(p - p_want)[sl, sl])))
     ok = p2_degen <= 1e-8 and max(op_errs) <= 1e-6 and rt <= 1e-6
     print(f"[{'pass' if ok else 'FAIL'}] criterion 8 genericity: "
           f"degenerate P2 {p2_degen:.3e} (tol 1e-08), operator oracle "
@@ -229,19 +220,16 @@ def test_criterion_09_umbilic_correspondence():
     curve = np.stack([zz, 0.5 * zz**2], axis=-1)
     m = sg.curve_to_immersion(geom, curve)
     _, inv, _ = quiet(sg.reduction_pipeline, m, margin=8)
-    h_err = float(np.max(np.abs(inv.h.values)))
+    h_err = _max_abs(inv.h)
     flex = float(np.max(np.abs(sg.flex_defect(geom, curve) - 1.0)))
-    # lambda-family from p_fn = 0: pairwise distinct surfaces, shared Fubini data
+    # lambda-family from p = 0: pairwise distinct surfaces, shared Fubini data
     small = sg.GridGeometry(61, 61, -0.3, -0.3, 0.01, 0.01)
     members, fubinis = [], []
     for lam in (-1.0, 0.0, 1.0):
-        spec = sg.UmbilicCurveSpec(sg.ComplexGrid.constant(small, 0.0), lam)
+        spec = sg.UmbilicCurveSpec(small, 0.0, lam)
         members.append(quiet(sg.umbilic_immersion, spec))
-        zz2 = small.zmesh()
-        tri = sg.InvariantTriple(sg.ComplexGrid(small, 2.0 + 0.0 * zz2),
-                                 sg.ComplexGrid.constant(small, 0.0),
-                                 sg.ComplexGrid.constant(small, -lam))
-        fubinis.append(sg.form_coefficients(tri).fubini.values)
+        tri = sg.InvariantTriple(small, 2.0, 0.0, -lam)
+        fubinis.append(sg.form_coefficients(tri).fubini)
     assert np.array_equal(fubinis[0], fubinis[1])
     assert np.array_equal(fubinis[1], fubinis[2])
     sep = min(quiet(sg.congruence_defect, members[i], members[j], margin=8)

@@ -242,9 +242,9 @@ def test_triple_from_params_umbilic_polynomials():
     inv = triple_from_params(geom, {"kind": "umbilic", "t_poly": [2.0, 0.3],
                                     "p_poly": [0.0, 0.5], "lam": 0.25})
     zz = geom.zmesh()
-    assert np.max(np.abs(inv.t.values - (2.0 + 0.3 * zz))) < 1e-14
-    assert np.max(np.abs(inv.p.values - (0.5 * zz - 0.25))) < 1e-14
-    assert np.all(inv.h.values == 0.0)
+    assert np.max(np.abs(inv.t - (2.0 + 0.3 * zz))) < 1e-14
+    assert np.max(np.abs(inv.p - (0.5 * zz - 0.25))) < 1e-14
+    assert np.all(inv.h == 0.0)
     with pytest.raises(ConfigError):
         triple_from_params(geom, {"kind": "nope"})
 
@@ -281,8 +281,8 @@ def test_non_finite_invariant_csv_exits_2(tmp_path, capsys):
     geom = sg.GridGeometry(11, 11, 0.0, 0.0, 0.01, 0.01)
     inv = sg.family_triple(sg.ConstantFamilyParams(p=1.0), geom)
     fields = {"t": inv.t, "h": inv.h, "p": inv.p}
-    for name, g in fields.items():
-        sg.save_grid(g, tmp_path / f"{name}.csv")
+    for name, values in fields.items():
+        sg.save_grid(sg.ComplexGrid(geom, values), tmp_path / f"{name}.csv")
     # save_grid refuses a NaN, so put one into h's file by hand
     path = tmp_path / "h.csv"
     with open(path, newline="") as fh:
@@ -348,3 +348,27 @@ def test_integrate_frame_defect_exits_1(tmp_path, capsys):
     # the default family frame has a symplectic defect of a few 1e-13
     assert main(["integrate", "--tol-frame", "1e-14", "--out", str(tmp_path)]) == 1
     assert "failure: FrameDefect" in capsys.readouterr().err
+
+
+def test_invariant_csvs_on_different_grids_exit_2(tmp_path, capsys):
+    fine = sg.GridGeometry(11, 11, 0.0, 0.0, 0.01, 0.01)
+    coarse = sg.GridGeometry(11, 11, 0.0, 0.0, 0.02, 0.02)
+    t = sg.family_triple(sg.ConstantFamilyParams(p=1.0), fine).t
+    sg.save_grid(sg.ComplexGrid(fine, t), tmp_path / "t.csv")
+    for name in ("h", "p"):
+        sg.save_grid(sg.ComplexGrid(coarse, np.ones((11, 11))), tmp_path / f"{name}.csv")
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({"command": "verify", "params": {
+        k: str(tmp_path / f"{k}.csv") for k in ("t", "h", "p")}}))
+    assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
+    assert "share one grid geometry" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_umbilic_example_overflowing_datum_exits_2(tmp_path, capsys):
+    # finite coefficients whose polynomial overflows to inf on the grid
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({"command": "example", "params": {
+        "kind": "umbilic", "p_poly": [1.7e308, 1.7e308]}}))
+    assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
+    assert "params.p_poly is not finite on the grid" in capsys.readouterr().err

@@ -61,7 +61,7 @@ def test_theta_matches_constant_coefficient_matrices():
     A, B = sg.constant_ab(1.0)
     assert np.max(np.abs(theta.A[..., 1:, 1:] - A)) < 1e-12
     assert np.max(np.abs(theta.B[..., 1:, 1:] - B)) < 1e-12
-    t = inv.t.values
+    t = inv.t
     assert np.array_equal(theta.A[..., 1, 0], t.real)
     assert np.array_equal(theta.A[..., 2, 0], -t.imag)
     assert np.array_equal(theta.B[..., 1, 0], -t.imag)
@@ -75,11 +75,8 @@ def test_flatness_small_for_compatible_triple():
 
 def test_flatness_flags_incompatible_triple():
     geom = GEOM
-    inv = sg.InvariantTriple(
-        sg.ComplexGrid.constant(geom, 1.0),
-        sg.ComplexGrid.constant(geom, 1.0),
-        sg.ComplexGrid.constant(geom, 0.0),
-    )  # violates the compatibility equations (r1 = -1)
+    # violates the compatibility equations (r1 = -1)
+    inv = sg.InvariantTriple(geom, 1.0, 1.0, 0.0)
     theta = sg.theta_from_invariants(inv)
     assert np.max(sg.flatness_residual(theta)) > 0.1
     with pytest.warns(UserWarning):
@@ -168,9 +165,9 @@ def test_roundtrip_extraction():
     inv, theta = family_theta(p=1.0)
     F = quiet_integrate(theta, compute_path_defect=False)
     out, report = extract_invariants(F)
-    assert np.max(np.abs(out.t.values - inv.t.values)) < 1e-6
-    assert np.max(np.abs(out.h.values - inv.h.values)) < 1e-6
-    assert np.max(np.abs(out.p.values - inv.p.values)) < 1e-6
+    assert np.max(np.abs(out.t - inv.t)) < 1e-6
+    assert np.max(np.abs(out.h - inv.h)) < 1e-6
+    assert np.max(np.abs(out.p - inv.p)) < 1e-6
     assert all(v < 1e-6 for v in report.values())
 
 
@@ -182,10 +179,10 @@ def test_sign_flip_preserves_quadratic_invariants():
     out, _ = extract_invariants(FrameField(GEOM, S))
     base, _ = extract_invariants(F)
     # -S is the other adapted frame: t flips sign, t^2, h, p are unchanged
-    assert np.max(np.abs(out.t.values + base.t.values)) < 1e-9
-    assert np.max(np.abs(out.t.values**2 - base.t.values**2)) < 1e-6
-    assert np.max(np.abs(out.h.values - base.h.values)) < 1e-12
-    assert np.max(np.abs(out.p.values - base.p.values)) < 1e-12
+    assert np.max(np.abs(out.t + base.t)) < 1e-9
+    assert np.max(np.abs(out.t**2 - base.t**2)) < 1e-6
+    assert np.max(np.abs(out.h - base.h)) < 1e-12
+    assert np.max(np.abs(out.p - base.p)) < 1e-12
 
 
 def test_extract_rejects_non_adapted_frame():
@@ -240,8 +237,8 @@ def test_pipeline_on_complex_curve():
     geom = sg.GridGeometry(61, 61, -0.15, -0.15, 0.005, 0.005)
     m = curve_immersion(geom)
     F, inv, _ = quiet_pipeline(m, margin=8)
-    assert np.max(np.abs(inv.h.values)) < 1e-8
-    assert np.max(np.abs(inv.t.values - inv.t.values[0, 0])) < 1e-8
+    assert np.max(np.abs(inv.h)) < 1e-8
+    assert np.max(np.abs(inv.t - inv.t[0, 0])) < 1e-8
 
 
 def test_pipeline_recovers_family_invariants():
@@ -252,11 +249,11 @@ def test_pipeline_recovers_family_invariants():
     sub = inv.geometry
     xx, yy = sub.mesh()
     t_want = sg.separated_t(params, xx, yy)
-    sign = np.sign(np.real(inv.t.values[0, 0] / t_want[0, 0]))
-    assert np.max(np.abs(inv.t.values - sign * t_want)) < 1e-5
+    sign = np.sign(np.real(inv.t[0, 0] / t_want[0, 0]))
+    assert np.max(np.abs(inv.t - sign * t_want)) < 1e-5
     # h and p are insensitive to the adapted-frame sign; only t flips
-    assert np.max(np.abs(inv.h.values - 1.0)) < 1e-5
-    assert np.max(np.abs(inv.p.values - 1.0)) < 1e-5
+    assert np.max(np.abs(inv.h - 1.0)) < 1e-5
+    assert np.max(np.abs(inv.p - 1.0)) < 1e-5
 
 
 @pytest.mark.parametrize("origin", [0.0, -0.15])
@@ -269,7 +266,7 @@ def test_pipeline_default_margin_passes_gauge_gate(origin):
     assert (inv.geometry.nx, inv.geometry.ny) == (45, 45)
     assert max(report[k] for k in ("omega", "gamma_trace", "alpha_trace",
                                    "alpha_skew", "ell")) <= sg.DEFAULT_TOLS.tol_gauge
-    assert np.max(np.abs(inv.p.values - 1.0)) < 1e-5
+    assert np.max(np.abs(inv.p - 1.0)) < 1e-5
 
 
 def test_pipeline_gauge_covariance():
@@ -281,9 +278,9 @@ def test_pipeline_gauge_covariance():
     moved = sg.ImmersionGrid(geom, g[1:, 0] + np.einsum("ij,...j->...i", g[1:, 1:], m.f))
     _, inv1, _ = quiet_pipeline(m, margin=8)
     _, inv2, _ = quiet_pipeline(moved, margin=8)
-    assert np.max(np.abs(inv2.t.values**2 - inv1.t.values**2)) < 1e-7
-    assert np.max(np.abs(inv2.h.values - inv1.h.values)) < 1e-7
-    assert np.max(np.abs(inv2.p.values - inv1.p.values)) < 1e-7
+    assert np.max(np.abs(inv2.t**2 - inv1.t**2)) < 1e-7
+    assert np.max(np.abs(inv2.h - inv1.h)) < 1e-7
+    assert np.max(np.abs(inv2.p - inv1.p)) < 1e-7
 
 
 def test_pipeline_rejects_non_lagrangian():
@@ -455,12 +452,10 @@ def test_decode_recovers_theta_encoding(kind):
         inv = sg.family_triple(sg.ConstantFamilyParams(p=1.0, a1=0.2, m2=0.1), GEOM, 0.5)
     else:
         zz = GEOM.zmesh()
-        inv = sg.InvariantTriple(sg.ComplexGrid(GEOM, 2.0 + 0.3 * zz),
-                                 sg.ComplexGrid.constant(GEOM, 0.0),
-                                 sg.ComplexGrid(GEOM, 0.5 * zz))
+        inv = sg.InvariantTriple(GEOM, 2.0 + 0.3 * zz, 0.0, 0.5 * zz)
     theta = sg.theta_from_invariants(inv)
     x, y = _decode(theta.A), _decode(theta.B)
-    t, h, p = inv.t.values, inv.h.values, inv.p.values
+    t, h, p = inv.t, inv.h, inv.p
     habs2 = np.abs(h) ** 2
     # the derivative terms of h sit in the trace of beta, which rho does not read
     for got, want in ((x.omega, 1.0), (y.omega, 1j), (x.gamma_trace, 0.0),

@@ -71,13 +71,28 @@ def test_closed_form_requires_pure_exponential():
 def test_family_triple_constant_h_p():
     geom = sg.GridGeometry(21, 21, 0.0, 0.0, 0.01, 0.01)
     inv = sg.family_triple(sg.ConstantFamilyParams(p=3.0), geom, lam=0.5)
-    assert np.all(inv.h.values == 1.0)
-    assert np.all(inv.p.values == 2.5)
+    assert np.all(inv.h == 1.0)
+    assert np.all(inv.p == 2.5)
+
+
+def test_family_triple_with_vanishing_t_raises():
+    # c1 = c2 = 0, with no offsets, makes the separated ansatz t identically zero
+    geom = sg.GridGeometry(21, 21, 0.0, 0.0, 0.01, 0.01)
+    with pytest.raises(ValueError, match="t must be never zero"):
+        sg.family_triple(sg.ConstantFamilyParams(p=0, c1=0, c2=0), geom)
 
 
 def umbilic_setup(fn, n=41, d=0.01, lam=0.0):
     geom = sg.GridGeometry(n, n, -(n - 1) * d / 2, -(n - 1) * d / 2, d, d)
-    return geom, sg.UmbilicCurveSpec(sg.ComplexGrid.from_function(geom, fn), lam)
+    return geom, sg.UmbilicCurveSpec(geom, fn(geom.zmesh()), lam)
+
+
+@pytest.mark.parametrize("bad, message", [(np.zeros((41, 40)), "p has shape"),
+                                          (np.nan, "p must be finite")])
+def test_umbilic_spec_rejects_bad_datum(bad, message):
+    geom = sg.GridGeometry(41, 41, -0.2, -0.2, 0.01, 0.01)
+    with pytest.raises(ValueError, match=message):
+        sg.UmbilicCurveSpec(geom, bad)
 
 
 def test_umbilic_curve_unit_determinant():
@@ -113,8 +128,8 @@ def test_umbilic_invariant_roundtrip():
         warnings.simplefilter("ignore")
         _, inv, _ = sg.reduction_pipeline(m, margin=8)
     zz = inv.geometry.zmesh()
-    assert np.max(np.abs(inv.h.values)) < 1e-8
-    assert np.max(np.abs(inv.p.values - zz)) < 1e-6
+    assert np.max(np.abs(inv.h)) < 1e-8
+    assert np.max(np.abs(inv.p - zz)) < 1e-6
 
 
 def test_flex_defect_on_exact_curve():
