@@ -208,26 +208,30 @@ def triple_from_params(geom: GridGeometry, params: dict) -> InvariantTriple:
 
     Three sources: `kind: constant` (exponential-ansatz family), `kind:
     umbilic` (polynomial t and p, h = 0), or explicit `t`/`h`/`p` CSV paths,
-    which must share one grid geometry.  A triple the params cannot make (one
-    holding a non-finite value, say) is a ConfigError naming the field at fault.
+    which must share one grid geometry.  Whichever the source, p is then
+    shifted by params.lam through `shift_family`.  A triple the params cannot
+    make (one holding a non-finite value, say) is a ConfigError naming the
+    field at fault.
     """
+    kind = params.get("kind", "constant")
     try:
+        lam = _number("lam", params.get("lam", 0.0))
         if {"t", "h", "p"} <= set(params):
             t, h, p = (_load(load_grid, params[k]) for k in ("t", "h", "p"))
             if not t.geometry == h.geometry == p.geometry:
                 raise ConfigError("the t, h and p files must share one grid geometry")
-            return InvariantTriple(t.geometry, t.values, h.values, p.values)
-        kind = params.get("kind", "constant")
-        lam = _number("lam", params.get("lam", 0.0))
-        if kind == "constant":
-            return family_triple(_family_params(params), geom, lam)
-        if kind == "umbilic":
+            inv = InvariantTriple(t.geometry, t.values, h.values, p.values)
+        elif kind == "constant":
+            inv = family_triple(_family_params(params), geom)
+        elif kind == "umbilic":
             t = _poly_values(geom, "t_poly", params.get("t_poly", [1.0]))
             p = _poly_values(geom, "p_poly", params.get("p_poly", [0.0]))
-            return InvariantTriple(geom, t, 0.0, p - lam)
+            inv = InvariantTriple(geom, t, 0.0, p)
+        else:
+            raise ConfigError(f"unknown triple kind {kind!r}")
+        return shift_family(inv, lam)
     except ValueError as e:
         raise ConfigError(f"bad invariant triple in params: {e}") from e
-    raise ConfigError(f"unknown triple kind {kind!r}")
 
 
 # -- mesh export --------------------------------------------------------------
@@ -442,21 +446,22 @@ _RUNNERS = {
 
 def run(cfg: JobConfig) -> Report:
     """Execute one command; returns the report (also written to output_dir),
-    which lists every warning the command raised; the warnings are passed on."""
+    which lists every warning the command raised.  The warnings are passed on
+    once the report is written, and only when the command succeeded, so that
+    a warning the caller's filters make an error cannot replace the command's
+    own error."""
     rep = Report(command=cfg.command, config=cfg.as_dict())
     start = time.perf_counter()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _RUNNERS[cfg.command](cfg, rep)
-    finally:
-        for w in caught:
-            rep.warnings.append({"category": w.category.__name__,
-                                 "message": str(w.message)})
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _RUNNERS[cfg.command](cfg, rep)
+    rep.warnings = [{"category": w.category.__name__, "message": str(w.message)}
+                    for w in caught]
     rep.wall_time_s = time.perf_counter() - start
     rep.save(cfg.output_dir / "report.json")
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return rep
 
 

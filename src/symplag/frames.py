@@ -535,47 +535,18 @@ def save_immersion(
     grids._save_table(path, geom, header, lead, values)
 
 
-def _node_index(path: str | Path, geom: GridGeometry, ij: np.ndarray) -> np.ndarray:
-    """C-order node number of each row's `i, j` pair; every node must occur once."""
-    shape = np.array([geom.nx, geom.ny])
-    bad = np.any((ij != np.round(ij)) | (ij < 0) | (ij >= shape), axis=1)
-    if np.any(bad):
-        r = int(np.argmax(bad))
-        raise ValueError(f"{path}: row {r + 1} names node {tuple(ij[r].tolist())}, "
-                         f"not a node of the {geom.nx}x{geom.ny} grid")
-    k = ij[:, 0].astype(int) * geom.ny + ij[:, 1].astype(int)
-    counts = np.bincount(k, minlength=geom.nx * geom.ny)
-    for problem, nodes in (("duplicate", counts > 1), ("missing", counts == 0)):
-        if np.any(nodes):
-            node = divmod(int(np.argmax(nodes)), geom.ny)
-            raise ValueError(f"{path}: {problem} node {node}")
-    return k
-
-
 def load_immersion(path: str | Path) -> tuple[ImmersionGrid, FrameField | None]:
-    """Read an immersion CSV back; returns the frame field too when present.
+    """Read a `save_immersion` CSV back; returns the frame field too when present.
 
-    Rows are placed by their `i, j` columns; a non-integer or out-of-range
-    index, a node that is duplicated or missing, or a non-finite immersion or
-    frame value raises ValueError.
+    `grids._load_table` states which files it rejects.
     """
-    geom, header, data = grids._load_table(path)
-    k = _node_index(path, geom, data[:, :2])
-    bad = ~np.all(np.isfinite(data[:, 4:]), axis=1)
-    if np.any(bad):
-        r = int(np.argmax(bad))
-        raise ValueError(f"{path}: row {r + 1} (node {divmod(int(k[r]), geom.ny)}) "
-                         f"holds a non-finite value")
-    n = geom.nx * geom.ny
-    f = np.empty((n, 4))
-    f[k] = data[:, 4:8]
-    f = f.reshape(geom.nx, geom.ny, 4)
+    geom, header, values = grids._load_table(path)
+    f = values[..., :4].copy()
     S = None
     if len(header) > 8:
-        S = np.zeros((n, 5, 5))
-        S[:, 0, 0] = 1.0
-        S[k, 1:, 1:] = data[:, 8:24].reshape(-1, 4, 4)
-        S = S.reshape(geom.nx, geom.ny, 5, 5)
+        S = np.zeros((geom.nx, geom.ny, 5, 5))
+        S[..., 0, 0] = 1.0
         S[..., 1:, 0] = f
+        S[..., 1:, 1:] = values[..., 4:].reshape(geom.nx, geom.ny, 4, 4)
     m = ImmersionGrid(geom, f)
     return m, (FrameField(geom, S) if S is not None else None)

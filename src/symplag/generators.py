@@ -84,12 +84,11 @@ def separated_t(params: ConstantFamilyParams, x, y):
     return (v1 + w1) + 1j * (v2 + w2)
 
 
-def family_triple(
-    params: ConstantFamilyParams, geom: GridGeometry, lam: float = 0.0
-) -> InvariantTriple:
-    """Invariant triple (t, 1, p - lam) of the family on a grid."""
+def family_triple(params: ConstantFamilyParams, geom: GridGeometry) -> InvariantTriple:
+    """Invariant triple (t, 1, p) of the family on a grid; `shift_family`
+    moves it along the family."""
     xx, yy = geom.mesh()
-    return InvariantTriple(geom, separated_t(params, xx, yy), 1.0, params.p - lam)
+    return InvariantTriple(geom, separated_t(params, xx, yy), 1.0, params.p)
 
 
 def _sqrt_terms(p: float):

@@ -214,7 +214,16 @@ def _axis_text(coords: np.ndarray) -> list[str]:
 
 
 def _load_table(path: str | Path) -> tuple[GridGeometry, list[str], np.ndarray]:
-    """Read a CSV written by `_save_table`: geometry, header and (rows, columns) values."""
+    """Read a CSV written by `_save_table`: geometry, header and node values.
+
+    Rows are placed in C order: row r (the header is row 0) must be node
+    (i, j) = divmod(r - 1, ny).  Its `i, j` columns, when the header starts
+    `i,j,x,y`, must equal i and j exactly; its `x, y` columns must lie within
+    a quarter grid step of the node (a NaN counts as off); and its value
+    columns must be finite.  A wrong row count, or a row that breaks the rule,
+    raises ValueError naming the row and node.  `values` is the (nx, ny, k)
+    array of the k columns after the coordinate columns.
+    """
     path = Path(path)
     with open(path.with_suffix(path.suffix + ".json")) as fh:
         geom = GridGeometry.from_dict(json.load(fh))
@@ -223,7 +232,31 @@ def _load_table(path: str | Path) -> tuple[GridGeometry, list[str], np.ndarray]:
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.size == 0 or data.shape[1] != len(header):
         raise ValueError(f"{path}: expected rows of {len(header)} values under the header")
-    return geom, header, data
+    names = ("i", "j", "x", "y") if header[:4] == ["i", "j", "x", "y"] else ("x", "y")
+    c = len(names)
+    if len(header) < c:
+        raise ValueError(f"{path}: header {','.join(header)} lacks the columns x,y")
+    nx, ny = geom.nx, geom.ny
+    if len(data) != nx * ny:
+        raise ValueError(f"{path}: expected {nx * ny} rows, got {len(data)}")
+    nodes = data.reshape(nx, ny, -1)
+    off = np.maximum(np.abs(nodes[..., c - 2] - geom.x[:, None]) / geom.dx,
+                     np.abs(nodes[..., c - 1] - geom.y) / geom.dy)
+    bad = ~(off <= 0.25)  # a NaN coordinate counts as off
+    if c == 4:
+        bad |= nodes[..., 0] != np.arange(nx)[:, None]
+        bad |= nodes[..., 1] != np.arange(ny)
+    if np.any(bad):
+        r = int(np.argmax(bad))
+        coords = ", ".join("%.17g" % v for v in data[r, :c].tolist())
+        raise ValueError(f"{path}: row {r + 1} at ({', '.join(names)}) = ({coords}) "
+                         f"is not node {divmod(r, ny)}")
+    values = nodes[..., c:]
+    bad = ~np.all(np.isfinite(values), axis=-1)
+    if np.any(bad):
+        r = int(np.argmax(bad))
+        raise ValueError(f"{path}: row {r + 1} (node {divmod(r, ny)}) holds a non-finite value")
+    return geom, header, values
 
 
 def save_grid(f: ComplexGrid, path: str | Path) -> None:
@@ -236,30 +269,11 @@ def save_grid(f: ComplexGrid, path: str | Path) -> None:
 
 
 def load_grid(path: str | Path) -> ComplexGrid:
-    """Read a `save_grid` CSV back.
-
-    Rows are placed in C order; a row whose (x, y) lies more than a quarter
-    grid step off its node, or whose re or im is not finite, raises
-    ValueError naming the row and node.
-    """
-    geom, _, data = _load_table(path)
-    n = geom.nx * geom.ny
-    if len(data) != n:
-        raise ValueError(f"{path}: expected {n} rows, got {len(data)}")
-    xx, yy = geom.mesh()
-    off = np.maximum(np.abs(data[:, 0] - xx.ravel()) / geom.dx,
-                     np.abs(data[:, 1] - yy.ravel()) / geom.dy)
-    bad = ~(off <= 0.25)  # a NaN coordinate counts as off
-    if np.any(bad):
-        r = int(np.argmax(bad))
-        raise ValueError(f"{path}: row {r + 1} at (x, y) = ({data[r, 0]:.17g}, "
-                         f"{data[r, 1]:.17g}) is not node {divmod(r, geom.ny)}")
-    bad = ~np.all(np.isfinite(data[:, 2:]), axis=1)
-    if np.any(bad):
-        r = int(np.argmax(bad))
-        raise ValueError(f"{path}: row {r + 1} (node {divmod(r, geom.ny)}) "
-                         f"holds a non-finite value")
-    values = np.empty(n, dtype=complex)
-    values.real = data[:, 2]
-    values.imag = data[:, 3]
-    return ComplexGrid(geom, values.reshape(geom.nx, geom.ny))
+    """Read a `save_grid` CSV back; `_load_table` states which files it rejects,
+    and a header other than `x,y,re,im` is a ValueError too."""
+    geom, header, values = _load_table(path)
+    if header != ["x", "y", "re", "im"]:
+        raise ValueError(f"{path}: header {','.join(header)} is not x,y,re,im")
+    z = np.empty((geom.nx, geom.ny), dtype=complex)
+    z.real, z.imag = values[..., 0], values[..., 1]
+    return ComplexGrid(geom, z)

@@ -171,7 +171,8 @@ def test_malformed_immersion_csv_exits_2(tmp_path, capsys):
     doc.write_text(json.dumps({"command": "invariants", "params": {"immersion": str(path)}}))
     assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert str(path) in err and "duplicate node (0, 1)" in err
+    assert str(path) in err
+    assert "row 25 at (i, j, x, y) = (0, 1, 0, 0.10000000000000001) is not node (3, 3)" in err
 
 
 @pytest.mark.parametrize("field, value, message", [("dx", "drop", "lacks dx"),
@@ -277,6 +278,20 @@ def test_bad_numeric_param_exits_2(tmp_path, capsys, command, params, key):
     assert f"params.{key}" in capsys.readouterr().err
 
 
+def test_lam_shifts_csv_triple_as_it_shifts_constant_kind(tmp_path):
+    geom = sg.GridGeometry(11, 11, 0.0, 0.0, 0.01, 0.01)
+    inv = sg.family_triple(sg.ConstantFamilyParams(p=1.0), geom)
+    paths = {}
+    for name in ("t", "h", "p"):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        sg.save_grid(sg.ComplexGrid(geom, getattr(inv, name)), paths[name])
+    from_csv = triple_from_params(geom, {**paths, "lam": 0.5})
+    constant = triple_from_params(geom, {"kind": "constant", "p": 1.0, "lam": 0.5})
+    assert np.all(from_csv.p == 0.5)
+    for name in ("t", "h", "p"):
+        assert np.array_equal(getattr(from_csv, name), getattr(constant, name))
+
+
 def test_non_finite_invariant_csv_exits_2(tmp_path, capsys):
     geom = sg.GridGeometry(11, 11, 0.0, 0.0, 0.01, 0.01)
     inv = sg.family_triple(sg.ConstantFamilyParams(p=1.0), geom)
@@ -364,7 +379,6 @@ def test_invariant_csvs_on_different_grids_exit_2(tmp_path, capsys):
     assert "share one grid geometry" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_umbilic_example_overflowing_datum_exits_2(tmp_path, capsys):
     # finite coefficients whose polynomial overflows to inf on the grid
     doc = tmp_path / "cfg.json"

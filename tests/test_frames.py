@@ -28,7 +28,7 @@ GEOM = sg.GridGeometry(61, 61, 0.0, 0.0, 0.005, 0.005)
 
 
 def family_theta(p=1.0, geom=GEOM, lam=0.0):
-    inv = sg.family_triple(sg.ConstantFamilyParams(p=p), geom, lam)
+    inv = sg.shift_family(sg.family_triple(sg.ConstantFamilyParams(p=p), geom), lam)
     return inv, sg.theta_from_invariants(inv)
 
 
@@ -367,13 +367,57 @@ def _index_out_of_range(lines):
     lines[1 + 0 * 7 + 4] = "7" + lines[1 + 0 * 7 + 4][1:]  # node (0, 4) renamed (7, 4)
 
 
+def _non_integer_index(lines):
+    lines[1 + 3 * 7 + 2] = "3.2" + lines[1 + 3 * 7 + 2][1:]  # node (3, 2) renamed (3.2, 2)
+
+
+def _swapped_rows(lines):
+    a, b = 1 + 1 * 7 + 2, 1 + 1 * 7 + 3  # nodes (1, 2) and (1, 3)
+    lines[a], lines[b] = lines[b], lines[a]
+
+
+def _set_cell(lines, node, column, text):
+    cells = lines[1 + node[0] * 7 + node[1]].split(",")
+    cells[column] = text
+    lines[1 + node[0] * 7 + node[1]] = ",".join(cells)
+
+
+def _x_off_node(lines):
+    _set_cell(lines, (0, 4), 2, "123")
+
+
+def _nan_y(lines):
+    _set_cell(lines, (0, 4), 3, "nan")
+
+
+def _keep_columns(lines, k):
+    lines[:] = [",".join(line.rstrip("\r\n").split(",")[:k]) + "\r\n" for line in lines]
+
+
+def _three_columns(lines):
+    _keep_columns(lines, 3)
+
+
+def _one_column(lines):
+    _keep_columns(lines, 1)
+
+
 def _nan_frame_entry(lines):
     lines[1 + 2 * 7 + 5] = lines[1 + 2 * 7 + 5].rsplit(",", 1)[0] + ",nan\r\n"  # s44 of (2, 5)
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_duplicate_row, r"duplicate node \(0, 1\)"),
-    (_index_out_of_range, r"names node \(7\.0, 4\.0\), not a node of the 7x7 grid"),
+    (_duplicate_row, r"row 25 at \(i, j, x, y\) = \(0, 1, 0, 0\.10000000000000001\) "
+                     r"is not node \(3, 3\)"),
+    (_index_out_of_range, r"row 5 at \(i, j, x, y\) = \(7, 4, 0, 0\.40000000000000002\) "
+                          r"is not node \(0, 4\)"),
+    (_non_integer_index, r"row 24 at \(i, j, x, y\) = \(3\.2000000000000002, 2, .*\) "
+                         r"is not node \(3, 2\)"),
+    (_swapped_rows, r"row 10 at \(i, j, x, y\) = \(1, 3, .*\) is not node \(1, 2\)"),
+    (_x_off_node, r"row 5 at \(i, j, x, y\) = \(0, 4, 123, .*\) is not node \(0, 4\)"),
+    (_nan_y, r"row 5 at \(i, j, x, y\) = \(0, 4, 0, nan\) is not node \(0, 4\)"),
+    (_three_columns, r"row 2 at \(x, y\) = \(0, 1\) is not node \(0, 1\)"),  # i,j read as x,y
+    (_one_column, r"header i lacks the columns x,y"),
     (_nan_frame_entry, r"row 20 \(node \(2, 5\)\) holds a non-finite value"),
 ])
 def test_load_immersion_rejects_misplaced_rows(tmp_path, edit, message):
@@ -449,7 +493,8 @@ def test_pipeline_checks_margin_before_any_stage():
 @pytest.mark.parametrize("kind", ["family", "umbilic"])
 def test_decode_recovers_theta_encoding(kind):
     if kind == "family":
-        inv = sg.family_triple(sg.ConstantFamilyParams(p=1.0, a1=0.2, m2=0.1), GEOM, 0.5)
+        params = sg.ConstantFamilyParams(p=1.0, a1=0.2, m2=0.1)
+        inv = sg.shift_family(sg.family_triple(params, GEOM), 0.5)
     else:
         zz = GEOM.zmesh()
         inv = sg.InvariantTriple(GEOM, 2.0 + 0.3 * zz, 0.0, 0.5 * zz)

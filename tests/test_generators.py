@@ -70,7 +70,7 @@ def test_closed_form_requires_pure_exponential():
 
 def test_family_triple_constant_h_p():
     geom = sg.GridGeometry(21, 21, 0.0, 0.0, 0.01, 0.01)
-    inv = sg.family_triple(sg.ConstantFamilyParams(p=3.0), geom, lam=0.5)
+    inv = sg.shift_family(sg.family_triple(sg.ConstantFamilyParams(p=3.0), geom), 0.5)
     assert np.all(inv.h == 1.0)
     assert np.all(inv.p == 2.5)
 

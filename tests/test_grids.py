@@ -158,6 +158,14 @@ def test_load_grid_rejects_swapped_rows(tmp_path):
         sg.load_grid(path)
 
 
+def test_load_grid_rejects_immersion_csv(tmp_path):
+    xx, yy = GEOM.mesh()
+    path = tmp_path / "imm.csv"
+    sg.save_immersion(sg.ImmersionGrid(GEOM, np.stack([xx, yy, xx * yy, xx - yy], -1)), path)
+    with pytest.raises(ValueError, match=r"header i,j,x,y,f1,f2,f3,f4 is not x,y,re,im"):
+        sg.load_grid(path)
+
+
 def test_save_grid_rejects_non_finite_value(tmp_path):
     values = np.ones((21, 17), dtype=complex)
     values[3, 4] = complex(1.0, np.inf)
