@@ -20,8 +20,21 @@ def _symplectic_error(X: np.ndarray) -> np.ndarray:
 
 
 def _symplectic_inverse(X: np.ndarray) -> np.ndarray:
-    """X^-1 = -J X^T J for a (..., 4, 4) stack of symplectic matrices."""
-    return -J4 @ np.swapaxes(X, -1, -2) @ J4
+    """X^-1 = -J X^T J for a (..., 4, 4) stack of symplectic matrices.
+
+    For X = [[a, b], [c, d]] in 2x2 blocks this is [[d^T, -b^T], [-c^T, a^T]],
+    written block by block.  Each entry is x + 0 or 0 - x, so a zero comes out
+    +0.0, as from the matrix products with J: on finite input the result is
+    byte-identical to -J @ X^T @ J.
+    """
+    out = np.empty(X.shape, dtype=np.result_type(X.dtype, float))
+    a, b = np.swapaxes(X[..., :2, :2], -1, -2), np.swapaxes(X[..., :2, 2:], -1, -2)
+    c, d = np.swapaxes(X[..., 2:, :2], -1, -2), np.swapaxes(X[..., 2:, 2:], -1, -2)
+    np.add(d, 0.0, out=out[..., :2, :2])
+    np.subtract(0.0, b, out=out[..., :2, 2:])
+    np.subtract(0.0, c, out=out[..., 2:, :2])
+    np.add(a, 0.0, out=out[..., 2:, 2:])
+    return out
 
 
 def symplectic_defect(M: np.ndarray) -> float:

@@ -130,13 +130,21 @@ def theta_from_invariants(inv: InvariantTriple) -> MaurerCartanField:
 def flatness_residual(theta: MaurerCartanField) -> np.ndarray:
     """Node-wise sup-norm of dB/dx - dA/dy + [A, B] (zero-curvature residual)."""
     geom = theta.geometry
-    dBdx = diff4(theta.B, geom.dx, axis=0)
-    dAdy = diff4(theta.A, geom.dy, axis=1)
-    comm = theta.A @ theta.B - theta.B @ theta.A
-    return np.max(np.abs(dBdx - dAdy + comm), axis=(-1, -2))
+    A, B = theta.A, theta.B
+    # (dBdx - dAdy) + (AB - BA), accumulated in place in that order
+    r = diff4(B, geom.dx, axis=0)
+    r -= diff4(A, geom.dy, axis=1)
+    comm = A @ B
+    comm -= B @ A
+    r += comm
+    return np.max(np.abs(r, out=r), axis=(-1, -2))
 
 
 # -- frame integration --------------------------------------------------------
+
+
+# cubic interpolation weights for the midpoint of the first (or last) panel
+_MID_EDGE = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
 
 
 def _midpoints(M: np.ndarray) -> np.ndarray:
@@ -144,16 +152,17 @@ def _midpoints(M: np.ndarray) -> np.ndarray:
     n = M.shape[0]
     mid = np.empty((n - 1,) + M.shape[1:], dtype=M.dtype)
     mid[1:-1] = (-M[:-3] + 9.0 * M[1:-2] + 9.0 * M[2:-1] - M[3:]) / 16.0
-    w = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
-    mid[0] = np.tensordot(w, M[:4], axes=(0, 0))
-    mid[-1] = np.tensordot(w, M[-1:-5:-1], axes=(0, 0))
+    rest = M.shape[1:]
+    mid[0] = np.dot(_MID_EDGE, M[:4].reshape(4, -1)).reshape(rest)
+    mid[-1] = np.dot(_MID_EDGE, M[-1:-5:-1].reshape(4, -1)).reshape(rest)
     return mid
 
 
-def _rk4(S: np.ndarray, M: np.ndarray, h) -> np.ndarray:
+def _rk4(S: np.ndarray, M: np.ndarray, h, sweep: str) -> np.ndarray:
     """RK4 for dS/ds = S M(s) on a batch of lines: start states S (lines, k, k),
     samples M (n, lines, k, k).  A state norm above 1e12, or NaN, raises
-    IntegrationBlowup naming the step.  Returns all (n, lines, k, k)."""
+    IntegrationBlowup naming the `sweep` and the step.  Returns all
+    (n, lines, k, k)."""
     n = M.shape[0]
     mid = _midpoints(M)
     out = np.empty((n,) + S.shape, dtype=S.dtype)
@@ -166,17 +175,20 @@ def _rk4(S: np.ndarray, M: np.ndarray, h) -> np.ndarray:
         S = S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norm = np.max(np.abs(S))
         if not norm <= 1e12:  # NaN fails too
-            raise IntegrationBlowup(f"frame norm {norm:.3e} is not below 1e12 at sweep step {k}")
+            raise IntegrationBlowup(f"frame norm {norm:.3e} is not below 1e12 "
+                                    f"at {sweep} sweep step {k}")
         out[k + 1] = S
     return out
 
 
-def _sweep_grid(A: np.ndarray, B: np.ndarray, hx, hy) -> np.ndarray:
+def _sweep_grid(A: np.ndarray, B: np.ndarray, hx, hy,
+                names: tuple[str, str] = ("first-column", "row")) -> np.ndarray:
     """Integrate from the identity at node (0, 0): up the first column with B, then
-    along every row with A.  A and B are (nx, ny, k, k); so is the result."""
+    along every row with A.  A and B are (nx, ny, k, k); so is the result.
+    `names` names the two sweeps in an IntegrationBlowup message."""
     start = np.eye(A.shape[-1], dtype=A.dtype)[None]
-    column = _rk4(start, B[0][:, None], hy)[:, 0]
-    return _rk4(column, A, hx)
+    column = _rk4(start, B[0][:, None], hy, names[0])[:, 0]
+    return _rk4(column, A, hx, names[1])
 
 
 def integrate_frame(
@@ -208,7 +220,8 @@ def integrate_frame(
     path_defect = 0.0
     if compute_path_defect:
         S_alt = _sweep_grid(np.swapaxes(theta.B, 0, 1), np.swapaxes(theta.A, 0, 1),
-                            geom.dy, geom.dx)
+                            geom.dy, geom.dx,
+                            ("path-defect first-row", "path-defect column"))
         path_defect = float(np.max(np.abs(S - np.swapaxes(S_alt, 0, 1))))
     return FrameField(geom, S, flatness_report=flat, path_defect=path_defect)
 

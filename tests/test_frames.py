@@ -17,11 +17,12 @@ from symplag.frames import (
     MaurerCartanField,
     _decode,
     _gauge_matrix5,
+    _midpoints,
     _omega_bar_coefficient,
     extract_invariants,
     numerical_maurer_cartan,
 )
-from symplag.grids import gradient
+from symplag.grids import diff4, gradient
 
 
 GEOM = sg.GridGeometry(61, 61, 0.0, 0.0, 0.005, 0.005)
@@ -115,6 +116,19 @@ def test_integrate_rejects_non_finite_theta(path_defect):
     theta.B[30, 30, 1, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         sg.integrate_frame(theta, compute_path_defect=path_defect)
+
+
+def test_integration_blowup_names_the_path_defect_sweep():
+    # B is large away from the first column: the main sweep (first column,
+    # then rows with A = 0) stays at the identity, while the transposed pass
+    # climbs every column with B
+    B = np.zeros((GEOM.nx, GEOM.ny, 5, 5))
+    B[1:, :, 1, 0] = 1e15
+    theta = MaurerCartanField(GEOM, np.zeros_like(B), B)
+    F = quiet_integrate(theta, compute_path_defect=False)
+    assert np.array_equal(F.S, np.broadcast_to(np.eye(5), F.S.shape))
+    with pytest.raises(IntegrationBlowup, match="at path-defect column sweep step 0"):
+        quiet_integrate(theta)
 
 
 def test_frame_leaving_the_group_raises_frame_defect():
@@ -508,3 +522,23 @@ def test_decode_recovers_theta_encoding(kind):
                       (x.eta, h), (y.eta, 1j * h), (x.tau, t), (y.tau, 1j * t),
                       (x.rho, p + habs2), (y.rho, 1j * (p - habs2))):
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_flatness_residual_is_byte_identical_to_reference():
+    # accumulated in place, the residual must keep the expression's every bit
+    _, theta = family_theta(p=1.0)
+    A, B = theta.A, theta.B
+    dBdx, dAdy = diff4(B, GEOM.dx, axis=0), diff4(A, GEOM.dy, axis=1)
+    expected = np.max(np.abs(dBdx - dAdy + (A @ B - B @ A)), axis=(-1, -2))
+    assert sg.flatness_residual(theta).tobytes() == expected.tobytes()
+
+
+def test_midpoints_edge_rows_are_byte_identical_to_tensordot():
+    # the sample arrays of the row, first-column, transposed and complex sweeps
+    _, theta = family_theta(p=1.0)
+    w = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
+    for M in (theta.A, theta.B[0][:, None], np.swapaxes(theta.B, 0, 1),
+              theta.A[..., :3, :3] * (1.0 - 0.5j)):
+        mid = _midpoints(M)
+        assert mid[0].tobytes() == np.tensordot(w, M[:4], axes=(0, 0)).tobytes()
+        assert mid[-1].tobytes() == np.tensordot(w, M[-1:-5:-1], axes=(0, 0)).tobytes()

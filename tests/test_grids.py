@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import symplag as sg
 from symplag.errors import GridTooSmall
-from symplag.grids import cumquad, diff4, gradient
+from symplag.grids import _EDGE0, _EDGE1, cumquad, diff4, gradient
 
 
 GEOM = sg.GridGeometry(21, 17, -0.5, 0.25, 0.05, 0.04)
@@ -199,3 +199,34 @@ def test_diff4_linearity(a, b):
     lhs = diff4(a * f + b * g, GEOM.dx, 0)
     rhs = a * diff4(f, GEOM.dx, 0) + b * diff4(g, GEOM.dx, 0)
     assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+def _reference_diff4(values, h, axis):
+    """diff4 as one interior expression and np.tensordot edge rows."""
+    v = np.moveaxis(np.asarray(values), axis, 0)
+    out = np.empty_like(v, dtype=np.result_type(v.dtype, float))
+    out[2:-2] = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
+    out[0] = np.tensordot(_EDGE0, v[:5], axes=(0, 0)) / h
+    out[1] = np.tensordot(_EDGE1, v[:5], axes=(0, 0)) / h
+    out[-1] = -np.tensordot(_EDGE0, v[-1:-6:-1], axes=(0, 0)) / h
+    out[-2] = -np.tensordot(_EDGE1, v[-1:-6:-1], axes=(0, 0)) / h
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("shape", [(61, 61), (61, 61, 4), (61, 61, 5, 5)])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_diff4_is_byte_identical_to_reference(shape, dtype, axis):
+    # the in-place interior and the np.dot edge rows must reproduce every bit,
+    # signed zeros included (tobytes, not np.array_equal), on contiguous
+    # fields and on a cropped view such as a reduction's frame
+    rng = np.random.default_rng(3)
+    big = rng.normal(size=(65, 65) + shape[2:]).astype(dtype)
+    if dtype is complex:
+        big += 1j * rng.normal(size=big.shape)
+    big[rng.random(big.shape) < 0.05] = -0.0
+    for values in (big[:61, :61].copy(), big[2:63, 2:63]):
+        got = diff4(values, 0.005, axis)
+        expected = _reference_diff4(values, 0.005, axis)
+        assert got.dtype == expected.dtype and got.strides == expected.strides
+        assert got.tobytes() == expected.tobytes()

@@ -1,0 +1,121 @@
+"""Per-stage wall times of symplag's pipelines at 61^2, 121^2 and 241^2.
+
+    python tools/stage_timings.py --out FILE [--src PATH] [--label NAME]
+
+Imports symplag from `--src` (default: the `src` next to this script's
+directory), with BLAS and OpenMP pinned to one thread, and times each stage
+as the best of 5 runs.  The input is the constant family with p = 1 on a
+square of side 0.3 with origin 0: Theta and the integrated frame come from its
+invariants, and the reduction and congruence stages take its closed-form
+immersion.
+
+The timings go under `--label` (default "change") in the JSON file `--out`;
+an existing file keeps its other labels, so two runs
+with different `--src` and `--label` put two trees side by side.  Each label
+also records `reference_s`, the best-of-5 time of a fixed numpy computation
+that does not touch symplag: shared machines drift in speed, and the ratio of
+a stage to it compares runs taken at different moments.
+"""
+
+import os
+
+# BLAS reads these once, when numpy is loaded, so they are set before any import
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+REPEATS = 5
+SIZES = (61, 121, 241)
+SIDE = 0.3
+P = 1.0
+
+
+def best_of(fn) -> float:
+    """Least wall time of REPEATS calls of fn()."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def reference() -> None:
+    """A fixed computation of small matrix products that does not touch symplag."""
+    q = np.linalg.qr(np.linspace(0.1, 0.9, 25).reshape(5, 5) + np.eye(5))[0]
+    s = np.eye(5)
+    for _ in range(6000):
+        s = s @ q  # q is orthogonal: the products stay bounded
+
+
+def grid_stages(sg, n: int, workdir: Path) -> dict[str, float]:
+    """Best-of-REPEATS seconds of every stage on the n x n re-anchor input."""
+    h = SIDE / (n - 1)
+    geom = sg.GridGeometry(n, n, 0.0, 0.0, h, h)
+    params = sg.ConstantFamilyParams(p=P)
+    inv = sg.family_triple(params, geom)
+    theta = sg.theta_from_invariants(inv)
+    F = sg.integrate_frame(theta, compute_path_defect=False)
+    m_frame = sg.immersion_from_frame(F)
+    m = sg.closed_form_immersion(params, geom)
+    csv = workdir / f"immersion_{n}.csv"
+    sg.save_immersion(m_frame, csv, frame=F)
+    return {
+        "theta_from_invariants": best_of(lambda: sg.theta_from_invariants(inv)),
+        "flatness_residual": best_of(lambda: sg.flatness_residual(theta)),
+        "integrate_frame_path_defect": best_of(lambda: sg.integrate_frame(theta)),
+        "integrate_frame": best_of(
+            lambda: sg.integrate_frame(theta, compute_path_defect=False)),
+        "numerical_maurer_cartan": best_of(lambda: sg.numerical_maurer_cartan(F)),
+        "reduction_pipeline": best_of(lambda: sg.reduction_pipeline(m)),
+        "congruence_defect": best_of(lambda: sg.congruence_defect(m, m)),
+        "save_immersion_frame": best_of(lambda: sg.save_immersion(m_frame, csv, frame=F)),
+        "load_immersion_frame": best_of(lambda: sg.load_immersion(csv)),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="directory that holds the symplag package")
+    parser.add_argument("--label", default="change", help="key of this run in the JSON file")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to update")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(args.src.resolve()))
+    import symplag as sg
+
+    run = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "repeats": REPEATS,
+        "reference_s": best_of(reference),
+        "stages_s": {},
+    }
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a repeated warning is noise here, not a stage
+        for n in SIZES:
+            run["stages_s"][f"{n}x{n}"] = grid_stages(sg, n, Path(tmp))
+            print(f"{args.label} {n}x{n}: " + ", ".join(
+                f"{k} {v * 1e3:.1f} ms" for k, v in run["stages_s"][f"{n}x{n}"].items()),
+                file=sys.stderr)
+
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data[args.label] = run
+    args.out.write_text(json.dumps(data, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
