@@ -12,7 +12,6 @@ from .invariants import (
     form_coefficients,
     genericity_ops,
     inteq_residual,
-    is_generic,
     p1_from_p2,
     recover_p,
     shift_family,

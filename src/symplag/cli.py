@@ -315,7 +315,8 @@ def _run_integrate(cfg: JobConfig, rep: Report) -> None:
         F = integrate_frame(theta, tols=tols)
         m = immersion_from_frame(F)
     rep.add_flag("flatness", F.flatness_report, "tol_flat", tols.tol_flat)
-    rep.add_flag("path_defect", F.path_defect, "tol_congruent", tols.tol_congruent)
+    if not math.isnan(F.error_estimate):  # NaN below 7 nodes on an axis
+        rep.add_flag("error_estimate", F.error_estimate, "tol_congruent", tols.tol_congruent)
     rep.add_flag("symplectic_defect", F.max_symplectic_defect(),
                  "tol_frame", tols.tol_frame)
     lag = rep.add_residual("lagrangian_defect", lagrangian_defect(m))

@@ -47,7 +47,7 @@ class FrameField:
     geometry: GridGeometry
     S: np.ndarray  # (nx, ny, 5, 5)
     flatness_report: float = 0.0
-    path_defect: float = 0.0
+    error_estimate: float = float("nan")  # NaN when not computed
 
     def max_symplectic_defect(self) -> float:
         return symplectic_defect(self.S[:, :, 1:, 1:])
@@ -184,8 +184,8 @@ def _rk4(S: np.ndarray, M: np.ndarray, h, sweep: str) -> np.ndarray:
 def _sweep_grid(A: np.ndarray, B: np.ndarray, hx, hy,
                 names: tuple[str, str] = ("first-column", "row")) -> np.ndarray:
     """Integrate from the identity at node (0, 0): up the first column with B, then
-    along every row with A.  A and B are (nx, ny, k, k); so is the result.
-    `names` names the two sweeps in an IntegrationBlowup message."""
+    along every row with A.  A and B are (nx, ny, k, k), nx, ny >= 4; so is the
+    result.  `names` names the two sweeps in an IntegrationBlowup message."""
     start = np.eye(A.shape[-1], dtype=A.dtype)[None]
     column = _rk4(start, B[0][:, None], hy, names[0])[:, 0]
     return _rk4(column, A, hx, names[1])
@@ -200,9 +200,16 @@ def integrate_frame(
 
     Flatness is measured first; a residual above tol_flat is reported as a
     warning (the integral still exists on each path, it just becomes
-    path-dependent, which the transposed-sweep defect quantifies).  Each step
-    is checked for blow-up; the finished frame's symplectic defect
-    max |X^T J X - J| above tol_frame raises FrameDefect.
+    path-dependent).  Each step is checked for blow-up; the finished frame's
+    symplectic defect max |X^T J X - J| above tol_frame raises FrameDefect.
+
+    `compute_path_defect` runs the subgrid sweep for `error_estimate`: the same
+    sweep on Theta's every-other-node subgrid (the first n - 1 nodes of an
+    even axis) with steps 2 dx and 2 dy gives f2, and max |f2 - f| / 15 over
+    the shared nodes is the Richardson estimate of the immersion's error.  It
+    sees RK4 truncation only, not curvature, which the flatness residual
+    measures.  Below 7 nodes on an axis the subgrid is too short to sweep, and
+    the estimate is NaN, as it is when not computed.
     """
     if not (np.all(np.isfinite(theta.A)) and np.all(np.isfinite(theta.B))):
         raise ValueError("Theta holds a non-finite value")
@@ -217,13 +224,12 @@ def integrate_frame(
     if defect[node] > tols.tol_frame:
         raise FrameDefect(f"symplectic defect {defect[node]:.3e} exceeds tol_frame "
                           f"{tols.tol_frame:.3e} at node {tuple(map(int, node))}")
-    path_defect = 0.0
-    if compute_path_defect:
-        S_alt = _sweep_grid(np.swapaxes(theta.B, 0, 1), np.swapaxes(theta.A, 0, 1),
-                            geom.dy, geom.dx,
-                            ("path-defect first-row", "path-defect column"))
-        path_defect = float(np.max(np.abs(S - np.swapaxes(S_alt, 0, 1))))
-    return FrameField(geom, S, flatness_report=flat, path_defect=path_defect)
+    estimate = float("nan")
+    if compute_path_defect and min(geom.nx, geom.ny) >= 7:
+        S2 = _sweep_grid(theta.A[::2, ::2], theta.B[::2, ::2], 2 * geom.dx, 2 * geom.dy,
+                         ("step-doubling first-column", "step-doubling row"))
+        estimate = float(np.max(np.abs(S2[..., 1:, 0] - S[::2, ::2, 1:, 0]))) / 15.0
+    return FrameField(geom, S, flatness_report=flat, error_estimate=estimate)
 
 
 def immersion_from_frame(F: FrameField) -> ImmersionGrid:

@@ -175,16 +175,6 @@ def genericity_ops(
     return d2, d3, p2, d4
 
 
-def is_generic(inv: InvariantTriple) -> np.ndarray:
-    """Boolean grid: node is generic when the Hopf coefficient and P2 are both nonzero."""
-    tol = DEFAULT_TOLS.tol_umbilic
-    hopf_nonzero = np.abs(inv.h) > tol
-    if not hopf_nonzero.all():
-        return hopf_nonzero
-    _, _, p2, _ = genericity_ops(inv.h, inv.geometry)
-    return hopf_nonzero & (np.abs(p2) > tol)
-
-
 def recover_p(h: np.ndarray, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Recover (s, p) from h alone via s = -D4/P2, p = h s + D2.
 

@@ -365,6 +365,35 @@ def test_integrate_frame_defect_exits_1(tmp_path, capsys):
     assert "failure: FrameDefect" in capsys.readouterr().err
 
 
+def test_integrate_non_flat_theta_exits_1_through_flatness(tmp_path):
+    # p + 0.1 xy breaks the compatibility equations: Theta is curved, which the
+    # flatness flag catches; the error estimate sees RK4 truncation only
+    geom = sg.GridGeometry(121, 121, 0.0, 0.0, 0.0025, 0.0025)
+    inv = sg.family_triple(sg.ConstantFamilyParams(p=1.0), geom)
+    xx, yy = geom.mesh()
+    fields = {"t": inv.t, "h": inv.h, "p": inv.p + 0.1 * xx * yy}
+    for name, values in fields.items():
+        sg.save_grid(sg.ComplexGrid(geom, values), tmp_path / f"{name}.csv")
+    doc = tmp_path / "int.json"
+    doc.write_text(json.dumps({"command": "integrate", "params": {
+        name: str(tmp_path / f"{name}.csv") for name in fields}}))
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="flatness residual 3.0"):
+        assert main(["--config", str(doc), "--out", str(out)]) == 1
+    flags = json.loads((out / "report.json").read_text())["flags"]
+    assert not flags["flatness"]["passed"]
+    assert flags["error_estimate"]["passed"]
+
+
+@pytest.mark.parametrize("n, estimated", [(60, True), (6, False)])
+def test_integrate_flags_the_error_estimate_where_the_subgrid_sweeps(tmp_path, n, estimated):
+    # an even axis sweeps the subgrid of its first n - 1 nodes; 6 nodes are too few
+    out = tmp_path / "out"
+    assert main(["integrate", "--grid", f"{n},{n},0,0,0.005,0.005", "--out", str(out)]) == 0
+    flags = json.loads((out / "report.json").read_text())["flags"]
+    assert ("error_estimate" in flags) == estimated
+
+
 def test_invariant_csvs_on_different_grids_exit_2(tmp_path, capsys):
     fine = sg.GridGeometry(11, 11, 0.0, 0.0, 0.01, 0.01)
     coarse = sg.GridGeometry(11, 11, 0.0, 0.0, 0.02, 0.02)

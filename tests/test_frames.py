@@ -108,27 +108,28 @@ def test_integration_blowup_guard_trips_on_nan():
         quiet_integrate(theta, compute_path_defect=False)
 
 
-@pytest.mark.parametrize("path_defect", [False, True])
-def test_integrate_rejects_non_finite_theta(path_defect):
-    # NaN flatness raises no warning; unchecked, the sweep returns a finite
-    # frame (path defect off) or raises IntegrationBlowup (path defect on)
+@pytest.mark.parametrize("estimate", [False, True])
+def test_integrate_rejects_non_finite_theta(estimate):
+    # NaN flatness raises no warning, and neither sweep reads B off its first
+    # column: unchecked, this NaN would go unseen
     _, theta = family_theta(p=1.0)
     theta.B[30, 30, 1, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        sg.integrate_frame(theta, compute_path_defect=path_defect)
+        sg.integrate_frame(theta, compute_path_defect=estimate)
 
 
-def test_integration_blowup_names_the_path_defect_sweep():
-    # B is large away from the first column: the main sweep (first column,
-    # then rows with A = 0) stays at the identity, while the transposed pass
-    # climbs every column with B
-    B = np.zeros((GEOM.nx, GEOM.ny, 5, 5))
-    B[1:, :, 1, 0] = 1e15
-    theta = MaurerCartanField(GEOM, np.zeros_like(B), B)
-    F = quiet_integrate(theta, compute_path_defect=False)
-    assert np.array_equal(F.S, np.broadcast_to(np.eye(5), F.S.shape))
-    with pytest.raises(IntegrationBlowup, match="at path-defect column sweep step 0"):
-        quiet_integrate(theta)
+def test_integration_blowup_names_the_step_doubling_sweep():
+    # a rotation of 2.5 rad per step in the (q1, q3) and (q2, q4) planes: an
+    # RK4 step damps it by 0.51 on the grid, while at twice the step (5 rad,
+    # outside RK4's stability interval) it grows by 21 on the subgrid
+    omega = 500.0
+    theta = _constant_theta({(1, 3): omega, (2, 4): omega,
+                             (3, 1): -omega, (4, 2): -omega})
+    loose = sg.Tolerances().replace(tol_frame=2.0)  # the damped frame leaves Sp(4)
+    F = quiet_integrate(theta, tols=loose, compute_path_defect=False)
+    assert np.max(np.abs(F.S[..., 1:, 1:])) <= 1.0
+    with pytest.raises(IntegrationBlowup, match="at step-doubling row sweep step"):
+        quiet_integrate(theta, tols=loose)
 
 
 def test_frame_leaving_the_group_raises_frame_defect():
@@ -162,11 +163,35 @@ def test_integrated_frame_matches_exponential():
     assert F.max_symplectic_defect() < 1e-8
 
 
-def test_path_defect_small_when_flat():
+def test_error_estimate_small_when_flat():
     inv, theta = family_theta(p=0.0)
     F = quiet_integrate(theta)
     assert F.flatness_report < 1e-7
-    assert F.path_defect < 1e-6
+    assert 0.0 < F.error_estimate < 1e-6
+
+
+@pytest.mark.parametrize("n", [60, 61, 121])
+@pytest.mark.parametrize("p, c1, c2", [(1.0, 1.0, 1.0), (-1.3, 0.5, 2.0), (1.4, 2.0, 0.5)])
+def test_error_estimate_matches_closed_form_error(n, p, c1, c2):
+    # the subgrid's max |f2 - f| / 15 against the true RK4 error of f; an even
+    # 60^2 compares the first 59 nodes of each axis
+    h = 0.3 / (2 * (n // 2))
+    geom = sg.GridGeometry(n, n, 0.0, 0.0, h, h)
+    params = sg.ConstantFamilyParams(p=p, c1=c1, c2=c2)
+    F = quiet_integrate(sg.theta_from_invariants(sg.family_triple(params, geom)))
+    err = sg.immersion_from_frame(F).f - sg.closed_form_immersion(params, geom).f
+    err = np.max(np.abs(err - err[0, 0]))  # the surfaces differ by a translation
+    assert abs(F.error_estimate / err - 1.0) < 0.15
+
+
+def test_error_estimate_is_nan_unless_computed_on_seven_nodes():
+    # the subgrid of 7 nodes has the 4 an RK4 sweep needs; that of 6 has 3
+    for n, known in ((6, False), (7, True)):
+        geom = sg.GridGeometry(n, 9, 0.0, 0.0, 0.005, 0.005)
+        F = quiet_integrate(family_theta(p=1.0, geom=geom)[1])
+        assert np.isfinite(F.error_estimate) == known
+    F = quiet_integrate(family_theta(p=1.0)[1], compute_path_defect=False)
+    assert np.isnan(F.error_estimate)
 
 
 def test_immersion_from_frame_is_lagrangian():
@@ -534,10 +559,10 @@ def test_flatness_residual_is_byte_identical_to_reference():
 
 
 def test_midpoints_edge_rows_are_byte_identical_to_tensordot():
-    # the sample arrays of the row, first-column, transposed and complex sweeps
+    # the sample arrays of the row, first-column, subgrid and complex sweeps
     _, theta = family_theta(p=1.0)
     w = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
-    for M in (theta.A, theta.B[0][:, None], np.swapaxes(theta.B, 0, 1),
+    for M in (theta.A, theta.B[0][:, None], theta.A[::2, ::2],
               theta.A[..., :3, :3] * (1.0 - 0.5j)):
         mid = _midpoints(M)
         assert mid[0].tobytes() == np.tensordot(w, M[:4], axes=(0, 0)).tobytes()

@@ -184,13 +184,6 @@ def test_genericity_ops_match_symbolic_oracle():
     assert max(errs) < 1e-9
 
 
-def test_is_generic_detects_degeneracies():
-    inv = sg.family_triple(sg.ConstantFamilyParams(p=0.0), GEOM)  # h = 1
-    assert not sg.is_generic(inv).any()
-    umb = const_triple(1.0, 0.0, 0.0)
-    assert not sg.is_generic(umb).any()
-
-
 def _recover_oracles(xx):
     # frozen closed forms for h = exp(i x^2) from symbolic differentiation
     e = np.exp(2j * xx**2)

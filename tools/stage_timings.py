@@ -13,8 +13,9 @@ The timings go under `--label` (default "change") in the JSON file `--out`;
 an existing file keeps its other labels, so two runs
 with different `--src` and `--label` put two trees side by side.  Each label
 also records `reference_s`, the best-of-5 time of a fixed numpy computation
-that does not touch symplag: shared machines drift in speed, and the ratio of
-a stage to it compares runs taken at different moments.
+that does not touch symplag, and `stages_rel`, every stage divided by it:
+shared machines drift in speed, and the ratio compares runs taken at
+different moments.
 """
 
 import os
@@ -73,7 +74,7 @@ def grid_stages(sg, n: int, workdir: Path) -> dict[str, float]:
     return {
         "theta_from_invariants": best_of(lambda: sg.theta_from_invariants(inv)),
         "flatness_residual": best_of(lambda: sg.flatness_residual(theta)),
-        "integrate_frame_path_defect": best_of(lambda: sg.integrate_frame(theta)),
+        "integrate_frame_estimate": best_of(lambda: sg.integrate_frame(theta)),
         "integrate_frame": best_of(
             lambda: sg.integrate_frame(theta, compute_path_defect=False)),
         "numerical_maurer_cartan": best_of(lambda: sg.numerical_maurer_cartan(F)),
@@ -110,6 +111,8 @@ def main(argv=None) -> int:
             print(f"{args.label} {n}x{n}: " + ", ".join(
                 f"{k} {v * 1e3:.1f} ms" for k, v in run["stages_s"][f"{n}x{n}"].items()),
                 file=sys.stderr)
+    run["stages_rel"] = {grid: {k: v / run["reference_s"] for k, v in stages.items()}
+                         for grid, stages in run["stages_s"].items()}
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = run
