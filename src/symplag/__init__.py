@@ -8,11 +8,9 @@ from .invariants import (
     InvariantTriple,
     applicability_residual,
     dbar_fubini_residual,
-    diffeq_residual,
     form_coefficients,
     genericity_ops,
     inteq_residual,
-    p1_from_p2,
     recover_p,
     shift_family,
 )

@@ -238,40 +238,34 @@ def triple_from_params(geom: GridGeometry, params: dict) -> InvariantTriple:
 
 
 def write_obj(path: str | Path, xs: np.ndarray, ys: np.ndarray,
-              height: np.ndarray, aux: np.ndarray | None = None) -> None:
+              height: np.ndarray, aux: np.ndarray) -> None:
     """Triangulated height surface over (x, y) in Wavefront OBJ format.
 
-    `height[i, j]` becomes the vertex z-coordinate; `aux`, when given, is
-    written as a per-vertex texture coordinate (normalized to [0, 1]) so
-    viewers can color by the second component.  An n-by-m grid yields n*m
-    vertices and 2*(n-1)*(m-1) triangles.
+    `height[i, j]` becomes the vertex z-coordinate and `aux` a per-vertex
+    texture coordinate (normalized to [0, 1]) so viewers can color by the
+    second component.  An n-by-m grid yields n*m vertices and 2*(n-1)*(m-1)
+    triangles.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     h = np.asarray(height, dtype=float)
     n, m = h.shape
     lines = [f"# height surface {n}x{m}"]
-    if aux is not None:
-        a = np.asarray(aux, dtype=float)
-        span = float(a.max() - a.min())
-        a_norm = (a - a.min()) / span if span > 0 else np.zeros_like(a)
+    a = np.asarray(aux, dtype=float)
+    span = float(a.max() - a.min())
+    a_norm = (a - a.min()) / span if span > 0 else np.zeros_like(a)
     for i in range(n):
         for j in range(m):
             lines.append(f"v {xs[i]:.9g} {ys[j]:.9g} {h[i, j]:.9g}")
-    if aux is not None:
-        for i in range(n):
-            for j in range(m):
-                lines.append(f"vt {a_norm[i, j]:.9g} 0")
+    for i in range(n):
+        for j in range(m):
+            lines.append(f"vt {a_norm[i, j]:.9g} 0")
     vid = lambda i, j: i * m + j + 1
     for i in range(n - 1):
         for j in range(m - 1):
             a_, b_, c_, d_ = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-            if aux is not None:
-                lines.append(f"f {a_}/{a_} {b_}/{b_} {c_}/{c_}")
-                lines.append(f"f {a_}/{a_} {c_}/{c_} {d_}/{d_}")
-            else:
-                lines.append(f"f {a_} {b_} {c_}")
-                lines.append(f"f {a_} {c_} {d_}")
+            lines.append(f"f {a_}/{a_} {b_}/{b_} {c_}/{c_}")
+            lines.append(f"f {a_}/{a_} {c_}/{c_} {d_}/{d_}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -329,6 +323,9 @@ def _run_integrate(cfg: JobConfig, rep: Report) -> None:
 
 def _run_example(cfg: JobConfig, rep: Report) -> None:
     kind = cfg.params.get("kind", "constant")
+    formats = cfg.params.get("export", [])
+    if not isinstance(formats, (list, tuple)):
+        raise ConfigError(f"params.export must be a list, got {formats!r}")
     with rep.timed("build"):
         if kind == "constant":
             m = closed_form_immersion(_family_params(cfg.params), cfg.grid)
@@ -344,7 +341,7 @@ def _run_example(cfg: JobConfig, rep: Report) -> None:
     with rep.timed("write"):
         save_immersion(m, out)
         rep.outputs.append(str(out))
-        for fmt in cfg.params.get("export", []):
+        for fmt in formats:
             path = cfg.output_dir / f"immersion-{fmt}.obj"
             export_mesh(m, fmt, path)
             rep.outputs.append(str(path))
@@ -356,6 +353,9 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
     if not isinstance(lambdas, (list, tuple)):
         raise ConfigError(f"params.lambdas must be a list, got {lambdas!r}")
     lambdas = [_number("lambdas", v) for v in lambdas]
+    if len(lambdas) < 2 or len(set(lambdas)) < len(lambdas):
+        raise ConfigError("params.lambdas must hold at least two distinct values, "
+                          f"got {lambdas!r}")
     margin = _margin(cfg.params, cfg.grid)
     base = triple_from_params(cfg.grid, {k: v for k, v in cfg.params.items()
                                          if k != "lambdas"})
@@ -374,9 +374,8 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
     rep.residuals["congruence_matrix"] = {"lambdas": lambdas,
                                           "matrix": matrix.tolist()}
     off = matrix[~np.eye(len(members), dtype=bool)]
-    if off.size:
-        rep.add_flag("pairwise_noncongruent", float(np.min(off)),
-                     "tol_congruent", tols.tol_congruent, below=False)
+    rep.add_flag("pairwise_noncongruent", float(np.min(off)),
+                 "tol_congruent", tols.tol_congruent, below=False)
 
 
 def _run_invariants(cfg: JobConfig, rep: Report) -> None:

@@ -12,7 +12,7 @@ class Tolerances:
     """Named tolerances; every pass/fail flag in the toolkit traces to one of these.
 
     tol_rank      -- determinant/rank threshold for rank drops and never-zero fields
-    tol_resid     -- generic residual threshold (closedness, holomorphy, realness)
+    tol_resid     -- generic residual threshold (compatibility equations, holomorphy)
     tol_umbilic   -- below this |h| a node counts as umbilic
     tol_frame     -- symplectic defect allowed for integrated frame nodes
     tol_flat      -- flatness residual above which integration warns

@@ -13,14 +13,6 @@ class GridTooSmall(SymplagError):
     """Grid has fewer than the 5 nodes per axis required by the stencils."""
 
 
-class NonRealH(SymplagError):
-    """Field expected to be real-valued has a non-negligible imaginary part."""
-
-
-class NotClosed(SymplagError):
-    """1-form fails the closedness (curl) test; a primitive does not exist."""
-
-
 class UmbilicPoint(SymplagError):
     """|h| dips below the umbilic tolerance where a division by h is required."""
 

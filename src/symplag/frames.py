@@ -46,7 +46,7 @@ class FrameField:
 
     geometry: GridGeometry
     S: np.ndarray  # (nx, ny, 5, 5)
-    flatness_report: float = 0.0
+    flatness_report: float = float("nan")  # NaN when not measured
     error_estimate: float = float("nan")  # NaN when not computed
 
     def max_symplectic_defect(self) -> float:

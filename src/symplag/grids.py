@@ -84,25 +84,6 @@ def d_zbar(values: np.ndarray, geom: GridGeometry) -> np.ndarray:
     return wirtinger(*gradient(values, geom))[1]
 
 
-def cumquad(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """Cumulative integral along `axis` from the first node, 4th-order accurate.
-
-    Each panel integral uses the cubic through the four nearest nodes.
-    """
-    v = np.moveaxis(np.asarray(values), axis, 0)
-    n = v.shape[0]
-    if n < 5:
-        raise GridTooSmall(f"need at least 5 nodes along axis {axis}, got {n}")
-    panels = np.empty_like(v[:-1], dtype=np.result_type(v.dtype, float))
-    # interior panels [k, k+1] from nodes k-1..k+2
-    panels[1:-1] = (h / 24.0) * (-v[:-3] + 13.0 * v[1:-2] + 13.0 * v[2:-1] - v[3:])
-    panels[0] = (h / 24.0) * (9.0 * v[0] + 19.0 * v[1] - 5.0 * v[2] + v[3])
-    panels[-1] = (h / 24.0) * (9.0 * v[-1] + 19.0 * v[-2] - 5.0 * v[-3] + v[-4])
-    out = np.zeros_like(v, dtype=panels.dtype)
-    np.cumsum(panels, axis=0, out=out[1:])
-    return np.moveaxis(out, 0, axis)
-
-
 @dataclass(frozen=True)
 class GridGeometry:
     nx: int

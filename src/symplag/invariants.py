@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .errors import NonRealH, NotClosed, NotGeneric, UmbilicPoint
-from .grids import GridGeometry, _node_values, cumquad, d_z, d_zbar, diff4, gradient
+from .errors import NotGeneric, UmbilicPoint
+from .grids import GridGeometry, _node_values, d_z, d_zbar
 
 
 @dataclass(frozen=True)
@@ -71,57 +71,6 @@ def inteq_residual(inv: InvariantTriple) -> tuple[np.ndarray, np.ndarray, np.nda
     r2 = d_zbar(p, geom) - (2.0 * h * hbar_z - 1j * d_z(habs2, geom))
     r3 = (np.conj(p) * h - p * hbar) - (d_zbar(d_zbar(h, geom), geom) - d_z(hbar_z, geom))
     return r1, r2, r3
-
-
-def diffeq_residual(
-    t: np.ndarray, h_real: np.ndarray, p2: np.ndarray, geom: GridGeometry
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residuals of the real-h PDE system governing applicable immersions.
-
-    r1 = t_zbar - h conj(t);  r2 = h_xy + 2 h p2;  r3 = lap(p2) + 4 (h^2)_xy.
-    """
-    t = _node_values(geom, t, "t")
-    h_real = _node_values(geom, h_real, "h")
-    tol = DEFAULT_TOLS.tol_resid
-    im = float(np.max(np.abs(h_real.imag)))
-    if im > tol:
-        raise NonRealH(f"max |Im h| = {im:.3e} > {tol:.3e}")
-    h = h_real.real
-    p2v = _node_values(geom, p2, "p2").real
-    r1 = d_zbar(t, geom) - h * np.conj(t)
-    h_xy = diff4(diff4(h, geom.dx, 0), geom.dy, 1)
-    r2 = h_xy + 2.0 * h * p2v
-    lap = (
-        diff4(diff4(p2v, geom.dx, 0), geom.dx, 0)
-        + diff4(diff4(p2v, geom.dy, 1), geom.dy, 1)
-    )
-    h2_xy = diff4(diff4(h * h, geom.dx, 0), geom.dy, 1)
-    r3 = lap + 4.0 * h2_xy
-    return r1, r2, r3
-
-
-def p1_from_p2(p2: np.ndarray, h: np.ndarray, geom: GridGeometry) -> np.ndarray:
-    """Primitive of [(p2)_y + 2(h^2)_x] dx - [(p2)_x + 2(h^2)_y] dy, zero at the base node.
-
-    The 1-form is checked for closedness first; grid-path integration runs
-    down the first column and then along rows.  Adding a constant to the
-    result moves through the associated family.
-    """
-    p2v = _node_values(geom, p2, "p2").real
-    h2 = np.real(_node_values(geom, h, "h")) ** 2
-    p2_x, p2_y = gradient(p2v, geom)
-    h2_x, h2_y = gradient(h2, geom)
-    F = p2_y + 2.0 * h2_x
-    G = -(p2_x + 2.0 * h2_y)
-    curl = diff4(F, geom.dy, 1) - diff4(G, geom.dx, 0)
-    cmax = float(np.max(np.abs(curl)))
-    tol = DEFAULT_TOLS.tol_resid
-    if cmax > tol:
-        raise NotClosed(f"curl residual {cmax:.3e} > {tol:.3e}")
-    out = np.empty((geom.nx, geom.ny))
-    out[0, :] = cumquad(G[0, :], geom.dy)
-    out[:, :] = out[0, :][None, :] + cumquad(F, geom.dx, axis=0)
-    return out
 
 
 def form_coefficients(inv: InvariantTriple) -> FormCoefficients:

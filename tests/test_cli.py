@@ -209,10 +209,27 @@ def test_report_lists_warnings(tmp_path):
 
 def test_write_obj_smallest_mesh(tmp_path):
     path = tmp_path / "tiny.obj"
-    write_obj(path, [0.0, 1.0], [0.0, 1.0], np.zeros((2, 2)))
+    write_obj(path, [0.0, 1.0], [0.0, 1.0], np.zeros((2, 2)), [[0.0, 1.0], [2.0, 4.0]])
     text = path.read_text().splitlines()
     assert sum(1 for l in text if l.startswith("v ")) == 4
-    assert sum(1 for l in text if l.startswith("f ")) == 2
+    vts = ["vt 0 0", "vt 0.25 0", "vt 0.5 0", "vt 1 0"]  # aux over its span, C order
+    assert [l for l in text if l.startswith("vt ")] == vts
+    assert [l for l in text if l.startswith("f ")] == ["f 1/1 3/3 4/4", "f 1/1 4/4 2/2"]
+
+
+def test_export_command_end_to_end(tmp_path, capsys):
+    fwd = tmp_path / "fwd"
+    assert main(["integrate", "--out", str(fwd)]) == 0
+    doc = tmp_path / "export.json"
+    doc.write_text(json.dumps({"command": "export", "params": {
+        "immersion": str(fwd / "immersion.csv"), "format": "obj-xy-f3f4"}}))
+    out = tmp_path / "mesh"
+    assert main(["--config", str(doc), "--out", str(out)]) == 0
+    text = (out / "immersion-obj-xy-f3f4.obj").read_text().splitlines()
+    assert sum(1 for l in text if l.startswith("v ")) == 61 * 61
+    doc.write_text(json.dumps({"command": "export", "params": {"format": "obj-xy-f3f4"}}))
+    assert main(["--config", str(doc), "--out", str(out)]) == 2
+    assert "params.immersion" in capsys.readouterr().err
 
 
 def test_export_obj_vertex_and_face_counts(tmp_path):
@@ -270,6 +287,12 @@ def test_report_echoes_effective_config(tmp_path):
     ("family", {"p": 1.0, "lambdas": ["x"]}, "lambdas"),
     ("example", {"kind": "constant", "c1": float("nan")}, "c1"),
     ("verify", {"p": True}, "p"),
+    # a family of fewer than two distinct members certifies nothing
+    ("family", {"lambdas": []}, "lambdas"),
+    ("family", {"lambdas": [0.5]}, "lambdas"),
+    ("family", {"lambdas": [0.5, -1.0, 0.5]}, "lambdas"),
+    # a string of formats is not iterated one character at a time
+    ("example", {"export": "obj-xy-f1f2"}, "export"),
 ])
 def test_bad_numeric_param_exits_2(tmp_path, capsys, command, params, key):
     doc = tmp_path / "cfg.json"

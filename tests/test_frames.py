@@ -386,6 +386,20 @@ def test_immersion_save_load_roundtrip(tmp_path):
     assert F3 is None and np.array_equal(m3.f, m.f)
 
 
+def test_frames_not_integrated_report_no_flatness(tmp_path):
+    # only integrate_frame measures flatness; a loaded or reduced frame reads NaN
+    _, theta = family_theta(p=1.0)
+    F = quiet_integrate(theta, compute_path_defect=False)
+    assert F.flatness_report < 1e-7
+    m = sg.immersion_from_frame(F)
+    path = tmp_path / "imm.csv"
+    sg.save_immersion(m, path, frame=F)
+    _, loaded = sg.load_immersion(path)
+    reduced, _, _ = quiet_pipeline(m)
+    for frame in (loaded, reduced):
+        assert np.isnan(frame.flatness_report) and np.isnan(frame.error_estimate)
+
+
 def test_save_immersion_rejects_non_finite_frame(tmp_path):
     geom = sg.GridGeometry(7, 7, 0.0, 0.0, 0.1, 0.1)
     xx, yy = geom.mesh()

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import symplag as sg
 from symplag.errors import GridTooSmall
-from symplag.grids import _EDGE0, _EDGE1, cumquad, diff4, gradient
+from symplag.grids import _EDGE0, _EDGE1, diff4, gradient
 
 
 GEOM = sg.GridGeometry(21, 17, -0.5, 0.25, 0.05, 0.04)
@@ -83,23 +83,6 @@ def test_diff4_needs_five_nodes():
     for shape in ((4, 8), (8, 4)):
         with pytest.raises(GridTooSmall):
             gradient(np.zeros(shape), GEOM)
-
-
-def test_cumquad_exact_on_cubics():
-    x = GEOM.x
-    f = 1.0 + 2.0 * x - x**2 + 0.25 * x**3
-    F = x + x**2 - x**3 / 3.0 + x**4 / 16.0
-    got = cumquad(f, GEOM.dx)
-    assert np.max(np.abs(got - (F - F[0]))) < 1e-12
-
-
-def test_cumquad_convergence():
-    errs = []
-    for n in (41, 81):
-        x = np.linspace(0.0, 1.0, n)
-        got = cumquad(np.exp(x), x[1] - x[0])
-        errs.append(np.max(np.abs(got - (np.exp(x) - 1.0))))
-    assert errs[0] / errs[1] > 12.0
 
 
 def test_geometry_validation():

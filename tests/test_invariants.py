@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import symplag as sg
-from symplag.errors import NonRealH, NotClosed, NotGeneric, UmbilicPoint
-from symplag.grids import cumquad, diff4
+from symplag.errors import NotGeneric, UmbilicPoint
 
 
 GEOM = sg.GridGeometry(41, 41, 0.0, 0.0, 0.005, 0.005)
@@ -55,8 +54,6 @@ def test_triple_rejects_off_grid_shape(name):
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda f: sg.diffeq_residual(1.0, f, 0.0, GEOM), "h"),
-    (lambda f: sg.p1_from_p2(f, 1.0, GEOM), "p2"),
     (lambda f: sg.genericity_ops(f, GEOM), "h"),
     (lambda f: sg.recover_p(f, GEOM), "h"),
     (lambda f: sg.applicability_residual(1.0, f, GEOM), "w"),
@@ -74,48 +71,6 @@ def test_triple_fields_are_read_only_grid_arrays():
         assert v.shape == (41, 41) and v.dtype == complex and not v.flags.writeable
     assert np.all(inv.h == 0.5) and np.all(inv.p == 0.0)
     assert t.flags.writeable  # the caller's array is not frozen
-
-
-def test_diffeq_constant_h():
-    xx, yy = GEOM.mesh()
-    t = sg.separated_t(sg.ConstantFamilyParams(p=0.0), xx, yy)
-    r1, r2, r3 = sg.diffeq_residual(t, 1.0, 0.0, GEOM)
-    assert max_abs(r1) < 1e-8
-    assert np.max(np.abs(r2)) < 1e-12
-    assert np.max(np.abs(r3)) < 1e-12
-
-
-def test_diffeq_rejects_complex_h():
-    with pytest.raises(NonRealH):
-        sg.diffeq_residual(1.0, 1.0 + 0.5j, 0.0, GEOM)
-
-
-def test_p1_from_p2_trivial_and_linear():
-    assert np.max(np.abs(sg.p1_from_p2(0.0, 1.0, GEOM))) < 1e-12
-    # h^2 = x: dp1 = 2 dx, so p1 = 2x - 2x0
-    geom = sg.GridGeometry(41, 41, 1.0, 0.0, 0.005, 0.005)
-    xx, _ = geom.mesh()
-    p1 = sg.p1_from_p2(0.0, np.sqrt(xx), geom)
-    assert np.max(np.abs(p1 - 2.0 * (xx - 1.0))) < 1e-6
-
-
-def test_p1_from_p2_two_path_oracle():
-    # closedness of the 1-form needs lap(p2) + 4(h^2)_xy = 0: harmonic p2, h const
-    xx, yy = GEOM.mesh()
-    p2 = xx**2 - yy**2 + 0.5 * xx * yy
-    p1 = sg.p1_from_p2(p2, 1.0, GEOM)
-    # independent path: rows first, then columns
-    h2 = np.ones((41, 41))
-    F = diff4(p2, GEOM.dy, 1) + 2.0 * diff4(h2, GEOM.dx, 0)
-    G = -(diff4(p2, GEOM.dx, 0) + 2.0 * diff4(h2, GEOM.dy, 1))
-    alt = cumquad(F[:, 0], GEOM.dx)[:, None] + cumquad(G, GEOM.dy, axis=1)
-    assert np.max(np.abs(p1 - alt)) < 1e-6
-
-
-def test_p1_from_p2_rejects_non_closed():
-    xx, yy = GEOM.mesh()
-    with pytest.raises(NotClosed):
-        sg.p1_from_p2(xx * yy**2, np.exp(xx + yy), GEOM)
 
 
 def test_form_coefficients_direct_values():
