@@ -16,7 +16,7 @@ import sys
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +171,7 @@ def _number(key: str, value, kind=float):
 
 
 def _family_params(params: dict) -> ConstantFamilyParams:
-    defaults = {"p": 0.0, "c1": 1.0, "c2": 1.0, "a1": 0.0, "a2": 0.0, "m1": 0.0, "m2": 0.0}
+    defaults = {"p": 0.0, "c1": 1.0, "c2": 1.0, "m1": 0.0, "m2": 0.0}
     return ConstantFamilyParams(**{k: _number(k, params.get(k, d)) for k, d in defaults.items()})
 
 
@@ -271,16 +271,12 @@ def write_obj(path: str | Path, xs: np.ndarray, ys: np.ndarray,
 
 
 def export_mesh(m: ImmersionGrid, fmt: str, path: str | Path) -> Path:
-    """Write an immersion as `csv`, `obj-xy-f1f2`, or `obj-xy-f3f4`."""
+    """Write an immersion as an OBJ height mesh, `obj-xy-f1f2` or `obj-xy-f3f4`."""
     path = Path(path)
-    if fmt == "csv":
-        save_immersion(m, path)
-    elif fmt in ("obj-xy-f1f2", "obj-xy-f3f4"):
-        k = 0 if fmt.endswith("f1f2") else 2
-        write_obj(path, m.geometry.x, m.geometry.y,
-                  m.f[..., k], m.f[..., k + 1])
-    else:
+    if fmt not in ("obj-xy-f1f2", "obj-xy-f3f4"):
         raise ConfigError(f"unknown export format {fmt!r}")
+    k = 0 if fmt.endswith("f1f2") else 2
+    write_obj(path, m.geometry.x, m.geometry.y, m.f[..., k], m.f[..., k + 1])
     return path
 
 
@@ -311,8 +307,7 @@ def _run_integrate(cfg: JobConfig, rep: Report) -> None:
     rep.add_flag("flatness", F.flatness_report, "tol_flat", tols.tol_flat)
     if not math.isnan(F.error_estimate):  # NaN below 7 nodes on an axis
         rep.add_flag("error_estimate", F.error_estimate, "tol_congruent", tols.tol_congruent)
-    rep.add_flag("symplectic_defect", F.max_symplectic_defect(),
-                 "tol_frame", tols.tol_frame)
+    rep.add_flag("symplectic_defect", F.symplectic_defect, "tol_frame", tols.tol_frame)
     lag = rep.add_residual("lagrangian_defect", lagrangian_defect(m))
     rep.add_flag("lagrangian", lag, "tol_frame", tols.tol_frame)
     out = cfg.output_dir / "immersion.csv"
@@ -323,16 +318,14 @@ def _run_integrate(cfg: JobConfig, rep: Report) -> None:
 
 def _run_example(cfg: JobConfig, rep: Report) -> None:
     kind = cfg.params.get("kind", "constant")
-    formats = cfg.params.get("export", [])
-    if not isinstance(formats, (list, tuple)):
-        raise ConfigError(f"params.export must be a list, got {formats!r}")
+    lam = _number("lam", cfg.params.get("lam", 0.0))
     with rep.timed("build"):
-        if kind == "constant":
-            m = closed_form_immersion(_family_params(cfg.params), cfg.grid)
+        if kind == "constant":  # p - lam, as shift_family moves a triple
+            fam = _family_params(cfg.params)
+            m = closed_form_immersion(replace(fam, p=fam.p - lam), cfg.grid)
         elif kind == "umbilic":
             p = _poly_values(cfg.grid, "p_poly", cfg.params.get("p_poly", [0.0]))
-            spec = UmbilicCurveSpec(cfg.grid, p, _number("lam", cfg.params.get("lam", 0.0)))
-            m = umbilic_immersion(spec, cfg.tolerances)
+            m = umbilic_immersion(UmbilicCurveSpec(cfg.grid, p, lam), cfg.tolerances)
         else:
             raise ConfigError(f"unknown example kind {kind!r}")
     lag = rep.add_residual("lagrangian_defect", lagrangian_defect(m))
@@ -341,10 +334,6 @@ def _run_example(cfg: JobConfig, rep: Report) -> None:
     with rep.timed("write"):
         save_immersion(m, out)
         rep.outputs.append(str(out))
-        for fmt in formats:
-            path = cfg.output_dir / f"immersion-{fmt}.obj"
-            export_mesh(m, fmt, path)
-            rep.outputs.append(str(path))
 
 
 def _run_family(cfg: JobConfig, rep: Report) -> None:
@@ -364,7 +353,7 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
         inv = shift_family(base, lam)
         r1, r2, r3 = inteq_residual(inv)
         mx = max(float(np.max(np.abs(r))) for r in (r1, r2, r3))
-        rep.add_flag(f"inteq_lam_{lam:g}", mx, "tol_resid", tols.tol_resid)
+        rep.add_flag(f"inteq_lam_{lam!r}", mx, "tol_resid", tols.tol_resid)
         with rep.timed("integrate"):
             F = integrate_frame(theta_from_invariants(inv), tols=tols,
                                 compute_path_defect=False)
@@ -390,6 +379,8 @@ def _run_invariants(cfg: JobConfig, rep: Report) -> None:
         _, inv, gauge = reduction_pipeline(m, tols=tols, margin=margin)
     gmax = rep.add_residual("gauge", list(gauge.values()))
     rep.add_flag("adapted_gauge", gmax, "tol_gauge", tols.tol_gauge)
+    for name, value in gauge.items():
+        rep.add_residual(f"gauge_{name}", value)
     # inteq on re-extracted fields re-differentiates them, amplifying the
     # extraction noise by 1/spacing; reported for information, not gated.
     with rep.timed("inteq"):
@@ -427,11 +418,22 @@ def _run_export(cfg: JobConfig, rep: Report) -> None:
         raise ConfigError("export command needs params.immersion (CSV path)")
     fmt = cfg.params.get("format", "obj-xy-f1f2")
     m, _ = _load(load_immersion, src)
-    suffix = ".csv" if fmt == "csv" else ".obj"
-    out = cfg.output_dir / (Path(src).stem + f"-{fmt}{suffix}")
+    out = cfg.output_dir / (Path(src).stem + f"-{fmt}.obj")
     export_mesh(m, fmt, out)
     rep.outputs.append(str(out))
 
+
+_TRIPLE_KEYS = {"kind", "lam", "t", "h", "p", "c1", "c2", "m1", "m2", "t_poly", "p_poly"}
+# the params keys each command reads; run() refuses any other
+_PARAMS = {
+    "verify": _TRIPLE_KEYS,
+    "integrate": _TRIPLE_KEYS,
+    "example": {"kind", "lam", "p", "c1", "c2", "p_poly"},  # the closed form has m1 = m2 = 0
+    "family": _TRIPLE_KEYS | {"lambdas", "margin"},
+    "invariants": {"immersion", "margin"},
+    "congruence": {"first", "second", "margin"},
+    "export": {"immersion", "format"},
+}
 
 _RUNNERS = {
     "verify": _run_verify,
@@ -449,7 +451,12 @@ def run(cfg: JobConfig) -> Report:
     which lists every warning the command raised.  The warnings are passed on
     once the report is written, and only when the command succeeded, so that
     a warning the caller's filters make an error cannot replace the command's
-    own error."""
+    own error.  A params key the command does not read is a ConfigError."""
+    if not isinstance(cfg.params, dict):
+        raise ConfigError(f"params must be a JSON object, got {cfg.params!r}")
+    unknown = sorted(set(cfg.params) - _PARAMS[cfg.command])
+    if unknown:
+        raise ConfigError(f"{cfg.command} does not read params.{', params.'.join(unknown)}")
     rep = Report(command=cfg.command, config=cfg.as_dict())
     start = time.perf_counter()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -503,6 +510,11 @@ def build_config(argv: list[str]) -> JobConfig:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {args.config} must be a JSON object")
+        unknown = sorted(set(doc) - {"command", "grid", "params", "tolerances", "output_dir"})
+        if unknown:
+            raise ConfigError(f"config {args.config} has unknown keys {unknown}")
 
     command = args.command or doc.get("command")
     if not command:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .core import J4, _symplectic_error, _symplectic_inverse, symplectic_defect
+from .core import J4, _symplectic_error, _symplectic_inverse
 from .errors import (
     FrameDefect,
     IntegrationBlowup,
@@ -48,9 +48,7 @@ class FrameField:
     S: np.ndarray  # (nx, ny, 5, 5)
     flatness_report: float = float("nan")  # NaN when not measured
     error_estimate: float = float("nan")  # NaN when not computed
-
-    def max_symplectic_defect(self) -> float:
-        return symplectic_defect(self.S[:, :, 1:, 1:])
+    symplectic_defect: float = float("nan")  # max |X^T J X - J|; NaN when not measured
 
 
 @dataclass(frozen=True)
@@ -201,7 +199,7 @@ def integrate_frame(
     Flatness is measured first; a residual above tol_flat is reported as a
     warning (the integral still exists on each path, it just becomes
     path-dependent).  Each step is checked for blow-up; the finished frame's
-    symplectic defect max |X^T J X - J| above tol_frame raises FrameDefect.
+    symplectic defect, kept in `symplectic_defect`, above tol_frame raises FrameDefect.
 
     `compute_path_defect` runs the subgrid sweep for `error_estimate`: the same
     sweep on Theta's every-other-node subgrid (the first n - 1 nodes of an
@@ -229,7 +227,8 @@ def integrate_frame(
         S2 = _sweep_grid(theta.A[::2, ::2], theta.B[::2, ::2], 2 * geom.dx, 2 * geom.dy,
                          ("step-doubling first-column", "step-doubling row"))
         estimate = float(np.max(np.abs(S2[..., 1:, 0] - S[::2, ::2, 1:, 0]))) / 15.0
-    return FrameField(geom, S, flatness_report=flat, error_estimate=estimate)
+    return FrameField(geom, S, flatness_report=flat, error_estimate=estimate,
+                      symplectic_defect=float(defect[node]))
 
 
 def immersion_from_frame(F: FrameField) -> ImmersionGrid:

@@ -25,15 +25,13 @@ class ConstantFamilyParams:
     """Parameters of the constant-invariant family.
 
     p is the constant third invariant (p != +-2 keeps the closed-form
-    denominators alive); the remaining reals parametrize the separated
-    solution of the t-equation.
+    denominators alive); c1, c2, m1 and m2 weight the exponentials of the
+    separated solution of the t-equation.
     """
 
     p: float
     c1: float = 1.0
     c2: float = 1.0
-    a1: float = 0.0
-    a2: float = 0.0
     m1: float = 0.0
     m2: float = 0.0
 
@@ -72,15 +70,14 @@ def separated_t(params: ConstantFamilyParams, x, y):
 
     With the half-sum Wirtinger convention the real form of the equation is
       (t1)_x - (t2)_y = 2 t1,   (t2)_x + (t1)_y = -2 t2,
-    which the exponential ansatz satisfies (the a1 offset only when a1 = 0;
-    the a2 offset cancels identically).
+    which the exponential ansatz satisfies.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    v1 = params.c1 * np.exp(2.0 * x) - params.a1
-    v2 = params.c2 * np.exp(-2.0 * x) - params.a2
-    w1 = params.m1 * np.exp(2.0 * y) + params.m2 * np.exp(-2.0 * y) - params.a1
-    w2 = -params.m1 * np.exp(2.0 * y) + params.m2 * np.exp(-2.0 * y) + params.a2
+    v1 = params.c1 * np.exp(2.0 * x)
+    v2 = params.c2 * np.exp(-2.0 * x)
+    w1 = params.m1 * np.exp(2.0 * y) + params.m2 * np.exp(-2.0 * y)
+    w2 = -params.m1 * np.exp(2.0 * y) + params.m2 * np.exp(-2.0 * y)
     return (v1 + w1) + 1j * (v2 + w2)
 
 
@@ -133,9 +130,9 @@ def frame_columns(p: float, x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def closed_form_immersion(params: ConstantFamilyParams, geom: GridGeometry) -> ImmersionGrid:
-    """Explicit immersion components for the a1 = a2 = m1 = m2 = 0 configuration."""
-    if any(abs(v) > 0 for v in (params.a1, params.a2, params.m1, params.m2)):
-        raise ParameterDomain("closed form requires a1 = a2 = m1 = m2 = 0")
+    """Explicit immersion components for the m1 = m2 = 0 configuration."""
+    if params.m1 or params.m2:
+        raise ParameterDomain("closed form requires m1 = m2 = 0")
     p, c1, c2 = params.p, params.c1, params.c2
     xx, yy = geom.mesh()
     sp, sm, _ = _sqrt_terms(p)

@@ -64,7 +64,7 @@ def test_criterion_01_closed_form_reconstruction():
 def test_criterion_02_group_fidelity():
     geom = sg.GridGeometry(101, 101, 0.0, 0.0, 0.01, 0.01)
     F, _ = _integrated_vs_closed_form(geom)
-    sdef = F.max_symplectic_defect()
+    sdef = F.symplectic_defect
     A, B = sg.constant_ab(0.0)
     rng = np.random.default_rng(11)
     col_err = 0.0

@@ -103,6 +103,12 @@ def test_integrate_and_invariants_commands(tmp_path):
     want = sg.separated_t(sg.ConstantFamilyParams(p=0.0), xx, yy)
     sign = np.sign(np.real(t.values[0, 0] / want[0, 0]))
     assert np.max(np.abs(t.values - sign * want)) < 1e-5
+    # one residual per gauge-report entry; the gated aggregate is their max
+    res = json.loads((out2 / "report.json").read_text())["residuals"]
+    names = ("omega", "gamma_trace", "alpha_trace", "alpha_skew", "ell",
+             "tau_antiholo", "rho_conj")
+    assert {k for k in res if k.startswith("gauge_")} == {f"gauge_{n}" for n in names}
+    assert res["gauge"]["max"] == max(res[f"gauge_{n}"]["max"] for n in names)
 
 
 def test_report_times_each_stage(tmp_path):
@@ -143,6 +149,27 @@ def test_family_command_with_default_params(tmp_path):
     assert rep["passed"] is True
     mat = np.array(rep["residuals"]["congruence_matrix"]["matrix"])
     assert mat.shape == (3, 3) and np.all(mat[~np.eye(3, dtype=bool)] > 1e-2)
+
+
+def test_family_flags_each_member(tmp_path):
+    # two lambdas equal to six digits still get one inteq flag each
+    cfg = JobConfig("family", sg.GridGeometry(21, 21, 0.0, 0.0, 0.005, 0.005),
+                    {"p": 1.0, "lambdas": [0.1, 0.1000001]}, output_dir=tmp_path)
+    flags = run(cfg).flags
+    assert {k for k in flags if k.startswith("inteq_lam_")} == {
+        "inteq_lam_0.1", "inteq_lam_0.1000001"}
+    assert not flags["pairwise_noncongruent"]["passed"]  # members 1e-7 apart
+
+
+def test_constant_example_applies_lam(tmp_path):
+    # example moves p along the family by -lam, as integrate does
+    geom = sg.GridGeometry(11, 11, 0.0, 0.0, 0.01, 0.01)
+    for lam, p in ((0.0, 1.0), (0.5, 0.5)):
+        out = tmp_path / f"lam{lam}"
+        run(JobConfig("example", geom, {"p": 1.0, "lam": lam}, output_dir=out))
+        m, _ = sg.load_immersion(out / "immersion.csv")
+        exact = sg.closed_form_immersion(sg.ConstantFamilyParams(p=p), geom)
+        assert np.array_equal(m.f, exact.f)
 
 
 def test_congruence_command_on_identical_inputs(tmp_path):
@@ -241,18 +268,9 @@ def test_export_obj_vertex_and_face_counts(tmp_path):
     assert sum(1 for l in text if l.startswith("v ")) == 10201
     assert sum(1 for l in text if l.startswith("f ")) == 20000
     export_mesh(m, "obj-xy-f3f4", tmp_path / "surface2.obj")
-    with pytest.raises(ConfigError):
-        export_mesh(m, "obj-xy-f9", tmp_path / "bad.obj")
-
-
-def test_export_csv_roundtrip(tmp_path):
-    geom = sg.GridGeometry(11, 11, -0.1, 0.0, 0.01, 0.01)
-    rng = np.random.default_rng(13)
-    m = sg.ImmersionGrid(geom, rng.normal(size=(11, 11, 4)))
-    path = tmp_path / "imm.csv"
-    export_mesh(m, "csv", path)
-    m2, _ = sg.load_immersion(path)
-    assert np.array_equal(m2.f, m.f)
+    for fmt in ("obj-xy-f9", "csv"):  # save_immersion writes CSV
+        with pytest.raises(ConfigError, match="unknown export format"):
+            export_mesh(m, fmt, tmp_path / "bad.obj")
 
 
 def test_triple_from_params_umbilic_polynomials():
@@ -291,7 +309,7 @@ def test_report_echoes_effective_config(tmp_path):
     ("family", {"lambdas": []}, "lambdas"),
     ("family", {"lambdas": [0.5]}, "lambdas"),
     ("family", {"lambdas": [0.5, -1.0, 0.5]}, "lambdas"),
-    # a string of formats is not iterated one character at a time
+    # example reads no export key: the export command writes OBJ meshes
     ("example", {"export": "obj-xy-f1f2"}, "export"),
 ])
 def test_bad_numeric_param_exits_2(tmp_path, capsys, command, params, key):
@@ -299,6 +317,36 @@ def test_bad_numeric_param_exits_2(tmp_path, capsys, command, params, key):
     doc.write_text(json.dumps({"command": command, "params": params}))  # writes NaN/Infinity
     assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
     assert f"params.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, params, keys", [
+    ("verify", {"lamda": 0.5, "c3": 2}, ["c3", "lamda"]),
+    ("integrate", {"p": 1.0, "a1": 0.5}, ["a1"]),  # a deleted family constant
+    ("example", {"export": ["obj-xy-f1f2"]}, ["export"]),
+    ("example", {"kind": "umbilic", "t_poly": [1.0]}, ["t_poly"]),
+    ("example", {"p": 1.0, "m1": 0.1}, ["m1"]),  # the closed form has m1 = m2 = 0
+    ("invariants", {"immersion": "imm.csv", "lambdas": [0, 1]}, ["lambdas"]),
+    ("export", {"immersion": "imm.csv", "margin": 8}, ["margin"]),
+])
+def test_param_the_command_does_not_read_exits_2(tmp_path, capsys, command, params, keys):
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({"command": command, "params": params}))
+    assert main(["--config", str(doc), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{command} does not read" in err
+    assert all(f"params.{k}" in err for k in keys)
+    assert not (tmp_path / "out").exists()  # refused before any work
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({"command": "verify", "param": {"p": 1.0}}))
+    assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
+    assert "unknown keys ['param']" in capsys.readouterr().err
+    for bad in (["verify"], {"command": "verify", "params": [1.0]}):
+        doc.write_text(json.dumps(bad))
+        assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
 
 
 def test_lam_shifts_csv_triple_as_it_shifts_constant_kind(tmp_path):

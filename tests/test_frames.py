@@ -144,7 +144,7 @@ def test_frame_leaving_the_group_raises_frame_defect():
 
 def test_tight_tol_frame_raises_frame_defect_naming_the_defect():
     _, theta = family_theta(p=1.0)
-    d = quiet_integrate(theta, compute_path_defect=False).max_symplectic_defect()
+    d = quiet_integrate(theta, compute_path_defect=False).symplectic_defect
     assert 1e-14 < d < 1e-12
     tight = sg.Tolerances().replace(tol_frame=1e-14)
     with pytest.raises(FrameDefect, match=f"symplectic defect {d:.3e} exceeds"):
@@ -160,7 +160,8 @@ def test_integrated_frame_matches_exponential():
         i, j = rng.integers(0, GEOM.nx), rng.integers(0, GEOM.ny)
         E = expm(GEOM.x[i] * A + GEOM.y[j] * B)
         assert np.max(np.abs(F.S[i, j, 1:, 1:] - E)) < 1e-10
-    assert F.max_symplectic_defect() < 1e-8
+    # the defect integrate_frame measured is the frame's own
+    assert F.symplectic_defect == sg.symplectic_defect(F.S[..., 1:, 1:]) < 1e-8
 
 
 def test_error_estimate_small_when_flat():
@@ -387,7 +388,8 @@ def test_immersion_save_load_roundtrip(tmp_path):
 
 
 def test_frames_not_integrated_report_no_flatness(tmp_path):
-    # only integrate_frame measures flatness; a loaded or reduced frame reads NaN
+    # only integrate_frame measures flatness and the symplectic defect; a
+    # loaded or reduced frame reads NaN
     _, theta = family_theta(p=1.0)
     F = quiet_integrate(theta, compute_path_defect=False)
     assert F.flatness_report < 1e-7
@@ -398,6 +400,7 @@ def test_frames_not_integrated_report_no_flatness(tmp_path):
     reduced, _, _ = quiet_pipeline(m)
     for frame in (loaded, reduced):
         assert np.isnan(frame.flatness_report) and np.isnan(frame.error_estimate)
+        assert np.isnan(frame.symplectic_defect)
 
 
 def test_save_immersion_rejects_non_finite_frame(tmp_path):
@@ -546,7 +549,7 @@ def test_pipeline_checks_margin_before_any_stage():
 @pytest.mark.parametrize("kind", ["family", "umbilic"])
 def test_decode_recovers_theta_encoding(kind):
     if kind == "family":
-        params = sg.ConstantFamilyParams(p=1.0, a1=0.2, m2=0.1)
+        params = sg.ConstantFamilyParams(p=1.0, m1=0.2, m2=0.1)
         inv = sg.shift_family(sg.family_triple(params, GEOM), 0.5)
     else:
         zz = GEOM.zmesh()

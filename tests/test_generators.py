@@ -64,7 +64,7 @@ def test_closed_form_immersion_matches_integration(p):
 def test_closed_form_requires_pure_exponential():
     with pytest.raises(ParameterDomain):
         sg.closed_form_immersion(
-            sg.ConstantFamilyParams(p=0.0, a1=0.5),
+            sg.ConstantFamilyParams(p=0.0, m1=0.5),
             sg.GridGeometry(11, 11, 0.0, 0.0, 0.1, 0.1))
 
 

@@ -11,11 +11,9 @@ immersion.
 
 The timings go under `--label` (default "change") in the JSON file `--out`;
 an existing file keeps its other labels, so two runs
-with different `--src` and `--label` put two trees side by side.  Each label
-also records `reference_s`, the best-of-5 time of a fixed numpy computation
-that does not touch symplag, and `stages_rel`, every stage divided by it:
-shared machines drift in speed, and the ratio compares runs taken at
-different moments.
+with different `--src` and `--label` put two trees side by side.  Shared
+machines drift in speed, so compare two trees by alternating their rounds
+under different labels, not by one run of each.
 """
 
 import os
@@ -49,14 +47,6 @@ def best_of(fn) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return min(times)
-
-
-def reference() -> None:
-    """A fixed computation of small matrix products that does not touch symplag."""
-    q = np.linalg.qr(np.linspace(0.1, 0.9, 25).reshape(5, 5) + np.eye(5))[0]
-    s = np.eye(5)
-    for _ in range(6000):
-        s = s @ q  # q is orthogonal: the products stay bounded
 
 
 def grid_stages(sg, n: int, workdir: Path) -> dict[str, float]:
@@ -101,7 +91,6 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "repeats": REPEATS,
-        "reference_s": best_of(reference),
         "stages_s": {},
     }
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
@@ -111,8 +100,6 @@ def main(argv=None) -> int:
             print(f"{args.label} {n}x{n}: " + ", ".join(
                 f"{k} {v * 1e3:.1f} ms" for k, v in run["stages_s"][f"{n}x{n}"].items()),
                 file=sys.stderr)
-    run["stages_rel"] = {grid: {k: v / run["reference_s"] for k, v in stages.items()}
-                         for grid, stages in run["stages_s"].items()}
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = run
