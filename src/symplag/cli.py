@@ -54,9 +54,6 @@ from .generators import (
     umbilic_immersion,
 )
 
-COMMANDS = ("verify", "integrate", "example", "family", "invariants",
-            "congruence", "export")
-
 DEFAULT_GRID = GridGeometry(61, 61, 0.0, 0.0, 0.005, 0.005)
 
 
@@ -71,7 +68,7 @@ class JobConfig:
     output_dir: Path = Path(".")
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if not isinstance(self.command, str) or self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
@@ -105,8 +102,10 @@ class Report:
         self.residuals[name] = {"max": mx, "mean": float(np.mean(a)) if a.size else 0.0}
         return mx
 
-    def add_flag(self, name: str, value: float, tol_name: str, tol: float,
-                 below: bool = True) -> None:
+    def add_flag(self, name: str, value: float, tol_name: str, below: bool = True) -> None:
+        """Flag `name` passes when `value` is at most (below) or above the
+        resolved tolerance `tol_name` of the report's config."""
+        tol = self.config["tolerances"][tol_name]
         ok = value <= tol if below else value > tol
         self.flags[name] = {"value": value, "tolerance": tol_name,
                             "tol": tol, "passed": bool(ok)}
@@ -170,6 +169,14 @@ def _number(key: str, value, kind=float):
     raise ConfigError(f"params.{key} must be a finite {kind.__name__}, got {value!r}")
 
 
+def _path(key: str, value) -> str:
+    """`value` of params.`key` as a file path; anything but a non-empty string,
+    None for a missing key included, is a ConfigError naming the key."""
+    if isinstance(value, str) and value:
+        return value
+    raise ConfigError(f"params.{key} must name a file, got {value!r}")
+
+
 def _family_params(params: dict) -> ConstantFamilyParams:
     defaults = {"p": 0.0, "c1": 1.0, "c2": 1.0, "m1": 0.0, "m2": 0.0}
     return ConstantFamilyParams(**{k: _number(k, params.get(k, d)) for k, d in defaults.items()})
@@ -203,32 +210,55 @@ def _poly_values(geom: GridGeometry, key: str, coeffs) -> np.ndarray:
     return vals
 
 
+# the params each triple source reads: CSV files of t, h and p on one grid,
+# the exponential-ansatz family, or polynomial t and p with h = 0
+_SOURCES = {"files": {"t", "h", "p"}, "constant": {"p", "c1", "c2", "m1", "m2"},
+            "umbilic": {"t_poly", "p_poly"}}
+# example's closed form has m1 = m2 = 0, and its umbilic curve takes p alone
+_EXAMPLES = {"constant": {"p", "c1", "c2"}, "umbilic": {"p_poly"}}
+
+
+def _source(params: dict, sources: dict) -> str:
+    """The source of `sources` that params name: `files` when t or h is given,
+    params.kind (default constant) otherwise.  A kind beside the files, files
+    short of one of t, h and p, or an unknown kind is a ConfigError."""
+    if "files" in sources and ("t" in params or "h" in params):
+        if "kind" in params:
+            raise ConfigError("params.kind cannot be given with the t, h and p files")
+        missing = [k for k in ("t", "h", "p") if k not in params]
+        if missing:
+            raise ConfigError(f"a triple from files needs params.{', params.'.join(missing)}")
+        return "files"
+    kind = params.get("kind", "constant")
+    if not isinstance(kind, str) or kind not in sources:
+        raise ConfigError(f"unknown triple kind params.kind = {kind!r}")
+    return kind
+
+
 def triple_from_params(geom: GridGeometry, params: dict) -> InvariantTriple:
     """Build an invariant triple from a params record.
 
-    Three sources: `kind: constant` (exponential-ansatz family), `kind:
-    umbilic` (polynomial t and p, h = 0), or explicit `t`/`h`/`p` CSV paths,
-    which must share one grid geometry.  Whichever the source, p is then
-    shifted by params.lam through `shift_family`.  A triple the params cannot
-    make (one holding a non-finite value, say) is a ConfigError naming the
-    field at fault.
+    The source, chosen by `_source` from `_SOURCES`, is explicit `t`/`h`/`p`
+    CSV paths, which must share one grid geometry, `kind: constant`
+    (exponential-ansatz family) or `kind: umbilic` (polynomial t and p,
+    h = 0).  Whichever the source, p is then shifted by params.lam through
+    `shift_family`.  A triple the params cannot make (one holding a
+    non-finite value, say) is a ConfigError naming the field at fault.
     """
-    kind = params.get("kind", "constant")
+    source = _source(params, _SOURCES)
     try:
         lam = _number("lam", params.get("lam", 0.0))
-        if {"t", "h", "p"} <= set(params):
-            t, h, p = (_load(load_grid, params[k]) for k in ("t", "h", "p"))
+        if source == "files":
+            t, h, p = (_load(load_grid, _path(k, params[k])) for k in ("t", "h", "p"))
             if not t.geometry == h.geometry == p.geometry:
                 raise ConfigError("the t, h and p files must share one grid geometry")
             inv = InvariantTriple(t.geometry, t.values, h.values, p.values)
-        elif kind == "constant":
+        elif source == "constant":
             inv = family_triple(_family_params(params), geom)
-        elif kind == "umbilic":
+        else:
             t = _poly_values(geom, "t_poly", params.get("t_poly", [1.0]))
             p = _poly_values(geom, "p_poly", params.get("p_poly", [0.0]))
             inv = InvariantTriple(geom, t, 0.0, p)
-        else:
-            raise ConfigError(f"unknown triple kind {kind!r}")
         return shift_family(inv, lam)
     except ValueError as e:
         raise ConfigError(f"bad invariant triple in params: {e}") from e
@@ -284,32 +314,31 @@ def export_mesh(m: ImmersionGrid, fmt: str, path: str | Path) -> Path:
 
 
 def _run_verify(cfg: JobConfig, rep: Report) -> None:
-    tols = cfg.tolerances
     inv = triple_from_params(cfg.grid, cfg.params)
     r1, r2, r3 = inteq_residual(inv)
     mx = max(rep.add_residual("inteq_r1", r1),
              rep.add_residual("inteq_r2", r2),
              rep.add_residual("inteq_r3", r3))
-    rep.add_flag("inteq", mx, "tol_resid", tols.tol_resid)
+    rep.add_flag("inteq", mx, "tol_resid")
     df = rep.add_residual("dbar_fubini", dbar_fubini_residual(inv))
-    rep.add_flag("dbar_fubini", df, "tol_resid", tols.tol_resid)
+    rep.add_flag("dbar_fubini", df, "tol_resid")
     flat = rep.add_residual("flatness", flatness_residual(theta_from_invariants(inv)))
-    rep.add_flag("flatness", flat, "tol_flat", tols.tol_flat)
+    rep.add_flag("flatness", flat, "tol_flat")
 
 
 def _run_integrate(cfg: JobConfig, rep: Report) -> None:
-    tols = cfg.tolerances
     with rep.timed("integrate"):
         inv = triple_from_params(cfg.grid, cfg.params)
         theta = theta_from_invariants(inv)
-        F = integrate_frame(theta, tols=tols)
+        F = integrate_frame(theta, tols=cfg.tolerances)
         m = immersion_from_frame(F)
-    rep.add_flag("flatness", F.flatness_report, "tol_flat", tols.tol_flat)
+    rep.add_flag("flatness", F.flatness_report, "tol_flat")
     if not math.isnan(F.error_estimate):  # NaN below 7 nodes on an axis
-        rep.add_flag("error_estimate", F.error_estimate, "tol_congruent", tols.tol_congruent)
-    rep.add_flag("symplectic_defect", F.symplectic_defect, "tol_frame", tols.tol_frame)
+        rep.add_flag("error_estimate", F.error_estimate, "tol_congruent")
+    # integrate_frame has already refused a defect above tol_frame
+    rep.add_residual("symplectic_defect", F.symplectic_defect)
     lag = rep.add_residual("lagrangian_defect", lagrangian_defect(m))
-    rep.add_flag("lagrangian", lag, "tol_frame", tols.tol_frame)
+    rep.add_flag("lagrangian", lag, "tol_frame")
     out = cfg.output_dir / "immersion.csv"
     with rep.timed("write"):
         save_immersion(m, out, frame=F)
@@ -317,19 +346,16 @@ def _run_integrate(cfg: JobConfig, rep: Report) -> None:
 
 
 def _run_example(cfg: JobConfig, rep: Report) -> None:
-    kind = cfg.params.get("kind", "constant")
     lam = _number("lam", cfg.params.get("lam", 0.0))
-    with rep.timed("build"):
-        if kind == "constant":  # p - lam, as shift_family moves a triple
+    with rep.timed("build"):  # constant: p - lam, as shift_family moves a triple
+        if _source(cfg.params, _EXAMPLES) == "constant":
             fam = _family_params(cfg.params)
             m = closed_form_immersion(replace(fam, p=fam.p - lam), cfg.grid)
-        elif kind == "umbilic":
+        else:
             p = _poly_values(cfg.grid, "p_poly", cfg.params.get("p_poly", [0.0]))
             m = umbilic_immersion(UmbilicCurveSpec(cfg.grid, p, lam), cfg.tolerances)
-        else:
-            raise ConfigError(f"unknown example kind {kind!r}")
     lag = rep.add_residual("lagrangian_defect", lagrangian_defect(m))
-    rep.add_flag("lagrangian", lag, "tol_frame", cfg.tolerances.tol_frame)
+    rep.add_flag("lagrangian", lag, "tol_frame")
     out = cfg.output_dir / "immersion.csv"
     with rep.timed("write"):
         save_immersion(m, out)
@@ -346,14 +372,13 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
         raise ConfigError("params.lambdas must hold at least two distinct values, "
                           f"got {lambdas!r}")
     margin = _margin(cfg.params, cfg.grid)
-    base = triple_from_params(cfg.grid, {k: v for k, v in cfg.params.items()
-                                         if k != "lambdas"})
+    base = triple_from_params(cfg.grid, cfg.params)  # params.lam is refused: lambdas shift
     members = []
     for lam in lambdas:
         inv = shift_family(base, lam)
         r1, r2, r3 = inteq_residual(inv)
         mx = max(float(np.max(np.abs(r))) for r in (r1, r2, r3))
-        rep.add_flag(f"inteq_lam_{lam!r}", mx, "tol_resid", tols.tol_resid)
+        rep.add_flag(f"inteq_lam_{lam!r}", mx, "tol_resid")
         with rep.timed("integrate"):
             F = integrate_frame(theta_from_invariants(inv), tols=tols,
                                 compute_path_defect=False)
@@ -363,22 +388,17 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
     rep.residuals["congruence_matrix"] = {"lambdas": lambdas,
                                           "matrix": matrix.tolist()}
     off = matrix[~np.eye(len(members), dtype=bool)]
-    rep.add_flag("pairwise_noncongruent", float(np.min(off)),
-                 "tol_congruent", tols.tol_congruent, below=False)
+    rep.add_flag("pairwise_noncongruent", float(np.min(off)), "tol_congruent", below=False)
 
 
 def _run_invariants(cfg: JobConfig, rep: Report) -> None:
-    tols = cfg.tolerances
-    src = cfg.params.get("immersion")
-    if not src:
-        raise ConfigError("invariants command needs params.immersion (CSV path)")
     with rep.timed("load"):
-        m, _ = _load(load_immersion, src)
+        m, _ = _load(load_immersion, _path("immersion", cfg.params.get("immersion")))
     margin = _margin(cfg.params, m.geometry)
     with rep.timed("reduce"):
-        _, inv, gauge = reduction_pipeline(m, tols=tols, margin=margin)
+        _, inv, gauge = reduction_pipeline(m, tols=cfg.tolerances, margin=margin)
     gmax = rep.add_residual("gauge", list(gauge.values()))
-    rep.add_flag("adapted_gauge", gmax, "tol_gauge", tols.tol_gauge)
+    rep.add_flag("adapted_gauge", gmax, "tol_gauge")
     for name, value in gauge.items():
         rep.add_residual(f"gauge_{name}", value)
     # inteq on re-extracted fields re-differentiates them, amplifying the
@@ -396,26 +416,19 @@ def _run_invariants(cfg: JobConfig, rep: Report) -> None:
 
 
 def _run_congruence(cfg: JobConfig, rep: Report) -> None:
-    tols = cfg.tolerances
-    try:
-        a = cfg.params["first"]
-        b = cfg.params["second"]
-    except KeyError as e:
-        raise ConfigError(f"congruence command needs params.{e.args[0]}") from e
+    a, b = (_path(k, cfg.params.get(k)) for k in ("first", "second"))
     with rep.timed("load"):
         m1, _ = _load(load_immersion, a)
         m2, _ = _load(load_immersion, b)
     margin = _margin(cfg.params, m1.geometry, m2.geometry)
     with rep.timed("congruence"):
-        d = congruence_defect(m1, m2, tols=tols, margin=margin)
+        d = congruence_defect(m1, m2, tols=cfg.tolerances, margin=margin)
     rep.add_residual("congruence_defect", d)
-    rep.add_flag("congruent", d, "tol_congruent", tols.tol_congruent)
+    rep.add_flag("congruent", d, "tol_congruent")
 
 
 def _run_export(cfg: JobConfig, rep: Report) -> None:
-    src = cfg.params.get("immersion")
-    if not src:
-        raise ConfigError("export command needs params.immersion (CSV path)")
+    src = _path("immersion", cfg.params.get("immersion"))
     fmt = cfg.params.get("format", "obj-xy-f1f2")
     m, _ = _load(load_immersion, src)
     out = cfg.output_dir / (Path(src).stem + f"-{fmt}.obj")
@@ -423,26 +436,16 @@ def _run_export(cfg: JobConfig, rep: Report) -> None:
     rep.outputs.append(str(out))
 
 
-_TRIPLE_KEYS = {"kind", "lam", "t", "h", "p", "c1", "c2", "m1", "m2", "t_poly", "p_poly"}
-# the params keys each command reads; run() refuses any other
-_PARAMS = {
-    "verify": _TRIPLE_KEYS,
-    "integrate": _TRIPLE_KEYS,
-    "example": {"kind", "lam", "p", "c1", "c2", "p_poly"},  # the closed form has m1 = m2 = 0
-    "family": _TRIPLE_KEYS | {"lambdas", "margin"},
-    "invariants": {"immersion", "margin"},
-    "congruence": {"first", "second", "margin"},
-    "export": {"immersion", "format"},
-}
-
-_RUNNERS = {
-    "verify": _run_verify,
-    "integrate": _run_integrate,
-    "example": _run_example,
-    "family": _run_family,
-    "invariants": _run_invariants,
-    "congruence": _run_congruence,
-    "export": _run_export,
+# command -> (runner, the params keys it reads, the triple sources it takes);
+# run() refuses any key that is neither the command's nor its source's
+_COMMANDS = {
+    "verify": (_run_verify, {"kind", "lam"}, _SOURCES),
+    "integrate": (_run_integrate, {"kind", "lam"}, _SOURCES),
+    "example": (_run_example, {"kind", "lam"}, _EXAMPLES),
+    "family": (_run_family, {"kind", "lambdas", "margin"}, _SOURCES),
+    "invariants": (_run_invariants, {"immersion", "margin"}, {}),
+    "congruence": (_run_congruence, {"first", "second", "margin"}, {}),
+    "export": (_run_export, {"immersion", "format"}, {}),
 }
 
 
@@ -451,10 +454,14 @@ def run(cfg: JobConfig) -> Report:
     which lists every warning the command raised.  The warnings are passed on
     once the report is written, and only when the command succeeded, so that
     a warning the caller's filters make an error cannot replace the command's
-    own error.  A params key the command does not read is a ConfigError."""
+    own error.  A params key that neither the command nor its triple source
+    reads is a ConfigError."""
     if not isinstance(cfg.params, dict):
         raise ConfigError(f"params must be a JSON object, got {cfg.params!r}")
-    unknown = sorted(set(cfg.params) - _PARAMS[cfg.command])
+    runner, keys, sources = _COMMANDS[cfg.command]
+    if sources:
+        keys = keys | sources[_source(cfg.params, sources)]
+    unknown = sorted(set(cfg.params) - keys)
     if unknown:
         raise ConfigError(f"{cfg.command} does not read params.{', params.'.join(unknown)}")
     rep = Report(command=cfg.command, config=cfg.as_dict())
@@ -462,7 +469,7 @@ def run(cfg: JobConfig) -> Report:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _RUNNERS[cfg.command](cfg, rep)
+        runner(cfg, rep)
     rep.warnings = [{"category": w.category.__name__, "message": str(w.message)}
                     for w in caught]
     rep.wall_time_s = time.perf_counter() - start
@@ -475,25 +482,13 @@ def run(cfg: JobConfig) -> Report:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _parse_grid(text: str) -> GridGeometry:
-    parts = text.split(",")
-    if len(parts) != 6:
-        raise ConfigError("--grid expects nx,ny,x0,y0,dx,dy")
-    try:
-        nx, ny = int(parts[0]), int(parts[1])
-        x0, y0, dx, dy = (float(v) for v in parts[2:])
-        return GridGeometry(nx, ny, x0, y0, dx, dy)
-    except (ValueError, SymplagError) as e:
-        raise ConfigError(f"bad --grid value: {e}") from e
-
-
 def build_config(argv: list[str]) -> JobConfig:
     parser = argparse.ArgumentParser(
         prog="symplag",
         description="Reconstruction and invariant-extraction toolkit for "
                     "elliptic Lagrangian surfaces in affine symplectic R^4.",
     )
-    parser.add_argument("command", nargs="?", choices=COMMANDS,
+    parser.add_argument("command", nargs="?", choices=_COMMANDS,
                         help="pipeline to run (may also come from --config)")
     parser.add_argument("--config", type=Path, help="JSON configuration file")
     parser.add_argument("--out", type=Path, help="output directory")
@@ -520,35 +515,28 @@ def build_config(argv: list[str]) -> JobConfig:
     if not command:
         raise ConfigError("no command given (positional argument or config)")
 
-    if args.grid is not None:
-        grid = _parse_grid(args.grid)
-    elif "grid" in doc:
-        if not doc["grid"]:
-            raise ConfigError("empty grid record in config")
-        try:
-            grid = GridGeometry.from_dict(doc["grid"])
-        except (ValueError, SymplagError) as e:
-            raise ConfigError(f"bad grid record: {e}") from e
-    else:
-        grid = DEFAULT_GRID
-
-    tols = DEFAULT_TOLS
-    if "tolerances" in doc:
-        try:
-            tols = tols.replace(**doc["tolerances"])
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad tolerances record: {e}") from e
+    # --grid and --tol-* patch the config's records, which are then checked once
+    try:
+        if args.grid is not None:
+            parts = args.grid.split(",")
+            if len(parts) != 6:
+                raise ValueError("--grid expects nx,ny,x0,y0,dx,dy")
+            doc["grid"] = dict(zip(DEFAULT_GRID.as_dict(), map(float, parts)))
+        grid = GridGeometry.from_dict(doc["grid"]) if "grid" in doc else DEFAULT_GRID
+    except (ValueError, SymplagError) as e:
+        raise ConfigError(f"bad grid record: {e}") from e
     overrides = {f.name: getattr(args, f.name) for f in dc_fields(Tolerances)
                  if getattr(args, f.name) is not None}
-    if overrides:
-        try:
-            tols = tols.replace(**overrides)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+    try:
+        tols = DEFAULT_TOLS.replace(**{**doc.get("tolerances", {}), **overrides})
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad tolerances record: {e}") from e
 
-    out_dir = args.out or Path(doc.get("output_dir", "."))
+    out_dir = doc.get("output_dir", ".")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {out_dir!r}")
     return JobConfig(command=command, grid=grid, params=doc.get("params", {}),
-                     tolerances=tols, output_dir=out_dir)
+                     tolerances=tols, output_dir=args.out or out_dir)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -556,10 +544,6 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         cfg = build_config(argv)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
         rep = run(cfg)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

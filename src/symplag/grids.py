@@ -130,15 +130,18 @@ class GridGeometry:
 
     @staticmethod
     def from_dict(d: dict) -> "GridGeometry":
-        """Geometry from an `as_dict` record; a record that is not a mapping or
-        lacks a field is a ValueError naming it."""
+        """Geometry from an `as_dict` record; a record that is not a mapping,
+        lacks a field or holds a key of no field is a ValueError naming it."""
         if not isinstance(d, dict):
             raise ValueError(f"grid record must be a mapping, got {d!r}")
         names = [f.name for f in fields(GridGeometry)]
         for name in names:
             if name not in d:
                 raise ValueError(f"grid record lacks {name}")
-        return GridGeometry(**{name: d[name] for name in names})
+        unknown = sorted(set(d) - set(names))
+        if unknown:
+            raise ValueError(f"grid record has unknown keys {unknown}")
+        return GridGeometry(**d)
 
 
 def _node_values(geom: GridGeometry, values, name: str) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 import symplag as sg
 from symplag.cli import (
     JobConfig,
+    Report,
     build_config,
     export_mesh,
     main,
@@ -46,13 +47,22 @@ def test_nan_grid_spacing_in_config_exits_2(tmp_path):
     assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("name, value", [("nx", 61.7), ("ny", 7.5), ("x0", None)])
+@pytest.mark.parametrize("name, value", [("nx", 61.7), ("ny", 7.5), ("x0", None),
+                                         ("extra", 1)])
 def test_bad_grid_record_in_config_exits_2(tmp_path, capsys, name, value):
     grid = dict(sg.GridGeometry(11, 11, 0.0, 0.0, 0.1, 0.1).as_dict(), **{name: value})
     doc = tmp_path / "cfg.json"
     doc.write_text(json.dumps({"command": "verify", "grid": grid}))
     assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
     assert "bad grid record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, bad", [("a,61,0,0,0.005,0.005", "'a'"),
+                                       ("61,61,0,0,0.005,dx", "'dx'")])
+def test_non_numeric_grid_option_exits_2(tmp_path, capsys, grid, bad):
+    assert main(["verify", "--grid", grid, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad grid record" in err and bad in err
 
 
 def test_build_config_requires_command():
@@ -204,8 +214,9 @@ def test_malformed_immersion_csv_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value, message", [("dx", "drop", "lacks dx"),
                                                    ("x0", None, "x0 must be a finite number"),
-                                                   ("nx", 3, "at least 5x5")],
-                         ids=["missing-dx", "null-x0", "nx-3"])
+                                                   ("nx", 3, "at least 5x5"),
+                                                   ("extra", 1, "unknown keys ['extra']")],
+                         ids=["missing-dx", "null-x0", "nx-3", "extra-key"])
 def test_bad_immersion_sidecar_exits_2(tmp_path, capsys, field, value, message):
     geom = sg.GridGeometry(7, 7, 0.0, 0.0, 0.1, 0.1)
     xx, yy = geom.mesh()
@@ -311,12 +322,33 @@ def test_report_echoes_effective_config(tmp_path):
     ("family", {"lambdas": [0.5, -1.0, 0.5]}, "lambdas"),
     # example reads no export key: the export command writes OBJ meshes
     ("example", {"export": "obj-xy-f1f2"}, "export"),
+    # a key the chosen source does not read, with the source named by kind
+    ("verify", {"kind": "umbilic", "c1": 5}, "c1"),
+    ("example", {"kind": "umbilic", "c1": 5}, "c1"),
+    # t or h selects the files source, which needs all three and no kind
+    ("integrate", {"t": "nowhere.csv", "p": 1.0}, "h"),
+    ("verify", {"t": "t.csv", "h": "h.csv"}, "p"),
+    ("verify", {"kind": "constant", "t": "t.csv", "h": "h.csv", "p": "p.csv"}, "kind"),
+    ("verify", {"kind": ["constant"]}, "kind"),
+    # lambdas alone move a family along p
+    ("family", {"p": 1.0, "lam": 0.5, "lambdas": [0, 1]}, "lam"),
+    # a path is a string
+    ("verify", {"t": 1, "h": 2, "p": 3}, "t"),
+    ("invariants", {"immersion": 5}, "immersion"),
+    ("congruence", {"first": ["a"], "second": "b.csv"}, "first"),
 ])
 def test_bad_numeric_param_exits_2(tmp_path, capsys, command, params, key):
     doc = tmp_path / "cfg.json"
     doc.write_text(json.dumps({"command": command, "params": params}))  # writes NaN/Infinity
     assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
     assert f"params.{key}" in capsys.readouterr().err
+
+
+def test_non_string_output_dir_exits_2(tmp_path, capsys):
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({"command": "verify", "output_dir": 5}))
+    assert main(["--config", str(doc)]) == 2
+    assert "output_dir must be a string" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, params, keys", [
@@ -454,6 +486,30 @@ def test_integrate_non_flat_theta_exits_1_through_flatness(tmp_path):
     flags = json.loads((out / "report.json").read_text())["flags"]
     assert not flags["flatness"]["passed"]
     assert flags["error_estimate"]["passed"]
+
+
+def test_integrate_reports_symplectic_defect_as_a_residual(tmp_path):
+    # integrate_frame refuses a defect above tol_frame, so it is a value, not a check
+    assert main(["integrate", "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert "symplectic_defect" not in rep["flags"]
+    assert 0.0 < rep["residuals"]["symplectic_defect"]["max"] < 1e-8
+
+
+@pytest.mark.parametrize("command", ["integrate", "family"])
+def test_every_flag_tol_is_the_resolved_tolerance_it_names(tmp_path, command):
+    assert main([command, "--tol-congruent", "1e-3", "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    tols = rep["config"]["tolerances"]
+    assert tols["tol_congruent"] == 1e-3
+    assert "tol_congruent" in {f["tolerance"] for f in rep["flags"].values()}
+    assert all(f["tol"] == tols[f["tolerance"]] for f in rep["flags"].values())
+    # a flag reads its tolerance from the report's config, not from its caller
+    cfg = JobConfig(command, tolerances=sg.Tolerances(tol_congruent=1e-3))
+    direct = Report(command, cfg.as_dict())
+    direct.add_flag("probe", 5e-4, "tol_congruent")
+    assert direct.flags["probe"] == {"value": 5e-4, "tolerance": "tol_congruent",
+                                     "tol": 1e-3, "passed": True}
 
 
 @pytest.mark.parametrize("n, estimated", [(60, True), (6, False)])

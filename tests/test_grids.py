@@ -92,6 +92,8 @@ def test_geometry_validation():
         sg.GridGeometry(10, 10, 0.0, 0.0, -0.1, 0.1)
     d = GEOM.as_dict()
     assert sg.GridGeometry.from_dict(d) == GEOM
+    with pytest.raises(ValueError, match=r"unknown keys \['extra'\]"):
+        sg.GridGeometry.from_dict(dict(d, extra=1))
     # integral sizes of another type are stored as int
     geom = sg.GridGeometry(np.int64(21), 17.0, -0.5, 0.25, 0.05, 0.04)
     assert geom == GEOM and type(geom.nx) is int and type(geom.ny) is int
