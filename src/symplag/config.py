@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -31,6 +32,8 @@ class Tolerances:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"tolerance {f.name} must be a real number, got {v!r}")
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"tolerance {f.name} must be finite and positive, got {v}")
 

@@ -261,30 +261,42 @@ def numerical_maurer_cartan(F: FrameField) -> MaurerCartanField:
     return MaurerCartanField(F.geometry, Sx, Sy)
 
 
-class _Forms(NamedTuple):
-    """Complex forms of one coefficient (A or B) of a 5x5 affine-algebra field."""
+def _tangent_maurer_cartan(S: np.ndarray, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """The tangent block of S^-1 S_x and of S^-1 S_y: rows 1-4, columns 1-2, the
+    alpha and gamma blocks, as two (..., 4, 2) arrays byte-identical to that
+    block of `numerical_maurer_cartan`.  The gauge stages read nothing else,
+    so only those eight entries of S are differenced."""
+    Xinv = _symplectic_inverse(S[..., 1:, 1:])
+    return tuple(Xinv @ d for d in gradient(S, geom, part=(slice(1, None), slice(1, 3))))
 
-    tau: np.ndarray  # translation: tau0 - i tau1
+
+class _Forms(NamedTuple):
+    """Complex forms of one coefficient (x or y) of the tangent block."""
+
     omega: np.ndarray  # gamma: (g00 - g11)/2 + i g10
     gamma_trace: np.ndarray  # g00 + g11
     eta: np.ndarray  # alpha: (a00 - a11)/2 - i (a10 + a01)/2
     w: np.ndarray  # alpha trace and skew: (a00 + a11) - i (a10 - a01)
-    rho: np.ndarray  # beta: (b00 - b11)/2 - i b10
 
 
-def _decode(M: np.ndarray) -> _Forms:
-    """Read the blocks of a 5x5 algebra field: translation tau in rows 1-2 of
-    column 0, then [[alpha, beta], [gamma, -alpha^T]] in the 4x4 part."""
-    alpha, beta, gamma = M[..., 1:3, 1:3], M[..., 1:3, 3:5], M[..., 3:5, 1:3]
+def _decode(T: np.ndarray) -> _Forms:
+    """Read a (..., 4, 2) tangent block [[alpha], [gamma]] of a 5x5 algebra field."""
+    alpha, gamma = T[..., :2, :], T[..., 2:, :]
     return _Forms(
-        tau=M[..., 1, 0] - 1j * M[..., 2, 0],
         omega=0.5 * (gamma[..., 0, 0] - gamma[..., 1, 1]) + 1j * gamma[..., 1, 0],
         gamma_trace=gamma[..., 0, 0] + gamma[..., 1, 1],
         eta=0.5 * (alpha[..., 0, 0] - alpha[..., 1, 1])
         - 0.5j * (alpha[..., 1, 0] + alpha[..., 0, 1]),
         w=(alpha[..., 0, 0] + alpha[..., 1, 1]) - 1j * (alpha[..., 1, 0] - alpha[..., 0, 1]),
-        rho=0.5 * (beta[..., 0, 0] - beta[..., 1, 1]) - 1j * beta[..., 1, 0],
     )
+
+
+def _tau_rho(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Translation form tau = tau0 - i tau1 (rows 1-2 of column 0) and beta form
+    rho = (b00 - b11)/2 - i b10 of a 5x5 algebra field."""
+    beta = M[..., 1:3, 3:5]
+    return (M[..., 1, 0] - 1j * M[..., 2, 0],
+            0.5 * (beta[..., 0, 0] - beta[..., 1, 1]) - 1j * beta[..., 1, 0])
 
 
 def extract_invariants(
@@ -299,10 +311,12 @@ def extract_invariants(
     ell above tol_gauge raises NotAdapted naming it.
     """
     mc = numerical_maurer_cartan(F)
-    x, y = _decode(mc.A), _decode(mc.B)
-    t, tau_bar = wirtinger(x.tau, y.tau)
+    x, y = _decode(mc.A[..., 1:, 1:3]), _decode(mc.B[..., 1:, 1:3])
+    (tau_x, rho_x), (tau_y, rho_y) = _tau_rho(mc.A), _tau_rho(mc.B)
+    del mc  # the forms are copies, so the whole form is freed before they combine
+    t, tau_bar = wirtinger(tau_x, tau_y)
     h, ell = wirtinger(x.eta, y.eta)
-    p, rho_bar = wirtinger(x.rho, y.rho)
+    p, rho_bar = wirtinger(rho_x, rho_y)
 
     report = {
         "omega": float(np.max(np.abs(np.stack([x.omega - 1.0, y.omega - 1j])))),
@@ -420,34 +434,10 @@ def _cropped(geom: GridGeometry, margin: int) -> GridGeometry:
                         geom.dx, geom.dy)
 
 
-def reduction_pipeline(
-    m: ImmersionGrid,
-    tols: Tolerances = DEFAULT_TOLS,
-    margin: int = DEFAULT_MARGIN,
-) -> tuple[FrameField, InvariantTriple, dict]:
-    """Run the full frame reduction on an immersion and extract (t, h, p).
-
-    Stages: tangent frame with columns (f_y, f_x) and its symplectic
-    completion; trace-of-gamma normalization; removal of the
-    antiholomorphic part of eta; conformal gauge to the grid coordinate;
-    final trace/skew normalization of alpha.  Stages 2 and 3 each split a
-    1-form u of the running frame along its coframe omega, u = a omega +
-    c conj(omega), and gauge away c: stage 2 with u = gamma_trace, whose c
-    is l, and stage 3 with u = eta, whose c is real.
-
-    Raises NotLagrangian or NotElliptic when the input fails the
-    corresponding test.  The input is not elliptic at a node where df drops
-    rank (det of the tangent Gram matrix <= tol_rank), where omega is not a
-    coframe, or where |l| >= 1.
-
-    Each stage differentiates the running frame, so one-sided stencil error
-    compounds in a band along the grid edge; the returned frame field and
-    invariants are cropped by `margin` nodes per side to stay clear of it.
-    Returns the frame, the invariants and `extract_invariants`' gauge report.
-    """
-    geom = m.geometry
-    cropped = _cropped(geom, margin)
-    fx, fy = gradient(m.f, geom)
+def _tangent_frame(m: ImmersionGrid, tols: Tolerances) -> np.ndarray:
+    """Stage 1 of `reduction_pipeline`: the frame with tangent columns (f_y, f_x)
+    and their symplectic completion, after the Lagrangian and rank tests."""
+    fx, fy = gradient(m.f, m.geometry)
     lag_max = float(np.max(_lagrangian(fx, fy)))
     if lag_max > tols.tol_frame:
         raise NotLagrangian(f"max |Omega(f_x, f_y)| = {lag_max:.3e} > {tols.tol_frame:.3e}")
@@ -462,19 +452,50 @@ def reduction_pipeline(
         raise NotElliptic(f"df drops rank at node {tuple(map(int, node))}: det of the "
                           f"tangent Gram matrix {det[node]:.3e} <= tol_rank {tols.tol_rank:.3e}")
     N = -(J4 @ M) @ (_mat2(g11, -g01, -g01, g00) / det[..., None, None])
-    S = np.zeros((geom.nx, geom.ny, 5, 5))
+    S = np.zeros(m.f.shape[:2] + (5, 5))
     S[..., 0, 0] = 1.0
     S[..., 1:, 0] = m.f
     S[..., 1:, 1:3] = M
     S[..., 1:, 3:5] = N
+    return S
 
+
+def reduction_pipeline(
+    m: ImmersionGrid,
+    tols: Tolerances = DEFAULT_TOLS,
+    margin: int = DEFAULT_MARGIN,
+) -> tuple[FrameField, InvariantTriple, dict]:
+    """Run the full frame reduction on an immersion and extract (t, h, p).
+
+    Stages: tangent frame with columns (f_y, f_x) and its symplectic
+    completion; trace-of-gamma normalization; removal of the
+    antiholomorphic part of eta; conformal gauge to the grid coordinate;
+    final trace/skew normalization of alpha.  Stages 2 and 3 each split a
+    1-form u of the running frame along its coframe omega, u = a omega +
+    c conj(omega), and gauge away c: stage 2 with u = gamma_trace, whose c
+    is l, and stage 3 with u = eta, whose c is real.  Stages 2-5 read only
+    the tangent block of the running frame's Maurer-Cartan form (see
+    `_tangent_maurer_cartan`).
+
+    Raises NotLagrangian or NotElliptic when the input fails the
+    corresponding test.  The input is not elliptic at a node where df drops
+    rank (det of the tangent Gram matrix <= tol_rank), where omega is not a
+    coframe, or where |l| >= 1.
+
+    Each stage differentiates the running frame, so one-sided stencil error
+    compounds in a band along the grid edge; the returned frame field and
+    invariants are cropped by `margin` nodes per side to stay clear of it.
+    Returns the frame, the invariants and `extract_invariants`' gauge report.
+    """
+    geom = m.geometry
+    cropped = _cropped(geom, margin)
+    S = _tangent_frame(m, tols)
     for gauge in (_gamma_trace_gauge, _eta_gauge, _conformal_gauge, _alpha_gauge):
-        mc = numerical_maurer_cartan(FrameField(geom, S))
-        S = S @ gauge(_decode(mc.A), _decode(mc.B))
-        del mc  # freed before the next stage differentiates: 11 MB less peak RSS at 241^2
+        # each tangent block is freed once decoded, and the gauge once applied
+        S = S @ gauge(*map(_decode, _tangent_maurer_cartan(S, geom)))
 
     if margin:
-        S = S[margin:-margin, margin:-margin]
+        S = S[margin:-margin, margin:-margin].copy()  # frees the uncropped frame
     frame = FrameField(cropped, S)
     inv, report = extract_invariants(frame, tols)
     if np.min(np.abs(inv.h)) < tols.tol_umbilic:

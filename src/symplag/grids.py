@@ -30,41 +30,49 @@ _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 
 
-def diff4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
+def diff4(values: np.ndarray, h: float, axis: int, part: tuple = ()) -> np.ndarray:
     """4th-order first derivative along `axis` with one-sided boundary closure.
 
     Works on arrays with trailing dimensions (e.g. per-node matrices); only
-    `axis` is differenced.
+    `axis` is differenced.  `part` indexes the trailing dimensions: only that
+    part is differenced, and the result equals that part of the whole
+    derivative, `diff4(values, h, axis)[(slice(None), slice(None), *part)]`,
+    byte for byte.
     """
-    v = np.moveaxis(np.asarray(values), axis, 0)
+    values = np.asarray(values)
+    cut = (slice(None), slice(None), *part)
+    v = np.moveaxis(values, axis, 0)
     n = v.shape[0]
     if n < 5:
         raise GridTooSmall(f"need at least 5 nodes along axis {axis}, got {n}")
-    out = np.empty_like(v, dtype=np.result_type(v.dtype, float))
-    # (-v[4:] + 8 v[3:-1] - 8 v[1:-3] + v[:-4]) / 12h, in this order, in place
+    u = np.moveaxis(np.ascontiguousarray(values[cut]), axis, 0) if part else v
+    out = np.empty_like(u, dtype=np.result_type(u.dtype, float))
+    # (-u[4:] + 8 u[3:-1] - 8 u[1:-3] + u[:-4]) / 12h, in this order, in place
     mid = out[2:-2]
-    np.negative(v[4:], out=mid)
-    mid += 8.0 * v[3:-1]
-    mid -= 8.0 * v[1:-3]
-    mid += v[:-4]
+    np.negative(u[4:], out=mid)
+    mid += 8.0 * u[3:-1]
+    mid -= 8.0 * u[1:-3]
+    mid += u[:-4]
     mid /= 12.0 * h
-    # Each edge row is one BLAS product of a stencil with the 5-node slab, the
-    # call np.tensordot makes.  Its last bits depend on the slab's width and
-    # layout, so differencing a sub-block of a field is not the same as
-    # cropping the derivative of the whole field.
-    rest = v.shape[1:]
+    # Each edge row is one BLAS product of a stencil with the whole 5-node
+    # slab, the call np.tensordot makes, and only then cut to `part`.  Its last
+    # bits depend on the slab's width and layout, so differencing a sub-block
+    # of a field is not the same as cutting the derivative of the whole field.
+    rest, keep = v.shape[1:], cut[1:]
     head, tail = v[:5].reshape(5, -1), v[-1:-6:-1].reshape(5, -1)
-    out[0] = np.dot(_EDGE0, head).reshape(rest) / h
-    out[1] = np.dot(_EDGE1, head).reshape(rest) / h
-    out[-1] = -np.dot(_EDGE0, tail).reshape(rest) / h
-    out[-2] = -np.dot(_EDGE1, tail).reshape(rest) / h
+    out[0] = np.dot(_EDGE0, head).reshape(rest)[keep] / h
+    out[1] = np.dot(_EDGE1, head).reshape(rest)[keep] / h
+    out[-1] = -np.dot(_EDGE0, tail).reshape(rest)[keep] / h
+    out[-2] = -np.dot(_EDGE1, tail).reshape(rest)[keep] / h
     return np.moveaxis(out, 0, axis)
 
 
-def gradient(values: np.ndarray, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+def gradient(values: np.ndarray, geom: GridGeometry,
+             part: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
     """Partials (f_x, f_y) of node values whose leading axes are the grid's
-    (nx, ny); trailing dimensions (e.g. per-node matrices) ride along."""
-    return diff4(values, geom.dx, axis=0), diff4(values, geom.dy, axis=1)
+    (nx, ny); trailing dimensions (e.g. per-node matrices) ride along, or only
+    their `part`, as in `diff4`."""
+    return diff4(values, geom.dx, axis=0, part=part), diff4(values, geom.dy, axis=1, part=part)
 
 
 def wirtinger(ux, uy) -> tuple:

@@ -40,6 +40,16 @@ def test_nan_tolerance_rejected():
         build_config(["verify", "--tol-frame", "nan"])
 
 
+@pytest.mark.parametrize("value", [True, "1e-6"])
+def test_non_number_tolerance_in_config_exits_2(tmp_path, capsys, value):
+    # a JSON boolean is no tolerance: true would gate flatness at 1.0
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({"command": "verify", "tolerances": {"tol_flat": value}}))
+    assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
+    assert "tol_flat" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_nan_grid_spacing_in_config_exits_2(tmp_path):
     grid = dict(sg.GridGeometry(11, 11, 0.0, 0.0, 0.1, 0.1).as_dict(), dx=float("nan"))
     doc = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,9 @@ from symplag.frames import (
     _gauge_matrix5,
     _midpoints,
     _omega_bar_coefficient,
+    _tangent_maurer_cartan,
+    _tangent_frame,
+    _tau_rho,
     extract_invariants,
     numerical_maurer_cartan,
 )
@@ -255,6 +259,36 @@ def test_numerical_maurer_cartan_matches_lu_solve(source):
         ref = np.linalg.solve(F.S, dS)
         err = np.max(np.abs(form[..., 1:, :] - ref[..., 1:, :]))
         assert err <= 1e-12 * np.max(np.abs(dS))
+
+
+@pytest.mark.parametrize("source", ["integrate", "stage 1"])
+def test_tangent_maurer_cartan_is_byte_identical_to_that_block_of_the_whole(source):
+    # the gauge stages read only this block, so not even a last bit may move
+    if source == "integrate":
+        S = quiet_integrate(family_theta(p=1.0)[1], compute_path_defect=False).S
+    else:
+        m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=-1.3, c1=0.5, c2=2.0), GEOM)
+        S = _tangent_frame(m, sg.DEFAULT_TOLS)
+    mc = numerical_maurer_cartan(FrameField(GEOM, S))
+    Tx, Ty = _tangent_maurer_cartan(S, GEOM)
+    assert Tx.shape == Ty.shape == (61, 61, 4, 2)
+    assert Tx.tobytes() == mc.A[..., 1:, 1:3].tobytes()
+    assert Ty.tobytes() == mc.B[..., 1:, 1:3].tobytes()
+
+
+@pytest.mark.parametrize("n", [61, 121])
+def test_reduction_peak_memory_is_within_five_frames(n):
+    # only the tangent blocks of each stage's Maurer-Cartan form are held;
+    # holding the whole 5x5 form and stage 1's arrays peaked at 6.8 frames
+    geom = sg.GridGeometry(n, n, 0.0, 0.0, 0.3 / (n - 1), 0.3 / (n - 1))
+    m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0), geom)
+    tracemalloc.start()
+    try:
+        quiet_pipeline(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * n * n * 25 * 8
 
 
 def test_gauge_matrix5_is_symplectic():
@@ -555,14 +589,15 @@ def test_decode_recovers_theta_encoding(kind):
         zz = GEOM.zmesh()
         inv = sg.InvariantTriple(GEOM, 2.0 + 0.3 * zz, 0.0, 0.5 * zz)
     theta = sg.theta_from_invariants(inv)
-    x, y = _decode(theta.A), _decode(theta.B)
+    x, y = _decode(theta.A[..., 1:, 1:3]), _decode(theta.B[..., 1:, 1:3])
+    (tau_x, rho_x), (tau_y, rho_y) = _tau_rho(theta.A), _tau_rho(theta.B)
     t, h, p = inv.t, inv.h, inv.p
     habs2 = np.abs(h) ** 2
     # the derivative terms of h sit in the trace of beta, which rho does not read
     for got, want in ((x.omega, 1.0), (y.omega, 1j), (x.gamma_trace, 0.0),
                       (y.gamma_trace, 0.0), (x.w, 0.0), (y.w, 0.0),
-                      (x.eta, h), (y.eta, 1j * h), (x.tau, t), (y.tau, 1j * t),
-                      (x.rho, p + habs2), (y.rho, 1j * (p - habs2))):
+                      (x.eta, h), (y.eta, 1j * h), (tau_x, t), (tau_y, 1j * t),
+                      (rho_x, p + habs2), (rho_y, 1j * (p - habs2))):
         assert np.max(np.abs(got - want)) < 1e-12
 
 

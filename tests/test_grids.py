@@ -8,6 +8,7 @@ from symplag.grids import _EDGE0, _EDGE1, diff4, gradient
 
 
 GEOM = sg.GridGeometry(21, 17, -0.5, 0.25, 0.05, 0.04)
+GEOM_61 = sg.GridGeometry(61, 61, 0.0, 0.0, 0.005, 0.004)
 
 
 def _diff4_pair(values, geom):
@@ -74,6 +75,23 @@ def test_wirtinger_conjugation_identity():
     scale = np.max(np.abs(u_zbar))
     assert scale > 0.1
     assert np.max(np.abs(sg.d_z(np.conj(u), GEOM) - np.conj(u_zbar))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape, part", [((61, 61, 5, 5), (slice(1, None), slice(1, 3))),
+                                         ((61, 61, 4), (slice(2, None),))])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_diff4_part_is_byte_identical_to_that_part_of_the_whole(dtype, shape, part, axis):
+    # the edge rows come from the whole slab, so not even a last bit may move
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=shape).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.normal(size=shape)
+    h = (GEOM_61.dx, GEOM_61.dy)[axis]
+    want = diff4(values, h, axis)[(slice(None), slice(None), *part)]
+    for got in (diff4(values, h, axis, part=part), gradient(values, GEOM_61, part=part)[axis]):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_diff4_needs_five_nodes():

@@ -1,19 +1,21 @@
-"""Per-stage wall times of symplag's pipelines at 61^2, 121^2 and 241^2.
+"""Per-stage wall times and memory peaks of symplag's pipelines at 61^2, 121^2
+and 241^2.
 
     python tools/stage_timings.py --out FILE [--src PATH] [--label NAME]
 
 Imports symplag from `--src` (default: the `src` next to this script's
 directory), with BLAS and OpenMP pinned to one thread, and times each stage
-as the best of 5 runs.  The input is the constant family with p = 1 on a
-square of side 0.3 with origin 0: Theta and the integrated frame come from its
-invariants, and the reduction and congruence stages take its closed-form
-immersion.
+as the best of 5 runs.  A separate pass, not timed, records each stage's
+tracemalloc peak: the most memory that one call's own allocations hold at
+once.  The input is the constant family with p = 1 on a square of side 0.3
+with origin 0: Theta and the integrated frame come from its invariants, and
+the reduction and congruence stages take its closed-form immersion.
 
-The timings go under `--label` (default "change") in the JSON file `--out`;
-an existing file keeps its other labels, so two runs
-with different `--src` and `--label` put two trees side by side.  Shared
-machines drift in speed, so compare two trees by alternating their rounds
-under different labels, not by one run of each.
+The timings (`stages_s`) and peaks (`stages_peak_mb`) go under `--label`
+(default "change") in the JSON file `--out`; an existing file keeps its other
+labels, so two runs with different `--src` and `--label` put two trees side
+by side.  Shared machines drift in speed, so compare two trees by alternating
+their rounds under different labels, not by one run of each.
 """
 
 import os
@@ -28,6 +30,7 @@ import platform  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -49,8 +52,18 @@ def best_of(fn) -> float:
     return min(times)
 
 
-def grid_stages(sg, n: int, workdir: Path) -> dict[str, float]:
-    """Best-of-REPEATS seconds of every stage on the n x n re-anchor input."""
+def peak_mb(fn) -> float:
+    """tracemalloc peak, in MB, of one call of fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def grid_stages(sg, n: int, workdir: Path) -> dict:
+    """Every stage on the n x n re-anchor input, as a callable to time or trace."""
     h = SIDE / (n - 1)
     geom = sg.GridGeometry(n, n, 0.0, 0.0, h, h)
     params = sg.ConstantFamilyParams(p=P)
@@ -62,16 +75,15 @@ def grid_stages(sg, n: int, workdir: Path) -> dict[str, float]:
     csv = workdir / f"immersion_{n}.csv"
     sg.save_immersion(m_frame, csv, frame=F)
     return {
-        "theta_from_invariants": best_of(lambda: sg.theta_from_invariants(inv)),
-        "flatness_residual": best_of(lambda: sg.flatness_residual(theta)),
-        "integrate_frame_estimate": best_of(lambda: sg.integrate_frame(theta)),
-        "integrate_frame": best_of(
-            lambda: sg.integrate_frame(theta, compute_path_defect=False)),
-        "numerical_maurer_cartan": best_of(lambda: sg.numerical_maurer_cartan(F)),
-        "reduction_pipeline": best_of(lambda: sg.reduction_pipeline(m)),
-        "congruence_defect": best_of(lambda: sg.congruence_defect(m, m)),
-        "save_immersion_frame": best_of(lambda: sg.save_immersion(m_frame, csv, frame=F)),
-        "load_immersion_frame": best_of(lambda: sg.load_immersion(csv)),
+        "theta_from_invariants": lambda: sg.theta_from_invariants(inv),
+        "flatness_residual": lambda: sg.flatness_residual(theta),
+        "integrate_frame_estimate": lambda: sg.integrate_frame(theta),
+        "integrate_frame": lambda: sg.integrate_frame(theta, compute_path_defect=False),
+        "numerical_maurer_cartan": lambda: sg.numerical_maurer_cartan(F),
+        "reduction_pipeline": lambda: sg.reduction_pipeline(m),
+        "congruence_defect": lambda: sg.congruence_defect(m, m),
+        "save_immersion_frame": lambda: sg.save_immersion(m_frame, csv, frame=F),
+        "load_immersion_frame": lambda: sg.load_immersion(csv),
     }
 
 
@@ -92,13 +104,17 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "repeats": REPEATS,
         "stages_s": {},
+        "stages_peak_mb": {},
     }
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a repeated warning is noise here, not a stage
         for n in SIZES:
-            run["stages_s"][f"{n}x{n}"] = grid_stages(sg, n, Path(tmp))
+            stages = grid_stages(sg, n, Path(tmp))
+            times = {k: best_of(fn) for k, fn in stages.items()}
+            peaks = {k: peak_mb(fn) for k, fn in stages.items()}
+            run["stages_s"][f"{n}x{n}"], run["stages_peak_mb"][f"{n}x{n}"] = times, peaks
             print(f"{args.label} {n}x{n}: " + ", ".join(
-                f"{k} {v * 1e3:.1f} ms" for k, v in run["stages_s"][f"{n}x{n}"].items()),
+                f"{k} {times[k] * 1e3:.1f} ms {peaks[k]:.1f} MB" for k in stages),
                 file=sys.stderr)
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
