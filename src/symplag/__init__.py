@@ -4,14 +4,10 @@ from .config import DEFAULT_TOLS, Tolerances
 from .core import J4, symplectic_defect
 from .grids import ComplexGrid, GridGeometry, d_z, d_zbar, load_grid, save_grid
 from .invariants import (
-    FormCoefficients,
     InvariantTriple,
     applicability_residual,
     dbar_fubini_residual,
-    form_coefficients,
-    genericity_ops,
     inteq_residual,
-    recover_p,
     shift_family,
 )
 from .frames import (

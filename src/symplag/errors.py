@@ -13,14 +13,6 @@ class GridTooSmall(SymplagError):
     """Grid has fewer than the 5 nodes per axis required by the stencils."""
 
 
-class UmbilicPoint(SymplagError):
-    """|h| dips below the umbilic tolerance where a division by h is required."""
-
-
-class NotGeneric(SymplagError):
-    """Genericity fails (h = 0 or P2 = 0 somewhere); recovery refuses."""
-
-
 class NotHolomorphic(SymplagError):
     """Input field has a non-negligible antiholomorphic derivative."""
 
@@ -60,5 +52,4 @@ class ConfigError(SymplagError):
 
 
 class UmbilicGaugeWarning(UserWarning):
-    """|h| fell below the umbilic tolerance; reductions remain valid but the
-    genericity operators will refuse this data."""
+    """|h| fell below the umbilic tolerance; reductions remain valid."""

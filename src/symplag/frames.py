@@ -423,7 +423,7 @@ DEFAULT_MARGIN = 8
 def _cropped(geom: GridGeometry, margin: int) -> GridGeometry:
     """geom less `margin` nodes on every side; ValueError unless `margin` is an
     integer and 5x5 nodes remain."""
-    if not isinstance(margin, numbers.Integral):
+    if isinstance(margin, bool) or not isinstance(margin, numbers.Integral):
         raise ValueError(f"margin must be an integer, got {margin!r}")
     if margin < 0:
         raise ValueError(f"margin must be nonnegative, got {margin}")

@@ -104,14 +104,15 @@ class GridGeometry:
     def __post_init__(self):
         for name in ("nx", "ny"):
             v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and math.isfinite(v) and v == int(v)):
+            if isinstance(v, bool) or not (isinstance(v, numbers.Real)
+                                           and math.isfinite(v) and v == int(v)):
                 raise ValueError(f"grid {name} must be an integer, got {v!r}")
             object.__setattr__(self, name, int(v))
         if self.nx < 5 or self.ny < 5:
             raise GridTooSmall(f"grid must be at least 5x5, got {self.nx}x{self.ny}")
         for name in ("x0", "y0", "dx", "dy"):
             v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)):
                 raise ValueError(f"grid {name} must be a finite number, got {v!r}")
             object.__setattr__(self, name, float(v))
         if self.dx <= 0 or self.dy <= 0:

@@ -58,13 +58,14 @@ def test_nan_grid_spacing_in_config_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("name, value", [("nx", 61.7), ("ny", 7.5), ("x0", None),
-                                         ("extra", 1)])
+                                         ("extra", 1), ("dx", True), ("nx", True)])
 def test_bad_grid_record_in_config_exits_2(tmp_path, capsys, name, value):
     grid = dict(sg.GridGeometry(11, 11, 0.0, 0.0, 0.1, 0.1).as_dict(), **{name: value})
     doc = tmp_path / "cfg.json"
     doc.write_text(json.dumps({"command": "verify", "grid": grid}))
     assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
-    assert "bad grid record" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad grid record" in err and name in err  # the message names the field
 
 
 @pytest.mark.parametrize("grid, bad", [("a,61,0,0,0.005,0.005", "'a'"),
@@ -225,8 +226,9 @@ def test_malformed_immersion_csv_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("field, value, message", [("dx", "drop", "lacks dx"),
                                                    ("x0", None, "x0 must be a finite number"),
                                                    ("nx", 3, "at least 5x5"),
-                                                   ("extra", 1, "unknown keys ['extra']")],
-                         ids=["missing-dx", "null-x0", "nx-3", "extra-key"])
+                                                   ("extra", 1, "unknown keys ['extra']"),
+                                                   ("dx", True, "dx must be a finite number")],
+                         ids=["missing-dx", "null-x0", "nx-3", "extra-key", "dx-true"])
 def test_bad_immersion_sidecar_exits_2(tmp_path, capsys, field, value, message):
     geom = sg.GridGeometry(7, 7, 0.0, 0.0, 0.1, 0.1)
     xx, yy = geom.mesh()

@@ -575,7 +575,7 @@ def test_pipeline_checks_margin_before_any_stage():
     geom = sg.GridGeometry(21, 21, 0.0, 0.0, 0.05, 0.05)
     xx, yy = geom.mesh()
     m = sg.ImmersionGrid(geom, np.stack([xx, yy, np.zeros_like(xx), xx], axis=-1))
-    for margin in (-1, 9, 2.5):
+    for margin in (-1, 9, 2.5, True):
         with pytest.raises(ValueError, match="margin"):
             sg.reduction_pipeline(m, margin=margin)
 

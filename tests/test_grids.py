@@ -118,14 +118,15 @@ def test_geometry_validation():
 
 
 @pytest.mark.parametrize("name", ["x0", "y0", "dx", "dy"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), None])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), None, True])
 def test_geometry_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match="finite"):
         sg.GridGeometry.from_dict(dict(GEOM.as_dict(), **{name: value}))
 
 
 @pytest.mark.parametrize("name, value", [("nx", 61.7), ("ny", 7.5), ("nx", float("nan")),
-                                         ("ny", float("inf")), ("nx", "61"), ("ny", None)])
+                                         ("ny", float("inf")), ("nx", "61"), ("ny", None),
+                                         ("nx", True)])
 def test_geometry_rejects_non_integral_size(name, value):
     d = dict(GEOM.as_dict(), **{name: value})
     for build in (sg.GridGeometry.from_dict, lambda d: sg.GridGeometry(**d)):
