@@ -1,7 +1,7 @@
 """Numerical toolkit for elliptic Lagrangian surfaces in affine symplectic R^4."""
 
 from .config import DEFAULT_TOLS, Tolerances
-from .core import J4, symplectic_defect
+from .core import J4
 from .grids import ComplexGrid, GridGeometry, d_z, d_zbar, load_grid, save_grid
 from .invariants import (
     InvariantTriple,

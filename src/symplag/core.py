@@ -36,8 +36,3 @@ def _symplectic_inverse(X: np.ndarray) -> np.ndarray:
     out += 0.0
     return out
 
-
-def symplectic_defect(M: np.ndarray) -> float:
-    """Sup-norm of M^T J M - J; zero exactly when M is symplectic."""
-    M = np.asarray(M, dtype=float)
-    return float(np.max(np.abs(_symplectic_error(M))))

@@ -550,42 +550,42 @@ def congruence_defect(
 # -- serialization ------------------------------------------------------------
 
 
+# value columns of an immersion CSV: f, then the frame's X row-major when saved
+_F_COLUMNS = ["f1", "f2", "f3", "f4"]
+_S_COLUMNS = [f"s{r}{c}" for r in range(1, 5) for c in range(1, 5)]
+
+
 def save_immersion(
     m: ImmersionGrid, path: str | Path, frame: FrameField | None = None
 ) -> None:
-    """Write `i,j,x,y,f1..f4` rows (17 significant digits), one per node.
+    """Write `x,y,f1..f4` rows (17 significant digits), one per node.
 
     When a frame field is supplied its 16 symplectic-matrix entries are
     appended per row (s11..s44, row-major).  Geometry goes in a .json sidecar.
     """
     geom = m.geometry
-    if frame is not None and frame.geometry != geom:
+    if frame is None:
+        grids._save_table(path, geom, _F_COLUMNS, m.f)
+        return
+    if frame.geometry != geom:
         raise ValueError("frame and immersion must share one grid geometry")
-    header = ["i", "j", "x", "y", "f1", "f2", "f3", "f4"]
-    values = m.f
-    if frame is not None:
-        header += [f"s{r}{c}" for r in range(1, 5) for c in range(1, 5)]
-        S = frame.S[..., 1:, 1:].reshape(geom.nx, geom.ny, 16)
-        values = np.concatenate([values, S], axis=-1)
-    text = grids._axis_text
-    js, ys = text(np.arange(geom.ny, dtype=float)), text(geom.y)
-    lead = ([i + j + x + y for j, y in zip(js, ys)]
-            for i, x in zip(text(np.arange(geom.nx, dtype=float)), text(geom.x)))
-    grids._save_table(path, geom, header, lead, values)
+    S = frame.S[..., 1:, 1:].reshape(geom.nx, geom.ny, 16)
+    grids._save_table(path, geom, _F_COLUMNS + _S_COLUMNS, np.concatenate([m.f, S], axis=-1))
 
 
 def load_immersion(path: str | Path) -> tuple[ImmersionGrid, FrameField | None]:
     """Read a `save_immersion` CSV back; returns the frame field too when present.
 
-    `grids._load_table` states which files it rejects.
+    `grids._load_table` states which files it rejects; the header must be
+    `x,y,f1..f4` or `x,y,f1..f4,s11..s44`.
     """
-    geom, header, values = grids._load_table(path)
+    geom, header, values = grids._load_table(path, _F_COLUMNS, _F_COLUMNS + _S_COLUMNS)
     f = values[..., :4].copy()
-    S = None
-    if len(header) > 8:
-        S = np.zeros((geom.nx, geom.ny, 5, 5))
-        S[..., 0, 0] = 1.0
-        S[..., 1:, 0] = f
-        S[..., 1:, 1:] = values[..., 4:].reshape(geom.nx, geom.ny, 4, 4)
     m = ImmersionGrid(geom, f)
-    return m, (FrameField(geom, S) if S is not None else None)
+    if header == _F_COLUMNS:
+        return m, None
+    S = np.zeros((geom.nx, geom.ny, 5, 5))
+    S[..., 0, 0] = 1.0
+    S[..., 1:, 0] = f
+    S[..., 1:, 1:] = values[..., 4:].reshape(geom.nx, geom.ny, 4, 4)
+    return m, FrameField(geom, S)

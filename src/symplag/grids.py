@@ -189,15 +189,15 @@ class ComplexGrid:
 
 
 def _save_table(path: str | Path, geom: GridGeometry, header: list[str],
-                lead, values: np.ndarray) -> None:
-    """Write one CSV row per node at 17 significant digits plus a .json sidecar.
+                values: np.ndarray) -> None:
+    """Write one `x,y,<header>` CSV row per node at 17 significant digits plus
+    a .json sidecar.
 
-    `values` is the (nx, ny, k) float array of the nodes' k value columns;
-    `lead` yields, for each grid row i, the ny nodes' comma-terminated
-    coordinate text that precedes them.  Rows go out in C order, one grid row
-    per `%`, and end in CRLF, the RFC 4180 line ending that the csv module
-    writes.  A non-finite value raises ValueError naming its node, before
-    anything is written.
+    `values` is the (nx, ny, k) float array of the nodes' k value columns,
+    named by `header`.  Rows go out in C order, one grid row per `%`, and end
+    in CRLF, the RFC 4180 line ending that the csv module writes.  A
+    non-finite value raises ValueError naming its node, before anything is
+    written.
     """
     path = Path(path)
     bad = ~np.all(np.isfinite(values), axis=-1)
@@ -205,58 +205,53 @@ def _save_table(path: str | Path, geom: GridGeometry, header: list[str],
         node = tuple(np.argwhere(bad)[0].tolist())
         raise ValueError(f"{path}: node {node} holds a non-finite value")
     cell = ",".join(["%.17g"] * values.shape[-1]) + "\r\n"
+    tails = ["%.17g," % y + cell for y in geom.y.tolist()]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row, lead_i in zip(values, lead):
-            fh.write("".join([s + cell for s in lead_i]) % tuple(row.ravel().tolist()))
+        fh.write(",".join(["x", "y", *header]) + "\r\n")
+        for x, row in zip(geom.x.tolist(), values):
+            head = "%.17g," % x
+            fh.write("".join([head + t for t in tails]) % tuple(row.ravel().tolist()))
     with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
         json.dump(geom.as_dict(), fh, indent=2)
 
 
-def _axis_text(coords: np.ndarray) -> list[str]:
-    """Comma-terminated `%.17g` text of each coordinate, as `_save_table` writes it."""
-    return ["%.17g," % c for c in coords.tolist()]
+def _load_table(path: str | Path,
+                *headers: list[str]) -> tuple[GridGeometry, list[str], np.ndarray]:
+    """Read a CSV written by `_save_table`: geometry, value header and node values.
 
-
-def _load_table(path: str | Path) -> tuple[GridGeometry, list[str], np.ndarray]:
-    """Read a CSV written by `_save_table`: geometry, header and node values.
-
+    The header must be `x,y` followed by one of `headers`, the value columns
+    the caller accepts; any other is a ValueError naming the file and header.
     Rows are placed in C order: row r (the header is row 0) must be node
-    (i, j) = divmod(r - 1, ny).  Its `i, j` columns, when the header starts
-    `i,j,x,y`, must equal i and j exactly; its `x, y` columns must lie within
-    a quarter grid step of the node (a NaN counts as off); and its value
-    columns must be finite.  A wrong row count, or a row that breaks the rule,
-    raises ValueError naming the row and node.  `values` is the (nx, ny, k)
-    array of the k columns after the coordinate columns.
+    (i, j) = divmod(r - 1, ny).  Its `x, y` columns must lie within a quarter
+    grid step of the node (a NaN counts as off), and its value columns must be
+    finite.  A wrong row count, or a row that breaks the rule, raises
+    ValueError naming the row and node.  `values` is the (nx, ny, k) array of
+    the k value columns.
     """
     path = Path(path)
     with open(path.with_suffix(path.suffix + ".json")) as fh:
         geom = GridGeometry.from_dict(json.load(fh))
     with open(path) as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
+        names = fh.readline().rstrip("\r\n").split(",")
+        header = names[2:]
+        if names[:2] != ["x", "y"] or header not in headers:
+            wanted = " or ".join(",".join(["x", "y", *h]) for h in headers)
+            raise ValueError(f"{path}: header {','.join(names)} is not {wanted}")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0 or data.shape[1] != len(header):
-        raise ValueError(f"{path}: expected rows of {len(header)} values under the header")
-    names = ("i", "j", "x", "y") if header[:4] == ["i", "j", "x", "y"] else ("x", "y")
-    c = len(names)
-    if len(header) < c:
-        raise ValueError(f"{path}: header {','.join(header)} lacks the columns x,y")
+    if data.size == 0 or data.shape[1] != 2 + len(header):
+        raise ValueError(f"{path}: expected rows of {2 + len(header)} values under the header")
     nx, ny = geom.nx, geom.ny
     if len(data) != nx * ny:
         raise ValueError(f"{path}: expected {nx * ny} rows, got {len(data)}")
     nodes = data.reshape(nx, ny, -1)
-    off = np.maximum(np.abs(nodes[..., c - 2] - geom.x[:, None]) / geom.dx,
-                     np.abs(nodes[..., c - 1] - geom.y) / geom.dy)
+    off = np.maximum(np.abs(nodes[..., 0] - geom.x[:, None]) / geom.dx,
+                     np.abs(nodes[..., 1] - geom.y) / geom.dy)
     bad = ~(off <= 0.25)  # a NaN coordinate counts as off
-    if c == 4:
-        bad |= nodes[..., 0] != np.arange(nx)[:, None]
-        bad |= nodes[..., 1] != np.arange(ny)
     if np.any(bad):
         r = int(np.argmax(bad))
-        coords = ", ".join("%.17g" % v for v in data[r, :c].tolist())
-        raise ValueError(f"{path}: row {r + 1} at ({', '.join(names)}) = ({coords}) "
-                         f"is not node {divmod(r, ny)}")
-    values = nodes[..., c:]
+        coords = "%.17g, %.17g" % tuple(data[r, :2].tolist())
+        raise ValueError(f"{path}: row {r + 1} at (x, y) = ({coords}) is not node {divmod(r, ny)}")
+    values = nodes[..., 2:]
     bad = ~np.all(np.isfinite(values), axis=-1)
     if np.any(bad):
         r = int(np.argmax(bad))
@@ -266,19 +261,13 @@ def _load_table(path: str | Path) -> tuple[GridGeometry, list[str], np.ndarray]:
 
 def save_grid(f: ComplexGrid, path: str | Path) -> None:
     """Write `x,y,re,im` rows (17 significant digits) plus a .json sidecar."""
-    geom = f.geometry
-    ys = _axis_text(geom.y)
-    lead = ([x + y for y in ys] for x in _axis_text(geom.x))
     values = np.stack([f.values.real, f.values.imag], axis=-1)
-    _save_table(path, geom, ["x", "y", "re", "im"], lead, values)
+    _save_table(path, f.geometry, ["re", "im"], values)
 
 
 def load_grid(path: str | Path) -> ComplexGrid:
-    """Read a `save_grid` CSV back; `_load_table` states which files it rejects,
-    and a header other than `x,y,re,im` is a ValueError too."""
-    geom, header, values = _load_table(path)
-    if header != ["x", "y", "re", "im"]:
-        raise ValueError(f"{path}: header {','.join(header)} is not x,y,re,im")
+    """Read a `save_grid` CSV back; `_load_table` states which files it rejects."""
+    geom, _, values = _load_table(path, ["re", "im"])
     z = np.empty((geom.nx, geom.ny), dtype=complex)
     z.real, z.imag = values[..., 0], values[..., 1]
     return ComplexGrid(geom, z)

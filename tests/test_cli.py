@@ -220,7 +220,7 @@ def test_malformed_immersion_csv_exits_2(tmp_path, capsys):
     assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert str(path) in err
-    assert "row 25 at (i, j, x, y) = (0, 1, 0, 0.10000000000000001) is not node (3, 3)" in err
+    assert "row 25 at (x, y) = (0, 0.10000000000000001) is not node (3, 3)" in err
 
 
 @pytest.mark.parametrize("field, value, message", [("dx", "drop", "lacks dx"),

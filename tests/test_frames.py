@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 import symplag as sg
+from symplag.core import _symplectic_error
 from symplag.errors import (
     FrameDefect,
     IntegrationBlowup,
@@ -165,7 +166,7 @@ def test_integrated_frame_matches_exponential():
         E = expm(GEOM.x[i] * A + GEOM.y[j] * B)
         assert np.max(np.abs(F.S[i, j, 1:, 1:] - E)) < 1e-10
     # the defect integrate_frame measured is the frame's own
-    assert F.symplectic_defect == sg.symplectic_defect(F.S[..., 1:, 1:]) < 1e-8
+    assert F.symplectic_defect == np.max(np.abs(_symplectic_error(F.S[..., 1:, 1:]))) < 1e-8
 
 
 def test_error_estimate_small_when_flat():
@@ -298,7 +299,7 @@ def test_gauge_matrix5_is_symplectic():
     b = rng.normal(size=A2.shape)
     for sym in (None, b + np.swapaxes(b, -1, -2)):
         Y = _gauge_matrix5(A2, sym)
-        assert sg.symplectic_defect(Y[:, 1:, 1:]) <= 1e-13
+        assert np.max(np.abs(_symplectic_error(Y[:, 1:, 1:]))) <= 1e-13
 
 
 def curve_immersion(geom):
@@ -453,14 +454,6 @@ def _duplicate_row(lines):
     lines[1 + 3 * 7 + 3] = lines[1 + 0 * 7 + 1]  # node (3, 3) becomes a copy of (0, 1)
 
 
-def _index_out_of_range(lines):
-    lines[1 + 0 * 7 + 4] = "7" + lines[1 + 0 * 7 + 4][1:]  # node (0, 4) renamed (7, 4)
-
-
-def _non_integer_index(lines):
-    lines[1 + 3 * 7 + 2] = "3.2" + lines[1 + 3 * 7 + 2][1:]  # node (3, 2) renamed (3.2, 2)
-
-
 def _swapped_rows(lines):
     a, b = 1 + 1 * 7 + 2, 1 + 1 * 7 + 3  # nodes (1, 2) and (1, 3)
     lines[a], lines[b] = lines[b], lines[a]
@@ -473,41 +466,58 @@ def _set_cell(lines, node, column, text):
 
 
 def _x_off_node(lines):
-    _set_cell(lines, (0, 4), 2, "123")
+    _set_cell(lines, (0, 4), 0, "123")
 
 
 def _nan_y(lines):
-    _set_cell(lines, (0, 4), 3, "nan")
+    _set_cell(lines, (0, 4), 1, "nan")
 
 
-def _keep_columns(lines, k):
-    lines[:] = [",".join(line.rstrip("\r\n").split(",")[:k]) + "\r\n" for line in lines]
+def _keep_columns(lines, cut):
+    lines[:] = [",".join(line.rstrip("\r\n").split(",")[cut]) + "\r\n" for line in lines]
 
 
 def _three_columns(lines):
-    _keep_columns(lines, 3)
+    _keep_columns(lines, slice(3))
 
 
 def _one_column(lines):
-    _keep_columns(lines, 1)
+    _keep_columns(lines, slice(1))
+
+
+def _nine_columns(lines):
+    _keep_columns(lines, slice(9))
+
+
+def _no_coordinates(lines):
+    _keep_columns(lines, slice(2, None))
+
+
+def _legacy_indices(lines):
+    # the i,j,x,y layout written before x,y became the only coordinate columns
+    lines[0] = "i,j," + lines[0]
+    for r in range(1, len(lines)):
+        lines[r] = "%d,%d," % divmod(r - 1, 7) + lines[r]
 
 
 def _nan_frame_entry(lines):
     lines[1 + 2 * 7 + 5] = lines[1 + 2 * 7 + 5].rsplit(",", 1)[0] + ",nan\r\n"  # s44 of (2, 5)
 
 
+_NOT_IMMERSION = r" is not x,y,f1,f2,f3,f4 or x,y,f1,f2,f3,f4,s11,.*,s44$"
+
+
 @pytest.mark.parametrize("edit, message", [
-    (_duplicate_row, r"row 25 at \(i, j, x, y\) = \(0, 1, 0, 0\.10000000000000001\) "
-                     r"is not node \(3, 3\)"),
-    (_index_out_of_range, r"row 5 at \(i, j, x, y\) = \(7, 4, 0, 0\.40000000000000002\) "
-                          r"is not node \(0, 4\)"),
-    (_non_integer_index, r"row 24 at \(i, j, x, y\) = \(3\.2000000000000002, 2, .*\) "
-                         r"is not node \(3, 2\)"),
-    (_swapped_rows, r"row 10 at \(i, j, x, y\) = \(1, 3, .*\) is not node \(1, 2\)"),
-    (_x_off_node, r"row 5 at \(i, j, x, y\) = \(0, 4, 123, .*\) is not node \(0, 4\)"),
-    (_nan_y, r"row 5 at \(i, j, x, y\) = \(0, 4, 0, nan\) is not node \(0, 4\)"),
-    (_three_columns, r"row 2 at \(x, y\) = \(0, 1\) is not node \(0, 1\)"),  # i,j read as x,y
-    (_one_column, r"header i lacks the columns x,y"),
+    (_duplicate_row, r"row 25 at \(x, y\) = \(0, 0\.10000000000000001\) is not node \(3, 3\)"),
+    (_swapped_rows, r"row 10 at \(x, y\) = \(0\.10000000000000001, 0\.30000000000000004\) "
+                    r"is not node \(1, 2\)"),
+    (_x_off_node, r"row 5 at \(x, y\) = \(123, 0\.40000000000000002\) is not node \(0, 4\)"),
+    (_nan_y, r"row 5 at \(x, y\) = \(0, nan\) is not node \(0, 4\)"),
+    (_three_columns, r"header x,y,f1" + _NOT_IMMERSION),
+    (_one_column, r"header x" + _NOT_IMMERSION),
+    (_nine_columns, r"header x,y,f1,f2,f3,f4,s11,s12,s13" + _NOT_IMMERSION),
+    (_no_coordinates, r"header f1,f2,f3,f4,s11,.*,s44" + _NOT_IMMERSION),
+    (_legacy_indices, r"header i,j,x,y,f1,.*,s44" + _NOT_IMMERSION),
     (_nan_frame_entry, r"row 20 \(node \(2, 5\)\) holds a non-finite value"),
 ])
 def test_load_immersion_rejects_misplaced_rows(tmp_path, edit, message):
@@ -521,8 +531,9 @@ def test_load_immersion_rejects_misplaced_rows(tmp_path, edit, message):
     edit(lines)
     with open(path, "w", newline="") as fh:
         fh.writelines(lines)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as err:
         sg.load_immersion(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("grad_phi, message", [

@@ -166,7 +166,7 @@ def test_load_grid_rejects_immersion_csv(tmp_path):
     xx, yy = GEOM.mesh()
     path = tmp_path / "imm.csv"
     sg.save_immersion(sg.ImmersionGrid(GEOM, np.stack([xx, yy, xx * yy, xx - yy], -1)), path)
-    with pytest.raises(ValueError, match=r"header i,j,x,y,f1,f2,f3,f4 is not x,y,re,im"):
+    with pytest.raises(ValueError, match=r"imm\.csv: header x,y,f1,f2,f3,f4 is not x,y,re,im$"):
         sg.load_grid(path)
 
 

@@ -99,10 +99,9 @@ def test_grid_csv_bytes_match_savetxt(data):
 def test_immersion_csv_bytes_match_savetxt(data, with_frame):
     geom = data.draw(geometries())
     f = data.draw(arrays(float, (geom.nx, geom.ny, 4), elements=csv_values))
-    header = ["i", "j", "x", "y", "f1", "f2", "f3", "f4"]
-    ii, jj = np.indices((geom.nx, geom.ny))
+    header = ["x", "y", "f1", "f2", "f3", "f4"]
     xx, yy = geom.mesh()
-    cols = [np.stack([ii, jj, xx, yy], axis=-1), f]
+    cols = [np.stack([xx, yy], axis=-1), f]
     frame = None
     if with_frame:
         S = np.zeros((geom.nx, geom.ny, 5, 5))
