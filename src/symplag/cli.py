@@ -3,8 +3,10 @@
 Every command is deterministic given its configuration.  Reports are JSON
 documents echoing the fully resolved configuration together with residual
 summaries and named pass/fail flags, so a run can be reproduced from its
-report alone.  Exit codes: 0 all flags pass, 1 residual failure or library
-error, 2 configuration or I/O error.
+report alone.  Exit codes: 0 all flags pass, 1 a failing flag or a numerical
+failure (a SymplagError such as NotElliptic or FrameDefect), 2 rejected input
+or an I/O error.  Rejected input is any ValueError, the library's one
+input-rejection error, wherever it is raised; `main` alone decides so.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT_TOLS, Tolerances
-from .errors import ConfigError, GridTooSmall, SymplagError
+from .errors import ConfigError, SymplagError
 from .frames import (
     DEFAULT_MARGIN,
     ImmersionGrid,
@@ -149,14 +151,6 @@ class Report:
 # -- triple construction from params ------------------------------------------
 
 
-def _load(loader, path):
-    """Read an input file; a malformed one is a ConfigError naming the file."""
-    try:
-        return loader(path)
-    except (ValueError, GridTooSmall) as e:
-        raise ConfigError(f"cannot load {path}: {e}") from e
-
-
 def _number(key: str, value, kind=float):
     """`value` of params.`key` as a finite float, or an int when kind is int;
     anything else, a JSON boolean included, is a ConfigError naming the key."""
@@ -182,15 +176,9 @@ def _family_params(params: dict) -> ConstantFamilyParams:
     return ConstantFamilyParams(**{k: _number(k, params.get(k, d)) for k, d in defaults.items()})
 
 
-def _margin(params: dict, *geoms: GridGeometry) -> int:
-    """params.margin, checked against every grid it is to crop."""
-    margin = _number("margin", params.get("margin", DEFAULT_MARGIN), int)
-    for geom in geoms:
-        try:
-            _cropped(geom, margin)
-        except ValueError as e:
-            raise ConfigError(f"bad params.margin: {e}") from e
-    return margin
+def _margin(params: dict) -> int:
+    """params.margin; the reduction refuses one that leaves too small a grid."""
+    return _number("margin", params.get("margin", DEFAULT_MARGIN), int)
 
 
 def _poly_values(geom: GridGeometry, key: str, coeffs) -> np.ndarray:
@@ -243,25 +231,22 @@ def triple_from_params(geom: GridGeometry, params: dict) -> InvariantTriple:
     (exponential-ansatz family) or `kind: umbilic` (polynomial t and p,
     h = 0).  Whichever the source, p is then shifted by params.lam through
     `shift_family`.  A triple the params cannot make (one holding a
-    non-finite value, say) is a ConfigError naming the field at fault.
+    non-finite value, say) is a ValueError naming the field at fault.
     """
     source = _source(params, _SOURCES)
-    try:
-        lam = _number("lam", params.get("lam", 0.0))
-        if source == "files":
-            t, h, p = (_load(load_grid, _path(k, params[k])) for k in ("t", "h", "p"))
-            if not t.geometry == h.geometry == p.geometry:
-                raise ConfigError("the t, h and p files must share one grid geometry")
-            inv = InvariantTriple(t.geometry, t.values, h.values, p.values)
-        elif source == "constant":
-            inv = family_triple(_family_params(params), geom)
-        else:
-            t = _poly_values(geom, "t_poly", params.get("t_poly", [1.0]))
-            p = _poly_values(geom, "p_poly", params.get("p_poly", [0.0]))
-            inv = InvariantTriple(geom, t, 0.0, p)
-        return shift_family(inv, lam)
-    except ValueError as e:
-        raise ConfigError(f"bad invariant triple in params: {e}") from e
+    lam = _number("lam", params.get("lam", 0.0))
+    if source == "files":
+        t, h, p = (load_grid(_path(k, params[k])) for k in ("t", "h", "p"))
+        if not t.geometry == h.geometry == p.geometry:
+            raise ConfigError("the t, h and p files must share one grid geometry")
+        inv = InvariantTriple(t.geometry, t.values, h.values, p.values)
+    elif source == "constant":
+        inv = family_triple(_family_params(params), geom)
+    else:
+        t = _poly_values(geom, "t_poly", params.get("t_poly", [1.0]))
+        p = _poly_values(geom, "p_poly", params.get("p_poly", [0.0]))
+        inv = InvariantTriple(geom, t, 0.0, p)
+    return shift_family(inv, lam)
 
 
 # -- mesh export --------------------------------------------------------------
@@ -371,7 +356,8 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
     if len(lambdas) < 2 or len(set(lambdas)) < len(lambdas):
         raise ConfigError("params.lambdas must hold at least two distinct values, "
                           f"got {lambdas!r}")
-    margin = _margin(cfg.params, cfg.grid)
+    margin = _margin(cfg.params)
+    _cropped(cfg.grid, margin)  # refuse a bad margin before integrating the members
     base = triple_from_params(cfg.grid, cfg.params)  # params.lam is refused: lambdas shift
     members = []
     for lam in lambdas:
@@ -393,10 +379,9 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
 
 def _run_invariants(cfg: JobConfig, rep: Report) -> None:
     with rep.timed("load"):
-        m, _ = _load(load_immersion, _path("immersion", cfg.params.get("immersion")))
-    margin = _margin(cfg.params, m.geometry)
+        m, _ = load_immersion(_path("immersion", cfg.params.get("immersion")))
     with rep.timed("reduce"):
-        _, inv, gauge = reduction_pipeline(m, tols=cfg.tolerances, margin=margin)
+        _, inv, gauge = reduction_pipeline(m, cfg.tolerances, _margin(cfg.params))
     gmax = rep.add_residual("gauge", list(gauge.values()))
     rep.add_flag("adapted_gauge", gmax, "tol_gauge")
     for name, value in gauge.items():
@@ -418,11 +403,10 @@ def _run_invariants(cfg: JobConfig, rep: Report) -> None:
 def _run_congruence(cfg: JobConfig, rep: Report) -> None:
     a, b = (_path(k, cfg.params.get(k)) for k in ("first", "second"))
     with rep.timed("load"):
-        m1, _ = _load(load_immersion, a)
-        m2, _ = _load(load_immersion, b)
-    margin = _margin(cfg.params, m1.geometry, m2.geometry)
+        m1, _ = load_immersion(a)
+        m2, _ = load_immersion(b)
     with rep.timed("congruence"):
-        d = congruence_defect(m1, m2, tols=cfg.tolerances, margin=margin)
+        d = congruence_defect(m1, m2, tols=cfg.tolerances, margin=_margin(cfg.params))
     rep.add_residual("congruence_defect", d)
     rep.add_flag("congruent", d, "tol_congruent")
 
@@ -430,7 +414,7 @@ def _run_congruence(cfg: JobConfig, rep: Report) -> None:
 def _run_export(cfg: JobConfig, rep: Report) -> None:
     src = _path("immersion", cfg.params.get("immersion"))
     fmt = cfg.params.get("format", "obj-xy-f1f2")
-    m, _ = _load(load_immersion, src)
+    m, _ = load_immersion(src)
     out = cfg.output_dir / (Path(src).stem + f"-{fmt}.obj")
     export_mesh(m, fmt, out)
     rep.outputs.append(str(out))
@@ -523,7 +507,7 @@ def build_config(argv: list[str]) -> JobConfig:
                 raise ValueError("--grid expects nx,ny,x0,y0,dx,dy")
             doc["grid"] = dict(zip(DEFAULT_GRID.as_dict(), map(float, parts)))
         grid = GridGeometry.from_dict(doc["grid"]) if "grid" in doc else DEFAULT_GRID
-    except (ValueError, SymplagError) as e:
+    except ValueError as e:
         raise ConfigError(f"bad grid record: {e}") from e
     overrides = {f.name: getattr(args, f.name) for f in dc_fields(Tolerances)
                  if getattr(args, f.name) is not None}
@@ -545,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(argv)
         rep = run(cfg)
-    except ConfigError as e:
+    except ValueError as e:  # rejected input, ConfigError included
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

@@ -1,7 +1,10 @@
 """Exception hierarchy for the toolkit.
 
 Every hard failure raises a subclass of SymplagError so callers (and the
-CLI) can distinguish library failures from programming errors.
+CLI) can distinguish library failures from programming errors.  Rejected
+input is a ValueError: the SymplagErrors that reject input (GridTooSmall,
+ParameterDomain, ConfigError) are ValueErrors too, and the CLI exits 2 on
+any ValueError.
 """
 
 
@@ -9,7 +12,7 @@ class SymplagError(Exception):
     """Base class for all toolkit errors."""
 
 
-class GridTooSmall(SymplagError):
+class GridTooSmall(SymplagError, ValueError):
     """Grid has fewer than the 5 nodes per axis required by the stencils."""
 
 
@@ -43,11 +46,11 @@ class FrameDefect(SymplagError):
     """Integrated frame left the symplectic group by more than tol_frame."""
 
 
-class ParameterDomain(SymplagError):
+class ParameterDomain(SymplagError, ValueError):
     """Closed-form generator parameter outside its admissible domain."""
 
 
-class ConfigError(SymplagError):
+class ConfigError(SymplagError, ValueError):
     """CLI configuration is missing, malformed, or inconsistent."""
 
 

@@ -523,7 +523,13 @@ def congruence_matrix(
     member i onto member j, built from their adapted frames at the base node
     of the cropped grid; both frame signs are tried and the smaller defect
     kept.  Each member is reduced once, and a lone member not at all.
+    Entries compare f node by node, so members on different grid geometries
+    are a ValueError naming both, raised before any reduction.
     """
+    for m in members[1:]:
+        if m.geometry != members[0].geometry:
+            raise ValueError(f"congruence needs one grid geometry, got {members[0].geometry} "
+                             f"and {m.geometry}")
     k = len(members)
     out = np.zeros((k, k))
     if k < 2:

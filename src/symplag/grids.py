@@ -220,42 +220,50 @@ def _load_table(path: str | Path,
     """Read a CSV written by `_save_table`: geometry, value header and node values.
 
     The header must be `x,y` followed by one of `headers`, the value columns
-    the caller accepts; any other is a ValueError naming the file and header.
-    Rows are placed in C order: row r (the header is row 0) must be node
-    (i, j) = divmod(r - 1, ny).  Its `x, y` columns must lie within a quarter
-    grid step of the node (a NaN counts as off), and its value columns must be
-    finite.  A wrong row count, or a row that breaks the rule, raises
-    ValueError naming the row and node.  `values` is the (nx, ny, k) array of
-    the k value columns.
+    the caller accepts.  Rows are placed in C order: row r (the header is row
+    0) must be node (i, j) = divmod(r - 1, ny).  Its `x, y` columns must lie
+    within a quarter grid step of the node (a NaN counts as off), and its
+    value columns must be finite numbers.  A malformed sidecar is a
+    ValueError naming the sidecar; any other header, a cell that is no
+    number, a wrong row count, or a row that breaks the rule is a ValueError
+    naming the CSV, and the row and node where there is one.  `values` is the
+    (nx, ny, k) array of the k value columns.
     """
     path = Path(path)
-    with open(path.with_suffix(path.suffix + ".json")) as fh:
-        geom = GridGeometry.from_dict(json.load(fh))
-    with open(path) as fh:
-        names = fh.readline().rstrip("\r\n").split(",")
-        header = names[2:]
-        if names[:2] != ["x", "y"] or header not in headers:
-            wanted = " or ".join(",".join(["x", "y", *h]) for h in headers)
-            raise ValueError(f"{path}: header {','.join(names)} is not {wanted}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0 or data.shape[1] != 2 + len(header):
-        raise ValueError(f"{path}: expected rows of {2 + len(header)} values under the header")
-    nx, ny = geom.nx, geom.ny
-    if len(data) != nx * ny:
-        raise ValueError(f"{path}: expected {nx * ny} rows, got {len(data)}")
-    nodes = data.reshape(nx, ny, -1)
-    off = np.maximum(np.abs(nodes[..., 0] - geom.x[:, None]) / geom.dx,
-                     np.abs(nodes[..., 1] - geom.y) / geom.dy)
-    bad = ~(off <= 0.25)  # a NaN coordinate counts as off
-    if np.any(bad):
-        r = int(np.argmax(bad))
-        coords = "%.17g, %.17g" % tuple(data[r, :2].tolist())
-        raise ValueError(f"{path}: row {r + 1} at (x, y) = ({coords}) is not node {divmod(r, ny)}")
-    values = nodes[..., 2:]
-    bad = ~np.all(np.isfinite(values), axis=-1)
-    if np.any(bad):
-        r = int(np.argmax(bad))
-        raise ValueError(f"{path}: row {r + 1} (node {divmod(r, ny)}) holds a non-finite value")
+    sidecar = path.with_suffix(path.suffix + ".json")
+    with open(sidecar) as fh:
+        try:
+            geom = GridGeometry.from_dict(json.load(fh))
+        except ValueError as e:
+            raise ValueError(f"{sidecar}: {e}") from e
+    try:
+        with open(path) as fh:
+            names = fh.readline().rstrip("\r\n").split(",")
+            header = names[2:]
+            if names[:2] != ["x", "y"] or header not in headers:
+                wanted = " or ".join(",".join(["x", "y", *h]) for h in headers)
+                raise ValueError(f"header {','.join(names)} is not {wanted}")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if data.size == 0 or data.shape[1] != 2 + len(header):
+            raise ValueError(f"expected rows of {2 + len(header)} values under the header")
+        nx, ny = geom.nx, geom.ny
+        if len(data) != nx * ny:
+            raise ValueError(f"expected {nx * ny} rows, got {len(data)}")
+        nodes = data.reshape(nx, ny, -1)
+        off = np.maximum(np.abs(nodes[..., 0] - geom.x[:, None]) / geom.dx,
+                         np.abs(nodes[..., 1] - geom.y) / geom.dy)
+        bad = ~(off <= 0.25)  # a NaN coordinate counts as off
+        if np.any(bad):
+            r = int(np.argmax(bad))
+            coords = "%.17g, %.17g" % tuple(data[r, :2].tolist())
+            raise ValueError(f"row {r + 1} at (x, y) = ({coords}) is not node {divmod(r, ny)}")
+        values = nodes[..., 2:]
+        bad = ~np.all(np.isfinite(values), axis=-1)
+        if np.any(bad):
+            r = int(np.argmax(bad))
+            raise ValueError(f"row {r + 1} (node {divmod(r, ny)}) holds a non-finite value")
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
     return geom, header, values
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -554,3 +555,29 @@ def test_umbilic_example_overflowing_datum_exits_2(tmp_path, capsys):
         "kind": "umbilic", "p_poly": [1.7e308, 1.7e308]}}))
     assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
     assert "params.p_poly is not finite on the grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, params, named", [
+    ("example", {"kind": "constant", "p": 0.5, "c1": 1e308}, "immersion values must be finite"),
+    ("integrate", {"t": "t.csv", "h": "h.csv", "p": "p.csv"}, "Theta holds a non-finite value"),
+    ("congruence", {"first": "61.csv", "second": "41.csv"}, r"nx=61, .* and GridGeometry\(nx=41, "),
+    ("verify", {"p": 2.0}, r"p must avoid \+-2"),
+], ids=["example-c1-1e308", "integrate-h-1e200", "congruence-61-vs-41", "verify-p-2"])
+def test_rejected_input_exits_2_without_traceback(tmp_path, monkeypatch, capsys,
+                                                   command, params, named):
+    # every ValueError, wherever the library raises it, is rejected input
+    monkeypatch.chdir(tmp_path)  # the params name files in tmp_path
+    geom = sg.GridGeometry(11, 11, 0.0, 0.0, 0.01, 0.01)
+    inv = sg.family_triple(sg.ConstantFamilyParams(p=1.0), geom)
+    for name, values in (("t", inv.t), ("h", np.full((11, 11), 1e200)), ("p", inv.p)):
+        sg.save_grid(sg.ComplexGrid(geom, values), f"{name}.csv")
+    for n in (61, 41):
+        sg.save_immersion(sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0),
+                                                   sg.GridGeometry(n, n, 0.0, 0.0, 0.005, 0.005)),
+                          f"{n}.csv")
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({"command": command, "params": params}))
+    assert main(["--config", str(doc), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(named, err)
+    assert not (tmp_path / "out" / "report.json").exists()

@@ -406,6 +406,18 @@ def test_congruence_matrix_does_not_reduce_a_lone_member():
     assert np.array_equal(sg.congruence_matrix([m]), [[0.0]])
 
 
+def test_congruence_matrix_refuses_members_on_different_grids():
+    # entries compare f node by node; neither member is reduced (each would
+    # raise NotLagrangian), so the refusal comes first
+    members = []
+    for n in (21, 25):
+        geom = sg.GridGeometry(n, n, 0.0, 0.0, 0.05, 0.05)
+        xx, yy = geom.mesh()
+        members.append(sg.ImmersionGrid(geom, np.stack([xx, yy, 0 * xx, xx], axis=-1)))
+    with pytest.raises(ValueError, match=r"GridGeometry\(nx=21, .* and GridGeometry\(nx=25, "):
+        sg.congruence_matrix(members)
+
+
 def test_immersion_save_load_roundtrip(tmp_path):
     _, theta = family_theta(p=1.0)
     F = quiet_integrate(theta, compute_path_defect=False)
@@ -493,6 +505,10 @@ def _no_coordinates(lines):
     _keep_columns(lines, slice(2, None))
 
 
+def _non_numeric_cell(lines):
+    _set_cell(lines, (2, 3), 4, "abc")
+
+
 def _legacy_indices(lines):
     # the i,j,x,y layout written before x,y became the only coordinate columns
     lines[0] = "i,j," + lines[0]
@@ -519,7 +535,9 @@ _NOT_IMMERSION = r" is not x,y,f1,f2,f3,f4 or x,y,f1,f2,f3,f4,s11,.*,s44$"
     (_no_coordinates, r"header f1,f2,f3,f4,s11,.*,s44" + _NOT_IMMERSION),
     (_legacy_indices, r"header i,j,x,y,f1,.*,s44" + _NOT_IMMERSION),
     (_nan_frame_entry, r"row 20 \(node \(2, 5\)\) holds a non-finite value"),
-])
+    (_non_numeric_cell, r"could not convert string 'abc'"),
+], ids=["duplicate-row", "swapped-rows", "x-off-node", "nan-y", "three-columns", "one-column",
+        "nine-columns", "no-coordinates", "legacy-indices", "nan-frame-entry", "non-numeric-cell"])
 def test_load_immersion_rejects_misplaced_rows(tmp_path, edit, message):
     geom = sg.GridGeometry(7, 7, 0.0, 0.0, 0.1, 0.1)
     xx, yy = geom.mesh()
@@ -534,6 +552,24 @@ def test_load_immersion_rejects_misplaced_rows(tmp_path, edit, message):
     with pytest.raises(ValueError, match=message) as err:
         sg.load_immersion(path)
     assert str(err.value).startswith(f"{path}: ")
+    assert str(err.value).count(str(path)) == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"nx": 3, "ny": 7, "x0": 0, "y0": 0, "dx": 0.1, "dy": 0.1}', "at least 5x5, got 3x7"),
+    ("nx = 7", "Expecting value"),
+], ids=["nx-3", "not-json"])
+def test_load_immersion_names_a_bad_sidecar(tmp_path, text, message):
+    geom = sg.GridGeometry(7, 7, 0.0, 0.0, 0.1, 0.1)
+    xx, yy = geom.mesh()
+    path = tmp_path / "imm.csv"
+    sg.save_immersion(sg.ImmersionGrid(geom, np.stack([xx, yy, xx * yy, xx - yy], -1)), path)
+    sidecar = tmp_path / "imm.csv.json"
+    sidecar.write_text(text)
+    with pytest.raises(ValueError, match=message) as err:
+        sg.load_immersion(path)
+    assert str(err.value).startswith(f"{sidecar}: ")
+    assert str(err.value).count(str(sidecar)) == 1
 
 
 @pytest.mark.parametrize("grad_phi, message", [

@@ -88,7 +88,8 @@ def umbilic_setup(fn, n=41, d=0.01, lam=0.0):
 
 
 @pytest.mark.parametrize("bad, message", [(np.zeros((41, 40)), "p has shape"),
-                                          (np.nan, "p must be finite")])
+                                          (np.nan, "p must be finite")],
+                         ids=["wrong-shape", "nan"])
 def test_umbilic_spec_rejects_bad_datum(bad, message):
     geom = sg.GridGeometry(41, 41, -0.2, -0.2, 0.01, 0.01)
     with pytest.raises(ValueError, match=message):
