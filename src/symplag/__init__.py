@@ -31,11 +31,9 @@ from .generators import (
     ConstantFamilyParams,
     UmbilicCurveSpec,
     closed_form_immersion,
-    constant_ab,
     curve_to_immersion,
     family_triple,
     flex_defect,
-    frame_columns,
     separated_t,
     umbilic_curve,
     umbilic_immersion,

@@ -26,7 +26,7 @@ from .errors import (
     NotLagrangian,
     UmbilicGaugeWarning,
 )
-from .grids import GridGeometry, diff4, gradient, wirtinger
+from .grids import GridGeometry, _non_finite_node, diff4, gradient, wirtinger
 from .invariants import InvariantTriple
 from . import grids
 
@@ -62,8 +62,10 @@ class ImmersionGrid:
         f = np.asarray(self.f, dtype=float)
         if f.shape != (self.geometry.nx, self.geometry.ny, 4):
             raise ValueError(f"immersion values have shape {f.shape}")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("immersion values must be finite")
+        node = _non_finite_node(f)
+        if node is not None:
+            raise ValueError(f"immersion values must be finite: node {node} holds a "
+                             "non-finite value")
         object.__setattr__(self, "f", f)
 
 
@@ -209,8 +211,10 @@ def integrate_frame(
     measures.  Below 7 nodes on an axis the subgrid is too short to sweep, and
     the estimate is NaN, as it is when not computed.
     """
-    if not (np.all(np.isfinite(theta.A)) and np.all(np.isfinite(theta.B))):
-        raise ValueError("Theta holds a non-finite value")
+    for name, M in (("A", theta.A), ("B", theta.B)):
+        node = _non_finite_node(M)
+        if node is not None:
+            raise ValueError(f"Theta holds a non-finite value in {name} at node {node}")
     flat = float(np.max(flatness_residual(theta)))
     if flat > tols.tol_flat:
         warnings.warn(f"flatness residual {flat:.3e} exceeds tol_flat "
@@ -248,17 +252,26 @@ def lagrangian_defect(m: ImmersionGrid) -> np.ndarray:
 # -- numerical Maurer-Cartan form and invariant extraction --------------------
 
 
+def _mc_coefficient(F: FrameField, Xinv: np.ndarray, axis: int) -> np.ndarray:
+    """The dx (axis 0) or dy (axis 1) coefficient of S^-1 dS, given Xinv =
+    X^-1: the frame's `diff4` along `axis` with rows 1-4 multiplied by Xinv in
+    place (see `numerical_maurer_cartan`)."""
+    geom = F.geometry
+    dS = diff4(F.S, (geom.dx, geom.dy)[axis], axis)
+    rows = dS[..., 1:, :]
+    np.matmul(Xinv, rows, out=rows)
+    return dS
+
+
 def numerical_maurer_cartan(F: FrameField) -> MaurerCartanField:
     """Theta-hat = S^-1 dS via 4th-order finite differences of the frame.
 
     S = [[1, 0], [P, X]] must be affine symplectic, as the frames of `integrate_frame`
     and `reduction_pipeline` are: S^-1 dS = [[0, 0], [X^-1 dP, X^-1 dX]] with the
     closed form X^-1 = -J X^T J, exact on the group."""
-    Sx, Sy = gradient(F.S, F.geometry)
     Xinv = _symplectic_inverse(F.S[..., 1:, 1:])
-    Sx[..., 1:, :] = Xinv @ Sx[..., 1:, :]
-    Sy[..., 1:, :] = Xinv @ Sy[..., 1:, :]
-    return MaurerCartanField(F.geometry, Sx, Sy)
+    return MaurerCartanField(F.geometry, _mc_coefficient(F, Xinv, 0),
+                             _mc_coefficient(F, Xinv, 1))
 
 
 def _tangent_maurer_cartan(S: np.ndarray, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
@@ -310,10 +323,14 @@ def extract_invariants(
     condition; the first of omega, gamma_trace, alpha_trace, alpha_skew and
     ell above tol_gauge raises NotAdapted naming it.
     """
-    mc = numerical_maurer_cartan(F)
-    x, y = _decode(mc.A[..., 1:, 1:3]), _decode(mc.B[..., 1:, 1:3])
-    (tau_x, rho_x), (tau_y, rho_y) = _tau_rho(mc.A), _tau_rho(mc.B)
-    del mc  # the forms are copies, so the whole form is freed before they combine
+    Xinv = _symplectic_inverse(F.S[..., 1:, 1:])
+
+    def read(axis):
+        # the forms are copies, so each coefficient is freed before the next is taken
+        M = _mc_coefficient(F, Xinv, axis)
+        return _decode(M[..., 1:, 1:3]), *_tau_rho(M)
+
+    (x, tau_x, rho_x), (y, tau_y, rho_y) = read(0), read(1)
     t, tau_bar = wirtinger(tau_x, tau_y)
     h, ell = wirtinger(x.eta, y.eta)
     p, rho_bar = wirtinger(rho_x, rho_y)
@@ -336,20 +353,23 @@ def extract_invariants(
 # -- inverse pipeline: immersion -> adapted frame -> invariants ---------------
 
 
-def _gauge_matrix5(A2: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Embed the stabilizer element Y(A, b) = [[A, A b], [0, A^-T]] in 5x5 form.
+def _apply_gauge(S: np.ndarray, A: np.ndarray | None, b: np.ndarray | None) -> None:
+    """S <- S Y in place for the stabilizer element Y = [[1, 0, 0], [0, A, A b],
+    [0, 0, A^-T]] of one gauge stage, which has either A, (..., 2, 2), and b = 0,
+    or a symmetric b, (..., 2, 2), and A = I.
 
-    A2 has shape (..., 2, 2); b, when given, (..., 2, 2) symmetric.
+    Rows 1-4 of the tangent columns T (1-2) and normal columns N (3-4) become
+    T A and N A^-T, or T and N + T b; nothing else changes.  This is the 5x5
+    product S @ Y less its sums with exact zeros, so it matches S @ Y byte for
+    byte, except that a -0.0 that S @ Y would turn into +0.0 stays -0.0.
     """
-    shape = A2.shape[:-2]
-    Y = np.zeros(shape + (5, 5))
-    Y[..., 0, 0] = 1.0
-    Y[..., 1:3, 1:3] = A2
+    T, N = S[..., 1:, 1:3], S[..., 1:, 3:5]
     if b is not None:
-        Y[..., 1:3, 3:5] = A2 @ b
-    a00, a01, a10, a11 = A2[..., 0, 0], A2[..., 0, 1], A2[..., 1, 0], A2[..., 1, 1]
-    Y[..., 3:5, 3:5] = _mat2(a11, -a10, -a01, a00) / (a00 * a11 - a01 * a10)[..., None, None]
-    return Y
+        N += T @ b
+        return
+    a00, a01, a10, a11 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    T[...] = T @ A
+    N[...] = N @ (_mat2(a11, -a10, -a01, a00) / (a00 * a11 - a01 * a10)[..., None, None])
 
 
 def _unwrap2d(theta: np.ndarray) -> np.ndarray:
@@ -375,43 +395,38 @@ def _omega_bar_coefficient(ux, uy, ox, oy) -> np.ndarray:
     return (num.imag - 1j * num.real) / (2.0 * det)
 
 
-def _gamma_trace_gauge(x: _Forms, y: _Forms) -> np.ndarray:
-    """Stage 2: kill the trace of gamma = 2 Re(conj(l) omega), whose omega-bar
-    coefficient is l.  The induced form |omega|^2 - Re(conj(l) omega)^2 of a
-    coframe omega is positive definite iff |l| < 1."""
+def _gamma_trace_gauge(x: _Forms, y: _Forms) -> tuple[np.ndarray, None]:
+    """Stage 2, an A: kill the trace of gamma = 2 Re(conj(l) omega), whose
+    omega-bar coefficient is l.  The induced form |omega|^2 - Re(conj(l) omega)^2
+    of a coframe omega is positive definite iff |l| < 1."""
     l = _omega_bar_coefficient(x.gamma_trace, y.gamma_trace, x.omega, y.omega)
     l1, l2 = l.real, l.imag
     if np.any(l1**2 + l2**2 >= 1.0):
         raise NotElliptic("induced quadratic form is not positive definite: |l| >= 1")
     phi = np.arcsin(-l2 / np.sqrt(1.0 - l1**2))
     r2 = np.sqrt(0.5 * (1.0 - l1))
-    return _gauge_matrix5(_mat2(r2 * np.cos(phi), r2 * np.sin(phi), 0.0,
-                                np.sqrt(0.5 * (1.0 + l1))))
+    return _mat2(r2 * np.cos(phi), r2 * np.sin(phi), 0.0, np.sqrt(0.5 * (1.0 + l1))), None
 
 
-def _eta_gauge(x: _Forms, y: _Forms) -> np.ndarray:
-    """Stage 3: remove the antiholomorphic part of eta = h omega + ell conj(omega),
+def _eta_gauge(x: _Forms, y: _Forms) -> tuple[None, np.ndarray]:
+    """Stage 3, a b: remove the antiholomorphic part of eta = h omega + ell conj(omega),
     whose coefficient ell is real up to round-off."""
     ell = _omega_bar_coefficient(x.eta, y.eta, x.omega, y.omega).real
-    eye2 = np.broadcast_to(np.eye(2), ell.shape + (2, 2))
-    return _gauge_matrix5(eye2, _mat2(ell, 0.0, 0.0, ell))
+    return None, _mat2(ell, 0.0, 0.0, ell)
 
 
-def _conformal_gauge(x: _Forms, y: _Forms) -> np.ndarray:
-    """Stage 4: conformal gauge so that omega = dz."""
+def _conformal_gauge(x: _Forms, y: _Forms) -> tuple[np.ndarray, None]:
+    """Stage 4, an A: conformal gauge so that omega = dz."""
     c = wirtinger(x.omega, y.omega)[0]
     r4 = np.abs(c) ** -0.5
     s4 = 0.5 * _unwrap2d(np.angle(c))
-    return _gauge_matrix5(_mat2(r4 * np.cos(s4), -r4 * np.sin(s4),
-                                r4 * np.sin(s4), r4 * np.cos(s4)))
+    return _mat2(r4 * np.cos(s4), -r4 * np.sin(s4), r4 * np.sin(s4), r4 * np.cos(s4)), None
 
 
-def _alpha_gauge(x: _Forms, y: _Forms) -> np.ndarray:
-    """Stage 5: kill the trace and skew parts of alpha."""
+def _alpha_gauge(x: _Forms, y: _Forms) -> tuple[None, np.ndarray]:
+    """Stage 5, a b: kill the trace and skew parts of alpha."""
     w = wirtinger(x.w, y.w)[0]
-    eye2 = np.broadcast_to(np.eye(2), w.shape + (2, 2))
-    b5 = _mat2(0.5 * w.real, -0.5 * w.imag, -0.5 * w.imag, -0.5 * w.real)
-    return _gauge_matrix5(eye2, b5)
+    return None, _mat2(0.5 * w.real, -0.5 * w.imag, -0.5 * w.imag, -0.5 * w.real)
 
 
 # Nodes cropped per side by a reduction.  Each stage differentiates again, so
@@ -492,7 +507,7 @@ def reduction_pipeline(
     S = _tangent_frame(m, tols)
     for gauge in (_gamma_trace_gauge, _eta_gauge, _conformal_gauge, _alpha_gauge):
         # each tangent block is freed once decoded, and the gauge once applied
-        S = S @ gauge(*map(_decode, _tangent_maurer_cartan(S, geom)))
+        _apply_gauge(S, *gauge(*map(_decode, _tangent_maurer_cartan(S, geom))))
 
     if margin:
         S = S[margin:-margin, margin:-margin].copy()  # frees the uncropped frame

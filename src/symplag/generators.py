@@ -1,9 +1,9 @@
 """Closed-form data generators.
 
 Two families: the constant-invariant surfaces (h = 1, p a real constant, t
-from a separated exponential ansatz) with their explicit frame columns and
-immersion components, and totally umbilic immersions built from complex
-curves via a 2x2 holomorphic linear ODE.
+from a separated exponential ansatz) with their explicit immersion
+components, and totally umbilic immersions built from complex curves via a
+2x2 holomorphic linear ODE.
 """
 
 from __future__ import annotations
@@ -40,31 +40,6 @@ class ConstantFamilyParams:
             raise ParameterDomain("p must avoid +-2")
 
 
-def constant_ab(p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Homogeneous coefficient matrices of Theta for h = 1 and constant real p.
-
-    Returned as the 4x4 sp(4) parts; the translation part (which carries t)
-    is assembled by theta_from_invariants.
-    """
-    A = np.array(
-        [
-            [1.0, 0.0, p + 1.0, 0.0],
-            [0.0, -1.0, 0.0, -(p + 1.0)],
-            [1.0, 0.0, -1.0, 0.0],
-            [0.0, -1.0, 0.0, 1.0],
-        ]
-    )
-    B = np.array(
-        [
-            [0.0, -1.0, 0.0, 1.0 - p],
-            [-1.0, 0.0, 1.0 - p, 0.0],
-            [0.0, 1.0, 0.0, 1.0],
-            [1.0, 0.0, 1.0, 0.0],
-        ]
-    )
-    return A, B
-
-
 def separated_t(params: ConstantFamilyParams, x, y):
     """Separated-ansatz solution of the t-equation, t = (v1 + w1) + i(v2 + w2).
 
@@ -92,41 +67,6 @@ def _sqrt_terms(p: float):
     sp = np.sqrt(complex(2.0 + p))
     sm = np.sqrt(complex(2.0 - p))
     return sp, sm, sp * sm
-
-
-def frame_columns(p: float, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """First two frame columns of Exp(x A + y B) in closed form.
-
-    Outside -2 < p < 2 the hyperbolic terms turn trigonometric; this is
-    handled by evaluating over the complex field and keeping the real part
-    (the exponential is entire, so the closed form continues analytically).
-    """
-    if min(abs(p - 2.0), abs(p + 2.0)) <= DEFAULT_TOLS.tol_rank:
-        raise ParameterDomain("p must avoid +-2")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sp, sm, s4 = _sqrt_terms(p)
-    chx, shx = np.cosh(sp * x), np.sinh(sp * x)
-    chy, shy = np.cosh(sm * y), np.sinh(sm * y)
-    X1 = np.stack(
-        [
-            chy * (chx + shx / sp),
-            -(sp * chx + p * shx) * shy / s4,
-            chy * shx / sp,
-            (sp * chx + 2.0 * shx) * shy / s4,
-        ],
-        axis=-1,
-    )
-    X2 = np.stack(
-        [
-            (-sp * chx + p * shx) * shy / s4,
-            chy * (chx - shx / sp),
-            (sp * chx - 2.0 * shx) * shy / s4,
-            -chy * shx / sp,
-        ],
-        axis=-1,
-    )
-    return X1.real, X2.real
 
 
 def closed_form_immersion(params: ConstantFamilyParams, geom: GridGeometry) -> ImmersionGrid:

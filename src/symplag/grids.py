@@ -47,11 +47,21 @@ def diff4(values: np.ndarray, h: float, axis: int, part: tuple = ()) -> np.ndarr
         raise GridTooSmall(f"need at least 5 nodes along axis {axis}, got {n}")
     u = np.moveaxis(np.ascontiguousarray(values[cut]), axis, 0) if part else v
     out = np.empty_like(u, dtype=np.result_type(u.dtype, float))
-    # (-u[4:] + 8 u[3:-1] - 8 u[1:-3] + u[:-4]) / 12h, in this order, in place
+    # (-u[4:] + 8 u[3:-1] - 8 u[1:-3] + u[:-4]) / 12h, in this order, in place.
+    # A real field takes the first three terms scaled by 1/8 and rescales them,
+    # with no temporary: scaling by a power of two rounds nothing unless a value
+    # is subnormal.  A complex product with 8 = 8 + 0j does not scale a signed
+    # zero exactly, so a complex field, a small scalar one, keeps 8 u.
     mid = out[2:-2]
-    np.negative(u[4:], out=mid)
-    mid += 8.0 * u[3:-1]
-    mid -= 8.0 * u[1:-3]
+    if np.iscomplexobj(mid):
+        np.negative(u[4:], out=mid)
+        mid += 8.0 * u[3:-1]
+        mid -= 8.0 * u[1:-3]
+    else:
+        np.multiply(u[4:], -0.125, out=mid)
+        mid += u[3:-1]
+        mid -= u[1:-3]
+        mid *= 8.0
     mid += u[:-4]
     mid /= 12.0 * h
     # Each edge row is one BLAS product of a stencil with the whole 5-node
@@ -185,6 +195,13 @@ class ComplexGrid:
         return ComplexGrid(self.geometry, values)
 
 
+def _non_finite_node(values: np.ndarray) -> tuple[int, int] | None:
+    """The first grid node (i, j), in C order, of (nx, ny, ...) node values
+    that holds a non-finite value; None when every value is finite."""
+    bad = ~np.isfinite(values).reshape(values.shape[:2] + (-1,)).all(axis=-1)
+    return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
+
+
 # -- serialization: CSV per field with a JSON geometry sidecar ----------------
 
 
@@ -200,9 +217,8 @@ def _save_table(path: str | Path, geom: GridGeometry, header: list[str],
     written.
     """
     path = Path(path)
-    bad = ~np.all(np.isfinite(values), axis=-1)
-    if np.any(bad):
-        node = tuple(np.argwhere(bad)[0].tolist())
+    node = _non_finite_node(values)
+    if node is not None:
         raise ValueError(f"{path}: node {node} holds a non-finite value")
     cell = ",".join(["%.17g"] * values.shape[-1]) + "\r\n"
     tails = ["%.17g," % y + cell for y in geom.y.tolist()]

@@ -15,6 +15,8 @@ from scipy.linalg import expm
 import symplag as sg
 from symplag.frames import FrameField, extract_invariants
 
+from closed_forms import constant_ab, frame_columns
+
 
 FINE = sg.GridGeometry(61, 61, 0.0, 0.0, 0.005, 0.005)
 
@@ -65,13 +67,13 @@ def test_criterion_02_group_fidelity():
     geom = sg.GridGeometry(101, 101, 0.0, 0.0, 0.01, 0.01)
     F, _ = _integrated_vs_closed_form(geom)
     sdef = F.symplectic_defect
-    A, B = sg.constant_ab(0.0)
+    A, B = constant_ab(0.0)
     rng = np.random.default_rng(11)
     col_err = 0.0
     for _ in range(5):
         x, y = rng.uniform(0.0, 1.0, size=2)
         E = expm(x * A + y * B)
-        X1, X2 = sg.frame_columns(0.0, x, y)
+        X1, X2 = frame_columns(0.0, x, y)
         col_err = max(col_err, float(np.max(np.abs(E[:, 0] - X1))),
                       float(np.max(np.abs(E[:, 1] - X2))))
     ok = sdef <= 1e-8 and col_err <= 1e-10

@@ -558,8 +558,10 @@ def test_umbilic_example_overflowing_datum_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, params, named", [
-    ("example", {"kind": "constant", "p": 0.5, "c1": 1e308}, "immersion values must be finite"),
-    ("integrate", {"t": "t.csv", "h": "h.csv", "p": "p.csv"}, "Theta holds a non-finite value"),
+    ("example", {"kind": "constant", "p": 0.5, "c1": 1e308},
+     r"immersion values must be finite: node \(0, 0\) holds a non-finite value"),
+    ("integrate", {"t": "t.csv", "h": "h.csv", "p": "p.csv"},
+     r"Theta holds a non-finite value in A at node \(0, 0\)"),
     ("congruence", {"first": "61.csv", "second": "41.csv"}, r"nx=61, .* and GridGeometry\(nx=41, "),
     ("verify", {"p": 2.0}, r"p must avoid \+-2"),
 ], ids=["example-c1-1e308", "integrate-h-1e200", "congruence-61-vs-41", "verify-p-2"])

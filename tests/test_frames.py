@@ -17,8 +17,13 @@ from symplag.errors import (
 from symplag.frames import (
     FrameField,
     MaurerCartanField,
+    _alpha_gauge,
+    _apply_gauge,
+    _conformal_gauge,
     _decode,
-    _gauge_matrix5,
+    _eta_gauge,
+    _gamma_trace_gauge,
+    _mat2,
     _midpoints,
     _omega_bar_coefficient,
     _tangent_maurer_cartan,
@@ -28,6 +33,8 @@ from symplag.frames import (
     numerical_maurer_cartan,
 )
 from symplag.grids import diff4, gradient
+
+from closed_forms import constant_ab
 
 
 GEOM = sg.GridGeometry(61, 61, 0.0, 0.0, 0.005, 0.005)
@@ -64,7 +71,7 @@ def quiet_pipeline(m, **kw):
 
 def test_theta_matches_constant_coefficient_matrices():
     inv, theta = family_theta(p=1.0)
-    A, B = sg.constant_ab(1.0)
+    A, B = constant_ab(1.0)
     assert np.max(np.abs(theta.A[..., 1:, 1:] - A)) < 1e-12
     assert np.max(np.abs(theta.B[..., 1:, 1:] - B)) < 1e-12
     t = inv.t
@@ -119,7 +126,7 @@ def test_integrate_rejects_non_finite_theta(estimate):
     # column: unchecked, this NaN would go unseen
     _, theta = family_theta(p=1.0)
     theta.B[30, 30, 1, 2] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match=r"non-finite value in B at node \(30, 30\)"):
         sg.integrate_frame(theta, compute_path_defect=estimate)
 
 
@@ -159,7 +166,7 @@ def test_tight_tol_frame_raises_frame_defect_naming_the_defect():
 def test_integrated_frame_matches_exponential():
     inv, theta = family_theta(p=1.0)
     F = quiet_integrate(theta, compute_path_defect=False)
-    A, B = sg.constant_ab(1.0)
+    A, B = constant_ab(1.0)
     rng = np.random.default_rng(2)
     for _ in range(5):
         i, j = rng.integers(0, GEOM.nx), rng.integers(0, GEOM.ny)
@@ -277,29 +284,62 @@ def test_tangent_maurer_cartan_is_byte_identical_to_that_block_of_the_whole(sour
     assert Ty.tobytes() == mc.B[..., 1:, 1:3].tobytes()
 
 
-@pytest.mark.parametrize("n", [61, 121])
-def test_reduction_peak_memory_is_within_five_frames(n):
-    # only the tangent blocks of each stage's Maurer-Cartan form are held;
-    # holding the whole 5x5 form and stage 1's arrays peaked at 6.8 frames
+def reduction_peak_frames(n):
+    """tracemalloc peak of one reduction of the p = 1 closed form on n x n
+    nodes, in frames of n * n * 25 * 8 bytes."""
     geom = sg.GridGeometry(n, n, 0.0, 0.0, 0.3 / (n - 1), 0.3 / (n - 1))
     m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0), geom)
     tracemalloc.start()
     try:
         quiet_pipeline(m)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] / (n * n * 25 * 8)
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * n * n * 25 * 8
 
 
-def test_gauge_matrix5_is_symplectic():
-    rng = np.random.default_rng(11)
-    A2 = rng.normal(size=(500, 2, 2))
-    A2 = A2[np.abs(np.linalg.det(A2)) > 0.1]
-    b = rng.normal(size=A2.shape)
-    for sym in (None, b + np.swapaxes(b, -1, -2)):
-        Y = _gauge_matrix5(A2, sym)
-        assert np.max(np.abs(_symplectic_error(Y[:, 1:, 1:]))) <= 1e-13
+@pytest.mark.parametrize("n", [61, 121])
+def test_reduction_peak_memory_is_within_five_frames(n):
+    # only the tangent blocks of each stage's Maurer-Cartan form are held;
+    # holding the whole 5x5 form and stage 1's arrays peaked at 6.8 frames
+    assert reduction_peak_frames(n) <= 5
+
+
+def test_reduction_peak_memory_at_121_is_within_3_1_frames():
+    # each gauge is applied in place and extraction takes one coefficient of
+    # the form at a time; a 5x5 gauge matrix, S @ Y and both coefficients held
+    # at once peaked at 3.35 frames
+    assert reduction_peak_frames(121) <= 3.1
+
+
+def gauge_matrix5(A2, b=None):
+    """The stabilizer element Y(A, b) = [[A, A b], [0, A^-T]] embedded in 5x5 form."""
+    Y = np.zeros(A2.shape[:-2] + (5, 5))
+    Y[..., 0, 0] = 1.0
+    Y[..., 1:3, 1:3] = A2
+    if b is not None:
+        Y[..., 1:3, 3:5] = A2 @ b
+    a00, a01, a10, a11 = A2[..., 0, 0], A2[..., 0, 1], A2[..., 1, 0], A2[..., 1, 1]
+    Y[..., 3:5, 3:5] = _mat2(a11, -a10, -a01, a00) / (a00 * a11 - a01 * a10)[..., None, None]
+    return Y
+
+
+@pytest.mark.parametrize("stage", [_gamma_trace_gauge, _eta_gauge, _conformal_gauge, _alpha_gauge],
+                         ids=["stage2", "stage3", "stage4", "stage5"])
+def test_apply_gauge_matches_embedded_product(stage):
+    # stages 2 and 4 give an A, stages 3 and 5 a symmetric b
+    m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=-1.3, c1=0.5, c2=2.0), GEOM)
+    S = _tangent_frame(m, sg.DEFAULT_TOLS)
+    A, b = stage(*map(_decode, _tangent_maurer_cartan(S, GEOM)))
+    assert (A is None) != (b is None)
+    Y = gauge_matrix5(np.broadcast_to(np.eye(2), b.shape) if A is None else A, b)
+    out = S.copy()
+    _apply_gauge(out, A, b)
+    assert out.tobytes() == (S @ Y).tobytes()
+    # Y is symplectic, so the gauge carries the frame's own defect E along as
+    # Y^T E Y and adds nothing but round-off
+    Yx = Y[..., 1:, 1:]
+    carried = np.swapaxes(Yx, -1, -2) @ _symplectic_error(S[..., 1:, 1:]) @ Yx
+    assert np.max(np.abs(_symplectic_error(out[..., 1:, 1:]) - carried)) <= 1e-13
 
 
 def curve_immersion(geom):

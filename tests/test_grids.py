@@ -234,3 +234,26 @@ def test_diff4_is_byte_identical_to_reference(shape, dtype, axis):
         expected = _reference_diff4(values, 0.005, axis)
         assert got.dtype == expected.dtype and got.strides == expected.strides
         assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("part", [(), (slice(1, None), slice(1, 3))], ids=["whole", "tangent"])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_diff4_interior_matches_plain_formula(dtype, part, axis):
+    # a real field's interior is accumulated scaled by 1/8 and rescaled, which
+    # must round as the plain formula does; half of each component is a planted
+    # +0.0 or -0.0, so that whole stencils of zeros test the signed zeros, and
+    # a complex product with 8 = 8 + 0j does not scale those exactly
+    rng = np.random.default_rng(5)
+    shape = (23, 19, 5, 5)
+    values = rng.normal(size=shape).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.normal(size=shape)
+    for component in (values.real, values.imag) if dtype is complex else (values,):
+        zero = rng.random(shape) < 0.5
+        component[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    h = 0.007
+    u = np.moveaxis(values[(slice(None), slice(None), *part)], axis, 0)
+    plain = (-u[4:] + 8.0 * u[3:-1] - 8.0 * u[1:-3] + u[:-4]) / (12.0 * h)
+    got = np.moveaxis(diff4(values, h, axis, part=part), axis, 0)[2:-2]
+    assert got.tobytes() == np.ascontiguousarray(plain).tobytes()

@@ -8,8 +8,10 @@ directory), with BLAS and OpenMP pinned to one thread, and times each stage
 as the best of 5 runs.  A separate pass, not timed, records each stage's
 tracemalloc peak: the most memory that one call's own allocations hold at
 once.  The input is the constant family with p = 1 on a square of side 0.3
-with origin 0: Theta and the integrated frame come from its invariants, and
-the reduction and congruence stages take its closed-form immersion.
+with origin 0: Theta and the integrated frame come from its invariants, the
+reduction and congruence stages take its closed-form immersion, and
+`extract_invariants`, the reduction's last stage, takes the cropped adapted
+frame of one reduction of it.
 
 The timings (`stages_s`) and peaks (`stages_peak_mb`) go under `--label`
 (default "change") in the JSON file `--out`; an existing file keeps its other
@@ -72,6 +74,7 @@ def grid_stages(sg, n: int, workdir: Path) -> dict:
     F = sg.integrate_frame(theta, compute_path_defect=False)
     m_frame = sg.immersion_from_frame(F)
     m = sg.closed_form_immersion(params, geom)
+    adapted = sg.reduction_pipeline(m)[0]
     csv = workdir / f"immersion_{n}.csv"
     sg.save_immersion(m_frame, csv, frame=F)
     return {
@@ -81,6 +84,7 @@ def grid_stages(sg, n: int, workdir: Path) -> dict:
         "integrate_frame": lambda: sg.integrate_frame(theta, compute_path_defect=False),
         "numerical_maurer_cartan": lambda: sg.numerical_maurer_cartan(F),
         "reduction_pipeline": lambda: sg.reduction_pipeline(m),
+        "extract_invariants": lambda: sg.extract_invariants(adapted),
         "congruence_defect": lambda: sg.congruence_defect(m, m),
         "save_immersion_frame": lambda: sg.save_immersion(m_frame, csv, frame=F),
         "load_immersion_frame": lambda: sg.load_immersion(csv),
