@@ -434,6 +434,12 @@ def _alpha_gauge(x: _Forms, y: _Forms) -> tuple[None, np.ndarray]:
 # alpha_trace above tol_gauge on the closed-form surfaces, and 8 does not.
 DEFAULT_MARGIN = 8
 
+# Nodes along each axis past the base node (margin, margin) that its adapted
+# frame reads of f: five stencil passes of 2 nodes each, stage 1's gradient and
+# the four gauge stages.  Stage 4's unwrap reads only the quadrant between the
+# base node and the origin.  `congruence_matrix` reduces no more than that.
+BASE_FRAME_REACH = 10
+
 
 def _cropped(geom: GridGeometry, margin: int) -> GridGeometry:
     """geom less `margin` nodes on every side; ValueError unless `margin` is an
@@ -449,9 +455,10 @@ def _cropped(geom: GridGeometry, margin: int) -> GridGeometry:
                         geom.dx, geom.dy)
 
 
-def _tangent_frame(m: ImmersionGrid, tols: Tolerances) -> np.ndarray:
-    """Stage 1 of `reduction_pipeline`: the frame with tangent columns (f_y, f_x)
-    and their symplectic completion, after the Lagrangian and rank tests."""
+def _tangent_columns(m: ImmersionGrid,
+                     tols: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage 1's Lagrangian and rank tests: the tangent columns (f_y, f_x) as
+    (..., 4, 2), their Gram matrix and its det, once both tests pass."""
     fx, fy = gradient(m.f, m.geometry)
     lag_max = float(np.max(_lagrangian(fx, fy)))
     if lag_max > tols.tol_frame:
@@ -466,6 +473,14 @@ def _tangent_frame(m: ImmersionGrid, tols: Tolerances) -> np.ndarray:
         node = np.unravel_index(np.argmax(rank_drop), rank_drop.shape)
         raise NotElliptic(f"df drops rank at node {tuple(map(int, node))}: det of the "
                           f"tangent Gram matrix {det[node]:.3e} <= tol_rank {tols.tol_rank:.3e}")
+    return M, G, det
+
+
+def _tangent_frame(m: ImmersionGrid, tols: Tolerances) -> np.ndarray:
+    """Stage 1 of `reduction_pipeline`: the frame with tangent columns (f_y, f_x)
+    and their symplectic completion, after the Lagrangian and rank tests."""
+    M, G, det = _tangent_columns(m, tols)
+    g00, g01, g11 = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
     N = -(J4 @ M) @ (_mat2(g11, -g01, -g01, g00) / det[..., None, None])
     S = np.zeros(m.f.shape[:2] + (5, 5))
     S[..., 0, 0] = 1.0
@@ -536,10 +551,18 @@ def congruence_matrix(
 
     Entry (i, j), i < j, is the defect of the best symplectic motion taking
     member i onto member j, built from their adapted frames at the base node
-    of the cropped grid; both frame signs are tried and the smaller defect
-    kept.  Each member is reduced once, and a lone member not at all.
+    (margin, margin); both frame signs are tried and the smaller defect kept.
     Entries compare f node by node, so members on different grid geometries
     are a ValueError naming both, raised before any reduction.
+
+    The base frame reads f only within BASE_FRAME_REACH = 10 nodes of the base
+    node, so each member is reduced once on its corner block: the first
+    margin + max(margin + 5, BASE_FRAME_REACH + 1) nodes of each axis, or the
+    whole axis when it is shorter.  Its base frame is byte-identical to that of
+    the whole grid's reduction.  Stage 1's Lagrangian and rank tests still
+    check each member's whole grid; the later gates (NotElliptic from stages
+    2-3, NotAdapted, the umbilic warning) judge the block, which holds the
+    nodes the base frame is built from.  A lone member is not reduced at all.
     """
     for m in members[1:]:
         if m.geometry != members[0].geometry:
@@ -549,8 +572,16 @@ def congruence_matrix(
     out = np.zeros((k, k))
     if k < 2:
         return out
-    # only the 5x5 base-node frames are kept, so the cropped fields are freed
-    base = [reduction_pipeline(m, tols, margin)[0].S[0, 0].copy() for m in members]
+    geom = members[0].geometry
+    _cropped(geom, margin)  # refuse a bad margin before any reduction
+    # margin + 5: the 5 cropped nodes a reduction needs, and margin more past them
+    b = margin + max(margin + 5, BASE_FRAME_REACH + 1)
+    corner = GridGeometry(min(b, geom.nx), min(b, geom.ny), geom.x0, geom.y0, geom.dx, geom.dy)
+    base = []
+    for m in members:
+        _tangent_columns(m, tols)  # the Lagrangian and rank tests on the whole grid
+        block = ImmersionGrid(corner, m.f[:corner.nx, :corner.ny])
+        base.append(reduction_pipeline(block, tols, margin)[0].S[0, 0].copy())
     for i in range(k):
         for j in range(i + 1, k):
             out[i, j] = out[j, i] = _motion_defect(base[i], base[j], members[i], members[j])

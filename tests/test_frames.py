@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -15,6 +16,7 @@ from symplag.errors import (
     NotLagrangian,
 )
 from symplag.frames import (
+    BASE_FRAME_REACH,
     FrameField,
     MaurerCartanField,
     _alpha_gauge,
@@ -25,6 +27,7 @@ from symplag.frames import (
     _gamma_trace_gauge,
     _mat2,
     _midpoints,
+    _motion_defect,
     _omega_bar_coefficient,
     _tangent_maurer_cartan,
     _tangent_frame,
@@ -32,6 +35,7 @@ from symplag.frames import (
     extract_invariants,
     numerical_maurer_cartan,
 )
+from symplag.cli import main
 from symplag.grids import diff4, gradient
 
 from closed_forms import constant_ab
@@ -435,6 +439,87 @@ def test_congruence_matrix_matches_pairwise_defects():
     for (i, j), d in pairs.items():
         assert mat[i, j] == d  # bit-equal: same reductions, same motion
     assert np.all(mat[~np.eye(4, dtype=bool)] > 1e-3)
+
+
+@pytest.mark.parametrize("n, origin, p", [(61, 0.0, 1.0), (61, -0.15, 0.0), (121, 0.0, -1.3)])
+def test_congruence_base_frames_match_whole_grid_reduction(monkeypatch, n, origin, p):
+    # congruence reduces only a corner block; its base frame must be the whole
+    # grid's byte for byte at every margin.  A reach of 9 or 8 in place of
+    # BASE_FRAME_REACH breaks this at margin 0, or at margins 0 and 1.
+    h = 0.3 / (n - 1)
+    geom = sg.GridGeometry(n, n, origin, origin, h, h)
+    m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=p, c1=1.3, c2=0.7), geom)
+    seen = []  # (geometry, base frame) of each reduction congruence runs
+
+    def spy(m, tols, margin):
+        out = sg.reduction_pipeline(m, tols, margin)
+        seen.append((m.geometry, out[0].S[0, 0].copy()))
+        return out
+
+    monkeypatch.setattr("symplag.frames.reduction_pipeline", spy)
+    for margin in range(13):
+        tols = sg.DEFAULT_TOLS
+        try:
+            full = quiet_pipeline(m, tols=tols, margin=margin)[0].S[0, 0]
+        except NotAdapted:  # thin margins fail the gate on the whole grid
+            tols = tols.replace(tol_gauge=1.0)
+            full = quiet_pipeline(m, tols=tols, margin=margin)[0].S[0, 0]
+        side = margin + max(margin + 5, BASE_FRAME_REACH + 1)
+        assert side < n
+        seen.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sg.congruence_matrix([m, m], tols, margin)
+        assert len(seen) == 2
+        for block, base in seen:
+            assert (block.nx, block.ny) == (side, side)
+            assert base.tobytes() == full.tobytes(), margin
+
+
+def test_congruence_matrix_matches_whole_grid_base_frames():
+    members = [sg.immersion_from_frame(quiet_integrate(family_theta(lam=lam)[1],
+                                                       compute_path_defect=False))
+               for lam in (-1.0, -0.5, 0.5, 1.0)]
+    base = [quiet_pipeline(m, margin=8)[0].S[0, 0] for m in members]
+    expected = np.zeros((4, 4))
+    for i in range(4):
+        for j in range(i + 1, 4):
+            expected[i, j] = expected[j, i] = _motion_defect(base[i], base[j],
+                                                             members[i], members[j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert sg.congruence_matrix(members, margin=8).tobytes() == expected.tobytes()
+
+
+def bumped_far_corner() -> sg.ImmersionGrid:
+    """The p = 1 closed form on GEOM with a bump in f3 of radius 5 nodes around
+    node (50, 50), far from the corner block that congruence reduces."""
+    m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0), GEOM)
+    i, j = np.indices((GEOM.nx, GEOM.ny))
+    r2 = ((i - 50) ** 2 + (j - 50) ** 2) / 25.0
+    f = m.f.copy()
+    f[..., 2] += 1e-3 * np.where(r2 < 1.0, (1.0 - r2) ** 4, 0.0)
+    return sg.ImmersionGrid(GEOM, f)
+
+
+def test_congruence_checks_lagrangian_on_the_whole_grid():
+    m, bumped = sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0), GEOM), bumped_far_corner()
+    assert np.max(sg.lagrangian_defect(bumped)) > sg.DEFAULT_TOLS.tol_frame
+    # the corner block that congruence reduces at margin 8 passes every gate
+    corner = sg.GridGeometry(21, 21, GEOM.x0, GEOM.y0, GEOM.dx, GEOM.dy)
+    quiet_pipeline(sg.ImmersionGrid(corner, bumped.f[:21, :21]), margin=8)
+    with pytest.raises(NotLagrangian):
+        sg.congruence_matrix([m, bumped], margin=8)
+
+
+def test_congruence_command_exits_1_on_a_member_non_lagrangian_off_the_block(tmp_path):
+    # compared with itself, the bumped surface would be congruent but for the gate
+    path = tmp_path / "bumped.csv"
+    sg.save_immersion(bumped_far_corner(), path)
+    doc = tmp_path / "cong.json"
+    doc.write_text(json.dumps({"command": "congruence",
+                               "params": {"first": str(path), "second": str(path)}}))
+    assert main(["--config", str(doc), "--out", str(tmp_path / "out")]) == 1
 
 
 def test_congruence_matrix_does_not_reduce_a_lone_member():

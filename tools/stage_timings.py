@@ -9,9 +9,11 @@ as the best of 5 runs.  A separate pass, not timed, records each stage's
 tracemalloc peak: the most memory that one call's own allocations hold at
 once.  The input is the constant family with p = 1 on a square of side 0.3
 with origin 0: Theta and the integrated frame come from its invariants, the
-reduction and congruence stages take its closed-form immersion, and
+reduction and `congruence_defect` stages take its closed-form immersion, and
 `extract_invariants`, the reduction's last stage, takes the cropped adapted
-frame of one reduction of it.
+frame of one reduction of it.  `congruence_matrix` compares the four members
+of its shift family with lambda in FAMILY_LAMBDAS, each integrated from its
+invariants, as the `family` command does.
 
 The timings (`stages_s`) and peaks (`stages_peak_mb`) go under `--label`
 (default "change") in the JSON file `--out`; an existing file keeps its other
@@ -42,6 +44,7 @@ REPEATS = 5
 SIZES = (61, 121, 241)
 SIDE = 0.3
 P = 1.0
+FAMILY_LAMBDAS = (-1.0, -0.5, 0.5, 1.0)
 
 
 def best_of(fn) -> float:
@@ -75,6 +78,9 @@ def grid_stages(sg, n: int, workdir: Path) -> dict:
     m_frame = sg.immersion_from_frame(F)
     m = sg.closed_form_immersion(params, geom)
     adapted = sg.reduction_pipeline(m)[0]
+    members = [sg.immersion_from_frame(sg.integrate_frame(
+        sg.theta_from_invariants(sg.shift_family(inv, lam)), compute_path_defect=False))
+        for lam in FAMILY_LAMBDAS]
     csv = workdir / f"immersion_{n}.csv"
     sg.save_immersion(m_frame, csv, frame=F)
     return {
@@ -86,6 +92,7 @@ def grid_stages(sg, n: int, workdir: Path) -> dict:
         "reduction_pipeline": lambda: sg.reduction_pipeline(m),
         "extract_invariants": lambda: sg.extract_invariants(adapted),
         "congruence_defect": lambda: sg.congruence_defect(m, m),
+        "congruence_matrix": lambda: sg.congruence_matrix(members),
         "save_immersion_frame": lambda: sg.save_immersion(m_frame, csv, frame=F),
         "load_immersion_frame": lambda: sg.load_immersion(csv),
     }
