@@ -18,6 +18,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import shutil
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -205,6 +209,61 @@ def _non_finite_node(values: np.ndarray) -> tuple[int, int] | None:
 # -- serialization: CSV per field with a JSON geometry sidecar ----------------
 
 
+def _grid_rows(geom: GridGeometry, values: np.ndarray, rows: range):
+    """The CSV lines of grid rows `rows` of `_save_table`'s (nx, ny, k) node
+    values, as ASCII bytes: one `%` per grid row, each node coordinate
+    formatted once."""
+    cell = ",".join(["%.17g"] * values.shape[-1]) + "\r\n"
+    tails = ["%.17g," % y + cell for y in geom.y.tolist()]
+    xs = geom.x.tolist()
+    for i in rows:
+        head = "%.17g," % xs[i]
+        yield ("".join([head + t for t in tails]) % tuple(values[i].ravel().tolist())).encode()
+
+
+@contextmanager
+def _rows_from_child(path: Path, geom: GridGeometry, values: np.ndarray, rows: range):
+    """Fork a child that formats `_grid_rows(geom, values, rows)` into memory
+    and writes it to a pipe; yields the pipe's read end as a binary file.
+
+    On exit the parent closes the pipe, so that a child blocked on a full
+    pipe fails on the broken pipe, and then reaps the child.  A child that
+    exits non-zero is an OSError naming `path`.
+    """
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with threads (an idle BLAS pool
+            # is one) forks.  The child only formats, writes the pipe and calls
+            # _exit; it takes no lock another thread could hold.
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            text = list(_grid_rows(geom, values, rows))
+            with open(w, "wb") as out:
+                out.writelines(text)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            yield pipe
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise OSError(f"{path}: the process formatting grid rows {rows.start}.."
+                      f"{rows.stop - 1} exited with status {status}")
+
+
 def _save_table(path: str | Path, geom: GridGeometry, header: list[str],
                 values: np.ndarray) -> None:
     """Write one `x,y,<header>` CSV row per node at 17 significant digits plus
@@ -215,18 +274,29 @@ def _save_table(path: str | Path, geom: GridGeometry, header: list[str],
     in CRLF, the RFC 4180 line ending that the csv module writes.  A
     non-finite value raises ValueError naming its node, before anything is
     written.
+
+    Two processes format the rows: once the file is open, a forked child
+    formats grid rows nx//2 .. nx-1 while this process writes the header and
+    the rows before them, then copies the child's rows after them.  Both use
+    `_grid_rows`, so the bytes are those one process writes, as it does where
+    `os.fork` does not exist.
     """
     path = Path(path)
     node = _non_finite_node(values)
     if node is not None:
         raise ValueError(f"{path}: node {node} holds a non-finite value")
-    cell = ",".join(["%.17g"] * values.shape[-1]) + "\r\n"
-    tails = ["%.17g," % y + cell for y in geom.y.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["x", "y", *header]) + "\r\n")
-        for x, row in zip(geom.x.tolist(), values):
-            head = "%.17g," % x
-            fh.write("".join([head + t for t in tails]) % tuple(row.ravel().tolist()))
+    names = (",".join(["x", "y", *header]) + "\r\n").encode()
+    rows = range(geom.nx)
+    with open(path, "wb") as fh:
+        if hasattr(os, "fork"):
+            half = geom.nx // 2
+            with _rows_from_child(path, geom, values, rows[half:]) as rest:
+                fh.write(names)
+                fh.writelines(_grid_rows(geom, values, rows[:half]))
+                shutil.copyfileobj(rest, fh)
+        else:
+            fh.write(names)
+            fh.writelines(_grid_rows(geom, values, rows))
     with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
         json.dump(geom.as_dict(), fh, indent=2)
 

@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import symplag as sg
+from symplag import grids
 from symplag.errors import GridTooSmall
 from symplag.grids import _EDGE0, _EDGE1, diff4, gradient
 
@@ -178,6 +181,41 @@ def test_save_grid_rejects_non_finite_value(tmp_path):
     with pytest.raises(ValueError, match=r"node \(3, 4\) holds a non-finite value"):
         sg.save_grid(sg.ComplexGrid(GEOM, values), path)
     assert not path.exists()
+
+
+forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="rows are formatted in one process")
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forks
+def test_save_grid_leaves_no_child_process(tmp_path):
+    f = sg.ComplexGrid(GEOM, np.ones((21, 17), dtype=complex))
+    sg.save_grid(f, tmp_path / "field.csv")
+    assert_no_child_process()
+    with pytest.raises(FileNotFoundError):  # raised by open, before any fork
+        sg.save_grid(f, tmp_path / "missing" / "field.csv")
+    assert_no_child_process()
+
+
+@forks
+def test_save_grid_fails_when_the_child_fails(tmp_path, monkeypatch):
+    grid_rows = grids._grid_rows
+
+    def failing_second_half(geom, values, rows):
+        if rows.start > 0:
+            raise RuntimeError("cannot format")
+        return grid_rows(geom, values, rows)
+
+    monkeypatch.setattr(grids, "_grid_rows", failing_second_half)
+    path = tmp_path / "field.csv"
+    with pytest.raises(OSError, match=r"field\.csv: the process formatting grid rows 10\.\.20 "
+                                      r"exited with status 1"):
+        sg.save_grid(sg.ComplexGrid(GEOM, np.ones((21, 17), dtype=complex)), path)
+    assert_no_child_process()
 
 
 @pytest.mark.parametrize("column", [2, 3], ids=["re", "im"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -116,6 +117,36 @@ def test_immersion_csv_bytes_match_savetxt(data, with_frame):
         path = Path(tmp) / "m.csv"
         sg.save_immersion(sg.ImmersionGrid(geom, f), path, frame=frame)
         assert path.read_bytes() == savetxt_bytes(Path(tmp) / "oracle.csv", header, table)
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "one-process"])
+def test_immersion_csv_bytes_match_savetxt_past_a_full_pipe(tmp_path, monkeypatch, fork):
+    # odd nx, and a second half of the rows far over a pipe's 64 KiB, so the
+    # process formatting it blocks on the pipe until the first half is written
+    geom = sg.GridGeometry(41, 37, -0.5, 1e-3, 1.0 / 3.0, 2.5e-2)
+    rng = np.random.default_rng(7)
+    S = np.zeros((41, 37, 5, 5))
+    S[..., 0, 0] = 1.0
+    scale = 10.0 ** rng.integers(-300, 300, (41, 37, 4, 5))
+    S[..., 1:, :] = rng.standard_normal((41, 37, 4, 5)) * scale
+    specials = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                1e17, -1e17, 99999999999999999.0, -12345678901234567.0, 0.0, 1.0]
+    S[0, 0, 1:, 0] = specials[:4]
+    S[40, 36, 1:, 1:] = np.array(specials * 2)[:16].reshape(4, 4)
+    S[25, :, 1:, 1:] = rng.integers(-10**17, 10**17, (37, 4, 4)).astype(float)
+    f = S[..., 1:, 0]
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    path = tmp_path / "m.csv"
+    sg.save_immersion(sg.ImmersionGrid(geom, f), path, frame=sg.FrameField(geom, S))
+    header = ["x", "y", "f1", "f2", "f3", "f4"]
+    header += [f"s{r}{c}" for r in range(1, 5) for c in range(1, 5)]
+    xx, yy = geom.mesh()
+    cols = [np.stack([xx, yy], axis=-1), f, S[..., 1:, 1:].reshape(41, 37, 16)]
+    table = np.concatenate(cols, axis=-1).reshape(-1, len(header))
+    want = savetxt_bytes(tmp_path / "oracle.csv", header, table)
+    assert len(want[want.index(b"\n%.17g," % geom.x[20]):]) > 4 * 65536
+    assert path.read_bytes() == want
 
 
 @given(st.sampled_from(["x0", "y0", "dx", "dy"]), non_finite)

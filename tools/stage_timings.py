@@ -13,7 +13,8 @@ reduction and `congruence_defect` stages take its closed-form immersion, and
 `extract_invariants`, the reduction's last stage, takes the cropped adapted
 frame of one reduction of it.  `congruence_matrix` compares the four members
 of its shift family with lambda in FAMILY_LAMBDAS, each integrated from its
-invariants, as the `family` command does.
+invariants, as the `family` command does.  `save_grid` writes the family's t,
+one of the three grids the `invariants` command writes.
 
 The timings (`stages_s`) and peaks (`stages_peak_mb`) go under `--label`
 (default "change") in the JSON file `--out`; an existing file keeps its other
@@ -83,6 +84,7 @@ def grid_stages(sg, n: int, workdir: Path) -> dict:
         for lam in FAMILY_LAMBDAS]
     csv = workdir / f"immersion_{n}.csv"
     sg.save_immersion(m_frame, csv, frame=F)
+    t = sg.ComplexGrid(geom, inv.t)
     return {
         "theta_from_invariants": lambda: sg.theta_from_invariants(inv),
         "flatness_residual": lambda: sg.flatness_residual(theta),
@@ -94,6 +96,7 @@ def grid_stages(sg, n: int, workdir: Path) -> dict:
         "congruence_defect": lambda: sg.congruence_defect(m, m),
         "congruence_matrix": lambda: sg.congruence_matrix(members),
         "save_immersion_frame": lambda: sg.save_immersion(m_frame, csv, frame=F),
+        "save_grid": lambda: sg.save_grid(t, workdir / f"t_{n}.csv"),
         "load_immersion_frame": lambda: sg.load_immersion(csv),
     }
 
