@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, Tolerances, _number
 from .errors import ConfigError, SymplagError
 from .frames import (
     DEFAULT_MARGIN,
@@ -151,18 +151,6 @@ class Report:
 # -- triple construction from params ------------------------------------------
 
 
-def _number(key: str, value, kind=float):
-    """`value` of params.`key` as a finite float, or an int when kind is int;
-    anything else, a JSON boolean included, is a ConfigError naming the key."""
-    try:
-        x = float(value)
-        if not isinstance(value, bool) and math.isfinite(x) and (kind is float or x == int(x)):
-            return kind(x)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"params.{key} must be a finite {kind.__name__}, got {value!r}")
-
-
 def _path(key: str, value) -> str:
     """`value` of params.`key` as a file path; anything but a non-empty string,
     None for a missing key included, is a ConfigError naming the key."""
@@ -173,18 +161,19 @@ def _path(key: str, value) -> str:
 
 def _family_params(params: dict) -> ConstantFamilyParams:
     defaults = {"p": 0.0, "c1": 1.0, "c2": 1.0, "m1": 0.0, "m2": 0.0}
-    return ConstantFamilyParams(**{k: _number(k, params.get(k, d)) for k, d in defaults.items()})
+    return ConstantFamilyParams(**{k: _number(f"params.{k}", params.get(k, d))
+                                   for k, d in defaults.items()})
 
 
 def _margin(params: dict) -> int:
     """params.margin; the reduction refuses one that leaves too small a grid."""
-    return _number("margin", params.get("margin", DEFAULT_MARGIN), int)
+    return _number("params.margin", params.get("margin", DEFAULT_MARGIN), integer=True)
 
 
 def _poly_values(geom: GridGeometry, key: str, coeffs) -> np.ndarray:
     """The polynomial in z with coefficients params.`key`, constant term first.
     Each coefficient is a finite number or an [re, im] pair of finite numbers;
-    anything else, or a value that overflows on the grid, is a ConfigError
+    anything else, or a value that overflows on the grid, is a ValueError
     naming the key."""
     if not isinstance(coeffs, (list, tuple)):
         raise ConfigError(f"params.{key} must be a list of coefficients, got {coeffs!r}")
@@ -192,7 +181,7 @@ def _poly_values(geom: GridGeometry, key: str, coeffs) -> np.ndarray:
     vals = np.zeros_like(z)
     for c in reversed(coeffs):
         re, im = c if isinstance(c, (list, tuple)) and len(c) == 2 else (c, 0.0)
-        vals = vals * z + complex(_number(key, re), _number(key, im))
+        vals = vals * z + complex(*(_number(f"params.{key}", v) for v in (re, im)))
     if not np.all(np.isfinite(vals)):
         raise ConfigError(f"params.{key} is not finite on the grid")
     return vals
@@ -234,7 +223,7 @@ def triple_from_params(geom: GridGeometry, params: dict) -> InvariantTriple:
     non-finite value, say) is a ValueError naming the field at fault.
     """
     source = _source(params, _SOURCES)
-    lam = _number("lam", params.get("lam", 0.0))
+    lam = _number("params.lam", params.get("lam", 0.0))
     if source == "files":
         t, h, p = (load_grid(_path(k, params[k])) for k in ("t", "h", "p"))
         if not t.geometry == h.geometry == p.geometry:
@@ -331,7 +320,7 @@ def _run_integrate(cfg: JobConfig, rep: Report) -> None:
 
 
 def _run_example(cfg: JobConfig, rep: Report) -> None:
-    lam = _number("lam", cfg.params.get("lam", 0.0))
+    lam = _number("params.lam", cfg.params.get("lam", 0.0))
     with rep.timed("build"):  # constant: p - lam, as shift_family moves a triple
         if _source(cfg.params, _EXAMPLES) == "constant":
             fam = _family_params(cfg.params)
@@ -352,7 +341,7 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
     lambdas = cfg.params.get("lambdas", [-1.0, 0.0, 1.0])
     if not isinstance(lambdas, (list, tuple)):
         raise ConfigError(f"params.lambdas must be a list, got {lambdas!r}")
-    lambdas = [_number("lambdas", v) for v in lambdas]
+    lambdas = [_number("params.lambdas", v) for v in lambdas]
     if len(lambdas) < 2 or len(set(lambdas)) < len(lambdas):
         raise ConfigError("params.lambdas must hold at least two distinct values, "
                           f"got {lambdas!r}")

@@ -1,4 +1,5 @@
-"""Tolerance configuration shared by all modules."""
+"""The number rule and the tolerances shared by all modules: `_number` is the
+one check of every scalar input.  Imports nothing from the package."""
 
 from __future__ import annotations
 
@@ -6,6 +7,21 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
+
+
+def _number(name: str, value, integer: bool = False) -> float | int:
+    """`value` as a float, or as an int when `integer` (an integer-valued float
+    counts); anything but a finite real, a bool or a numeric string included,
+    is a ValueError naming `name`."""
+    try:
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and math.isfinite(value) and (not integer or value == int(value)))
+    except OverflowError:  # an int past the float range
+        ok = False
+    if ok:
+        return int(value) if integer else float(value)
+    kind = "an integer" if integer else "a finite number"
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,11 +47,10 @@ class Tolerances:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"tolerance {f.name} must be a real number, got {v!r}")
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"tolerance {f.name} must be finite and positive, got {v}")
+            v = _number(f"tolerance {f.name}", getattr(self, f.name))
+            if v <= 0:
+                raise ValueError(f"tolerance {f.name} must be positive, got {v}")
+            object.__setattr__(self, f.name, v)
 
     def replace(self, **kwargs) -> "Tolerances":
         return dataclasses.replace(self, **kwargs)

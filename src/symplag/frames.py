@@ -8,7 +8,6 @@ translation part.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, Tolerances, _number
 from .core import J4, _symplectic_error, _symplectic_inverse
 from .errors import (
     FrameDefect,
@@ -26,7 +25,7 @@ from .errors import (
     NotLagrangian,
     UmbilicGaugeWarning,
 )
-from .grids import GridGeometry, _non_finite_node, diff4, gradient, wirtinger
+from .grids import GridGeometry, _node_values, _non_finite_node, diff4, gradient, wirtinger
 from .invariants import InvariantTriple
 from . import grids
 
@@ -53,20 +52,14 @@ class FrameField:
 
 @dataclass(frozen=True)
 class ImmersionGrid:
-    """R^4-valued immersion samples f[i, j] on a grid."""
+    """R^4-valued immersion samples f[i, j] on a grid, a read-only (nx, ny, 4) array."""
 
     geometry: GridGeometry
     f: np.ndarray  # (nx, ny, 4)
 
     def __post_init__(self):
-        f = np.asarray(self.f, dtype=float)
-        if f.shape != (self.geometry.nx, self.geometry.ny, 4):
-            raise ValueError(f"immersion values have shape {f.shape}")
-        node = _non_finite_node(f)
-        if node is not None:
-            raise ValueError(f"immersion values must be finite: node {node} holds a "
-                             "non-finite value")
-        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "f", _node_values(self.geometry, self.f, "immersion values",
+                                                   dtype=float, trailing=(4,)))
 
 
 # -- Theta from invariants ----------------------------------------------------
@@ -441,18 +434,17 @@ DEFAULT_MARGIN = 8
 BASE_FRAME_REACH = 10
 
 
-def _cropped(geom: GridGeometry, margin: int) -> GridGeometry:
-    """geom less `margin` nodes on every side; ValueError unless `margin` is an
-    integer and 5x5 nodes remain."""
-    if isinstance(margin, bool) or not isinstance(margin, numbers.Integral):
-        raise ValueError(f"margin must be an integer, got {margin!r}")
+def _cropped(geom: GridGeometry, margin: int) -> tuple[GridGeometry, int]:
+    """geom less `margin` nodes on every side, and `margin` as an int; ValueError
+    unless `margin` is an integer, nonnegative, and leaves 5x5 nodes."""
+    margin = _number("margin", margin, integer=True)
     if margin < 0:
         raise ValueError(f"margin must be nonnegative, got {margin}")
     if geom.nx - 2 * margin < 5 or geom.ny - 2 * margin < 5:
         raise ValueError(f"grid too small for margin {margin}")
     return GridGeometry(geom.nx - 2 * margin, geom.ny - 2 * margin,
                         geom.x0 + margin * geom.dx, geom.y0 + margin * geom.dy,
-                        geom.dx, geom.dy)
+                        geom.dx, geom.dy), margin
 
 
 def _tangent_columns(m: ImmersionGrid,
@@ -518,7 +510,7 @@ def reduction_pipeline(
     Returns the frame, the invariants and `extract_invariants`' gauge report.
     """
     geom = m.geometry
-    cropped = _cropped(geom, margin)
+    cropped, margin = _cropped(geom, margin)
     S = _tangent_frame(m, tols)
     for gauge in (_gamma_trace_gauge, _eta_gauge, _conformal_gauge, _alpha_gauge):
         # each tangent block is freed once decoded, and the gauge once applied
@@ -573,7 +565,7 @@ def congruence_matrix(
     if k < 2:
         return out
     geom = members[0].geometry
-    _cropped(geom, margin)  # refuse a bad margin before any reduction
+    margin = _cropped(geom, margin)[1]  # refuse a bad margin before any reduction
     # margin + 5: the 5 cropped nodes a reduction needs, and margin more past them
     b = margin + max(margin + 5, BASE_FRAME_REACH + 1)
     corner = GridGeometry(min(b, geom.nx), min(b, geom.ny), geom.x0, geom.y0, geom.dx, geom.dy)

@@ -9,11 +9,11 @@ components, and totally umbilic immersions built from complex curves via a
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, Tolerances, _number
 from .errors import NotHolomorphic, ParameterDomain
 from .frames import ImmersionGrid, _sweep_grid
 from .grids import GridGeometry, _node_values, d_z, d_zbar
@@ -26,7 +26,7 @@ class ConstantFamilyParams:
 
     p is the constant third invariant (p != +-2 keeps the closed-form
     denominators alive); c1, c2, m1 and m2 weight the exponentials of the
-    separated solution of the t-equation.
+    separated solution of the t-equation.  All five are finite floats.
     """
 
     p: float
@@ -36,6 +36,8 @@ class ConstantFamilyParams:
     m2: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _number(f.name, getattr(self, f.name)))
         if min(abs(self.p - 2.0), abs(self.p + 2.0)) <= DEFAULT_TOLS.tol_rank:
             raise ParameterDomain("p must avoid +-2")
 
@@ -105,8 +107,8 @@ def closed_form_immersion(params: ConstantFamilyParams, geom: GridGeometry) -> I
 
 @dataclass(frozen=True)
 class UmbilicCurveSpec:
-    """Holomorphic datum p, as node values on `geometry` (a scalar is
-    broadcast), and family parameter for the 2x2 curve ODE."""
+    """Holomorphic datum p, read-only node values on `geometry` (a scalar is
+    broadcast), and the finite family parameter lam of the 2x2 curve ODE."""
 
     geometry: GridGeometry
     p: np.ndarray
@@ -114,6 +116,7 @@ class UmbilicCurveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _node_values(self.geometry, self.p, "p"))
+        object.__setattr__(self, "lam", _number("lam", self.lam))
 
 
 def _curve_coefficient(pv: np.ndarray, lam: float) -> np.ndarray:

@@ -16,8 +16,6 @@ that `save_grid` writes and `load_grid` reads.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 import shutil
 import warnings
@@ -27,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import _number
 from .errors import GridTooSmall
 
 # 4th-order first-derivative stencils (rows: node 0 and node 1 from the edge).
@@ -116,19 +115,11 @@ class GridGeometry:
     dy: float
 
     def __post_init__(self):
-        for name in ("nx", "ny"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, numbers.Real)
-                                           and math.isfinite(v) and v == int(v)):
-                raise ValueError(f"grid {name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _number(f"grid {f.name}", getattr(self, f.name),
+                                                     integer=f.name in ("nx", "ny")))
         if self.nx < 5 or self.ny < 5:
             raise GridTooSmall(f"grid must be at least 5x5, got {self.nx}x{self.ny}")
-        for name in ("x0", "y0", "dx", "dy"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)):
-                raise ValueError(f"grid {name} must be a finite number, got {v!r}")
-            object.__setattr__(self, name, float(v))
         if self.dx <= 0 or self.dy <= 0:
             raise ValueError("grid spacings must be positive")
 
@@ -167,43 +158,42 @@ class GridGeometry:
         return GridGeometry(**d)
 
 
-def _node_values(geom: GridGeometry, values, name: str) -> np.ndarray:
-    """Field `name` as a read-only complex (nx, ny) array, a scalar broadcast to the
-    grid; ValueError naming the field on a wrong shape or a non-finite value."""
-    v = np.asarray(values, dtype=complex)
-    shape = (geom.nx, geom.ny)
+def _non_finite_node(values: np.ndarray) -> tuple[int, int] | None:
+    """The first grid node (i, j), in C order, of (nx, ny, ...) node values
+    that holds a non-finite value; None when every value is finite."""
+    bad = ~np.isfinite(values).reshape(values.shape[:2] + (-1,)).all(axis=-1)
+    return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
+
+
+def _node_values(geom: GridGeometry, values, name: str, dtype=complex,
+                 trailing: tuple = ()) -> np.ndarray:
+    """Field `name` as a read-only (nx, ny, *trailing) array of `dtype`, a scalar
+    broadcast to the grid; ValueError naming it on a wrong shape or a non-finite node."""
+    v = np.asarray(values, dtype=dtype)
+    shape = (geom.nx, geom.ny, *trailing)
     v = np.full(shape, v) if v.ndim == 0 else v.view()
     if v.shape != shape:
         raise ValueError(f"{name} has shape {v.shape}, not the grid's {shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
+    node = _non_finite_node(v)
+    if node is not None:
+        raise ValueError(f"{name} must be finite: node {node} holds a non-finite value")
     v.flags.writeable = False
     return v
 
 
 @dataclass(frozen=True)
 class ComplexGrid:
-    """Complex scalar field on a GridGeometry: the record of `save_grid` and `load_grid`."""
+    """Read-only complex scalar field on a GridGeometry: the record of `save_grid`
+    and `load_grid`."""
 
     geometry: GridGeometry
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.geometry.nx, self.geometry.ny):
-            raise ValueError(f"values shape {v.shape} does not match geometry "
-                             f"({self.geometry.nx}, {self.geometry.ny})")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _node_values(self.geometry, self.values, "values"))
 
     def with_values(self, values: np.ndarray) -> "ComplexGrid":
         return ComplexGrid(self.geometry, values)
-
-
-def _non_finite_node(values: np.ndarray) -> tuple[int, int] | None:
-    """The first grid node (i, j), in C order, of (nx, ny, ...) node values
-    that holds a non-finite value; None when every value is finite."""
-    bad = ~np.isfinite(values).reshape(values.shape[:2] + (-1,)).all(axis=-1)
-    return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
 
 
 # -- serialization: CSV per field with a JSON geometry sidecar ----------------

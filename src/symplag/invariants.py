@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import DEFAULT_TOLS, _number
 from .grids import GridGeometry, _node_values, d_z, d_zbar
 
 
@@ -71,7 +71,7 @@ def shift_family(inv: InvariantTriple, lam: float) -> InvariantTriple:
     When h is real-valued (the applicable case) the shifted triple satisfies
     the compatibility equations exactly when the input does.
     """
-    return InvariantTriple(inv.geometry, inv.t, inv.h, inv.p - float(lam))
+    return InvariantTriple(inv.geometry, inv.t, inv.h, inv.p - _number("lam", lam))
 
 
 def applicability_residual(h: np.ndarray, w: np.ndarray, geom: GridGeometry) -> np.ndarray:

@@ -41,7 +41,8 @@ def test_nan_tolerance_rejected():
         build_config(["verify", "--tol-frame", "nan"])
 
 
-@pytest.mark.parametrize("value", [True, "1e-6"])
+@pytest.mark.parametrize("value", [True, "1e-6",
+                                   pytest.param(10**400, id="int-past-float-range")])
 def test_non_number_tolerance_in_config_exits_2(tmp_path, capsys, value):
     # a JSON boolean is no tolerance: true would gate flatness at 1.0
     doc = tmp_path / "cfg.json"
@@ -59,7 +60,9 @@ def test_nan_grid_spacing_in_config_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("name, value", [("nx", 61.7), ("ny", 7.5), ("x0", None),
-                                         ("extra", 1), ("dx", True), ("nx", True)])
+                                         ("extra", 1), ("dx", True), ("nx", True),
+                                         pytest.param("dx", 10**400, id="dx-int-past-float-range"),
+                                         ("dy", "0.1")])
 def test_bad_grid_record_in_config_exits_2(tmp_path, capsys, name, value):
     grid = dict(sg.GridGeometry(11, 11, 0.0, 0.0, 0.1, 0.1).as_dict(), **{name: value})
     doc = tmp_path / "cfg.json"
@@ -349,6 +352,11 @@ def test_report_echoes_effective_config(tmp_path):
     ("verify", {"t": 1, "h": 2, "p": 3}, "t"),
     ("invariants", {"immersion": 5}, "immersion"),
     ("congruence", {"first": ["a"], "second": "b.csv"}, "first"),
+    # a number is a JSON number: neither a numeric string nor a boolean
+    ("verify", {"p": "0.5"}, "p"),
+    ("example", {"kind": "constant", "lam": True}, "lam"),
+    ("example", {"kind": "umbilic", "p_poly": [0.0, 1.0], "lam": "0.3"}, "lam"),
+    ("family", {"lambdas": ["0.5", 1.0]}, "lambdas"),
 ])
 def test_bad_numeric_param_exits_2(tmp_path, capsys, command, params, key):
     doc = tmp_path / "cfg.json"
@@ -429,7 +437,7 @@ def test_non_finite_invariant_csv_exits_2(tmp_path, capsys):
     assert str(path) in err and "row 61 (node (5, 5)) holds a non-finite value" in err
 
 
-@pytest.mark.parametrize("margin", [-1, 29, 2.5, True])
+@pytest.mark.parametrize("margin", [-1, 29, 2.5, True, "8"])
 @pytest.mark.parametrize("command", ["invariants", "congruence", "family"])
 def test_bad_margin_exits_2(tmp_path, capsys, command, margin):
     # 61^2 input: a margin of 29 leaves a 3x3 grid, too small for the stencils

@@ -747,9 +747,24 @@ def test_pipeline_checks_margin_before_any_stage():
     geom = sg.GridGeometry(21, 21, 0.0, 0.0, 0.05, 0.05)
     xx, yy = geom.mesh()
     m = sg.ImmersionGrid(geom, np.stack([xx, yy, np.zeros_like(xx), xx], axis=-1))
-    for margin in (-1, 9, 2.5, True):
+    for margin in (-1, 9, 2.5, 8.5, True, "8", float("nan"), float("inf")):
         with pytest.raises(ValueError, match="margin"):
             sg.reduction_pipeline(m, margin=margin)
+
+
+def test_integer_valued_float_margin_is_that_integer():
+    # 8.0 crops as 8 does, byte for byte, in the reduction and in congruence
+    m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0), GEOM)
+    moved = sg.ImmersionGrid(GEOM, m.f + 0.25)
+    runs = []
+    for margin in (8, 8.0):
+        F, inv, gauge = quiet_pipeline(m, margin=margin)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mat = sg.congruence_matrix([m, moved], margin=margin)
+        runs.append((F.geometry, F.S.tobytes(), [v.tobytes() for v in (inv.t, inv.h, inv.p)],
+                     gauge, mat.tobytes()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("kind", ["family", "umbilic"])

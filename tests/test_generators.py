@@ -24,6 +24,24 @@ def test_parameter_domain_gate():
         frame_columns(-2.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "0.5"])
+@pytest.mark.parametrize("name", ["p", "c1", "c2", "m1", "m2"])
+def test_family_params_refuse_what_is_no_finite_number(name, value):
+    # refused where it is given, not later as a non-finite t or immersion
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+        sg.ConstantFamilyParams(**{"p": 0.5, name: value})
+
+
+def test_lam_is_a_finite_number_where_the_family_moves():
+    geom = sg.GridGeometry(41, 41, -0.2, -0.2, 0.01, 0.01)
+    inv = sg.family_triple(sg.ConstantFamilyParams(p=0.5), geom)
+    for lam in (float("nan"), float("inf"), True, "0.5"):
+        with pytest.raises(ValueError, match="^lam must be a finite number"):
+            sg.UmbilicCurveSpec(geom, 0.0, lam)
+        with pytest.raises(ValueError, match="^lam must be a finite number"):
+            sg.shift_family(inv, lam)
+
+
 def test_separated_t_solves_its_equation():
     geom = sg.GridGeometry(41, 41, 0.0, 0.0, 0.005, 0.005)
     xx, yy = geom.mesh()

@@ -129,7 +129,8 @@ def test_geometry_rejects_non_finite(name, value):
 
 @pytest.mark.parametrize("name, value", [("nx", 61.7), ("ny", 7.5), ("nx", float("nan")),
                                          ("ny", float("inf")), ("nx", "61"), ("ny", None),
-                                         ("nx", True)])
+                                         ("nx", True),
+                                         pytest.param("ny", 10**400, id="ny-past-float-range")])
 def test_geometry_rejects_non_integral_size(name, value):
     d = dict(GEOM.as_dict(), **{name: value})
     for build in (sg.GridGeometry.from_dict, lambda d: sg.GridGeometry(**d)):
@@ -140,6 +141,13 @@ def test_geometry_rejects_non_integral_size(name, value):
 def test_complexgrid_shape_check():
     with pytest.raises(ValueError):
         sg.ComplexGrid(GEOM, np.zeros((3, 3)))
+
+
+def test_complexgrid_names_its_first_non_finite_node():
+    values = np.zeros((21, 17), dtype=complex)
+    values[7, 3] = values[9, 1] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match=r"values must be finite: node \(7, 3\) holds"):
+        sg.ComplexGrid(GEOM, values)
 
 
 def test_save_load_roundtrip(tmp_path):

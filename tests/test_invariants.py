@@ -68,6 +68,12 @@ def test_triple_fields_are_read_only_grid_arrays():
         assert v.shape == (41, 41) and v.dtype == complex and not v.flags.writeable
     assert np.all(inv.h == 0.5) and np.all(inv.p == 0.0)
     assert t.flags.writeable  # the caller's array is not frozen
+    # the records of save_grid and save_immersion hold read-only arrays too
+    f = np.zeros((41, 41, 4))
+    records = [(sg.ComplexGrid(GEOM, t).values, t), (sg.ImmersionGrid(GEOM, f).f, f)]
+    for held, given in records:
+        assert np.array_equal(held, given) and not held.flags.writeable
+        assert given.flags.writeable
 
 
 def test_dbar_fubini_zero_and_nonzero():
