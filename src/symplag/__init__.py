@@ -22,7 +22,6 @@ from .frames import (
     integrate_frame,
     lagrangian_defect,
     load_immersion,
-    numerical_maurer_cartan,
     reduction_pipeline,
     save_immersion,
     theta_from_invariants,

@@ -242,38 +242,23 @@ def lagrangian_defect(m: ImmersionGrid) -> np.ndarray:
     return _lagrangian(*gradient(m.f, m.geometry))
 
 
-# -- numerical Maurer-Cartan form and invariant extraction --------------------
+# -- Maurer-Cartan coefficients and invariant extraction ----------------------
 
 
-def _mc_coefficient(F: FrameField, Xinv: np.ndarray, axis: int) -> np.ndarray:
-    """The dx (axis 0) or dy (axis 1) coefficient of S^-1 dS, given Xinv =
-    X^-1: the frame's `diff4` along `axis` with rows 1-4 multiplied by Xinv in
-    place (see `numerical_maurer_cartan`)."""
-    geom = F.geometry
-    dS = diff4(F.S, (geom.dx, geom.dy)[axis], axis)
-    rows = dS[..., 1:, :]
+_TANGENT = (slice(1, None), slice(1, 3))  # rows 1-4, columns 1-2: alpha and gamma
+
+
+def _mc_coefficient(S: np.ndarray, geom: GridGeometry, Xinv: np.ndarray, axis: int,
+                    part: tuple = ()) -> np.ndarray:
+    """The dx (axis 0) or dy (axis 1) coefficient of S^-1 dS, the whole or its
+    `part`, given Xinv = X^-1: `diff4` of S with its last four rows multiplied by
+    Xinv in place.  S = [[1, 0], [P, X]] must be affine symplectic, as the frames
+    of `integrate_frame` and `reduction_pipeline` are: then S^-1 dS =
+    [[0, 0], [X^-1 dP, X^-1 dX]], with X^-1 = -J X^T J exact on the group."""
+    d = diff4(S, (geom.dx, geom.dy)[axis], axis, part)
+    rows = d[..., -4:, :]
     np.matmul(Xinv, rows, out=rows)
-    return dS
-
-
-def numerical_maurer_cartan(F: FrameField) -> MaurerCartanField:
-    """Theta-hat = S^-1 dS via 4th-order finite differences of the frame.
-
-    S = [[1, 0], [P, X]] must be affine symplectic, as the frames of `integrate_frame`
-    and `reduction_pipeline` are: S^-1 dS = [[0, 0], [X^-1 dP, X^-1 dX]] with the
-    closed form X^-1 = -J X^T J, exact on the group."""
-    Xinv = _symplectic_inverse(F.S[..., 1:, 1:])
-    return MaurerCartanField(F.geometry, _mc_coefficient(F, Xinv, 0),
-                             _mc_coefficient(F, Xinv, 1))
-
-
-def _tangent_maurer_cartan(S: np.ndarray, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """The tangent block of S^-1 S_x and of S^-1 S_y: rows 1-4, columns 1-2, the
-    alpha and gamma blocks, as two (..., 4, 2) arrays byte-identical to that
-    block of `numerical_maurer_cartan`.  The gauge stages read nothing else,
-    so only those eight entries of S are differenced."""
-    Xinv = _symplectic_inverse(S[..., 1:, 1:])
-    return tuple(Xinv @ d for d in gradient(S, geom, part=(slice(1, None), slice(1, 3))))
+    return d
 
 
 class _Forms(NamedTuple):
@@ -297,6 +282,13 @@ def _decode(T: np.ndarray) -> _Forms:
     )
 
 
+def _tangent_forms(S: np.ndarray, geom: GridGeometry) -> list[_Forms]:
+    """The decoded tangent blocks of S^-1 S_x and S^-1 S_y, all that the gauge
+    stages read, so only those eight entries of S are differenced."""
+    Xinv = _symplectic_inverse(S[..., 1:, 1:])
+    return [_decode(_mc_coefficient(S, geom, Xinv, a, _TANGENT)) for a in (0, 1)]
+
+
 def _tau_rho(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Translation form tau = tau0 - i tau1 (rows 1-2 of column 0) and beta form
     rho = (b00 - b11)/2 - i b10 of a 5x5 algebra field."""
@@ -309,8 +301,8 @@ def extract_invariants(
     F: FrameField,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> tuple[InvariantTriple, dict]:
-    """Read (t, h, p) off the numerical Maurer-Cartan form of an adapted frame,
-    which must be affine symplectic (see `numerical_maurer_cartan`).
+    """Read (t, h, p) off the Maurer-Cartan form S^-1 dS of an adapted frame,
+    which must be affine symplectic (see `_mc_coefficient`).
 
     The gauge report carries the max residuals of every adapted-frame
     condition; the first of omega, gamma_trace, alpha_trace, alpha_skew and
@@ -320,7 +312,7 @@ def extract_invariants(
 
     def read(axis):
         # the forms are copies, so each coefficient is freed before the next is taken
-        M = _mc_coefficient(F, Xinv, axis)
+        M = _mc_coefficient(F.S, F.geometry, Xinv, axis)
         return _decode(M[..., 1:, 1:3]), *_tau_rho(M)
 
     (x, tau_x, rho_x), (y, tau_y, rho_y) = read(0), read(1)
@@ -495,9 +487,9 @@ def reduction_pipeline(
     final trace/skew normalization of alpha.  Stages 2 and 3 each split a
     1-form u of the running frame along its coframe omega, u = a omega +
     c conj(omega), and gauge away c: stage 2 with u = gamma_trace, whose c
-    is l, and stage 3 with u = eta, whose c is real.  Stages 2-5 read only
-    the tangent block of the running frame's Maurer-Cartan form (see
-    `_tangent_maurer_cartan`).
+    is l, and stage 3 with u = eta, whose c is real.  Stages 2-5 read the
+    tangent block of the running frame's S^-1 dS, extraction all of it, each
+    from `_mc_coefficient`.
 
     Raises NotLagrangian or NotElliptic when the input fails the
     corresponding test.  The input is not elliptic at a node where df drops
@@ -513,8 +505,9 @@ def reduction_pipeline(
     cropped, margin = _cropped(geom, margin)
     S = _tangent_frame(m, tols)
     for gauge in (_gamma_trace_gauge, _eta_gauge, _conformal_gauge, _alpha_gauge):
-        # each tangent block is freed once decoded, and the gauge once applied
-        _apply_gauge(S, *gauge(*map(_decode, _tangent_maurer_cartan(S, geom))))
+        # X^-1 stays inside _tangent_forms: held across _apply_gauge, it raised
+        # the 121^2 peak from 2.92 to 3.56 frames
+        _apply_gauge(S, *gauge(*_tangent_forms(S, geom)))
 
     if margin:
         S = S[margin:-margin, margin:-margin].copy()  # frees the uncropped frame

@@ -9,8 +9,8 @@ A field is a plain array of node values, passed with its GridGeometry: here
 and in the invariants and frame layers, operators take `(values, geom)` and
 return arrays.  `gradient` is the one operator that takes both partials of a
 field, and `wirtinger` the one statement of the convention that turns x and y
-coefficients into dz and dzbar coefficients.  `ComplexGrid` is only the record
-that `save_grid` writes and `load_grid` reads.
+coefficients into dz and dzbar coefficients; `diff4` alone takes a `part`.
+`ComplexGrid` is only the record that `save_grid` writes and `load_grid` reads.
 """
 
 from __future__ import annotations
@@ -80,12 +80,10 @@ def diff4(values: np.ndarray, h: float, axis: int, part: tuple = ()) -> np.ndarr
     return np.moveaxis(out, 0, axis)
 
 
-def gradient(values: np.ndarray, geom: GridGeometry,
-             part: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
+def gradient(values: np.ndarray, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Partials (f_x, f_y) of node values whose leading axes are the grid's
-    (nx, ny); trailing dimensions (e.g. per-node matrices) ride along, or only
-    their `part`, as in `diff4`."""
-    return diff4(values, geom.dx, axis=0, part=part), diff4(values, geom.dy, axis=1, part=part)
+    (nx, ny); trailing dimensions (e.g. per-node matrices) ride along."""
+    return diff4(values, geom.dx, axis=0), diff4(values, geom.dy, axis=1)
 
 
 def wirtinger(ux, uy) -> tuple:
@@ -168,8 +166,12 @@ def _non_finite_node(values: np.ndarray) -> tuple[int, int] | None:
 def _node_values(geom: GridGeometry, values, name: str, dtype=complex,
                  trailing: tuple = ()) -> np.ndarray:
     """Field `name` as a read-only (nx, ny, *trailing) array of `dtype`, a scalar
-    broadcast to the grid; ValueError naming it on a wrong shape or a non-finite node."""
-    v = np.asarray(values, dtype=dtype)
+    broadcast to the grid; ValueError naming it on complex values for a real
+    `dtype` (before any cast), a wrong shape or a non-finite node."""
+    v = np.asarray(values)
+    if v.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+        raise ValueError(f"{name} must be real, got complex values")
+    v = np.asarray(v, dtype=dtype)
     shape = (geom.nx, geom.ny, *trailing)
     v = np.full(shape, v) if v.ndim == 0 else v.view()
     if v.shape != shape:

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 import symplag as sg
-from symplag.core import _symplectic_error
+from symplag.core import _symplectic_error, _symplectic_inverse
 from symplag.errors import (
     FrameDefect,
     IntegrationBlowup,
@@ -17,6 +17,7 @@ from symplag.errors import (
 )
 from symplag.frames import (
     BASE_FRAME_REACH,
+    _TANGENT,
     FrameField,
     MaurerCartanField,
     _alpha_gauge,
@@ -26,14 +27,14 @@ from symplag.frames import (
     _eta_gauge,
     _gamma_trace_gauge,
     _mat2,
+    _mc_coefficient,
     _midpoints,
     _motion_defect,
     _omega_bar_coefficient,
-    _tangent_maurer_cartan,
+    _tangent_forms,
     _tangent_frame,
     _tau_rho,
     extract_invariants,
-    numerical_maurer_cartan,
 )
 from symplag.cli import main
 from symplag.grids import diff4, gradient
@@ -251,12 +252,18 @@ def test_extract_rejects_non_adapted_frame():
         extract_invariants(FrameField(GEOM, F.S @ Y))
 
 
+def maurer_cartan(S, geom, part=()):
+    """Both coefficients of S^-1 dS, or their `part`, from `_mc_coefficient`."""
+    Xinv = _symplectic_inverse(S[..., 1:, 1:])
+    return [_mc_coefficient(S, geom, Xinv, axis, part) for axis in (0, 1)]
+
+
 def test_numerical_maurer_cartan_inverts_integration():
     _, theta = family_theta(p=0.0)
     F = quiet_integrate(theta, compute_path_defect=False)
-    mc = numerical_maurer_cartan(F)
-    assert np.max(np.abs(mc.A - theta.A)) < 1e-6
-    assert np.max(np.abs(mc.B - theta.B)) < 1e-6
+    A, B = maurer_cartan(F.S, F.geometry)
+    assert np.max(np.abs(A - theta.A)) < 1e-6
+    assert np.max(np.abs(B - theta.B)) < 1e-6
 
 
 @pytest.mark.parametrize("source", ["integrate", "reduction"])
@@ -266,8 +273,7 @@ def test_numerical_maurer_cartan_matches_lu_solve(source):
         F = quiet_integrate(family_theta(p=1.0)[1], compute_path_defect=False)
     else:
         F = quiet_pipeline(sg.closed_form_immersion(sg.ConstantFamilyParams(p=-1.3), GEOM))[0]
-    mc = numerical_maurer_cartan(F)
-    for form, dS in zip((mc.A, mc.B), gradient(F.S, F.geometry)):
+    for form, dS in zip(maurer_cartan(F.S, F.geometry), gradient(F.S, F.geometry)):
         ref = np.linalg.solve(F.S, dS)
         err = np.max(np.abs(form[..., 1:, :] - ref[..., 1:, :]))
         assert err <= 1e-12 * np.max(np.abs(dS))
@@ -281,11 +287,12 @@ def test_tangent_maurer_cartan_is_byte_identical_to_that_block_of_the_whole(sour
     else:
         m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=-1.3, c1=0.5, c2=2.0), GEOM)
         S = _tangent_frame(m, sg.DEFAULT_TOLS)
-    mc = numerical_maurer_cartan(FrameField(GEOM, S))
-    Tx, Ty = _tangent_maurer_cartan(S, GEOM)
-    assert Tx.shape == Ty.shape == (61, 61, 4, 2)
-    assert Tx.tobytes() == mc.A[..., 1:, 1:3].tobytes()
-    assert Ty.tobytes() == mc.B[..., 1:, 1:3].tobytes()
+    whole = [M[..., 1:, 1:3] for M in maurer_cartan(S, GEOM)]
+    for T, W, forms in zip(maurer_cartan(S, GEOM, _TANGENT), whole, _tangent_forms(S, GEOM)):
+        assert T.shape == (61, 61, 4, 2)
+        assert T.tobytes() == W.tobytes()
+        for got, want in zip(forms, _decode(W)):
+            assert got.tobytes() == want.tobytes()
 
 
 def reduction_peak_frames(n):
@@ -308,11 +315,14 @@ def test_reduction_peak_memory_is_within_five_frames(n):
     assert reduction_peak_frames(n) <= 5
 
 
-def test_reduction_peak_memory_at_121_is_within_3_1_frames():
+@pytest.mark.parametrize("n, bound", [(61, 2.9), (121, 3.1)])
+def test_reduction_peak_memory_is_within_its_bound(n, bound):
     # each gauge is applied in place and extraction takes one coefficient of
     # the form at a time; a 5x5 gauge matrix, S @ Y and both coefficients held
-    # at once peaked at 3.35 frames
-    assert reduction_peak_frames(121) <= 3.1
+    # at once peaked at 3.34 and 3.35 frames.  At 61^2 the gauge stages hold
+    # the peak: 2.93 frames while each stage's X^-1 product went to a new
+    # array, 2.82 with it made in place
+    assert reduction_peak_frames(n) <= bound
 
 
 def gauge_matrix5(A2, b=None):
@@ -333,7 +343,7 @@ def test_apply_gauge_matches_embedded_product(stage):
     # stages 2 and 4 give an A, stages 3 and 5 a symmetric b
     m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=-1.3, c1=0.5, c2=2.0), GEOM)
     S = _tangent_frame(m, sg.DEFAULT_TOLS)
-    A, b = stage(*map(_decode, _tangent_maurer_cartan(S, GEOM)))
+    A, b = stage(*_tangent_forms(S, GEOM))
     assert (A is None) != (b is None)
     Y = gauge_matrix5(np.broadcast_to(np.eye(2), b.shape) if A is None else A, b)
     out = S.copy()

@@ -90,7 +90,6 @@ def grid_stages(sg, n: int, workdir: Path) -> dict:
         "flatness_residual": lambda: sg.flatness_residual(theta),
         "integrate_frame_estimate": lambda: sg.integrate_frame(theta),
         "integrate_frame": lambda: sg.integrate_frame(theta, compute_path_defect=False),
-        "numerical_maurer_cartan": lambda: sg.numerical_maurer_cartan(F),
         "reduction_pipeline": lambda: sg.reduction_pipeline(m),
         "extract_invariants": lambda: sg.extract_invariants(adapted),
         "congruence_defect": lambda: sg.congruence_defect(m, m),
