@@ -87,13 +87,15 @@ class JobConfig:
 @dataclass
 class Report:
     """Residual summaries plus pass/fail flags, traceable to named tolerances,
-    and the wall time of each stage of the command."""
+    the geometry of each CSV grid the command read or wrote (`grids`), and
+    the wall time of each stage of the command."""
 
     command: str
     config: dict
     residuals: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
+    grids: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
@@ -132,6 +134,7 @@ class Report:
             "residuals": self.residuals,
             "flags": self.flags,
             "outputs": self.outputs,
+            "grids": self.grids,
             "warnings": self.warnings,
             "timings": self.timings,
             "wall_time_s": self.wall_time_s,
@@ -369,8 +372,10 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
 def _run_invariants(cfg: JobConfig, rep: Report) -> None:
     with rep.timed("load"):
         m, _ = load_immersion(_path("immersion", cfg.params.get("immersion")))
+    rep.grids["immersion"] = m.geometry.as_dict()
     with rep.timed("reduce"):
         _, inv, gauge = reduction_pipeline(m, cfg.tolerances, _margin(cfg.params))
+    rep.grids["invariants"] = inv.geometry.as_dict()
     gmax = rep.add_residual("gauge", list(gauge.values()))
     rep.add_flag("adapted_gauge", gmax, "tol_gauge")
     for name, value in gauge.items():
@@ -394,6 +399,7 @@ def _run_congruence(cfg: JobConfig, rep: Report) -> None:
     with rep.timed("load"):
         m1, _ = load_immersion(a)
         m2, _ = load_immersion(b)
+    rep.grids.update(first=m1.geometry.as_dict(), second=m2.geometry.as_dict())
     with rep.timed("congruence"):
         d = congruence_defect(m1, m2, tols=cfg.tolerances, margin=_margin(cfg.params))
     rep.add_residual("congruence_defect", d)

@@ -15,6 +15,7 @@ coefficients into dz and dzbar coefficients; `diff4` alone takes a `part`.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import shutil
@@ -214,20 +215,21 @@ def _grid_rows(geom: GridGeometry, values: np.ndarray, rows: range):
 
 
 @contextmanager
-def _rows_from_child(path: Path, geom: GridGeometry, values: np.ndarray, rows: range):
-    """Fork a child that formats `_grid_rows(geom, values, rows)` into memory
-    and writes it to a pipe; yields the pipe's read end as a binary file.
+def _child_output(path: Path, task: str, produce):
+    """Fork a child that writes the bytes-like chunks of the list `produce()`
+    to a pipe; yields the pipe's read end as a binary file.
 
     On exit the parent closes the pipe, so that a child blocked on a full
     pipe fails on the broken pipe, and then reaps the child.  A child that
-    exits non-zero is an OSError naming `path`.
+    exits non-zero is an OSError naming `path` and its `task`.
     """
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns when a process with threads (an idle BLAS pool
-            # is one) forks.  The child only formats, writes the pipe and calls
-            # _exit; it takes no lock another thread could hold.
+            # is one) forks.  The child only runs `produce` (formatting or
+            # parsing CSV rows), writes the pipe and calls _exit; it takes no
+            # lock another thread could hold.
             warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
                                     DeprecationWarning)
             pid = os.fork()
@@ -239,9 +241,9 @@ def _rows_from_child(path: Path, geom: GridGeometry, values: np.ndarray, rows: r
         code = 1
         try:
             os.close(r)
-            text = list(_grid_rows(geom, values, rows))
+            chunks = produce()
             with open(w, "wb") as out:
-                out.writelines(text)
+                out.writelines(chunks)
             code = 0
         finally:
             os._exit(code)
@@ -252,8 +254,7 @@ def _rows_from_child(path: Path, geom: GridGeometry, values: np.ndarray, rows: r
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status != 0:
-        raise OSError(f"{path}: the process formatting grid rows {rows.start}.."
-                      f"{rows.stop - 1} exited with status {status}")
+        raise OSError(f"{path}: the process {task} exited with status {status}")
 
 
 def _save_table(path: str | Path, geom: GridGeometry, header: list[str],
@@ -267,11 +268,11 @@ def _save_table(path: str | Path, geom: GridGeometry, header: list[str],
     non-finite value raises ValueError naming its node, before anything is
     written.
 
-    Two processes format the rows: once the file is open, a forked child
-    formats grid rows nx//2 .. nx-1 while this process writes the header and
-    the rows before them, then copies the child's rows after them.  Both use
-    `_grid_rows`, so the bytes are those one process writes, as it does where
-    `os.fork` does not exist.
+    Two processes format the rows: once the file is open, a child forked by
+    `_child_output` formats grid rows nx//2 .. nx-1 while this process writes
+    the header and the rows before them, then copies the child's rows after
+    them.  Both use `_grid_rows`, so the bytes are those one process writes,
+    as it does where `os.fork` does not exist.
     """
     path = Path(path)
     node = _non_finite_node(values)
@@ -281,16 +282,73 @@ def _save_table(path: str | Path, geom: GridGeometry, header: list[str],
     rows = range(geom.nx)
     with open(path, "wb") as fh:
         if hasattr(os, "fork"):
-            half = geom.nx // 2
-            with _rows_from_child(path, geom, values, rows[half:]) as rest:
+            half = rows[geom.nx // 2:]
+            with _child_output(path, f"formatting grid rows {half.start}..{half.stop - 1}",
+                               lambda: list(_grid_rows(geom, values, half))) as rest:
                 fh.write(names)
-                fh.writelines(_grid_rows(geom, values, rows[:half]))
+                fh.writelines(_grid_rows(geom, values, rows[:half.start]))
                 shutil.copyfileobj(rest, fh)
         else:
             fh.write(names)
             fh.writelines(_grid_rows(geom, values, rows))
     with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
         json.dump(geom.as_dict(), fh, indent=2)
+
+
+def _parse_rows(fh) -> np.ndarray:
+    """`np.loadtxt` of the CSV rows of the text file `fh`, called as the
+    one-process parse of `_load_table` calls it, for either half of a table;
+    a half without rows is an empty array, without numpy's warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
+def _child_rows(path: Path, split: int) -> list:
+    """The rows of `path` before byte `split`, parsed in the child of
+    `_rows_in_two_processes`: their width as int64 bytes, then the float64
+    rows; nothing where `np.loadtxt` refuses them or finds none."""
+    with open(path, "rb") as fh:
+        text = io.TextIOWrapper(io.BytesIO(fh.read(split)))
+    text.readline()  # the header, read as `_load_table` reads it
+    try:
+        rows = _parse_rows(text)
+    except ValueError:
+        return []
+    return [np.int64(rows.shape[1]).tobytes(), rows] if len(rows) else []
+
+
+def _rows_in_two_processes(path: Path) -> np.ndarray | None:
+    """The rows under the header of the CSV `path`, as one `np.loadtxt` call
+    returns them, parsed in two processes; None where one process must
+    parse them.
+
+    The split is the first line start past the file's byte midpoint.  A
+    child forked by `_child_output` parses the rows before it, and this
+    process those after it, straight from the file, so it never holds the
+    file's text; the child's rows go in front of its own.  None when no line
+    starts past the midpoint, `np.loadtxt` refuses a half, the child's half
+    holds no rows, or the halves differ in width: the one-process parse
+    then words any refusal with the row numbers of the whole file.
+    """
+    with open(path, "rb") as fh, io.TextIOWrapper(fh) as rest:
+        size = os.fstat(fh.fileno()).st_size
+        fh.seek(size // 2)
+        fh.readline()
+        split = fh.tell()
+        if split >= size:
+            return None
+        try:
+            with _child_output(path, f"parsing the rows before byte {split}",
+                               lambda: _child_rows(path, split)) as pipe:
+                mine = _parse_rows(rest)  # from fh's position, the split
+                theirs = pipe.read()
+        except ValueError:
+            return None
+    if not theirs or np.frombuffer(theirs, np.int64, 1)[0] != mine.shape[1]:
+        return None
+    return np.concatenate([np.frombuffer(theirs, float, offset=8).reshape(-1, mine.shape[1]),
+                           mine])
 
 
 def _load_table(path: str | Path,
@@ -306,6 +364,11 @@ def _load_table(path: str | Path,
     number, a wrong row count, or a row that breaks the rule is a ValueError
     naming the CSV, and the row and node where there is one.  `values` is the
     (nx, ny, k) array of the k value columns.
+
+    Two processes parse the rows (`_rows_in_two_processes`), forked by the
+    `_child_output` that `_save_table` uses too.  Where `os.fork` does not
+    exist, or the halves cannot be joined, one `np.loadtxt` call parses them
+    all; the arrays, and the text of every refusal, are those of that call.
     """
     path = Path(path)
     sidecar = path.with_suffix(path.suffix + ".json")
@@ -321,7 +384,9 @@ def _load_table(path: str | Path,
             if names[:2] != ["x", "y"] or header not in headers:
                 wanted = " or ".join(",".join(["x", "y", *h]) for h in headers)
                 raise ValueError(f"header {','.join(names)} is not {wanted}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            data = _rows_in_two_processes(path) if hasattr(os, "fork") else None
+            if data is None:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         if data.size == 0 or data.shape[1] != 2 + len(header):
             raise ValueError(f"expected rows of {2 + len(header)} values under the header")
         nx, ny = geom.nx, geom.ny

@@ -6,6 +6,7 @@ import pytest
 
 import symplag as sg
 from symplag.cli import (
+    DEFAULT_GRID,
     JobConfig,
     Report,
     build_config,
@@ -151,6 +152,25 @@ def test_report_times_each_stage(tmp_path):
     assert set(timings) == {"load", "reduce", "inteq", "write"}
     assert all(s >= 0.0 for s in timings.values())
     assert sum(timings.values()) <= rep["wall_time_s"]
+
+
+def test_reports_record_the_grids_of_the_csvs(tmp_path):
+    # config.grid is the configured grid (61^2 by default); `grids` holds the
+    # geometry each input CSV's sidecar gives, and that of invariants' outputs
+    ex = tmp_path / "ex"
+    assert main(["example", "--grid", "241,241,0,0,0.00125,0.00125", "--out", str(ex)]) == 0
+    csv = str(ex / "immersion.csv")
+    read = sg.GridGeometry(241, 241, 0.0, 0.0, 0.00125, 0.00125).as_dict()
+    cropped = sg.GridGeometry(225, 225, 0.01, 0.01, 0.00125, 0.00125).as_dict()
+    for params, grids in (({"immersion": csv}, {"immersion": read, "invariants": cropped}),
+                          ({"first": csv, "second": csv}, {"first": read, "second": read})):
+        command = "invariants" if "immersion" in params else "congruence"
+        run(JobConfig(command, params=params, output_dir=tmp_path / command))
+        rep = json.loads((tmp_path / command / "report.json").read_text())
+        assert rep["config"]["grid"] == DEFAULT_GRID.as_dict()
+        assert rep["grids"] == grids
+    t = sg.load_grid(tmp_path / "invariants" / "invariant_t.csv")
+    assert t.geometry.as_dict() == cropped
 
 
 def test_family_command_congruence_matrix(tmp_path):

@@ -1,4 +1,6 @@
 import os
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -201,7 +203,8 @@ def test_save_grid_rejects_non_finite_value(tmp_path):
     assert not path.exists()
 
 
-forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="rows are formatted in one process")
+forks = pytest.mark.skipif(not hasattr(os, "fork"),
+                           reason="rows are formatted and parsed in one process")
 
 
 def assert_no_child_process():
@@ -233,6 +236,181 @@ def test_save_grid_fails_when_the_child_fails(tmp_path, monkeypatch):
     with pytest.raises(OSError, match=r"field\.csv: the process formatting grid rows 10\.\.20 "
                                       r"exited with status 1"):
         sg.save_grid(sg.ComplexGrid(GEOM, np.ones((21, 17), dtype=complex)), path)
+    assert_no_child_process()
+
+
+def _split(data: bytes) -> int:
+    """The byte at which the loaders split the rows of the CSV `data`: the
+    first line start past its midpoint."""
+    return data.index(b"\n", len(data) // 2) + 1
+
+
+@forks
+def test_load_grid_fails_when_the_child_fails(tmp_path, monkeypatch):
+    parse_rows, parent = grids._parse_rows, os.getpid()
+
+    def failing_in_the_child(fh):
+        if os.getpid() != parent:
+            raise RuntimeError("cannot parse")
+        return parse_rows(fh)
+
+    path = tmp_path / "field.csv"
+    sg.save_grid(sg.ComplexGrid(GEOM, np.ones((21, 17), dtype=complex)), path)
+    monkeypatch.setattr(grids, "_parse_rows", failing_in_the_child)
+    split = _split(path.read_bytes())
+    with pytest.raises(OSError, match=rf"field\.csv: the process parsing the rows before "
+                                      rf"byte {split} exited with status 1$"):
+        sg.load_grid(path)
+    assert_no_child_process()
+
+
+def _immersion_lines(path):
+    """The lines of the 7x7 immersion CSV with an identity frame that
+    test_frames' refusal tests edit, written to `path`."""
+    geom = sg.GridGeometry(7, 7, 0.0, 0.0, 0.1, 0.1)
+    xx, yy = geom.mesh()
+    m = sg.ImmersionGrid(geom, np.stack([xx, yy, xx * yy, xx - yy], axis=-1))
+    sg.save_immersion(m, path, frame=sg.FrameField(geom, np.broadcast_to(np.eye(5), (7, 7, 5, 5))))
+    with open(path, newline="") as fh:
+        return fh.readlines()
+
+
+def _set_cell(lines, r, column, text):
+    cells = lines[r].rstrip("\r\n").split(",")
+    cells[column] = text
+    lines[r] = ",".join(cells) + "\r\n"
+
+
+def _duplicate_row(lines, r):
+    lines[r] = lines[2]  # a copy of node (0, 1)
+
+
+def _swapped_rows(lines, r):
+    lines[r], lines[r + 1] = lines[r + 1], lines[r]
+
+
+def _short_row(lines, r):
+    lines[r] = lines[r].rsplit(",", 1)[0] + "\r\n"
+
+
+def _loaded(path):
+    """What load_immersion makes of `path`: its refusal's text, or the bytes
+    of the arrays it read, and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            m, frame = sg.load_immersion(path)
+            read = m.f.tobytes() + frame.S.tobytes()
+        except ValueError as e:
+            read = str(e)
+    return read, [str(w.message) for w in caught]
+
+
+def assert_loads_as_in_one_process(path, monkeypatch):
+    """The forked loader reads `path` as the one-process loader does, and
+    leaves no child; returns what it read."""
+    forked = _loaded(path)
+    assert_no_child_process()
+    with monkeypatch.context() as one_process:
+        one_process.delattr(os, "fork")
+        assert _loaded(path) == forked
+    return forked[0]
+
+
+@forks
+@pytest.mark.parametrize("node", [(1, 3), (5, 3)], ids=["child-half", "parent-half"])
+@pytest.mark.parametrize("edit", [
+    _duplicate_row, _swapped_rows, _short_row, partial(_set_cell, column=0, text="123"),
+    partial(_set_cell, column=1, text="nan"), partial(_set_cell, column=21, text="nan"),
+    partial(_set_cell, column=4, text="abc"),
+], ids=["duplicate-row", "swapped-rows", "short-row", "x-off-node", "nan-y", "nan-frame-entry",
+        "non-numeric-cell"])
+def test_load_refusals_read_as_in_one_process(tmp_path, monkeypatch, edit, node):
+    # the edits of test_load_immersion_rejects_misplaced_rows, in either half
+    path = tmp_path / "imm.csv"
+    lines = _immersion_lines(path)
+    r = 1 + node[0] * 7 + node[1]
+    assert (sum(map(len, lines[:r])) < _split(path.read_bytes())) == (node[0] < 3)
+    edit(lines, r)
+    with open(path, "w", newline="") as fh:
+        fh.writelines(lines)
+    refusal = assert_loads_as_in_one_process(path, monkeypatch)
+    assert isinstance(refusal, str) and refusal.startswith(f"{path}: ")
+
+
+def _as_written(lines):
+    pass
+
+
+def _narrower_from_the_split(lines):
+    # every row from the split on loses its last column; blanks keep each
+    # line's length, so that the split stays where it was
+    split, at = _split("".join(lines).encode()), 0
+    for k, line in enumerate(lines):
+        if at >= split:
+            body = line.rstrip("\r\n")
+            cut = body.rindex(",")
+            lines[k] = body[:cut] + " " * (len(body) - cut) + line[len(body):]
+        at += len(line)
+
+
+def _blank_line_in_the_parent_half(lines):
+    lines.insert(1 + 5 * 7, "\r\n")  # before node (5, 0)
+
+
+def _blank_lines_before_the_rows(lines):
+    lines[1:1] = ["\r\n"] * 5000  # more bytes than the rows: the child's half is blank
+
+
+def _blank_lines_after_the_rows(lines):
+    lines += ["\r\n"] * 5000  # more bytes than the rows: the loader's own half is blank
+
+
+def _lf_only(lines):
+    lines[:] = [line.replace("\r\n", "\n") for line in lines]
+
+
+def _cr_only(lines):
+    lines[:] = [line.replace("\r\n", "\r") for line in lines]
+
+
+def _no_final_newline(lines):
+    lines[-1] = lines[-1].rstrip("\r\n")
+
+
+def _one_row(lines):
+    del lines[2:]
+
+
+def _no_rows(lines):
+    lines[1:] = ["\r\n"] * 5000  # refused, after numpy's warning of no data
+
+
+@forks
+@pytest.mark.parametrize("form", [_as_written, _narrower_from_the_split,
+                                  _blank_line_in_the_parent_half,
+                                  _blank_lines_before_the_rows, _blank_lines_after_the_rows,
+                                  _lf_only, _cr_only, _no_final_newline, _one_row, _no_rows],
+                         ids=["as-written", "narrower-from-the-split",
+                              "blank-line-in-the-parent-half",
+                              "blank-child-half", "blank-parent-half", "lf-only", "cr-only",
+                              "no-final-newline", "one-row", "no-rows"])
+@pytest.mark.parametrize("node", [None, (6, 2), (6, 6)], ids=["rows-on-nodes", "x-off-6-2",
+                                                              "x-off-6-6"])
+def test_load_file_forms_read_as_in_one_process(tmp_path, monkeypatch, form, node):
+    path = tmp_path / "imm.csv"
+    lines = _immersion_lines(path)
+    if node is not None:
+        _set_cell(lines, 1 + node[0] * 7 + node[1], 0, "123")
+    form(lines)
+    with open(path, "w", newline="") as fh:
+        fh.writelines(lines)
+    read = assert_loads_as_in_one_process(path, monkeypatch)
+    refused = node is not None or form in (_narrower_from_the_split, _one_row, _no_rows)
+    assert isinstance(read, str) == refused
+    # these forms are parsed in two processes; the others fall back to one
+    joined = form in (_as_written, _blank_line_in_the_parent_half, _lf_only, _no_final_newline)
+    assert (grids._rows_in_two_processes(path) is not None) == joined
     assert_no_child_process()
 
 

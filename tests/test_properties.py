@@ -119,10 +119,10 @@ def test_immersion_csv_bytes_match_savetxt(data, with_frame):
         assert path.read_bytes() == savetxt_bytes(Path(tmp) / "oracle.csv", header, table)
 
 
-@pytest.mark.parametrize("fork", [True, False], ids=["forked", "one-process"])
-def test_immersion_csv_bytes_match_savetxt_past_a_full_pipe(tmp_path, monkeypatch, fork):
-    # odd nx, and a second half of the rows far over a pipe's 64 KiB, so the
-    # process formatting it blocks on the pipe until the first half is written
+def _past_a_full_pipe():
+    """A 41x37 frame of extreme and special values: odd nx, and each half of
+    its CSV's rows far over a pipe's 64 KiB, so the process formatting or
+    parsing a half blocks on the pipe until the other half is done."""
     geom = sg.GridGeometry(41, 37, -0.5, 1e-3, 1.0 / 3.0, 2.5e-2)
     rng = np.random.default_rng(7)
     S = np.zeros((41, 37, 5, 5))
@@ -134,6 +134,12 @@ def test_immersion_csv_bytes_match_savetxt_past_a_full_pipe(tmp_path, monkeypatc
     S[0, 0, 1:, 0] = specials[:4]
     S[40, 36, 1:, 1:] = np.array(specials * 2)[:16].reshape(4, 4)
     S[25, :, 1:, 1:] = rng.integers(-10**17, 10**17, (37, 4, 4)).astype(float)
+    return geom, S
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "one-process"])
+def test_immersion_csv_bytes_match_savetxt_past_a_full_pipe(tmp_path, monkeypatch, fork):
+    geom, S = _past_a_full_pipe()
     f = S[..., 1:, 0]
     if not fork:
         monkeypatch.delattr(os, "fork")
@@ -147,6 +153,19 @@ def test_immersion_csv_bytes_match_savetxt_past_a_full_pipe(tmp_path, monkeypatc
     want = savetxt_bytes(tmp_path / "oracle.csv", header, table)
     assert len(want[want.index(b"\n%.17g," % geom.x[20]):]) > 4 * 65536
     assert path.read_bytes() == want
+
+
+def test_immersion_csv_loads_byte_identically_past_a_full_pipe(tmp_path, monkeypatch):
+    geom, S = _past_a_full_pipe()
+    path = tmp_path / "m.csv"
+    sg.save_immersion(sg.ImmersionGrid(geom, S[..., 1:, 0]), path, frame=sg.FrameField(geom, S))
+    data = path.read_bytes()
+    split = data.index(b"\n", len(data) // 2) + 1  # where the loader splits the rows
+    assert min(split, len(data) - split) > 4 * 65536
+    forked = sg.load_immersion(path)[1].S
+    monkeypatch.delattr(os, "fork")
+    one_process = sg.load_immersion(path)[1].S
+    assert forked.tobytes() == one_process.tobytes() == S.tobytes()
 
 
 @given(st.sampled_from(["x0", "y0", "dx", "dy"]), non_finite)

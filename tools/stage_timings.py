@@ -14,7 +14,10 @@ reduction and `congruence_defect` stages take its closed-form immersion, and
 frame of one reduction of it.  `congruence_matrix` compares the four members
 of its shift family with lambda in FAMILY_LAMBDAS, each integrated from its
 invariants, as the `family` command does.  `save_grid` writes the family's t,
-one of the three grids the `invariants` command writes.
+one of the three grids the `invariants` command writes, and `load_grid` reads
+it back.  `load_immersion_frame` reads the CSV of the integrated immersion
+and its frame, and `load_immersion` the frame-less CSV of the closed form, the
+file that the `invariants` command reads.
 
 The timings (`stages_s`) and peaks (`stages_peak_mb`) go under `--label`
 (default "change") in the JSON file `--out`; an existing file keeps its other
@@ -84,7 +87,11 @@ def grid_stages(sg, n: int, workdir: Path) -> dict:
         for lam in FAMILY_LAMBDAS]
     csv = workdir / f"immersion_{n}.csv"
     sg.save_immersion(m_frame, csv, frame=F)
+    plain = workdir / f"plain_{n}.csv"
+    sg.save_immersion(m, plain)
     t = sg.ComplexGrid(geom, inv.t)
+    t_csv = workdir / f"t_{n}.csv"
+    sg.save_grid(t, t_csv)
     return {
         "theta_from_invariants": lambda: sg.theta_from_invariants(inv),
         "flatness_residual": lambda: sg.flatness_residual(theta),
@@ -95,8 +102,10 @@ def grid_stages(sg, n: int, workdir: Path) -> dict:
         "congruence_defect": lambda: sg.congruence_defect(m, m),
         "congruence_matrix": lambda: sg.congruence_matrix(members),
         "save_immersion_frame": lambda: sg.save_immersion(m_frame, csv, frame=F),
-        "save_grid": lambda: sg.save_grid(t, workdir / f"t_{n}.csv"),
+        "save_grid": lambda: sg.save_grid(t, t_csv),
         "load_immersion_frame": lambda: sg.load_immersion(csv),
+        "load_immersion": lambda: sg.load_immersion(plain),
+        "load_grid": lambda: sg.load_grid(t_csv),
     }
 
 
