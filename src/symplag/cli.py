@@ -241,6 +241,14 @@ def triple_from_params(geom: GridGeometry, params: dict) -> InvariantTriple:
     return shift_family(inv, lam)
 
 
+def _triple(cfg: JobConfig, rep: Report) -> InvariantTriple:
+    """`triple_from_params` of cfg; t, h and p files put their grid in rep.grids."""
+    inv = triple_from_params(cfg.grid, cfg.params)
+    if _source(cfg.params, _SOURCES) == "files":
+        rep.grids["invariants"] = inv.geometry.as_dict()
+    return inv
+
+
 # -- mesh export --------------------------------------------------------------
 
 
@@ -291,11 +299,8 @@ def export_mesh(m: ImmersionGrid, fmt: str, path: str | Path) -> Path:
 
 
 def _run_verify(cfg: JobConfig, rep: Report) -> None:
-    inv = triple_from_params(cfg.grid, cfg.params)
-    r1, r2, r3 = inteq_residual(inv)
-    mx = max(rep.add_residual("inteq_r1", r1),
-             rep.add_residual("inteq_r2", r2),
-             rep.add_residual("inteq_r3", r3))
+    inv = _triple(cfg, rep)
+    mx = max(rep.add_residual(f"inteq_r{k}", r) for k, r in enumerate(inteq_residual(inv), 1))
     rep.add_flag("inteq", mx, "tol_resid")
     df = rep.add_residual("dbar_fubini", dbar_fubini_residual(inv))
     rep.add_flag("dbar_fubini", df, "tol_resid")
@@ -305,7 +310,7 @@ def _run_verify(cfg: JobConfig, rep: Report) -> None:
 
 def _run_integrate(cfg: JobConfig, rep: Report) -> None:
     with rep.timed("integrate"):
-        inv = triple_from_params(cfg.grid, cfg.params)
+        inv = _triple(cfg, rep)
         theta = theta_from_invariants(inv)
         F = integrate_frame(theta, tols=cfg.tolerances)
         m = immersion_from_frame(F)
@@ -320,6 +325,7 @@ def _run_integrate(cfg: JobConfig, rep: Report) -> None:
     with rep.timed("write"):
         save_immersion(m, out, frame=F)
     rep.outputs.append(str(out))
+    rep.grids["immersion"] = m.geometry.as_dict()
 
 
 def _run_example(cfg: JobConfig, rep: Report) -> None:
@@ -337,6 +343,7 @@ def _run_example(cfg: JobConfig, rep: Report) -> None:
     with rep.timed("write"):
         save_immersion(m, out)
         rep.outputs.append(str(out))
+    rep.grids["immersion"] = m.geometry.as_dict()
 
 
 def _run_family(cfg: JobConfig, rep: Report) -> None:
@@ -349,13 +356,12 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
         raise ConfigError("params.lambdas must hold at least two distinct values, "
                           f"got {lambdas!r}")
     margin = _margin(cfg.params)
-    _cropped(cfg.grid, margin)  # refuse a bad margin before integrating the members
-    base = triple_from_params(cfg.grid, cfg.params)  # params.lam is refused: lambdas shift
+    base = _triple(cfg, rep)  # params.lam is refused: lambdas shift
+    _cropped(base.geometry, margin)  # refuse a bad margin before integrating the members
     members = []
     for lam in lambdas:
         inv = shift_family(base, lam)
-        r1, r2, r3 = inteq_residual(inv)
-        mx = max(float(np.max(np.abs(r))) for r in (r1, r2, r3))
+        mx = max(float(np.max(np.abs(r))) for r in inteq_residual(inv))
         rep.add_flag(f"inteq_lam_{lam!r}", mx, "tol_resid")
         with rep.timed("integrate"):
             F = integrate_frame(theta_from_invariants(inv), tols=tols,
@@ -376,17 +382,9 @@ def _run_invariants(cfg: JobConfig, rep: Report) -> None:
     with rep.timed("reduce"):
         _, inv, gauge = reduction_pipeline(m, cfg.tolerances, _margin(cfg.params))
     rep.grids["invariants"] = inv.geometry.as_dict()
-    gmax = rep.add_residual("gauge", list(gauge.values()))
-    rep.add_flag("adapted_gauge", gmax, "tol_gauge")
+    # the reduction has refused a frame that is not adapted: nothing left to flag
     for name, value in gauge.items():
         rep.add_residual(f"gauge_{name}", value)
-    # inteq on re-extracted fields re-differentiates them, amplifying the
-    # extraction noise by 1/spacing; reported for information, not gated.
-    with rep.timed("inteq"):
-        r1, r2, r3 = inteq_residual(inv)
-    rep.add_residual("inteq_r1", r1)
-    rep.add_residual("inteq_r2", r2)
-    rep.add_residual("inteq_r3", r3)
     with rep.timed("write"):
         for name, values in (("t", inv.t), ("h", inv.h), ("p", inv.p)):
             out = cfg.output_dir / f"invariant_{name}.csv"

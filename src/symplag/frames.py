@@ -304,9 +304,10 @@ def extract_invariants(
     """Read (t, h, p) off the Maurer-Cartan form S^-1 dS of an adapted frame,
     which must be affine symplectic (see `_mc_coefficient`).
 
-    The gauge report carries the max residuals of every adapted-frame
-    condition; the first of omega, gamma_trace, alpha_trace, alpha_skew and
-    ell above tol_gauge raises NotAdapted naming it.
+    Of the report's seven max residuals, only omega, gamma_trace, alpha_trace,
+    alpha_skew and ell are adapted-frame conditions: the first above tol_gauge
+    raises NotAdapted naming it.  tau_antiholo (tau-bar = 0) and rho_conj
+    (rho-bar = |h|^2) are consistency residuals that read t's and p's errors.
     """
     Xinv = _symplectic_inverse(F.S[..., 1:, 1:])
 
