@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import pickle
 import sys
 import time
 import warnings
@@ -29,9 +31,10 @@ from .errors import ConfigError, SymplagError
 from .frames import (
     DEFAULT_MARGIN,
     ImmersionGrid,
+    _base_frame,
     _cropped,
+    _pairwise_defects,
     congruence_defect,
-    congruence_matrix,
     flatness_residual,
     immersion_from_frame,
     integrate_frame,
@@ -41,7 +44,7 @@ from .frames import (
     save_immersion,
     theta_from_invariants,
 )
-from .grids import ComplexGrid, GridGeometry, load_grid, save_grid
+from .grids import ComplexGrid, GridGeometry, _child_output, load_grid, save_grid
 from .invariants import (
     InvariantTriple,
     dbar_fubini_residual,
@@ -346,6 +349,53 @@ def _run_example(cfg: JobConfig, rep: Report) -> None:
     rep.grids["immersion"] = m.geometry.as_dict()
 
 
+def _recorded(work):
+    """work() and the warnings it raised, as `warnings.warn_explicit` arguments."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = work()
+    return value, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _member(base: InvariantTriple, lam: float, tols: Tolerances) -> tuple:
+    """The inteq max and the integrated immersion of `shift_family(base, lam)`."""
+    inv = shift_family(base, lam)
+    mx = max(float(np.max(np.abs(r))) for r in inteq_residual(inv))
+    F = integrate_frame(theta_from_invariants(inv), tols=tols, compute_path_defect=False)
+    return mx, immersion_from_frame(F)
+
+
+def _members(base: InvariantTriple, lambdas: list, tols: Tolerances, margin: int) -> tuple:
+    """`family`'s work on the members of `lambdas` in the order of one process:
+    every member's `_member`, then every member's base frame
+    (`frames._base_frame`).  Returns five lists in member order: the inteq
+    maxima, the immersions' f, the base frames, and the warnings of the
+    integrations and of the reductions."""
+    done, integrating = _recorded(lambda: [_member(base, lam, tols) for lam in lambdas])
+    frames, reducing = _recorded(lambda: [_base_frame(m, tols, margin) for _, m in done])
+    return [mx for mx, _ in done], [m.f for _, m in done], frames, integrating, reducing
+
+
+def _members_in_two_processes(base: InvariantTriple, lambdas: list, tols: Tolerances,
+                              margin: int) -> tuple | None:
+    """`_members` of `lambdas`, the second half of them in a child forked by
+    `_child_output`, which sends its lists pickled.  None where `os.fork` does
+    not exist, either half raises or the child sends nothing: one process then
+    redoes them all, so that any refusal is its own."""
+    if not hasattr(os, "fork"):
+        return None
+    k = len(lambdas) // 2
+    try:
+        with _child_output("family", f"integrating members {k}..{len(lambdas) - 1}",
+                           lambda: [pickle.dumps(_members(base, lambdas[k:], tols, margin))]
+                           ) as pipe:
+            mine = _members(base, lambdas[:k], tols, margin)
+            theirs = pickle.loads(pipe.read())
+    except Exception:  # any: the redo raises what one process raises first
+        return None
+    return tuple(a + b for a, b in zip(mine, theirs))
+
+
 def _run_family(cfg: JobConfig, rep: Report) -> None:
     tols = cfg.tolerances
     lambdas = cfg.params.get("lambdas", [-1.0, 0.0, 1.0])
@@ -355,20 +405,20 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
     if len(lambdas) < 2 or len(set(lambdas)) < len(lambdas):
         raise ConfigError("params.lambdas must hold at least two distinct values, "
                           f"got {lambdas!r}")
-    margin = _margin(cfg.params)
     base = _triple(cfg, rep)  # params.lam is refused: lambdas shift
-    _cropped(base.geometry, margin)  # refuse a bad margin before integrating the members
-    members = []
-    for lam in lambdas:
-        inv = shift_family(base, lam)
-        mx = max(float(np.max(np.abs(r))) for r in inteq_residual(inv))
+    # refuse a bad margin before integrating the members
+    margin = _cropped(base.geometry, _margin(cfg.params))[1]
+    work = (base, lambdas, tols, margin)
+    with rep.timed("members"):
+        maxima, fs, frames, integrating, reducing = (_members_in_two_processes(*work)
+                                                     or _members(*work))
+        for w in integrating + reducing:  # as one process raises them
+            warnings.warn_explicit(*w)
+    for lam, mx in zip(lambdas, maxima):
         rep.add_flag(f"inteq_lam_{lam!r}", mx, "tol_resid")
-        with rep.timed("integrate"):
-            F = integrate_frame(theta_from_invariants(inv), tols=tols,
-                                compute_path_defect=False)
-            members.append(immersion_from_frame(F))
+    members = [ImmersionGrid(base.geometry, f) for f in fs]
     with rep.timed("congruence"):
-        matrix = congruence_matrix(members, tols, margin)
+        matrix = _pairwise_defects(frames, members)
     rep.residuals["congruence_matrix"] = {"lambdas": lambdas,
                                           "matrix": matrix.tolist()}
     off = matrix[~np.eye(len(members), dtype=bool)]
@@ -444,15 +494,13 @@ def run(cfg: JobConfig) -> Report:
     rep = Report(command=cfg.command, config=cfg.as_dict())
     start = time.perf_counter()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        runner(cfg, rep)
-    rep.warnings = [{"category": w.category.__name__, "message": str(w.message)}
-                    for w in caught]
+    _, caught = _recorded(lambda: runner(cfg, rep))
+    rep.warnings = [{"category": category.__name__, "message": str(message)}
+                    for message, category, *_ in caught]
     rep.wall_time_s = time.perf_counter() - start
     rep.save(cfg.output_dir / "report.json")
     for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        warnings.warn_explicit(*w)
     return rep
 
 

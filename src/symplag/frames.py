@@ -528,6 +528,29 @@ def _motion_defect(S1: np.ndarray, S2: np.ndarray, m1: ImmersionGrid,
     return min(float(np.max(np.abs(S2[1:, 0] + sign * q - m2.f))) for sign in (1.0, -1.0))
 
 
+def _base_frame(m: ImmersionGrid, tols: Tolerances, margin: int) -> np.ndarray:
+    """The 5x5 adapted frame of m at the base node (margin, margin), as
+    `congruence_matrix` takes it: stage 1's tests on the whole grid, then the
+    reduction of the corner block.  `margin` is an int `_cropped` accepts."""
+    geom = m.geometry
+    # margin + 5: the 5 cropped nodes a reduction needs, and margin more past them
+    b = margin + max(margin + 5, BASE_FRAME_REACH + 1)
+    corner = GridGeometry(min(b, geom.nx), min(b, geom.ny), geom.x0, geom.y0, geom.dx, geom.dy)
+    _tangent_columns(m, tols)  # the Lagrangian and rank tests on the whole grid
+    block = ImmersionGrid(corner, m.f[:corner.nx, :corner.ny])
+    return reduction_pipeline(block, tols, margin)[0].S[0, 0].copy()
+
+
+def _pairwise_defects(base: list[np.ndarray], members: list[ImmersionGrid]) -> np.ndarray:
+    """`congruence_matrix` of members whose base frames are `base`."""
+    k = len(members)
+    out = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            out[i, j] = out[j, i] = _motion_defect(base[i], base[j], members[i], members[j])
+    return out
+
+
 def congruence_matrix(
     members: list[ImmersionGrid],
     tols: Tolerances = DEFAULT_TOLS,
@@ -554,24 +577,10 @@ def congruence_matrix(
         if m.geometry != members[0].geometry:
             raise ValueError(f"congruence needs one grid geometry, got {members[0].geometry} "
                              f"and {m.geometry}")
-    k = len(members)
-    out = np.zeros((k, k))
-    if k < 2:
-        return out
-    geom = members[0].geometry
-    margin = _cropped(geom, margin)[1]  # refuse a bad margin before any reduction
-    # margin + 5: the 5 cropped nodes a reduction needs, and margin more past them
-    b = margin + max(margin + 5, BASE_FRAME_REACH + 1)
-    corner = GridGeometry(min(b, geom.nx), min(b, geom.ny), geom.x0, geom.y0, geom.dx, geom.dy)
-    base = []
-    for m in members:
-        _tangent_columns(m, tols)  # the Lagrangian and rank tests on the whole grid
-        block = ImmersionGrid(corner, m.f[:corner.nx, :corner.ny])
-        base.append(reduction_pipeline(block, tols, margin)[0].S[0, 0].copy())
-    for i in range(k):
-        for j in range(i + 1, k):
-            out[i, j] = out[j, i] = _motion_defect(base[i], base[j], members[i], members[j])
-    return out
+    if len(members) < 2:
+        return np.zeros((len(members),) * 2)
+    margin = _cropped(members[0].geometry, margin)[1]  # before any reduction
+    return _pairwise_defects([_base_frame(m, tols, margin) for m in members], members)
 
 
 def congruence_defect(

@@ -215,21 +215,22 @@ def _grid_rows(geom: GridGeometry, values: np.ndarray, rows: range):
 
 
 @contextmanager
-def _child_output(path: Path, task: str, produce):
+def _child_output(name: str | Path, task: str, produce):
     """Fork a child that writes the bytes-like chunks of the list `produce()`
     to a pipe; yields the pipe's read end as a binary file.
 
     On exit the parent closes the pipe, so that a child blocked on a full
     pipe fails on the broken pipe, and then reaps the child.  A child that
-    exits non-zero is an OSError naming `path` and its `task`.
+    exits non-zero is an OSError naming `name` (a file or a command) and `task`.
     """
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns when a process with threads (an idle BLAS pool
-            # is one) forks.  The child only runs `produce` (formatting or
-            # parsing CSV rows), writes the pipe and calls _exit; it takes no
-            # lock another thread could hold.
+            # is one) forks.  The child only runs `produce`, writes the pipe and
+            # calls _exit.  `produce` formats or parses CSV rows, or integrates
+            # `family` members with BLAS matrix products: no BLAS call is in
+            # flight at the fork, and OpenBLAS's fork handler stops its pool first.
             warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
                                     DeprecationWarning)
             pid = os.fork()
@@ -254,7 +255,7 @@ def _child_output(path: Path, task: str, produce):
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status != 0:
-        raise OSError(f"{path}: the process {task} exited with status {status}")
+        raise OSError(f"{name}: the process {task} exited with status {status}")
 
 
 def _save_table(path: str | Path, geom: GridGeometry, header: list[str],

@@ -1,10 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import symplag as sg
+from symplag import cli
 from symplag.cli import (
     DEFAULT_GRID,
     JobConfig,
@@ -16,7 +22,8 @@ from symplag.cli import (
     triple_from_params,
     write_obj,
 )
-from symplag.errors import ConfigError
+from symplag.errors import ConfigError, IntegrationBlowup, NotAdapted
+from test_grids import assert_no_child_process, forks
 
 # the entries of extract_invariants' report, each an `invariants` residual gauge_<name>
 GAUGE_NAMES = ("omega", "gamma_trace", "alpha_trace", "alpha_skew", "ell",
@@ -179,6 +186,12 @@ def test_report_times_each_stage(tmp_path):
     assert set(timings) == {"load", "reduce", "write"}
     assert all(s >= 0.0 for s in timings.values())
     assert sum(timings.values()) <= rep["wall_time_s"]
+    # family: the members' integrations and base frames, then the pairwise loop
+    out3 = tmp_path / "family"
+    assert main(["family", "--out", str(out3)]) == 0
+    rep = json.loads((out3 / "report.json").read_text())
+    assert set(rep["timings"]) == {"members", "congruence"}
+    assert sum(rep["timings"].values()) <= rep["wall_time_s"]
 
 
 def test_reports_record_the_grids_of_the_csvs(tmp_path):
@@ -267,6 +280,147 @@ def test_family_flags_each_member(tmp_path):
     assert {k for k in flags if k.startswith("inteq_lam_")} == {
         "inteq_lam_0.1", "inteq_lam_0.1000001"}
     assert not flags["pairwise_noncongruent"]["passed"]  # members 1e-7 apart
+
+
+# -- family on two processes: a forked child takes the second half of the members
+
+CENTRED = sg.GridGeometry(61, 61, -0.15, -0.15, 0.005, 0.005)
+UMBILIC = {"kind": "umbilic", "t_poly": [2.0, 0.3], "p_poly": [0.0, 0.5]}
+
+
+def _family_reports(tmp_path, monkeypatch, geom, params) -> list[str]:
+    """The residuals, flags and warnings of family's report as JSON text, with
+    os.fork and then without it; no child is left."""
+    texts = []
+    for out in ("fork", "one"):
+        if out == "one":
+            monkeypatch.delattr(os, "fork")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # run passes the report's warnings on
+            run(JobConfig("family", geom, params, output_dir=tmp_path / out))
+        rep = json.loads((tmp_path / out / "report.json").read_text())
+        texts.append(json.dumps({k: rep[k] for k in ("residuals", "flags", "warnings")}))
+    assert_no_child_process()
+    return texts
+
+
+@forks
+@pytest.mark.parametrize("params", [
+    {"p": 0.5, "lambdas": [-1.0, 1.0]},
+    {},  # lambdas -1, 0, 1: one member in this process, two in the child
+    {"p": 0.3, "c1": 1.2, "c2": 0.8, "lambdas": [-1.0, -0.5, 0.0, 0.5, 1.0]},
+], ids=["2-members", "3-members-default", "5-members"])
+def test_family_report_is_that_of_one_process(tmp_path, monkeypatch, params):
+    fork, one = _family_reports(tmp_path, monkeypatch, DEFAULT_GRID, params)
+    assert fork == one
+    rep = json.loads(fork)
+    assert rep["flags"]["pairwise_noncongruent"]["passed"] and rep["warnings"] == []
+    # the matrix is congruence_matrix's of the members, byte for byte
+    base = triple_from_params(DEFAULT_GRID, {k: v for k, v in params.items() if k != "lambdas"})
+    members = [sg.immersion_from_frame(sg.integrate_frame(sg.theta_from_invariants(
+        sg.shift_family(base, lam)), compute_path_defect=False))
+        for lam in rep["residuals"]["congruence_matrix"]["lambdas"]]
+    matrix = np.array(rep["residuals"]["congruence_matrix"]["matrix"])
+    assert matrix.tobytes() == sg.congruence_matrix(members).tobytes()
+
+
+@forks
+def test_family_umbilic_warnings_are_those_of_one_process(tmp_path, monkeypatch):
+    fork, one = _family_reports(tmp_path, monkeypatch, CENTRED, UMBILIC)
+    assert fork == one
+    assert [w["category"] for w in json.loads(fork)["warnings"]] == ["UmbilicGaugeWarning"] * 3
+
+
+@forks
+def test_family_mixed_warnings_keep_the_order_of_one_process(tmp_path, monkeypatch):
+    # the umbilic triple with p + 2e-5 xy, from files: Theta is curved, and one
+    # process warns of every member's flatness before any member's umbilics
+    inv = triple_from_params(CENTRED, UMBILIC)
+    xx, yy = CENTRED.mesh()
+    files = {}
+    for k, values in (("t", inv.t), ("h", inv.h), ("p", inv.p + 2e-5 * xx * yy)):
+        files[k] = str(tmp_path / f"{k}.csv")
+        sg.save_grid(sg.ComplexGrid(CENTRED, values), files[k])
+    fork, one = _family_reports(tmp_path, monkeypatch, DEFAULT_GRID, files)
+    assert fork == one
+    assert [w["category"] for w in json.loads(fork)["warnings"]] == (
+        ["UserWarning"] * 3 + ["UmbilicGaugeWarning"] * 3)
+
+
+def _family_refusal(tmp_path, monkeypatch, capsys, argv) -> str:
+    """family's stderr on exit 1, the same with os.fork and without it; no
+    report is written and no child is left."""
+    errs = []
+    for out in ("fork", "one"):
+        if out == "one":
+            monkeypatch.delattr(os, "fork")
+        capsys.readouterr()
+        assert main(["family", *argv, "--out", str(tmp_path / out)]) == 1
+        assert not (tmp_path / out / "report.json").exists()
+        errs.append(capsys.readouterr().err)
+    assert_no_child_process()
+    assert errs[0] == errs[1]
+    return errs[0]
+
+
+def _failing_member(monkeypatch, lam_at_fault: float) -> None:
+    """Make family's integration of the member lam_at_fault raise IntegrationBlowup."""
+    member = cli._member
+
+    def failing(base, lam, tols):
+        if lam == lam_at_fault:
+            raise IntegrationBlowup(f"injected at lam {lam}")
+        return member(base, lam, tols)
+
+    monkeypatch.setattr(cli, "_member", failing)
+
+
+@forks
+def test_family_frame_defect_is_refused_as_in_one_process(tmp_path, monkeypatch, capsys):
+    # every member's frame has a symplectic defect of a few 1e-13
+    err = _family_refusal(tmp_path, monkeypatch, capsys, ["--tol-frame", "1e-14"])
+    assert err.startswith("failure: FrameDefect: symplectic defect ")
+
+
+@forks
+def test_family_failure_in_the_child_is_refused_as_in_one_process(tmp_path, monkeypatch,
+                                                                  capsys):
+    # lambdas -1, 0, 1: the child integrates 0 and 1, and fails on 1
+    _failing_member(monkeypatch, 1.0)
+    err = _family_refusal(tmp_path, monkeypatch, capsys, [])
+    assert err == "failure: IntegrationBlowup: injected at lam 1.0\n"
+
+
+@forks
+def test_family_integration_error_beats_a_reduction_error_of_the_other_half(
+        tmp_path, monkeypatch, capsys):
+    # lambdas -1, 0, 1: this process reduces -1 and fails, the child fails to
+    # integrate 1.  One process integrates every member before it reduces any,
+    # so the integration error is the one reported.
+    _failing_member(monkeypatch, 1.0)
+    reductions = []
+
+    def failing_reduction(m, tols, margin):
+        reductions.append(m)
+        raise NotAdapted("alpha_trace", 1.0, tols.tol_gauge)
+
+    monkeypatch.setattr(cli, "_base_frame", failing_reduction)
+    err = _family_refusal(tmp_path, monkeypatch, capsys, [])
+    assert err == "failure: IntegrationBlowup: injected at lam 1.0\n"
+    assert len(reductions) == 1  # this process's, before its one-process redo
+
+
+def test_family_in_a_subprocess_with_the_blas_thread_variables_unset(tmp_path):
+    # the child calls BLAS after a fork from a process with a BLAS pool of
+    # its own size: a hang would time out
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(sg.__file__).resolve().parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-m", "symplag.cli", "family", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "pass  pairwise_noncongruent" in done.stdout
 
 
 def test_constant_example_applies_lam(tmp_path):
