@@ -457,9 +457,11 @@ def _run_congruence(cfg: JobConfig, rep: Report) -> None:
 def _run_export(cfg: JobConfig, rep: Report) -> None:
     src = _path("immersion", cfg.params.get("immersion"))
     fmt = cfg.params.get("format", "obj-xy-f1f2")
-    m, _ = load_immersion(src)
-    out = cfg.output_dir / (Path(src).stem + f"-{fmt}.obj")
-    export_mesh(m, fmt, out)
+    with rep.timed("load"):
+        m, _ = load_immersion(src)
+    rep.grids["immersion"] = m.geometry.as_dict()
+    with rep.timed("write"):
+        out = export_mesh(m, fmt, cfg.output_dir / (Path(src).stem + f"-{fmt}.obj"))
     rep.outputs.append(str(out))
 
 

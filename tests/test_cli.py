@@ -192,6 +192,12 @@ def test_report_times_each_stage(tmp_path):
     rep = json.loads((out3 / "report.json").read_text())
     assert set(rep["timings"]) == {"members", "congruence"}
     assert sum(rep["timings"].values()) <= rep["wall_time_s"]
+    # export: the CSV read, then the OBJ mesh written
+    out4 = tmp_path / "export"
+    run(JobConfig("export", params={"immersion": str(out1 / "immersion.csv")}, output_dir=out4))
+    rep = json.loads((out4 / "report.json").read_text())
+    assert set(rep["timings"]) == {"load", "write"}
+    assert sum(rep["timings"].values()) <= rep["wall_time_s"]
 
 
 def test_reports_record_the_grids_of_the_csvs(tmp_path):
@@ -202,9 +208,10 @@ def test_reports_record_the_grids_of_the_csvs(tmp_path):
     csv = str(ex / "immersion.csv")
     read = sg.GridGeometry(241, 241, 0.0, 0.0, 0.00125, 0.00125).as_dict()
     cropped = sg.GridGeometry(225, 225, 0.01, 0.01, 0.00125, 0.00125).as_dict()
-    for params, grids in (({"immersion": csv}, {"immersion": read, "invariants": cropped}),
-                          ({"first": csv, "second": csv}, {"first": read, "second": read})):
-        command = "invariants" if "immersion" in params else "congruence"
+    for command, params, grids in (
+            ("invariants", {"immersion": csv}, {"immersion": read, "invariants": cropped}),
+            ("congruence", {"first": csv, "second": csv}, {"first": read, "second": read}),
+            ("export", {"immersion": csv}, {"immersion": read})):
         run(JobConfig(command, params=params, output_dir=tmp_path / command))
         rep = json.loads((tmp_path / command / "report.json").read_text())
         assert rep["config"]["grid"] == DEFAULT_GRID.as_dict()
@@ -345,6 +352,26 @@ def test_family_mixed_warnings_keep_the_order_of_one_process(tmp_path, monkeypat
     assert fork == one
     assert [w["category"] for w in json.loads(fork)["warnings"]] == (
         ["UserWarning"] * 3 + ["UmbilicGaugeWarning"] * 3)
+
+
+@forks
+def test_family_child_that_sends_nothing_gives_the_report_of_one_process(tmp_path,
+                                                                         monkeypatch):
+    # the child exits 0 before it writes: the pipe is empty, and one process
+    # redoes every member
+    members, parent, sizes = cli._members, os.getpid(), []
+
+    def silent_in_the_child(base, lambdas, *args):
+        if os.getpid() != parent:
+            os._exit(0)
+        sizes.append(len(lambdas))
+        return members(base, lambdas, *args)
+
+    monkeypatch.setattr(cli, "_members", silent_in_the_child)
+    fork, one = _family_reports(tmp_path, monkeypatch, CENTRED, UMBILIC)
+    assert fork == one
+    assert sizes == [1, 3, 3]  # the parent's half, its redo, the run without fork
+    assert [w["category"] for w in json.loads(fork)["warnings"]] == ["UmbilicGaugeWarning"] * 3
 
 
 def _family_refusal(tmp_path, monkeypatch, capsys, argv) -> str:

@@ -2,10 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
 import symplag as sg
 from symplag.errors import IntegrationBlowup, NotHolomorphic, ParameterDomain
+from symplag.generators import _closed_form_at
 from symplag.grids import diff4
 
 from closed_forms import constant_ab, frame_columns
@@ -81,6 +83,24 @@ def test_closed_form_immersion_matches_integration(p):
     assert np.max(np.abs(diff)) < 1e-8
 
 
+signed = lambda lo, hi: st.floats(lo, hi) | st.floats(-hi, -lo)
+# p anywhere, or within 1e-6 of a pole +-2 (ConstantFamilyParams refuses 1e-12)
+poles = st.builds(lambda pole, d: pole + d, st.sampled_from([-2.0, 2.0]), signed(2e-12, 1e-6))
+
+
+@settings(max_examples=300)
+@given(st.floats(-50.0, 50.0) | poles, signed(0.0, 100.0), signed(0.0, 100.0),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(1e-3, 0.5))
+def test_closed_form_imaginary_part_is_exactly_zero(p, c1, c2, x0, y0, d):
+    # every factor is real or purely imaginary, so no rounding reaches the
+    # imaginary part: closed_form_immersion drops it without a check
+    assume(min(abs(p - 2.0), abs(p + 2.0)) > 1e-12)
+    xx, yy = sg.GridGeometry(6, 6, x0, y0, d, d).mesh()
+    f = _closed_form_at(sg.ConstantFamilyParams(p=p, c1=c1, c2=c2), xx, yy)
+    finite = np.isfinite(f.real)
+    assert np.all(f.imag[finite] == 0.0)
+
+
 def test_closed_form_requires_pure_exponential():
     with pytest.raises(ParameterDomain):
         sg.closed_form_immersion(
@@ -120,6 +140,15 @@ def test_umbilic_curve_unit_determinant():
     geom, spec = umbilic_setup(lambda z: z)
     _, frame = sg.umbilic_curve(spec)
     assert np.max(np.abs(np.linalg.det(frame) - 1.0)) < 1e-10
+
+
+def test_umbilic_frame_drift_is_judged_against_tol_frame():
+    # |det X - 1|, the 2x2 frame's symplectic defect, is about 1e-13 here
+    geom, spec = umbilic_setup(lambda z: z * z, lam=0.3)
+    sg.umbilic_curve(spec)  # silent at the defaults: warnings are errors here
+    with pytest.warns(UserWarning, match=r"^frame determinant drifted by \S+ > "
+                                         r"tol_frame 1\.000e-16$"):
+        sg.umbilic_curve(spec, sg.DEFAULT_TOLS.replace(tol_frame=1e-16))
 
 
 def test_umbilic_curve_rejects_antiholomorphic_datum():
