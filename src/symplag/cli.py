@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import pickle
 import sys
 import time
@@ -44,7 +43,7 @@ from .frames import (
     save_immersion,
     theta_from_invariants,
 )
-from .grids import ComplexGrid, GridGeometry, _child_output, load_grid, save_grid
+from .grids import ComplexGrid, GridGeometry, _in_two_processes, load_grid, save_grid
 from .invariants import (
     InvariantTriple,
     dbar_fubini_residual,
@@ -288,12 +287,17 @@ def write_obj(path: str | Path, xs: np.ndarray, ys: np.ndarray,
         fh.write("\n".join(lines) + "\n")
 
 
+def _export_format(fmt) -> str:
+    """`fmt` where it is an export format; ConfigError on any other value."""
+    if fmt not in ("obj-xy-f1f2", "obj-xy-f3f4"):
+        raise ConfigError(f"unknown export format {fmt!r}")
+    return fmt
+
+
 def export_mesh(m: ImmersionGrid, fmt: str, path: str | Path) -> Path:
     """Write an immersion as an OBJ height mesh, `obj-xy-f1f2` or `obj-xy-f3f4`."""
     path = Path(path)
-    if fmt not in ("obj-xy-f1f2", "obj-xy-f3f4"):
-        raise ConfigError(f"unknown export format {fmt!r}")
-    k = 0 if fmt.endswith("f1f2") else 2
+    k = 0 if _export_format(fmt).endswith("f1f2") else 2
     write_obj(path, m.geometry.x, m.geometry.y, m.f[..., k], m.f[..., k + 1])
     return path
 
@@ -376,26 +380,6 @@ def _members(base: InvariantTriple, lambdas: list, tols: Tolerances, margin: int
     return [mx for mx, _ in done], [m.f for _, m in done], frames, integrating, reducing
 
 
-def _members_in_two_processes(base: InvariantTriple, lambdas: list, tols: Tolerances,
-                              margin: int) -> tuple | None:
-    """`_members` of `lambdas`, the second half of them in a child forked by
-    `_child_output`, which sends its lists pickled.  None where `os.fork` does
-    not exist, either half raises or the child sends nothing: one process then
-    redoes them all, so that any refusal is its own."""
-    if not hasattr(os, "fork"):
-        return None
-    k = len(lambdas) // 2
-    try:
-        with _child_output("family", f"integrating members {k}..{len(lambdas) - 1}",
-                           lambda: [pickle.dumps(_members(base, lambdas[k:], tols, margin))]
-                           ) as pipe:
-            mine = _members(base, lambdas[:k], tols, margin)
-            theirs = pickle.loads(pipe.read())
-    except Exception:  # any: the redo raises what one process raises first
-        return None
-    return tuple(a + b for a, b in zip(mine, theirs))
-
-
 def _run_family(cfg: JobConfig, rep: Report) -> None:
     tols = cfg.tolerances
     lambdas = cfg.params.get("lambdas", [-1.0, 0.0, 1.0])
@@ -408,10 +392,16 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
     base = _triple(cfg, rep)  # params.lam is refused: lambdas shift
     # refuse a bad margin before integrating the members
     margin = _cropped(base.geometry, _margin(cfg.params))[1]
-    work = (base, lambdas, tols, margin)
+    # the second half of the members in a child of `_in_two_processes`, which
+    # sends its lists pickled; where the helper returns None, one process
+    # redoes them all, so that any refusal is its own
+    k = len(lambdas) // 2
     with rep.timed("members"):
-        maxima, fs, frames, integrating, reducing = (_members_in_two_processes(*work)
-                                                     or _members(*work))
+        halves = _in_two_processes(
+            lambda pipe: (_members(base, lambdas[:k], tols, margin), pickle.load(pipe)),
+            lambda: [pickle.dumps(_members(base, lambdas[k:], tols, margin))])
+        maxima, fs, frames, integrating, reducing = (
+            [a + b for a, b in zip(*halves)] if halves else _members(base, lambdas, tols, margin))
         for w in integrating + reducing:  # as one process raises them
             warnings.warn_explicit(*w)
     for lam, mx in zip(lambdas, maxima):
@@ -456,7 +446,7 @@ def _run_congruence(cfg: JobConfig, rep: Report) -> None:
 
 def _run_export(cfg: JobConfig, rep: Report) -> None:
     src = _path("immersion", cfg.params.get("immersion"))
-    fmt = cfg.params.get("format", "obj-xy-f1f2")
+    fmt = _export_format(cfg.params.get("format", "obj-xy-f1f2"))  # before the CSV is read
     with rep.timed("load"):
         m, _ = load_immersion(src)
     rep.grids["immersion"] = m.geometry.as_dict()

@@ -20,7 +20,6 @@ import json
 import os
 import shutil
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -214,21 +213,25 @@ def _grid_rows(geom: GridGeometry, values: np.ndarray, rows: range):
         yield ("".join([head + t for t in tails]) % tuple(values[i].ravel().tolist())).encode()
 
 
-@contextmanager
-def _child_output(name: str | Path, task: str, produce):
-    """Fork a child that writes the bytes-like chunks of the list `produce()`
-    to a pipe; yields the pipe's read end as a binary file.
+def _in_two_processes(mine, theirs):
+    """`mine(pipe)`, run while a forked child writes the bytes-like chunks of
+    `theirs()` to `pipe`, the binary read end of a pipe; None where one
+    process must do all the work.
 
-    On exit the parent closes the pipe, so that a child blocked on a full
-    pipe fails on the broken pipe, and then reaps the child.  A child that
-    exits non-zero is an OSError naming `name` (a file or a command) and `task`.
+    None when `os.fork` does not exist, `mine` raises or the child exits
+    non-zero: the caller then does both halves itself, so every result,
+    warning and refusal is one process's.  The pipe is closed before the
+    child is reaped, so that a child blocked on a full pipe fails on the
+    broken pipe; the child is reaped on every path.
     """
+    if not hasattr(os, "fork"):
+        return None
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns when a process with threads (an idle BLAS pool
-            # is one) forks.  The child only runs `produce`, writes the pipe and
-            # calls _exit.  `produce` formats or parses CSV rows, or integrates
+            # is one) forks.  The child only runs `theirs`, writes the pipe and
+            # calls _exit.  `theirs` formats or parses CSV rows, or integrates
             # `family` members with BLAS matrix products: no BLAS call is in
             # flight at the fork, and OpenBLAS's fork handler stops its pool first.
             warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
@@ -242,20 +245,20 @@ def _child_output(name: str | Path, task: str, produce):
         code = 1
         try:
             os.close(r)
-            chunks = produce()
             with open(w, "wb") as out:
-                out.writelines(chunks)
+                out.writelines(theirs())
             code = 0
         finally:
             os._exit(code)
     os.close(w)
     try:
         with open(r, "rb") as pipe:
-            yield pipe
+            value = mine(pipe)
+    except Exception:  # any: the caller's one-process redo raises what it raises
+        value = None
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0:
-        raise OSError(f"{name}: the process {task} exited with status {status}")
+    return value if status == 0 else None
 
 
 def _save_table(path: str | Path, geom: GridGeometry, header: list[str],
@@ -269,11 +272,12 @@ def _save_table(path: str | Path, geom: GridGeometry, header: list[str],
     non-finite value raises ValueError naming its node, before anything is
     written.
 
-    Two processes format the rows: once the file is open, a child forked by
-    `_child_output` formats grid rows nx//2 .. nx-1 while this process writes
-    the header and the rows before them, then copies the child's rows after
-    them.  Both use `_grid_rows`, so the bytes are those one process writes,
-    as it does where `os.fork` does not exist.
+    Two processes format the rows (`_in_two_processes`): once the header is
+    written, a child formats grid rows nx//2 .. nx-1 while this process
+    writes the rows before them, then copies the child's rows after them.
+    Where the helper returns None, the file is cut back to the header and
+    this process writes every row.  Both use `_grid_rows`, so the bytes are
+    those one process writes.
     """
     path = Path(path)
     node = _non_finite_node(values)
@@ -281,16 +285,18 @@ def _save_table(path: str | Path, geom: GridGeometry, header: list[str],
         raise ValueError(f"{path}: node {node} holds a non-finite value")
     names = (",".join(["x", "y", *header]) + "\r\n").encode()
     rows = range(geom.nx)
+    half = rows[geom.nx // 2:]
     with open(path, "wb") as fh:
-        if hasattr(os, "fork"):
-            half = rows[geom.nx // 2:]
-            with _child_output(path, f"formatting grid rows {half.start}..{half.stop - 1}",
-                               lambda: list(_grid_rows(geom, values, half))) as rest:
-                fh.write(names)
-                fh.writelines(_grid_rows(geom, values, rows[:half.start]))
-                shutil.copyfileobj(rest, fh)
-        else:
-            fh.write(names)
+        fh.write(names)
+
+        def mine(pipe):
+            fh.writelines(_grid_rows(geom, values, rows[:half.start]))
+            shutil.copyfileobj(pipe, fh)
+            return True
+
+        if _in_two_processes(mine, lambda: list(_grid_rows(geom, values, half))) is None:
+            fh.seek(len(names))
+            fh.truncate()
             fh.writelines(_grid_rows(geom, values, rows))
     with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
         json.dump(geom.as_dict(), fh, indent=2)
@@ -308,14 +314,11 @@ def _parse_rows(fh) -> np.ndarray:
 def _child_rows(path: Path, split: int) -> list:
     """The rows of `path` before byte `split`, parsed in the child of
     `_rows_in_two_processes`: their width as int64 bytes, then the float64
-    rows; nothing where `np.loadtxt` refuses them or finds none."""
+    rows; nothing where `np.loadtxt` finds none."""
     with open(path, "rb") as fh:
         text = io.TextIOWrapper(io.BytesIO(fh.read(split)))
     text.readline()  # the header, read as `_load_table` reads it
-    try:
-        rows = _parse_rows(text)
-    except ValueError:
-        return []
+    rows = _parse_rows(text)
     return [np.int64(rows.shape[1]).tobytes(), rows] if len(rows) else []
 
 
@@ -325,12 +328,13 @@ def _rows_in_two_processes(path: Path) -> np.ndarray | None:
     parse them.
 
     The split is the first line start past the file's byte midpoint.  A
-    child forked by `_child_output` parses the rows before it, and this
+    child forked by `_in_two_processes` parses the rows before it, and this
     process those after it, straight from the file, so it never holds the
     file's text; the child's rows go in front of its own.  None when no line
-    starts past the midpoint, `np.loadtxt` refuses a half, the child's half
-    holds no rows, or the halves differ in width: the one-process parse
-    then words any refusal with the row numbers of the whole file.
+    starts past the midpoint, the helper returns None (`np.loadtxt` refuses
+    a half, among other failures), the child's half holds no rows, or the
+    halves differ in width: the one-process parse then words any refusal
+    with the row numbers of the whole file.
     """
     with open(path, "rb") as fh, io.TextIOWrapper(fh) as rest:
         size = os.fstat(fh.fileno()).st_size
@@ -339,13 +343,12 @@ def _rows_in_two_processes(path: Path) -> np.ndarray | None:
         split = fh.tell()
         if split >= size:
             return None
-        try:
-            with _child_output(path, f"parsing the rows before byte {split}",
-                               lambda: _child_rows(path, split)) as pipe:
-                mine = _parse_rows(rest)  # from fh's position, the split
-                theirs = pipe.read()
-        except ValueError:
-            return None
+        # this process parses from fh's position, the split
+        halves = _in_two_processes(lambda pipe: (_parse_rows(rest), pipe.read()),
+                                   lambda: _child_rows(path, split))
+    if halves is None:
+        return None
+    mine, theirs = halves
     if not theirs or np.frombuffer(theirs, np.int64, 1)[0] != mine.shape[1]:
         return None
     return np.concatenate([np.frombuffer(theirs, float, offset=8).reshape(-1, mine.shape[1]),
@@ -366,10 +369,10 @@ def _load_table(path: str | Path,
     naming the CSV, and the row and node where there is one.  `values` is the
     (nx, ny, k) array of the k value columns.
 
-    Two processes parse the rows (`_rows_in_two_processes`), forked by the
-    `_child_output` that `_save_table` uses too.  Where `os.fork` does not
-    exist, or the halves cannot be joined, one `np.loadtxt` call parses them
-    all; the arrays, and the text of every refusal, are those of that call.
+    Two processes parse the rows (`_rows_in_two_processes`), through the
+    `_in_two_processes` that `_save_table` uses too.  Where the halves are
+    not joined, one `np.loadtxt` call parses them all; the arrays, and the
+    text of every refusal, are those of that call.
     """
     path = Path(path)
     sidecar = path.with_suffix(path.suffix + ".json")
@@ -385,7 +388,7 @@ def _load_table(path: str | Path,
             if names[:2] != ["x", "y"] or header not in headers:
                 wanted = " or ".join(",".join(["x", "y", *h]) for h in headers)
                 raise ValueError(f"header {','.join(names)} is not {wanted}")
-            data = _rows_in_two_processes(path) if hasattr(os, "fork") else None
+            data = _rows_in_two_processes(path)
             if data is None:
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
         if data.size == 0 or data.shape[1] != 2 + len(header):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import symplag as sg
-from symplag import cli
+from symplag import cli, grids
 from symplag.cli import (
     DEFAULT_GRID,
     JobConfig,
@@ -23,7 +23,7 @@ from symplag.cli import (
     write_obj,
 )
 from symplag.errors import ConfigError, IntegrationBlowup, NotAdapted
-from test_grids import assert_no_child_process, forks
+from test_grids import _spied_forks, assert_no_child_process, forks
 
 # the entries of extract_invariants' report, each an `invariants` residual gauge_<name>
 GAUGE_NAMES = ("omega", "gamma_trace", "alpha_trace", "alpha_skew", "ell",
@@ -332,6 +332,18 @@ def test_family_report_is_that_of_one_process(tmp_path, monkeypatch, params):
 
 
 @forks
+def test_family_forks_once_and_joins_two_halves(tmp_path, monkeypatch):
+    forked, values = _spied_forks(monkeypatch)
+    monkeypatch.setattr(cli, "_in_two_processes", grids._in_two_processes)  # the spy
+    run(JobConfig("family", DEFAULT_GRID, {}, output_dir=tmp_path))
+    assert_no_child_process()
+    assert len(forked) == 1 and len(values) == 1
+    # lambdas -1, 0, 1: the maxima, immersions and base frames of one member
+    # in this process, of two in the child
+    assert [[len(lists) for lists in half[:3]] for half in values[0]] == [[1] * 3, [2] * 3]
+
+
+@forks
 def test_family_umbilic_warnings_are_those_of_one_process(tmp_path, monkeypatch):
     fork, one = _family_reports(tmp_path, monkeypatch, CENTRED, UMBILIC)
     assert fork == one
@@ -548,6 +560,20 @@ def test_export_command_end_to_end(tmp_path, capsys):
     doc.write_text(json.dumps({"command": "export", "params": {"format": "obj-xy-f3f4"}}))
     assert main(["--config", str(doc), "--out", str(out)]) == 2
     assert "params.immersion" in capsys.readouterr().err
+
+
+def test_export_refuses_the_format_before_it_reads_the_csv(tmp_path, monkeypatch, capsys):
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "load_immersion", unread)
+    doc = tmp_path / "export.json"
+    for fmt, text in (("stl", "unknown export format 'stl'"),
+                      (["obj-xy-f1f2"], "unknown export format ['obj-xy-f1f2']")):
+        doc.write_text(json.dumps({"command": "export", "params": {
+            "immersion": str(tmp_path / "immersion.csv"), "format": fmt}}))
+        assert main(["--config", str(doc), "--out", str(tmp_path / "out")]) == 2
+        assert text in capsys.readouterr().err
 
 
 def test_export_obj_vertex_and_face_counts(tmp_path):

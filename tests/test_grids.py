@@ -222,21 +222,53 @@ def test_save_grid_leaves_no_child_process(tmp_path):
     assert_no_child_process()
 
 
-@forks
-def test_save_grid_fails_when_the_child_fails(tmp_path, monkeypatch):
-    grid_rows = grids._grid_rows
+def _spied_forks(monkeypatch) -> tuple[list, list]:
+    """Patch os.fork and grids._in_two_processes to record, in this process,
+    each fork and each value the helper returns."""
+    fork, helper, forked, values = os.fork, grids._in_two_processes, [], []
 
-    def failing_second_half(geom, values, rows):
-        if rows.start > 0:
+    def counted_fork():
+        forked.append(1)
+        return fork()
+
+    def spied(mine, theirs):
+        values.append(helper(mine, theirs))
+        return values[-1]
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(grids, "_in_two_processes", spied)
+    return forked, values
+
+
+@forks
+def test_save_grid_forks_once_and_joins_two_halves(tmp_path, monkeypatch):
+    forked, values = _spied_forks(monkeypatch)
+    sg.save_grid(sg.ComplexGrid(GEOM, np.ones((21, 17), dtype=complex)), tmp_path / "field.csv")
+    assert len(forked) == 1 and values == [True]  # not the one-process fallback
+    assert_no_child_process()
+
+
+@forks
+def test_save_grid_writes_the_bytes_of_one_process_when_the_child_fails(tmp_path,
+                                                                         monkeypatch):
+    grid_rows, parent, calls = grids._grid_rows, os.getpid(), []
+
+    def failing_in_the_child(geom, values, rows):
+        if os.getpid() != parent:
             raise RuntimeError("cannot format")
+        calls.append(rows)
         return grid_rows(geom, values, rows)
 
-    monkeypatch.setattr(grids, "_grid_rows", failing_second_half)
+    monkeypatch.setattr(grids, "_grid_rows", failing_in_the_child)
     path = tmp_path / "field.csv"
-    with pytest.raises(OSError, match=r"field\.csv: the process formatting grid rows 10\.\.20 "
-                                      r"exited with status 1"):
-        sg.save_grid(sg.ComplexGrid(GEOM, np.ones((21, 17), dtype=complex)), path)
+    write = partial(sg.save_grid, sg.ComplexGrid(GEOM, np.ones((21, 17), dtype=complex)))
+    write(path)
     assert_no_child_process()
+    assert calls == [range(10), range(21)]  # this process's half, then every row
+    with monkeypatch.context() as one_process:
+        one_process.delattr(os, "fork")
+        write(tmp_path / "one.csv")
+    assert path.read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 def _split(data: bytes) -> int:
@@ -246,7 +278,7 @@ def _split(data: bytes) -> int:
 
 
 @forks
-def test_load_grid_fails_when_the_child_fails(tmp_path, monkeypatch):
+def test_load_grid_reads_as_one_process_when_the_child_fails(tmp_path, monkeypatch):
     parse_rows, parent = grids._parse_rows, os.getpid()
 
     def failing_in_the_child(fh):
@@ -255,13 +287,16 @@ def test_load_grid_fails_when_the_child_fails(tmp_path, monkeypatch):
         return parse_rows(fh)
 
     path = tmp_path / "field.csv"
-    sg.save_grid(sg.ComplexGrid(GEOM, np.ones((21, 17), dtype=complex)), path)
+    values = np.arange(21 * 17).reshape(21, 17) * (1.0 + 0.5j) / 7.0
+    sg.save_grid(sg.ComplexGrid(GEOM, values), path)
     monkeypatch.setattr(grids, "_parse_rows", failing_in_the_child)
-    split = _split(path.read_bytes())
-    with pytest.raises(OSError, match=rf"field\.csv: the process parsing the rows before "
-                                      rf"byte {split} exited with status 1$"):
-        sg.load_grid(path)
+    assert grids._rows_in_two_processes(path) is None
     assert_no_child_process()
+    loaded = sg.load_grid(path).values
+    assert_no_child_process()
+    with monkeypatch.context() as one_process:
+        one_process.delattr(os, "fork")
+        assert loaded.tobytes() == sg.load_grid(path).values.tobytes() == values.tobytes()
 
 
 def _immersion_lines(path):
