@@ -30,10 +30,9 @@ from .errors import ConfigError, SymplagError
 from .frames import (
     DEFAULT_MARGIN,
     ImmersionGrid,
-    _base_frame,
     _cropped,
-    _pairwise_defects,
     congruence_defect,
+    congruence_matrix,
     flatness_residual,
     immersion_from_frame,
     integrate_frame,
@@ -171,7 +170,7 @@ def _family_params(params: dict) -> ConstantFamilyParams:
 
 
 def _margin(params: dict) -> int:
-    """params.margin; the reduction refuses one that leaves too small a grid."""
+    """params.margin; `frames._cropped` refuses one that leaves too small a grid."""
     return _number("params.margin", params.get("margin", DEFAULT_MARGIN), integer=True)
 
 
@@ -369,15 +368,12 @@ def _member(base: InvariantTriple, lam: float, tols: Tolerances) -> tuple:
     return mx, immersion_from_frame(F)
 
 
-def _members(base: InvariantTriple, lambdas: list, tols: Tolerances, margin: int) -> tuple:
-    """`family`'s work on the members of `lambdas` in the order of one process:
-    every member's `_member`, then every member's base frame
-    (`frames._base_frame`).  Returns five lists in member order: the inteq
-    maxima, the immersions' f, the base frames, and the warnings of the
-    integrations and of the reductions."""
+def _members(base: InvariantTriple, lambdas: list, tols: Tolerances) -> tuple:
+    """`family`'s `_member` of each of `lambdas`, in order.  Returns three lists
+    in member order: the inteq maxima, the immersions' f, and the warnings of
+    the integrations."""
     done, integrating = _recorded(lambda: [_member(base, lam, tols) for lam in lambdas])
-    frames, reducing = _recorded(lambda: [_base_frame(m, tols, margin) for _, m in done])
-    return [mx for mx, _ in done], [m.f for _, m in done], frames, integrating, reducing
+    return [mx for mx, _ in done], [m.f for _, m in done], integrating
 
 
 def _run_family(cfg: JobConfig, rep: Report) -> None:
@@ -398,17 +394,17 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
     k = len(lambdas) // 2
     with rep.timed("members"):
         halves = _in_two_processes(
-            lambda pipe: (_members(base, lambdas[:k], tols, margin), pickle.load(pipe)),
-            lambda: [pickle.dumps(_members(base, lambdas[k:], tols, margin))])
-        maxima, fs, frames, integrating, reducing = (
-            [a + b for a, b in zip(*halves)] if halves else _members(base, lambdas, tols, margin))
-        for w in integrating + reducing:  # as one process raises them
+            lambda pipe: (_members(base, lambdas[:k], tols), pickle.load(pipe)),
+            lambda: [pickle.dumps(_members(base, lambdas[k:], tols))])
+        maxima, fs, integrating = (
+            [a + b for a, b in zip(*halves)] if halves else _members(base, lambdas, tols))
+        for w in integrating:  # as one process raises them
             warnings.warn_explicit(*w)
     for lam, mx in zip(lambdas, maxima):
         rep.add_flag(f"inteq_lam_{lam!r}", mx, "tol_resid")
     members = [ImmersionGrid(base.geometry, f) for f in fs]
     with rep.timed("congruence"):
-        matrix = _pairwise_defects(frames, members)
+        matrix = congruence_matrix(members, tols, margin)
     rep.residuals["congruence_matrix"] = {"lambdas": lambdas,
                                           "matrix": matrix.tolist()}
     off = matrix[~np.eye(len(members), dtype=bool)]

@@ -420,12 +420,6 @@ def _alpha_gauge(x: _Forms, y: _Forms) -> tuple[None, np.ndarray]:
 # alpha_trace above tol_gauge on the closed-form surfaces, and 8 does not.
 DEFAULT_MARGIN = 8
 
-# Nodes along each axis past the base node (margin, margin) that its adapted
-# frame reads of f: five stencil passes of 2 nodes each, stage 1's gradient and
-# the four gauge stages.  Stage 4's unwrap reads only the quadrant between the
-# base node and the origin.  `congruence_matrix` reduces no more than that.
-BASE_FRAME_REACH = 10
-
 
 def _cropped(geom: GridGeometry, margin: int) -> tuple[GridGeometry, int]:
     """geom less `margin` nodes on every side, and `margin` as an int; ValueError
@@ -520,35 +514,29 @@ def reduction_pipeline(
     return frame, inv, report
 
 
-def _motion_defect(S1: np.ndarray, S2: np.ndarray, m1: ImmersionGrid,
-                   m2: ImmersionGrid) -> float:
-    """Sup-norm of m2 minus m1 moved by q -> P2 ± X2 X1^-1 (q - P1), the better sign."""
-    R = S2[1:, 1:] @ _symplectic_inverse(S1[1:, 1:])
-    q = np.einsum("ij,...j->...i", R, m1.f - S1[1:, 0])
-    return min(float(np.max(np.abs(S2[1:, 0] + sign * q - m2.f))) for sign in (1.0, -1.0))
+_JET_DEGREE = 6
+_JET_HALF_WIDTH = 8
 
 
-def _base_frame(m: ImmersionGrid, tols: Tolerances, margin: int) -> np.ndarray:
-    """The 5x5 adapted frame of m at the base node (margin, margin), as
-    `congruence_matrix` takes it: stage 1's tests on the whole grid, then the
-    reduction of the corner block.  `margin` is an int `_cropped` accepts."""
-    geom = m.geometry
-    # margin + 5: the 5 cropped nodes a reduction needs, and margin more past them
-    b = margin + max(margin + 5, BASE_FRAME_REACH + 1)
-    corner = GridGeometry(min(b, geom.nx), min(b, geom.ny), geom.x0, geom.y0, geom.dx, geom.dy)
-    _tangent_columns(m, tols)  # the Lagrangian and rank tests on the whole grid
-    block = ImmersionGrid(corner, m.f[:corner.nx, :corner.ny])
-    return reduction_pipeline(block, tols, margin)[0].S[0, 0].copy()
+def _two_jet(m: ImmersionGrid, k: int) -> np.ndarray:
+    """m's 2-jet [f_x, f_y, f_xx, f_xy, f_yy] at node (k, k), a (4, 5) array.
 
-
-def _pairwise_defects(base: list[np.ndarray], members: list[ImmersionGrid]) -> np.ndarray:
-    """`congruence_matrix` of members whose base frames are `base`."""
-    k = len(members)
-    out = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            out[i, j] = out[j, i] = _motion_defect(base[i], base[j], members[i], members[j])
-    return out
+    Along each axis, one (3, n) row of weights takes the n node values to the
+    value and first and second derivatives at k of their least-squares fit of
+    degree _JET_DEGREE (n - 1 at most) over the min(n, 2 _JET_HALF_WIDTH + 1)
+    nodes around k, a window shifted inside the axis near an edge.
+    """
+    r, geom, G = _JET_HALF_WIDTH, m.geometry, m.f
+    for n, h in ((geom.nx, geom.dx), (geom.ny, geom.dy)):
+        w = min(2 * r + 1, n)
+        start = min(max(k - r, 0), n - w)
+        u = (np.arange(start, start + w) - k) / r  # in half-widths, for a well-posed fit
+        V = np.vander(u, min(_JET_DEGREE, w - 1) + 1, increasing=True)
+        W = np.zeros((3, n))
+        W[:, start:start + w] = np.linalg.pinv(V)[:3] * [[1.0], [1 / (r * h)], [2 / (r * h)**2]]
+        # this axis's derivative order becomes axis 1, so G ends as [x order, y order, 4]
+        G = np.moveaxis(np.tensordot(W, G, axes=(1, 0)), 0, 1)
+    return np.stack([G[1, 0], G[0, 1], G[2, 0], G[1, 1], G[0, 2]], axis=-1)
 
 
 def congruence_matrix(
@@ -558,20 +546,16 @@ def congruence_matrix(
 ) -> np.ndarray:
     """Symmetric (k, k) matrix of pairwise congruence defects, zero diagonal.
 
-    Entry (i, j), i < j, is the defect of the best symplectic motion taking
-    member i onto member j, built from their adapted frames at the base node
-    (margin, margin); both frame signs are tried and the smaller defect kept.
-    Entries compare f node by node, so members on different grid geometries
-    are a ValueError naming both, raised before any reduction.
-
-    The base frame reads f only within BASE_FRAME_REACH = 10 nodes of the base
-    node, so each member is reduced once on its corner block: the first
-    margin + max(margin + 5, BASE_FRAME_REACH + 1) nodes of each axis, or the
-    whole axis when it is shorter.  Its base frame is byte-identical to that of
-    the whole grid's reduction.  Stage 1's Lagrangian and rank tests still
-    check each member's whole grid; the later gates (NotElliptic from stages
-    2-3, NotAdapted, the umbilic warning) judge the block, which holds the
-    nodes the base frame is built from.  A lone member is not reduced at all.
+    Each member's 2-jet D (`_two_jet`) is fitted at the base node b = (margin,
+    margin).  Entry (i, j), i < j, judges the affine motion q -> P + X q, X =
+    D_j D_i^+ and P = f_j(b) - X f_i(b): it is the larger of max |X^T J X - J|,
+    so that a motion that is not symplectic (one that scales, say) is no
+    congruence, and sup |P + X f_i - f_j| over the grid.  Entries compare f
+    node by node, so members on different grid geometries are a ValueError
+    naming both, raised before anything else.  Stage 1's Lagrangian and rank
+    tests (`_tangent_columns`) check each member's whole grid, and a 2-jet that
+    spans less than R^4 (det D D^T <= tol_rank; a Lagrangian plane's) is
+    NotElliptic.  A lone member is not checked at all.
     """
     for m in members[1:]:
         if m.geometry != members[0].geometry:
@@ -579,8 +563,23 @@ def congruence_matrix(
                              f"and {m.geometry}")
     if len(members) < 2:
         return np.zeros((len(members),) * 2)
-    margin = _cropped(members[0].geometry, margin)[1]  # before any reduction
-    return _pairwise_defects([_base_frame(m, tols, margin) for m in members], members)
+    margin = _cropped(members[0].geometry, margin)[1]  # before any member is checked
+    for m in members:
+        _tangent_columns(m, tols)
+    jets = [_two_jet(m, margin) for m in members]
+    for D in jets:  # X would be singular, and a congruent pair read at least 1
+        det = float(np.prod(np.linalg.svd(D, compute_uv=False) ** 2))
+        if det <= tols.tol_rank:
+            raise NotElliptic(f"the 2-jet of f spans less than R^4 at node {(margin, margin)}: "
+                              f"det of its Gram matrix {det:.3e} <= tol_rank {tols.tol_rank:.3e}")
+    pinvs = [np.linalg.pinv(D) for D in jets]
+    out = np.zeros((len(members),) * 2)
+    for i, j in zip(*np.triu_indices(len(members), 1)):
+        X = jets[j] @ pinvs[i]
+        moved = (members[i].f - members[i].f[margin, margin]) @ X.T + members[j].f[margin, margin]
+        out[i, j] = out[j, i] = max(float(np.max(np.abs(_symplectic_error(X)))),
+                                    float(np.max(np.abs(moved - members[j].f))))
+    return out
 
 
 def congruence_defect(
@@ -589,8 +588,9 @@ def congruence_defect(
     tols: Tolerances = DEFAULT_TOLS,
     margin: int = DEFAULT_MARGIN,
 ) -> float:
-    """Sup-norm defect of the best symplectic motion taking m1 onto m2 (see
-    `congruence_matrix`).  A value below tol_congruent certifies congruence."""
+    """Defect of the affine motion that the fitted 2-jets at the base node
+    give, taking m1 onto m2 (see `congruence_matrix`).  A value below
+    tol_congruent certifies congruence."""
     return float(congruence_matrix([m1, m2], tols, margin)[0, 1])
 
 

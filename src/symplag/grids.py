@@ -19,6 +19,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -220,8 +221,9 @@ def _in_two_processes(mine, theirs):
 
     None when `os.fork` does not exist, `mine` raises or the child exits
     non-zero: the caller then does both halves itself, so every result,
-    warning and refusal is one process's.  The pipe is closed before the
-    child is reaped, so that a child blocked on a full pipe fails on the
+    warning and refusal is one process's.  When `mine` raises, the child is
+    killed, since its half is no longer needed.  The pipe is closed before
+    the child is reaped, so that a child blocked on a full pipe fails on the
     broken pipe; the child is reaped on every path.
     """
     if not hasattr(os, "fork"):
@@ -256,6 +258,7 @@ def _in_two_processes(mine, theirs):
             value = mine(pipe)
     except Exception:  # any: the caller's one-process redo raises what it raises
         value = None
+        os.kill(pid, signal.SIGKILL)  # so the redo does not wait for its half
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     return value if status == 0 else None

@@ -22,7 +22,7 @@ from symplag.cli import (
     triple_from_params,
     write_obj,
 )
-from symplag.errors import ConfigError, IntegrationBlowup, NotAdapted
+from symplag.errors import ConfigError, IntegrationBlowup
 from test_grids import _spied_forks, assert_no_child_process, forks
 
 # the entries of extract_invariants' report, each an `invariants` residual gauge_<name>
@@ -186,7 +186,7 @@ def test_report_times_each_stage(tmp_path):
     assert set(timings) == {"load", "reduce", "write"}
     assert all(s >= 0.0 for s in timings.values())
     assert sum(timings.values()) <= rep["wall_time_s"]
-    # family: the members' integrations and base frames, then the pairwise loop
+    # family: the members' integrations, then their congruence matrix
     out3 = tmp_path / "family"
     assert main(["family", "--out", str(out3)]) == 0
     rep = json.loads((out3 / "report.json").read_text())
@@ -338,22 +338,24 @@ def test_family_forks_once_and_joins_two_halves(tmp_path, monkeypatch):
     run(JobConfig("family", DEFAULT_GRID, {}, output_dir=tmp_path))
     assert_no_child_process()
     assert len(forked) == 1 and len(values) == 1
-    # lambdas -1, 0, 1: the maxima, immersions and base frames of one member
-    # in this process, of two in the child
-    assert [[len(lists) for lists in half[:3]] for half in values[0]] == [[1] * 3, [2] * 3]
+    # lambdas -1, 0, 1: the maxima and immersions of one member in this
+    # process, of two in the child, then each half's integration warnings
+    assert [len(half) for half in values[0]] == [3, 3]
+    assert [[len(lists) for lists in half[:2]] for half in values[0]] == [[1] * 2, [2] * 2]
 
 
 @forks
 def test_family_umbilic_warnings_are_those_of_one_process(tmp_path, monkeypatch):
+    # the members are umbilic everywhere, and congruence raises no umbilic warning
     fork, one = _family_reports(tmp_path, monkeypatch, CENTRED, UMBILIC)
     assert fork == one
-    assert [w["category"] for w in json.loads(fork)["warnings"]] == ["UmbilicGaugeWarning"] * 3
+    assert json.loads(fork)["warnings"] == []
 
 
 @forks
 def test_family_mixed_warnings_keep_the_order_of_one_process(tmp_path, monkeypatch):
     # the umbilic triple with p + 2e-5 xy, from files: Theta is curved, and one
-    # process warns of every member's flatness before any member's umbilics
+    # process warns of every member's flatness in member order
     inv = triple_from_params(CENTRED, UMBILIC)
     xx, yy = CENTRED.mesh()
     files = {}
@@ -362,8 +364,7 @@ def test_family_mixed_warnings_keep_the_order_of_one_process(tmp_path, monkeypat
         sg.save_grid(sg.ComplexGrid(CENTRED, values), files[k])
     fork, one = _family_reports(tmp_path, monkeypatch, DEFAULT_GRID, files)
     assert fork == one
-    assert [w["category"] for w in json.loads(fork)["warnings"]] == (
-        ["UserWarning"] * 3 + ["UmbilicGaugeWarning"] * 3)
+    assert [w["category"] for w in json.loads(fork)["warnings"]] == ["UserWarning"] * 3
 
 
 @forks
@@ -383,7 +384,7 @@ def test_family_child_that_sends_nothing_gives_the_report_of_one_process(tmp_pat
     fork, one = _family_reports(tmp_path, monkeypatch, CENTRED, UMBILIC)
     assert fork == one
     assert sizes == [1, 3, 3]  # the parent's half, its redo, the run without fork
-    assert [w["category"] for w in json.loads(fork)["warnings"]] == ["UmbilicGaugeWarning"] * 3
+    assert json.loads(fork)["warnings"] == []
 
 
 def _family_refusal(tmp_path, monkeypatch, capsys, argv) -> str:
@@ -428,25 +429,6 @@ def test_family_failure_in_the_child_is_refused_as_in_one_process(tmp_path, monk
     _failing_member(monkeypatch, 1.0)
     err = _family_refusal(tmp_path, monkeypatch, capsys, [])
     assert err == "failure: IntegrationBlowup: injected at lam 1.0\n"
-
-
-@forks
-def test_family_integration_error_beats_a_reduction_error_of_the_other_half(
-        tmp_path, monkeypatch, capsys):
-    # lambdas -1, 0, 1: this process reduces -1 and fails, the child fails to
-    # integrate 1.  One process integrates every member before it reduces any,
-    # so the integration error is the one reported.
-    _failing_member(monkeypatch, 1.0)
-    reductions = []
-
-    def failing_reduction(m, tols, margin):
-        reductions.append(m)
-        raise NotAdapted("alpha_trace", 1.0, tols.tol_gauge)
-
-    monkeypatch.setattr(cli, "_base_frame", failing_reduction)
-    err = _family_refusal(tmp_path, monkeypatch, capsys, [])
-    assert err == "failure: IntegrationBlowup: injected at lam 1.0\n"
-    assert len(reductions) == 1  # this process's, before its one-process redo
 
 
 def test_family_in_a_subprocess_with_the_blas_thread_variables_unset(tmp_path):

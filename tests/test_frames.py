@@ -16,7 +16,6 @@ from symplag.errors import (
     NotLagrangian,
 )
 from symplag.frames import (
-    BASE_FRAME_REACH,
     _TANGENT,
     FrameField,
     MaurerCartanField,
@@ -29,11 +28,11 @@ from symplag.frames import (
     _mat2,
     _mc_coefficient,
     _midpoints,
-    _motion_defect,
     _omega_bar_coefficient,
     _tangent_forms,
     _tangent_frame,
     _tau_rho,
+    _two_jet,
     extract_invariants,
 )
 from symplag.cli import main
@@ -420,16 +419,21 @@ def test_pipeline_rejects_non_lagrangian():
         sg.reduction_pipeline(sg.ImmersionGrid(geom, f))
 
 
+def moved_copy(m: sg.ImmersionGrid, seed: int) -> sg.ImmersionGrid:
+    """m under a random affine symplectic motion."""
+    rng = np.random.default_rng(seed)
+    a, b, c = (rng.normal(size=size) * 0.3 for size in ((2, 2), 3, 3))
+    g = affine_motion(rng.normal(size=4) * 0.5, a, b, c)
+    return sg.ImmersionGrid(m.geometry, g[1:, 0] + np.einsum("ij,...j->...i", g[1:, 1:], m.f))
+
+
 def test_congruence_defect_cases():
     geom = sg.GridGeometry(61, 61, -0.15, -0.15, 0.005, 0.005)
     m1 = sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0), geom)
-    rng = np.random.default_rng(7)
-    a, b, c = (rng.normal(size=size) * 0.3 for size in ((2, 2), 3, 3))
-    g = affine_motion(rng.normal(size=4) * 0.5, a, b, c)
-    moved = sg.ImmersionGrid(geom, g[1:, 0] + np.einsum("ij,...j->...i", g[1:, 1:], m1.f))
+    moved = moved_copy(m1, 7)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert sg.congruence_defect(m1, moved, margin=8) < 1e-8
+        assert sg.congruence_defect(m1, moved, margin=8) < 1e-10
         assert sg.congruence_defect(m1, m1, margin=8) < 1e-10
         m0 = sg.closed_form_immersion(sg.ConstantFamilyParams(p=0.0), geom)
         assert sg.congruence_defect(m1, m0, margin=8) > 1e-2
@@ -447,63 +451,93 @@ def test_congruence_matrix_matches_pairwise_defects():
     assert np.array_equal(mat, mat.T)
     assert np.all(np.diag(mat) == 0.0)
     for (i, j), d in pairs.items():
-        assert mat[i, j] == d  # bit-equal: same reductions, same motion
+        assert mat[i, j] == d  # bit-equal: same jets, same motion
     assert np.all(mat[~np.eye(4, dtype=bool)] > 1e-3)
 
 
-@pytest.mark.parametrize("n, origin, p", [(61, 0.0, 1.0), (61, -0.15, 0.0), (121, 0.0, -1.3)])
-def test_congruence_base_frames_match_whole_grid_reduction(monkeypatch, n, origin, p):
-    # congruence reduces only a corner block; its base frame must be the whole
-    # grid's byte for byte at every margin.  A reach of 9 or 8 in place of
-    # BASE_FRAME_REACH breaks this at margin 0, or at margins 0 and 1.
+def square(n: int, origin: float = 0.0) -> sg.GridGeometry:
+    """The n x n grid of side 0.3 from (origin, origin)."""
     h = 0.3 / (n - 1)
-    geom = sg.GridGeometry(n, n, origin, origin, h, h)
-    m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=p, c1=1.3, c2=0.7), geom)
-    seen = []  # (geometry, base frame) of each reduction congruence runs
-
-    def spy(m, tols, margin):
-        out = sg.reduction_pipeline(m, tols, margin)
-        seen.append((m.geometry, out[0].S[0, 0].copy()))
-        return out
-
-    monkeypatch.setattr("symplag.frames.reduction_pipeline", spy)
-    for margin in range(13):
-        tols = sg.DEFAULT_TOLS
-        try:
-            full = quiet_pipeline(m, tols=tols, margin=margin)[0].S[0, 0]
-        except NotAdapted:  # thin margins fail the gate on the whole grid
-            tols = tols.replace(tol_gauge=1.0)
-            full = quiet_pipeline(m, tols=tols, margin=margin)[0].S[0, 0]
-        side = margin + max(margin + 5, BASE_FRAME_REACH + 1)
-        assert side < n
-        seen.clear()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sg.congruence_matrix([m, m], tols, margin)
-        assert len(seen) == 2
-        for block, base in seen:
-            assert (block.nx, block.ny) == (side, side)
-            assert base.tobytes() == full.tobytes(), margin
+    return sg.GridGeometry(n, n, origin, origin, h, h)
 
 
-def test_congruence_matrix_matches_whole_grid_base_frames():
-    members = [sg.immersion_from_frame(quiet_integrate(family_theta(lam=lam)[1],
-                                                       compute_path_defect=False))
-               for lam in (-1.0, -0.5, 0.5, 1.0)]
-    base = [quiet_pipeline(m, margin=8)[0].S[0, 0] for m in members]
-    expected = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            expected[i, j] = expected[j, i] = _motion_defect(base[i], base[j],
-                                                             members[i], members[j])
+def test_congruence_of_a_moved_copy_at_241_is_below_1e_10():
+    # test_congruence_defect_cases holds the bound at 61^2
+    params = sg.ConstantFamilyParams(p=0.5, c1=1.3, c2=0.7)
+    m = sg.closed_form_immersion(params, square(241, -0.15))
+    assert sg.congruence_defect(m, moved_copy(m, 5)) < 1e-10
+
+
+def test_congruence_of_a_translated_copy_at_margin_0():
+    # the base node is the grid's corner: the fits shift their windows inside
+    m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0), GEOM)
+    assert sg.congruence_defect(m, sg.ImmersionGrid(GEOM, m.f + 0.3), margin=0) < 1e-10
+
+
+def test_congruence_refuses_translated_planes():
+    # a Lagrangian plane's 2-jet spans only R^2: X = D_j D_i^+ would be
+    # singular, and these congruent members would read 1
+    geom = sg.GridGeometry(31, 31, 0.0, 0.0, 0.01, 0.01)
+    xx, yy = geom.mesh()
+    plane = sg.ImmersionGrid(geom, np.stack([xx, yy, 0 * xx, 0 * xx], axis=-1))
+    with pytest.raises(NotElliptic, match=r"spans less than R\^4 at node \(8, 8\)"):
+        sg.congruence_defect(plane, sg.ImmersionGrid(geom, plane.f + 0.5))
+
+
+@pytest.mark.parametrize("copy", [lambda f: 2.0 * f, lambda f: f[..., [2, 3, 0, 1]]],
+                         ids=["scaled", "mirrored"])
+def test_congruence_refuses_a_motion_that_is_not_symplectic(copy):
+    # X = 2 I, or the swap of the two planes, maps f onto the copy node for
+    # node: only max |X^T J X - J|, 3 or 2, tells the copy from a congruence
+    m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0), GEOM)
+    assert sg.congruence_defect(m, sg.ImmersionGrid(GEOM, copy(m.f))) > 1.0
+
+
+# Non-congruent pairs that share t^2 and h: the defects that the motion between
+# the adapted frames of the five-stage reduction at the base node gave, to 5
+# digits, when congruence still built those frames
+@pytest.mark.parametrize("n, params, lam, pinned", [
+    (61, {"p": 1.0}, 0.5, 6.7211e-3),
+    (61, {"p": 1.0}, 1.0, 1.3393e-2),
+    (241, {"p": 0.5, "c1": 1.3, "c2": 0.7}, 0.5, 1.0369e-2),
+    (241, {"p": 0.5, "c1": 1.3, "c2": 0.7}, 1.0, 2.0658e-2),
+    (241, {"p": 0.5, "c1": 1.3, "c2": 0.7}, -1.0, 2.0978e-2),
+])
+def test_congruence_of_shift_pairs_keeps_the_adapted_frames_defect(n, params, lam, pinned):
+    m0, m1 = (sg.closed_form_immersion(sg.ConstantFamilyParams(**dict(params, p=p)), square(n))
+              for p in (params["p"], params["p"] - lam))
+    assert abs(sg.congruence_defect(m0, m1) / pinned - 1.0) < 0.01
+
+
+def test_congruence_of_umbilic_lambda_pairs_keeps_the_adapted_frames_defect():
+    geom = square(61, -0.15)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert sg.congruence_matrix(members, margin=8).tobytes() == expected.tobytes()
+        members = [sg.umbilic_immersion(sg.UmbilicCurveSpec(geom, 0.0, lam))
+                   for lam in (-1.0, 0.0, 1.0)]
+    mat = sg.congruence_matrix(members)
+    for (i, j), pinned in {(0, 1): 5.8981e-3, (0, 2): 1.1797e-2, (1, 2): 5.9378e-3}.items():
+        assert abs(mat[i, j] / pinned - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("n, margin", [(61, 0), (61, 8), (11, 3)])
+def test_two_jet_is_exact_on_a_sextic_immersion(n, margin):
+    # four polynomials of total degree 6; on 11 nodes each fit takes the whole axis
+    geom = sg.GridGeometry(n, n, -0.1, 0.05, 0.005, 0.005)
+    P = np.polynomial.polynomial
+    rng = np.random.default_rng(n + margin)
+    C = rng.normal(size=(4, 7, 7)) * (np.add.outer(np.arange(7), np.arange(7)) <= 6)
+    xx, yy = geom.mesh()
+    f = np.stack([P.polyval2d(xx, yy, c) for c in C], axis=-1)
+    x0, y0 = geom.x[margin], geom.y[margin]
+    exact = np.array([[P.polyval2d(x0, y0, P.polyder(P.polyder(c, a, axis=0), b, axis=1))
+                       for a, b in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))] for c in C])
+    assert np.max(np.abs(_two_jet(sg.ImmersionGrid(geom, f), margin) - exact)) < 1e-9
 
 
 def bumped_far_corner() -> sg.ImmersionGrid:
     """The p = 1 closed form on GEOM with a bump in f3 of radius 5 nodes around
-    node (50, 50), far from the corner block that congruence reduces."""
+    node (50, 50), far from the nodes that congruence fits its 2-jet to."""
     m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0), GEOM)
     i, j = np.indices((GEOM.nx, GEOM.ny))
     r2 = ((i - 50) ** 2 + (j - 50) ** 2) / 25.0
@@ -515,9 +549,8 @@ def bumped_far_corner() -> sg.ImmersionGrid:
 def test_congruence_checks_lagrangian_on_the_whole_grid():
     m, bumped = sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0), GEOM), bumped_far_corner()
     assert np.max(sg.lagrangian_defect(bumped)) > sg.DEFAULT_TOLS.tol_frame
-    # the corner block that congruence reduces at margin 8 passes every gate
-    corner = sg.GridGeometry(21, 21, GEOM.x0, GEOM.y0, GEOM.dx, GEOM.dy)
-    quiet_pipeline(sg.ImmersionGrid(corner, bumped.f[:21, :21]), margin=8)
+    # at margin 8 the 2-jet reads the first 17 nodes of each axis, which the bump misses
+    assert np.array_equal(bumped.f[:17, :17], m.f[:17, :17])
     with pytest.raises(NotLagrangian):
         sg.congruence_matrix([m, bumped], margin=8)
 
@@ -536,13 +569,13 @@ def test_congruence_matrix_does_not_reduce_a_lone_member():
     geom = sg.GridGeometry(21, 21, 0.0, 0.0, 0.05, 0.05)
     xx, yy = geom.mesh()
     m = sg.ImmersionGrid(geom, np.stack([xx, yy, np.zeros_like(xx), xx], axis=-1))
-    with pytest.raises(NotLagrangian):  # what reducing it would raise
+    with pytest.raises(NotLagrangian):  # what checking it would raise
         sg.reduction_pipeline(m)
     assert np.array_equal(sg.congruence_matrix([m]), [[0.0]])
 
 
 def test_congruence_matrix_refuses_members_on_different_grids():
-    # entries compare f node by node; neither member is reduced (each would
+    # entries compare f node by node; neither member is checked (each would
     # raise NotLagrangian), so the refusal comes first
     members = []
     for n in (21, 25):

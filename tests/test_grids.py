@@ -1,4 +1,5 @@
 import os
+import time
 import warnings
 from functools import partial
 
@@ -245,6 +246,26 @@ def test_save_grid_forks_once_and_joins_two_halves(tmp_path, monkeypatch):
     forked, values = _spied_forks(monkeypatch)
     sg.save_grid(sg.ComplexGrid(GEOM, np.ones((21, 17), dtype=complex)), tmp_path / "field.csv")
     assert len(forked) == 1 and values == [True]  # not the one-process fallback
+    assert_no_child_process()
+
+
+@forks
+def test_in_two_processes_kills_the_child_when_mine_fails(monkeypatch):
+    # the child's half is not needed once this process's fails: waiting for it
+    # would hold up the one-process redo for as long as the child takes
+    forked, values = _spied_forks(monkeypatch)
+
+    def mine(pipe):
+        raise RuntimeError("refused")
+
+    def theirs():
+        time.sleep(30.0)
+        return [b"too late"]
+
+    start = time.perf_counter()
+    assert grids._in_two_processes(mine, theirs) is None
+    assert time.perf_counter() - start < 5.0
+    assert len(forked) == 1 and values == [None]
     assert_no_child_process()
 
 
