@@ -16,13 +16,12 @@ from .frames import (
     MaurerCartanField,
     congruence_defect,
     congruence_matrix,
-    extract_invariants,
     flatness_residual,
     immersion_from_frame,
     integrate_frame,
+    invariants_from_immersion,
     lagrangian_defect,
     load_immersion,
-    reduction_pipeline,
     save_immersion,
     theta_from_invariants,
 )

@@ -36,9 +36,9 @@ from .frames import (
     flatness_residual,
     immersion_from_frame,
     integrate_frame,
+    invariants_from_immersion,
     lagrangian_defect,
     load_immersion,
-    reduction_pipeline,
     save_immersion,
     theta_from_invariants,
 )
@@ -416,11 +416,11 @@ def _run_invariants(cfg: JobConfig, rep: Report) -> None:
         m, _ = load_immersion(_path("immersion", cfg.params.get("immersion")))
     rep.grids["immersion"] = m.geometry.as_dict()
     with rep.timed("reduce"):
-        _, inv, gauge = reduction_pipeline(m, cfg.tolerances, _margin(cfg.params))
+        inv, gates = invariants_from_immersion(m, cfg.tolerances, _margin(cfg.params))
     rep.grids["invariants"] = inv.geometry.as_dict()
-    # the reduction has refused a frame that is not adapted: nothing left to flag
-    for name, value in gauge.items():
-        rep.add_residual(f"gauge_{name}", value)
+    # invariants_from_immersion has refused what its gates fail: nothing left to flag
+    for name, values in gates.items():
+        rep.add_residual(name, values)
     with rep.timed("write"):
         for name, values in (("t", inv.t), ("h", inv.h), ("p", inv.p)):
             out = cfg.output_dir / f"invariant_{name}.csv"

@@ -30,16 +30,14 @@ class Tolerances:
 
     tol_rank      -- determinant/rank threshold for rank drops and never-zero fields
     tol_resid     -- generic residual threshold (compatibility equations, holomorphy)
-    tol_umbilic   -- below this |h| a node counts as umbilic
     tol_frame     -- symplectic defect allowed for integrated frame nodes
     tol_flat      -- flatness residual above which integration warns
-    tol_gauge     -- adapted-gauge residuals for invariant extraction
+    tol_gauge     -- ellipticity and conformality gates of invariant extraction
     tol_congruent -- congruence defect below which two immersions count as congruent
     """
 
     tol_rank: float = 1e-12
     tol_resid: float = 1e-6
-    tol_umbilic: float = 1e-8
     tol_frame: float = 1e-8
     tol_flat: float = 1e-6
     tol_gauge: float = 1e-6

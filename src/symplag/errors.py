@@ -21,7 +21,7 @@ class NotHolomorphic(SymplagError):
 
 
 class NotAdapted(SymplagError):
-    """Frame field fails an adapted-gauge residual; the failing residual is named."""
+    """A residual of an adapted-frame condition, which is named, exceeds its tolerance."""
 
     def __init__(self, residual_name: str, value: float, tol: float):
         self.residual_name = residual_name
@@ -52,7 +52,3 @@ class ParameterDomain(SymplagError, ValueError):
 
 class ConfigError(SymplagError, ValueError):
     """CLI configuration is missing, malformed, or inconsistent."""
-
-
-class UmbilicGaugeWarning(UserWarning):
-    """|h| fell below the umbilic tolerance; reductions remain valid."""

@@ -1,4 +1,5 @@
-"""Frame machinery: Maurer-Cartan assembly, flatness, integration, reduction.
+"""Frame machinery: Maurer-Cartan assembly, flatness, integration, and the
+inverse path, which reads invariants and congruence from f's fitted jets.
 
 The 1-form Theta = A dx + B dy is stored as two (nx, ny, 5, 5) arrays of
 affine-algebra values in the 5x5 representation [[0, 0], [p, x]].  A frame
@@ -8,23 +9,17 @@ translation part.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances, _number
-from .core import J4, _symplectic_error, _symplectic_inverse
-from .errors import (
-    FrameDefect,
-    IntegrationBlowup,
-    NotAdapted,
-    NotElliptic,
-    NotLagrangian,
-    UmbilicGaugeWarning,
-)
+from .core import _symplectic_error
+from .errors import FrameDefect, IntegrationBlowup, NotAdapted, NotElliptic, NotLagrangian
 from .grids import GridGeometry, _node_values, _non_finite_node, diff4, gradient, wirtinger
 from .invariants import InvariantTriple
 from . import grids
@@ -232,130 +227,18 @@ def immersion_from_frame(F: FrameField) -> ImmersionGrid:
     return ImmersionGrid(F.geometry, F.S[:, :, 1:, 0].copy())
 
 
-def _lagrangian(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-    """|Omega(f_x, f_y)| per node."""
-    return np.abs(np.einsum("...i,ij,...j->...", fx, J4, fy))
+def _omega(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Omega(u, v) = u^T J v per node, for (..., 4) vectors, complex ones too."""
+    return (u[..., 0] * v[..., 2] + u[..., 1] * v[..., 3]
+            - u[..., 2] * v[..., 0] - u[..., 3] * v[..., 1])
 
 
 def lagrangian_defect(m: ImmersionGrid) -> np.ndarray:
     """|Omega(f_x, f_y)| with finite-difference partials, per node."""
-    return _lagrangian(*gradient(m.f, m.geometry))
+    return np.abs(_omega(*gradient(m.f, m.geometry)))
 
 
-# -- Maurer-Cartan coefficients and invariant extraction ----------------------
-
-
-_TANGENT = (slice(1, None), slice(1, 3))  # rows 1-4, columns 1-2: alpha and gamma
-
-
-def _mc_coefficient(S: np.ndarray, geom: GridGeometry, Xinv: np.ndarray, axis: int,
-                    part: tuple = ()) -> np.ndarray:
-    """The dx (axis 0) or dy (axis 1) coefficient of S^-1 dS, the whole or its
-    `part`, given Xinv = X^-1: `diff4` of S with its last four rows multiplied by
-    Xinv in place.  S = [[1, 0], [P, X]] must be affine symplectic, as the frames
-    of `integrate_frame` and `reduction_pipeline` are: then S^-1 dS =
-    [[0, 0], [X^-1 dP, X^-1 dX]], with X^-1 = -J X^T J exact on the group."""
-    d = diff4(S, (geom.dx, geom.dy)[axis], axis, part)
-    rows = d[..., -4:, :]
-    np.matmul(Xinv, rows, out=rows)
-    return d
-
-
-class _Forms(NamedTuple):
-    """Complex forms of one coefficient (x or y) of the tangent block."""
-
-    omega: np.ndarray  # gamma: (g00 - g11)/2 + i g10
-    gamma_trace: np.ndarray  # g00 + g11
-    eta: np.ndarray  # alpha: (a00 - a11)/2 - i (a10 + a01)/2
-    w: np.ndarray  # alpha trace and skew: (a00 + a11) - i (a10 - a01)
-
-
-def _decode(T: np.ndarray) -> _Forms:
-    """Read a (..., 4, 2) tangent block [[alpha], [gamma]] of a 5x5 algebra field."""
-    alpha, gamma = T[..., :2, :], T[..., 2:, :]
-    return _Forms(
-        omega=0.5 * (gamma[..., 0, 0] - gamma[..., 1, 1]) + 1j * gamma[..., 1, 0],
-        gamma_trace=gamma[..., 0, 0] + gamma[..., 1, 1],
-        eta=0.5 * (alpha[..., 0, 0] - alpha[..., 1, 1])
-        - 0.5j * (alpha[..., 1, 0] + alpha[..., 0, 1]),
-        w=(alpha[..., 0, 0] + alpha[..., 1, 1]) - 1j * (alpha[..., 1, 0] - alpha[..., 0, 1]),
-    )
-
-
-def _tangent_forms(S: np.ndarray, geom: GridGeometry) -> list[_Forms]:
-    """The decoded tangent blocks of S^-1 S_x and S^-1 S_y, all that the gauge
-    stages read, so only those eight entries of S are differenced."""
-    Xinv = _symplectic_inverse(S[..., 1:, 1:])
-    return [_decode(_mc_coefficient(S, geom, Xinv, a, _TANGENT)) for a in (0, 1)]
-
-
-def _tau_rho(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Translation form tau = tau0 - i tau1 (rows 1-2 of column 0) and beta form
-    rho = (b00 - b11)/2 - i b10 of a 5x5 algebra field."""
-    beta = M[..., 1:3, 3:5]
-    return (M[..., 1, 0] - 1j * M[..., 2, 0],
-            0.5 * (beta[..., 0, 0] - beta[..., 1, 1]) - 1j * beta[..., 1, 0])
-
-
-def extract_invariants(
-    F: FrameField,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> tuple[InvariantTriple, dict]:
-    """Read (t, h, p) off the Maurer-Cartan form S^-1 dS of an adapted frame,
-    which must be affine symplectic (see `_mc_coefficient`).
-
-    Of the report's seven max residuals, only omega, gamma_trace, alpha_trace,
-    alpha_skew and ell are adapted-frame conditions: the first above tol_gauge
-    raises NotAdapted naming it.  tau_antiholo (tau-bar = 0) and rho_conj
-    (rho-bar = |h|^2) are consistency residuals that read t's and p's errors.
-    """
-    Xinv = _symplectic_inverse(F.S[..., 1:, 1:])
-
-    def read(axis):
-        # the forms are copies, so each coefficient is freed before the next is taken
-        M = _mc_coefficient(F.S, F.geometry, Xinv, axis)
-        return _decode(M[..., 1:, 1:3]), *_tau_rho(M)
-
-    (x, tau_x, rho_x), (y, tau_y, rho_y) = read(0), read(1)
-    t, tau_bar = wirtinger(tau_x, tau_y)
-    h, ell = wirtinger(x.eta, y.eta)
-    p, rho_bar = wirtinger(rho_x, rho_y)
-
-    report = {
-        "omega": float(np.max(np.abs(np.stack([x.omega - 1.0, y.omega - 1j])))),
-        "gamma_trace": float(np.max(np.abs(np.stack([x.gamma_trace, y.gamma_trace])))),
-        "alpha_trace": float(np.max(np.abs(np.stack([x.w.real, y.w.real])))),
-        "alpha_skew": float(np.max(np.abs(np.stack([x.w.imag, y.w.imag])))),
-        "ell": float(np.max(np.abs(ell))),
-        "tau_antiholo": float(np.max(np.abs(tau_bar))),
-        "rho_conj": float(np.max(np.abs(rho_bar - np.abs(h) ** 2))),
-    }
-    for name in ("omega", "gamma_trace", "alpha_trace", "alpha_skew", "ell"):
-        if report[name] > tols.tol_gauge:
-            raise NotAdapted(name, report[name], tols.tol_gauge)
-    return InvariantTriple(F.geometry, t, h, p), report
-
-
-# -- inverse pipeline: immersion -> adapted frame -> invariants ---------------
-
-
-def _apply_gauge(S: np.ndarray, A: np.ndarray | None, b: np.ndarray | None) -> None:
-    """S <- S Y in place for the stabilizer element Y = [[1, 0, 0], [0, A, A b],
-    [0, 0, A^-T]] of one gauge stage, which has either A, (..., 2, 2), and b = 0,
-    or a symmetric b, (..., 2, 2), and A = I.
-
-    Rows 1-4 of the tangent columns T (1-2) and normal columns N (3-4) become
-    T A and N A^-T, or T and N + T b; nothing else changes.  This is the 5x5
-    product S @ Y less its sums with exact zeros, so it matches S @ Y byte for
-    byte, except that a -0.0 that S @ Y would turn into +0.0 stays -0.0.
-    """
-    T, N = S[..., 1:, 1:3], S[..., 1:, 3:5]
-    if b is not None:
-        N += T @ b
-        return
-    a00, a01, a10, a11 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
-    T[...] = T @ A
-    N[...] = N @ (_mat2(a11, -a10, -a01, a00) / (a00 * a11 - a01 * a10)[..., None, None])
+# -- the inverse path: immersion -> (t, h, p) ----------------------------------
 
 
 def _unwrap2d(theta: np.ndarray) -> np.ndarray:
@@ -366,59 +249,7 @@ def _unwrap2d(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _omega_bar_coefficient(ux, uy, ox, oy) -> np.ndarray:
-    """c in u = a omega + c conj(omega), per node, for the 1-forms u = ux dx + uy dy
-    and omega = ox dx + oy dy:  c = (ux oy - uy ox) / (conj(ox) oy - conj(oy) ox).
-    Raises NotElliptic where omega is not a coframe, Im(conj(ox) oy) = 0."""
-    det = (np.conj(ox) * oy).imag
-    degenerate = det == 0
-    if np.any(degenerate):
-        node = np.unravel_index(np.argmax(degenerate), degenerate.shape)
-        raise NotElliptic(f"omega is not a coframe at node {tuple(map(int, node))}")
-    # num / (2i det) with a real divisor.  Peak RSS at 241^2 is sensitive to these
-    # temporaries: a complex divisor, or det from real parts, raised it by 11 MB.
-    num = ux * oy - uy * ox
-    return (num.imag - 1j * num.real) / (2.0 * det)
-
-
-def _gamma_trace_gauge(x: _Forms, y: _Forms) -> tuple[np.ndarray, None]:
-    """Stage 2, an A: kill the trace of gamma = 2 Re(conj(l) omega), whose
-    omega-bar coefficient is l.  The induced form |omega|^2 - Re(conj(l) omega)^2
-    of a coframe omega is positive definite iff |l| < 1."""
-    l = _omega_bar_coefficient(x.gamma_trace, y.gamma_trace, x.omega, y.omega)
-    l1, l2 = l.real, l.imag
-    if np.any(l1**2 + l2**2 >= 1.0):
-        raise NotElliptic("induced quadratic form is not positive definite: |l| >= 1")
-    phi = np.arcsin(-l2 / np.sqrt(1.0 - l1**2))
-    r2 = np.sqrt(0.5 * (1.0 - l1))
-    return _mat2(r2 * np.cos(phi), r2 * np.sin(phi), 0.0, np.sqrt(0.5 * (1.0 + l1))), None
-
-
-def _eta_gauge(x: _Forms, y: _Forms) -> tuple[None, np.ndarray]:
-    """Stage 3, a b: remove the antiholomorphic part of eta = h omega + ell conj(omega),
-    whose coefficient ell is real up to round-off."""
-    ell = _omega_bar_coefficient(x.eta, y.eta, x.omega, y.omega).real
-    return None, _mat2(ell, 0.0, 0.0, ell)
-
-
-def _conformal_gauge(x: _Forms, y: _Forms) -> tuple[np.ndarray, None]:
-    """Stage 4, an A: conformal gauge so that omega = dz."""
-    c = wirtinger(x.omega, y.omega)[0]
-    r4 = np.abs(c) ** -0.5
-    s4 = 0.5 * _unwrap2d(np.angle(c))
-    return _mat2(r4 * np.cos(s4), -r4 * np.sin(s4), r4 * np.sin(s4), r4 * np.cos(s4)), None
-
-
-def _alpha_gauge(x: _Forms, y: _Forms) -> tuple[None, np.ndarray]:
-    """Stage 5, a b: kill the trace and skew parts of alpha."""
-    w = wirtinger(x.w, y.w)[0]
-    return None, _mat2(0.5 * w.real, -0.5 * w.imag, -0.5 * w.imag, -0.5 * w.real)
-
-
-# Nodes cropped per side by a reduction.  Each stage differentiates again, so
-# edge-stencil error spreads inward: at 61^2 (dx = 0.005) a margin of 4 leaves
-# alpha_trace above tol_gauge on the closed-form surfaces, and 8 does not.
-DEFAULT_MARGIN = 8
+DEFAULT_MARGIN = 8  # nodes cropped per side, where fit windows shift; congruence's base node
 
 
 def _cropped(geom: GridGeometry, margin: int) -> tuple[GridGeometry, int]:
@@ -436,10 +267,11 @@ def _cropped(geom: GridGeometry, margin: int) -> tuple[GridGeometry, int]:
 
 def _tangent_columns(m: ImmersionGrid,
                      tols: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stage 1's Lagrangian and rank tests: the tangent columns (f_y, f_x) as
-    (..., 4, 2), their Gram matrix and its det, once both tests pass."""
+    """The Lagrangian and rank tests of f's `gradient` on the whole grid: the
+    tangent columns (f_y, f_x) as (..., 4, 2), their Gram matrix and its det,
+    once both tests pass."""
     fx, fy = gradient(m.f, m.geometry)
-    lag_max = float(np.max(_lagrangian(fx, fy)))
+    lag_max = float(np.max(np.abs(_omega(fx, fy))))
     if lag_max > tols.tol_frame:
         raise NotLagrangian(f"max |Omega(f_x, f_y)| = {lag_max:.3e} > {tols.tol_frame:.3e}")
 
@@ -455,63 +287,24 @@ def _tangent_columns(m: ImmersionGrid,
     return M, G, det
 
 
-def _tangent_frame(m: ImmersionGrid, tols: Tolerances) -> np.ndarray:
-    """Stage 1 of `reduction_pipeline`: the frame with tangent columns (f_y, f_x)
-    and their symplectic completion, after the Lagrangian and rank tests."""
-    M, G, det = _tangent_columns(m, tols)
-    g00, g01, g11 = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
-    N = -(J4 @ M) @ (_mat2(g11, -g01, -g01, g00) / det[..., None, None])
-    S = np.zeros(m.f.shape[:2] + (5, 5))
-    S[..., 0, 0] = 1.0
-    S[..., 1:, 0] = m.f
-    S[..., 1:, 1:3] = M
-    S[..., 1:, 3:5] = N
-    return S
+@functools.lru_cache(maxsize=512)  # interior nodes share one
+def _fit_stencil(w: int, k: int, half: int, degree: int) -> np.ndarray:
+    """pinv of the Vandermonde matrix at nodes 0 .. w - 1, offset by k, scaled by 1 / half."""
+    u = (np.arange(w) - k) / half
+    return np.linalg.pinv(np.vander(u, min(degree, w - 1) + 1, increasing=True))
 
 
-def reduction_pipeline(
-    m: ImmersionGrid,
-    tols: Tolerances = DEFAULT_TOLS,
-    margin: int = DEFAULT_MARGIN,
-) -> tuple[FrameField, InvariantTriple, dict]:
-    """Run the full frame reduction on an immersion and extract (t, h, p).
-
-    Stages: tangent frame with columns (f_y, f_x) and its symplectic
-    completion; trace-of-gamma normalization; removal of the
-    antiholomorphic part of eta; conformal gauge to the grid coordinate;
-    final trace/skew normalization of alpha.  Stages 2 and 3 each split a
-    1-form u of the running frame along its coframe omega, u = a omega +
-    c conj(omega), and gauge away c: stage 2 with u = gamma_trace, whose c
-    is l, and stage 3 with u = eta, whose c is real.  Stages 2-5 read the
-    tangent block of the running frame's S^-1 dS, extraction all of it, each
-    from `_mc_coefficient`.
-
-    Raises NotLagrangian or NotElliptic when the input fails the
-    corresponding test.  The input is not elliptic at a node where df drops
-    rank (det of the tangent Gram matrix <= tol_rank), where omega is not a
-    coframe, or where |l| >= 1.
-
-    Each stage differentiates the running frame, so one-sided stencil error
-    compounds in a band along the grid edge; the returned frame field and
-    invariants are cropped by `margin` nodes per side to stay clear of it.
-    Returns the frame, the invariants and `extract_invariants`' gauge report.
-    """
-    geom = m.geometry
-    cropped, margin = _cropped(geom, margin)
-    S = _tangent_frame(m, tols)
-    for gauge in (_gamma_trace_gauge, _eta_gauge, _conformal_gauge, _alpha_gauge):
-        # X^-1 stays inside _tangent_forms: held across _apply_gauge, it raised
-        # the 121^2 peak from 2.92 to 3.56 frames
-        _apply_gauge(S, *gauge(*_tangent_forms(S, geom)))
-
-    if margin:
-        S = S[margin:-margin, margin:-margin].copy()  # frees the uncropped frame
-    frame = FrameField(cropped, S)
-    inv, report = extract_invariants(frame, tols)
-    if np.min(np.abs(inv.h)) < tols.tol_umbilic:
-        warnings.warn("min |h| below tol_umbilic: umbilic nodes present",
-                      UmbilicGaugeWarning)
-    return frame, inv, report
+def _fit_weights(n: int, k: int, half: int, degree: int, h: float, order: int) -> np.ndarray:
+    """(order + 1, n) weights taking n node values of step h to the 0th to
+    `order`th derivatives at node k of their least-squares polynomial fit of
+    degree `degree` (w - 1 at most) over the w = min(n, 2 half + 1) nodes
+    around k, a window shifted inside the axis near an edge."""
+    w = min(2 * half + 1, n)
+    start = min(max(k - half, 0), n - w)
+    W = np.zeros((order + 1, n))
+    W[:, start:start + w] = _fit_stencil(w, k - start, half, degree)[:order + 1] * [
+        [math.factorial(i) / (half * h) ** i] for i in range(order + 1)]
+    return W
 
 
 _JET_DEGREE = 6
@@ -519,24 +312,107 @@ _JET_HALF_WIDTH = 8
 
 
 def _two_jet(m: ImmersionGrid, k: int) -> np.ndarray:
-    """m's 2-jet [f_x, f_y, f_xx, f_xy, f_yy] at node (k, k), a (4, 5) array.
-
-    Along each axis, one (3, n) row of weights takes the n node values to the
-    value and first and second derivatives at k of their least-squares fit of
-    degree _JET_DEGREE (n - 1 at most) over the min(n, 2 _JET_HALF_WIDTH + 1)
-    nodes around k, a window shifted inside the axis near an edge.
-    """
-    r, geom, G = _JET_HALF_WIDTH, m.geometry, m.f
+    """m's 2-jet [f_x, f_y, f_xx, f_xy, f_yy] at node (k, k), a (4, 5) array."""
+    geom, G = m.geometry, m.f
     for n, h in ((geom.nx, geom.dx), (geom.ny, geom.dy)):
-        w = min(2 * r + 1, n)
-        start = min(max(k - r, 0), n - w)
-        u = (np.arange(start, start + w) - k) / r  # in half-widths, for a well-posed fit
-        V = np.vander(u, min(_JET_DEGREE, w - 1) + 1, increasing=True)
-        W = np.zeros((3, n))
-        W[:, start:start + w] = np.linalg.pinv(V)[:3] * [[1.0], [1 / (r * h)], [2 / (r * h)**2]]
+        W = _fit_weights(n, k, _JET_HALF_WIDTH, _JET_DEGREE, h, 2)
         # this axis's derivative order becomes axis 1, so G ends as [x order, y order, 4]
         G = np.moveaxis(np.tensordot(W, G, axes=(1, 0)), 0, 1)
     return np.stack([G[1, 0], G[0, 1], G[2, 0], G[1, 1], G[0, 2]], axis=-1)
+
+
+# Half-width (physical, so that round-off does not grow as the grid is
+# refined) and degree of the fits of f's 4-jet
+_FIT_RADIUS = 0.025
+_FIT_DEGREE = 8
+
+
+def _fitted_partials(m: ImmersionGrid) -> dict:
+    """{(i, j): d_x^i d_y^j f} for 1 <= i + j <= 4 at every node, each
+    (nx, ny, 4), from fits over max(2, round(_FIT_RADIUS / h)) nodes each
+    side: the x fits first, then the y fits."""
+    nx, ny = m.f.shape[:2]
+    Wx, Wy = (np.stack([_fit_weights(n, k, max(2, round(_FIT_RADIUS / h)), _FIT_DEGREE, h, 4)
+                        for k in range(n)], axis=1)  # (5, n, n): order, node, node values
+              for n, h in ((nx, m.geometry.dx), (ny, m.geometry.dy)))
+    out = {}
+    for i in range(5):
+        # y leads in G, so that each y fit is one matrix product too
+        G = (Wx[i] @ m.f.reshape(nx, -1)).reshape(nx, ny, 4).transpose(1, 0, 2).reshape(ny, -1)
+        for j in range(i == 0, 5 - i):  # no (0, 0): f itself is not needed
+            out[i, j] = (Wy[j] @ G).reshape(ny, nx, 4).transpose(1, 0, 2)
+    return out
+
+
+def _wirtinger_terms(k: int, l: int = 0) -> dict:
+    """{(i, j): c} with d_z^k d_zbar^l = sum c d_x^i d_y^j: the product of the
+    `wirtinger` forms of d_x and d_y, as polynomials in d_y / d_x."""
+    d_z, d_zbar = wirtinger(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    c = functools.reduce(np.convolve, [d_z] * k + [d_zbar] * l, np.ones(1))
+    return {(k + l - j, j): c[j] for j in range(k + l + 1) if c[j]}
+
+
+def _pairing(P: dict, a: tuple, b: tuple) -> np.ndarray:
+    """Omega(d_z^k d_zbar^l f, d_z^m d_zbar^n f), a = (k, l) and b = (m, n), from
+    f's partials P, one real pairing of two partials at a time."""
+    return sum(c * d * _omega(P[u], P[v]) for u, c in _wirtinger_terms(*a).items()
+               for v, d in _wirtinger_terms(*b).items())
+
+
+def _closed_forms(P: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """2A = t^2, h, p and the conformal residual |Omega(f_zbar, f_zz)| / |A| in
+    a conformal grid coordinate, from partials P of f at any nodes: with
+    A, B, C, D = Omega(f_z, f_zz), Omega(f_z, f_zzz), Omega(f_zz, f_zzz),
+    Omega(f_z, f_zzzz), h = -Omega(f_zz, f_zzbar) / |A| and
+    p = -(3/2) C/A - (1/2) D/A + (3/4) (B/A)^2.  On a Lagrangian f, B = A_z and
+    C + D = B_z, so p = t (1/t)_zz - C/A, a Schwarzian-type term."""
+    A, B, C, D = (_pairing(P, (k, 0), (l, 0)) for k, l in ((1, 2), (1, 3), (2, 3), (1, 4)))
+    h = -_pairing(P, (2, 0), (1, 1)) / np.abs(A)
+    conformal = np.abs(_pairing(P, (0, 1), (2, 0))) / np.abs(A)
+    return 2.0 * A, h, -1.5 * C / A - 0.5 * D / A + 0.75 * (B / A) ** 2, conformal
+
+
+def _ellipticity(P: dict) -> np.ndarray:
+    """q = [4 (ac - b^2)(bd - c^2) - (ad - bc)^2] / (a^2 + b^2 + c^2 + d^2)^2 of
+    the cubic form Omega(df, d^2 f) in the partials P: positive where it has
+    three distinct real roots, 1 where it is apolar, NaN where it is 0."""
+    a, b, c = (_omega(P[1, 0], P[k]) for k in ((2, 0), (1, 1), (0, 2)))
+    d = _omega(P[0, 1], P[0, 2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (4.0 * (a * c - b * b) * (b * d - c * c) - (a * d - b * c) ** 2) / (
+            a * a + b * b + c * c + d * d) ** 2
+
+
+def invariants_from_immersion(
+    m: ImmersionGrid,
+    tols: Tolerances = DEFAULT_TOLS,
+    margin: int = DEFAULT_MARGIN,
+) -> tuple[InvariantTriple, dict]:
+    """(t, h, p) of an elliptic Lagrangian immersion in a conformal grid
+    coordinate by `_closed_forms`, cropped by `margin` nodes per side; t's
+    phase, angle(2A) / 2 made continuous, fixes t up to a global sign.  Gates,
+    in order: `_cropped`, `_tangent_columns`, `_ellipticity` above tol_gauge on
+    the whole grid (else NotElliptic), and conformal residuals at most
+    tol_gauge on the kept nodes (else NotAdapted "conformal").  The report
+    holds the kept nodes' `lagrangian_defect` and `conformal` residuals."""
+    cropped, margin = _cropped(m.geometry, margin)
+    _tangent_columns(m, tols)
+    P = _fitted_partials(m)
+    q = _ellipticity(P)
+    if not np.all(q > tols.tol_gauge):  # NaN is refused too
+        node = np.unravel_index(np.argmax(~(q > tols.tol_gauge)), q.shape)
+        raise NotElliptic(f"the cubic form is not elliptic at node {tuple(map(int, node))}: "
+                          f"q = {q[node]:.3e} is not above tol_gauge {tols.tol_gauge:.3e}")
+    keep = (slice(margin, m.geometry.nx - margin), slice(margin, m.geometry.ny - margin))
+    for k in P:  # each whole-grid partial is freed as its crop is copied
+        P[k] = P[k][keep].copy()
+    t2, h, p, conformal = _closed_forms(P)
+    worst = float(np.max(conformal))
+    if worst > tols.tol_gauge:
+        raise NotAdapted("conformal", worst, tols.tol_gauge)
+    t = np.sqrt(np.abs(t2)) * np.exp(0.5j * _unwrap2d(np.angle(t2)))
+    report = {"lagrangian_defect": np.abs(_omega(P[1, 0], P[0, 1])), "conformal": conformal}
+    return InvariantTriple(cropped, t, h, p), report
 
 
 def congruence_matrix(

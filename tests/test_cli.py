@@ -23,11 +23,11 @@ from symplag.cli import (
     write_obj,
 )
 from symplag.errors import ConfigError, IntegrationBlowup
+from symplag.generators import _closed_form_at
 from test_grids import _spied_forks, assert_no_child_process, forks
 
-# the entries of extract_invariants' report, each an `invariants` residual gauge_<name>
-GAUGE_NAMES = ("omega", "gamma_trace", "alpha_trace", "alpha_skew", "ell",
-               "tau_antiholo", "rho_conj")
+# the gate values of invariants_from_immersion, each an `invariants` residual
+GATE_NAMES = {"lagrangian_defect", "conformal"}
 
 
 def test_build_config_grid_and_tolerances():
@@ -140,35 +140,47 @@ def test_integrate_and_invariants_commands(tmp_path):
     want = sg.separated_t(sg.ConstantFamilyParams(p=0.0), xx, yy)
     sign = np.sign(np.real(t.values[0, 0] / want[0, 0]))
     assert np.max(np.abs(t.values - sign * want)) < 1e-5
-    # one residual per gauge-report entry, and no aggregate of them
+    # one residual per gate value, and no aggregate of them
     res = json.loads((out2 / "report.json").read_text())["residuals"]
-    assert set(res) == {f"gauge_{n}" for n in GAUGE_NAMES}
+    assert set(res) == GATE_NAMES
 
 
-def test_invariants_passes_when_the_reduction_succeeds(tmp_path, capsys):
-    # exact input at 121^2: rho_conj reads ~5e-6, above tol_gauge, yet it is
-    # no adapted-frame condition, so nothing fails and the command exits 0
+@pytest.mark.parametrize("grid, margin", [("121,121,0,0,0.0025,0.0025", 8),
+                                          ("61,61,0,0,0.005,0.005", 2)],
+                         ids=["121-margin8", "61-margin2"])
+def test_invariants_reports_its_gate_values(tmp_path, grid, margin):
+    # the example's closed form passes both gates, at a margin of 2 too, where
+    # the fits' windows are shifted furthest: nothing is flagged, exit 0
     ex = tmp_path / "ex"
-    assert main(["example", "--grid", "121,121,0,0,0.0025,0.0025", "--out", str(ex)]) == 0
+    assert main(["example", "--grid", grid, "--out", str(ex)]) == 0
     doc = tmp_path / "inv.json"
     doc.write_text(json.dumps({"command": "invariants",
-                               "params": {"immersion": str(ex / "immersion.csv")}}))
+                               "params": {"immersion": str(ex / "immersion.csv"),
+                                          "margin": margin}}))
     out = tmp_path / "inv"
     assert main(["--config", str(doc), "--out", str(out)]) == 0
     rep = json.loads((out / "report.json").read_text())
     assert rep["passed"] is True and rep["flags"] == {}
-    assert set(rep["residuals"]) == {f"gauge_{n}" for n in GAUGE_NAMES}
-    assert rep["residuals"]["gauge_rho_conj"]["max"] > rep["config"]["tolerances"]["tol_gauge"]
-    # a frame that is not adapted still fails: margin 2 leaves alpha_trace
-    # at ~3e-5 on the 61^2 example, and the reduction raises NotAdapted
-    ex61 = tmp_path / "ex61"
-    assert main(["example", "--out", str(ex61)]) == 0
+    assert set(rep["residuals"]) == GATE_NAMES
+    assert rep["residuals"]["conformal"]["max"] <= 1e-9
+    assert rep["residuals"]["lagrangian_defect"]["max"] <= 1e-11
+    p = sg.load_grid(out / "invariant_p.csv").values
+    assert np.max(np.abs(p)) < 1e-6  # the example has p = 0
+
+
+def test_invariants_refuses_a_sheared_grid_coordinate(tmp_path, capsys):
+    # the closed form at (x + 0.01 y, y): Lagrangian and elliptic, but the grid
+    # coordinate is not conformal, so no adapted frame is read in it
+    geom = sg.GridGeometry(61, 61, 0.0, 0.0, 0.005, 0.005)
+    xx, yy = geom.mesh()
+    f = _closed_form_at(sg.ConstantFamilyParams(p=0.5), xx + 0.01 * yy, yy).real
+    sg.save_immersion(sg.ImmersionGrid(geom, f), tmp_path / "sheared.csv")
+    doc = tmp_path / "inv.json"
     doc.write_text(json.dumps({"command": "invariants",
-                               "params": {"immersion": str(ex61 / "immersion.csv"),
-                                          "margin": 2}}))
-    capsys.readouterr()
-    assert main(["--config", str(doc), "--out", str(tmp_path / "bad")]) == 1
-    assert "failure: NotAdapted: gauge residual alpha_trace" in capsys.readouterr().err
+                               "params": {"immersion": str(tmp_path / "sheared.csv")}}))
+    assert main(["--config", str(doc), "--out", str(tmp_path / "inv")]) == 1
+    assert re.search(r"failure: NotAdapted: gauge residual conformal = [45]\.\d{3}e-03 exceeds",
+                     capsys.readouterr().err)
 
 
 def test_report_times_each_stage(tmp_path):

@@ -2,7 +2,9 @@ import numpy as np
 from scipy.linalg import expm
 
 import symplag as sg
-from symplag.core import _symplectic_error, _symplectic_inverse
+from symplag.core import _symplectic_error
+
+from reduction import _symplectic_inverse
 
 
 def test_j4_squares_to_minus_identity():

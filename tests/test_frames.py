@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 import symplag as sg
-from symplag.core import _symplectic_error, _symplectic_inverse
+from symplag.core import _symplectic_error
 from symplag.errors import (
     FrameDefect,
     IntegrationBlowup,
@@ -15,30 +15,28 @@ from symplag.errors import (
     NotElliptic,
     NotLagrangian,
 )
-from symplag.frames import (
+from symplag.frames import FrameField, MaurerCartanField, _mat2, _midpoints, _two_jet
+from symplag.cli import main
+from symplag.grids import diff4, gradient
+
+from closed_forms import constant_ab
+from reduction import (
     _TANGENT,
-    FrameField,
-    MaurerCartanField,
     _alpha_gauge,
     _apply_gauge,
     _conformal_gauge,
     _decode,
     _eta_gauge,
     _gamma_trace_gauge,
-    _mat2,
     _mc_coefficient,
-    _midpoints,
     _omega_bar_coefficient,
+    _symplectic_inverse,
     _tangent_forms,
     _tangent_frame,
     _tau_rho,
-    _two_jet,
     extract_invariants,
+    reduction_pipeline,
 )
-from symplag.cli import main
-from symplag.grids import diff4, gradient
-
-from closed_forms import constant_ab
 
 
 GEOM = sg.GridGeometry(61, 61, 0.0, 0.0, 0.005, 0.005)
@@ -70,7 +68,7 @@ def quiet_integrate(theta, **kw):
 def quiet_pipeline(m, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return sg.reduction_pipeline(m, **kw)
+        return reduction_pipeline(m, **kw)
 
 
 def test_theta_matches_constant_coefficient_matrices():
@@ -364,7 +362,7 @@ def curve_immersion(geom):
 def test_pipeline_on_complex_curve():
     geom = sg.GridGeometry(61, 61, -0.15, -0.15, 0.005, 0.005)
     m = curve_immersion(geom)
-    F, inv, _ = quiet_pipeline(m, margin=8)
+    inv, _ = sg.invariants_from_immersion(m, margin=8)
     assert np.max(np.abs(inv.h)) < 1e-8
     assert np.max(np.abs(inv.t - inv.t[0, 0])) < 1e-8
 
@@ -373,7 +371,7 @@ def test_pipeline_recovers_family_invariants():
     geom = sg.GridGeometry(61, 61, -0.15, -0.15, 0.005, 0.005)
     params = sg.ConstantFamilyParams(p=1.0)
     m = sg.closed_form_immersion(params, geom)
-    F, inv, _ = quiet_pipeline(m, margin=8)
+    inv, _ = sg.invariants_from_immersion(m, margin=8)
     sub = inv.geometry
     xx, yy = sub.mesh()
     t_want = sg.separated_t(params, xx, yy)
@@ -390,7 +388,7 @@ def test_pipeline_default_margin_passes_gauge_gate(origin):
     # the gauge conditions (a margin of 4 raises NotAdapted here)
     geom = sg.GridGeometry(61, 61, origin, origin, 0.005, 0.005)
     m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0), geom)
-    _, inv, report = sg.reduction_pipeline(m)
+    _, inv, report = reduction_pipeline(m)
     assert (inv.geometry.nx, inv.geometry.ny) == (45, 45)
     assert max(report[k] for k in ("omega", "gamma_trace", "alpha_trace",
                                    "alpha_skew", "ell")) <= sg.DEFAULT_TOLS.tol_gauge
@@ -404,8 +402,8 @@ def test_pipeline_gauge_covariance():
     a = rng.normal(size=(2, 2)) * 0.2
     g = affine_motion(rng.normal(size=4) * 0.4, a, (0.1, -0.05, 0.2), (0.0, 0.15, -0.1))
     moved = sg.ImmersionGrid(geom, g[1:, 0] + np.einsum("ij,...j->...i", g[1:, 1:], m.f))
-    _, inv1, _ = quiet_pipeline(m, margin=8)
-    _, inv2, _ = quiet_pipeline(moved, margin=8)
+    inv1, _ = sg.invariants_from_immersion(m, margin=8)
+    inv2, _ = sg.invariants_from_immersion(moved, margin=8)
     assert np.max(np.abs(inv2.t**2 - inv1.t**2)) < 1e-7
     assert np.max(np.abs(inv2.h - inv1.h)) < 1e-7
     assert np.max(np.abs(inv2.p - inv1.p)) < 1e-7
@@ -415,8 +413,8 @@ def test_pipeline_rejects_non_lagrangian():
     geom = sg.GridGeometry(21, 21, 0.0, 0.0, 0.05, 0.05)
     xx, yy = geom.mesh()
     f = np.stack([xx, yy, np.zeros_like(xx), xx], axis=-1)  # Omega(f_x, f_y) = -1
-    with pytest.raises(NotLagrangian):
-        sg.reduction_pipeline(sg.ImmersionGrid(geom, f))
+    with pytest.raises(NotLagrangian, match=r"max \|Omega\(f_x, f_y\)\| = 1\.000e\+00 > "):
+        sg.invariants_from_immersion(sg.ImmersionGrid(geom, f))
 
 
 def moved_copy(m: sg.ImmersionGrid, seed: int) -> sg.ImmersionGrid:
@@ -570,7 +568,7 @@ def test_congruence_matrix_does_not_reduce_a_lone_member():
     xx, yy = geom.mesh()
     m = sg.ImmersionGrid(geom, np.stack([xx, yy, np.zeros_like(xx), xx], axis=-1))
     with pytest.raises(NotLagrangian):  # what checking it would raise
-        sg.reduction_pipeline(m)
+        sg.invariants_from_immersion(m)
     assert np.array_equal(sg.congruence_matrix([m]), [[0.0]])
 
 
@@ -741,19 +739,19 @@ def test_load_immersion_names_a_bad_sidecar(tmp_path, text, message):
 
 
 @pytest.mark.parametrize("grad_phi, message", [
-    # a Lagrangian plane: the frame is constant, so omega = 0 is no coframe
-    (lambda x, y: (0 * x, 0 * y), "not a coframe"),
-    # cubic graphs: omega is a coframe, but the trace of gamma has |l| >= 1
-    (lambda x, y: (3 * x**2, 3 * y**2), r"\|l\| >= 1"),
-    (lambda x, y: (2 * x * y, x**2), r"\|l\| >= 1"),
+    # a Lagrangian plane: the cubic form vanishes, and q reads 0/0
+    (lambda x, y: (0 * x, 0 * y), "q = nan"),
+    # cubic graphs: x^3 + y^3 has one real root (q = -1/4), x^2 y a double root
+    (lambda x, y: (3 * x**2, 3 * y**2), r"q = -2\.500e-01"),
+    (lambda x, y: (2 * x * y, x**2), r"q = -?(\d\.\d{3}e-(1\d|[2-9]\d|\d{3})|0\.000e\+00)"),
 ], ids=["plane", "x3+y3", "x2y"])
 def test_pipeline_rejects_non_elliptic(grad_phi, message):
     # the Lagrangian graph f = (x, y, phi_x, phi_y)
     geom = sg.GridGeometry(41, 41, 0.1, 0.1, 0.01, 0.01)
     xx, yy = geom.mesh()
     f = np.stack([xx, yy, *grad_phi(xx, yy)], axis=-1)
-    with pytest.raises(NotElliptic, match=message):
-        sg.reduction_pipeline(sg.ImmersionGrid(geom, f))
+    with pytest.raises(NotElliptic, match=r"not elliptic at node \(0, 0\): " + message):
+        sg.invariants_from_immersion(sg.ImmersionGrid(geom, f))
 
 
 def test_omega_bar_coefficient_recovers_c():
@@ -782,7 +780,7 @@ def test_pipeline_rejects_rank_deficient_immersion(kind):
     first = zero + 1.0 if kind == "constant" else xx
     f = np.stack([first, zero + 2.0, zero, zero], axis=-1)
     with pytest.raises(NotElliptic, match=r"df drops rank at node \(0, 0\)"):
-        sg.reduction_pipeline(sg.ImmersionGrid(geom, f))
+        sg.invariants_from_immersion(sg.ImmersionGrid(geom, f))
 
 
 def test_pipeline_checks_margin_before_any_stage():
@@ -792,21 +790,19 @@ def test_pipeline_checks_margin_before_any_stage():
     m = sg.ImmersionGrid(geom, np.stack([xx, yy, np.zeros_like(xx), xx], axis=-1))
     for margin in (-1, 9, 2.5, 8.5, True, "8", float("nan"), float("inf")):
         with pytest.raises(ValueError, match="margin"):
-            sg.reduction_pipeline(m, margin=margin)
+            sg.invariants_from_immersion(m, margin=margin)
 
 
 def test_integer_valued_float_margin_is_that_integer():
-    # 8.0 crops as 8 does, byte for byte, in the reduction and in congruence
+    # 8.0 crops as 8 does, byte for byte, in the invariants and in congruence
     m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0), GEOM)
     moved = sg.ImmersionGrid(GEOM, m.f + 0.25)
     runs = []
     for margin in (8, 8.0):
-        F, inv, gauge = quiet_pipeline(m, margin=margin)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            mat = sg.congruence_matrix([m, moved], margin=margin)
-        runs.append((F.geometry, F.S.tobytes(), [v.tobytes() for v in (inv.t, inv.h, inv.p)],
-                     gauge, mat.tobytes()))
+        inv, gates = sg.invariants_from_immersion(m, margin=margin)
+        mat = sg.congruence_matrix([m, moved], margin=margin)
+        runs.append((inv.geometry, [v.tobytes() for v in (inv.t, inv.h, inv.p)],
+                     {k: v.tobytes() for k, v in gates.items()}, mat.tobytes()))
     assert runs[0] == runs[1]
 
 

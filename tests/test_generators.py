@@ -174,9 +174,7 @@ def test_umbilic_immersion_is_lagrangian():
 def test_umbilic_invariant_roundtrip():
     geom, spec = umbilic_setup(lambda z: z, n=61, d=0.01)
     m = sg.umbilic_immersion(spec)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, inv, _ = sg.reduction_pipeline(m, margin=8)
+    inv, _ = sg.invariants_from_immersion(m, margin=8)
     zz = inv.geometry.zmesh()
     assert np.max(np.abs(inv.h)) < 1e-8
     assert np.max(np.abs(inv.p - zz)) < 1e-6

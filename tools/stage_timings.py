@@ -8,12 +8,12 @@ directory), with BLAS and OpenMP pinned to one thread, and times each stage
 as the best of 5 runs.  A separate pass, not timed, records each stage's
 tracemalloc peak: the most memory that one call's own allocations hold at
 once.  The input is the constant family with p = 1 on a square of side 0.3
-with origin 0: Theta and the integrated frame come from its invariants, the
-reduction and `congruence_defect` stages take its closed-form immersion, and
-`extract_invariants`, the reduction's last stage, takes the cropped adapted
-frame of one reduction of it.  `congruence_matrix` compares the four members
-of its shift family with lambda in FAMILY_LAMBDAS, each integrated from its
-invariants, as the `family` command does.  `save_grid` writes the family's t,
+with origin 0: Theta and the integrated frame come from its invariants, and
+the inverse and `congruence_defect` stages take its closed-form immersion:
+`fitted_partials`, the fits of f's 4-jet, and `invariants_from_immersion`,
+the whole inverse path that contains them.  `congruence_matrix` compares
+the four members of its shift family with lambda in FAMILY_LAMBDAS, each
+integrated from its invariants, as the `family` command does.  `save_grid` writes the family's t,
 one of the three grids the `invariants` command writes, and `load_grid` reads
 it back.  `load_immersion_frame` reads the CSV of the integrated immersion
 and its frame, and `load_immersion` the frame-less CSV of the closed form, the
@@ -81,7 +81,6 @@ def grid_stages(sg, n: int, workdir: Path) -> dict:
     F = sg.integrate_frame(theta, compute_path_defect=False)
     m_frame = sg.immersion_from_frame(F)
     m = sg.closed_form_immersion(params, geom)
-    adapted = sg.reduction_pipeline(m)[0]
     members = [sg.immersion_from_frame(sg.integrate_frame(
         sg.theta_from_invariants(sg.shift_family(inv, lam)), compute_path_defect=False))
         for lam in FAMILY_LAMBDAS]
@@ -97,8 +96,8 @@ def grid_stages(sg, n: int, workdir: Path) -> dict:
         "flatness_residual": lambda: sg.flatness_residual(theta),
         "integrate_frame_estimate": lambda: sg.integrate_frame(theta),
         "integrate_frame": lambda: sg.integrate_frame(theta, compute_path_defect=False),
-        "reduction_pipeline": lambda: sg.reduction_pipeline(m),
-        "extract_invariants": lambda: sg.extract_invariants(adapted),
+        "fitted_partials": lambda: sg.frames._fitted_partials(m),
+        "invariants_from_immersion": lambda: sg.invariants_from_immersion(m),
         "congruence_defect": lambda: sg.congruence_defect(m, m),
         "congruence_matrix": lambda: sg.congruence_matrix(members),
         "save_immersion_frame": lambda: sg.save_immersion(m_frame, csv, frame=F),
