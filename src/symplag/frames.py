@@ -20,7 +20,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances, _number
 from .core import _symplectic_error
 from .errors import FrameDefect, IntegrationBlowup, NotAdapted, NotElliptic, NotLagrangian
-from .grids import GridGeometry, _node_values, _non_finite_node, diff4, gradient, wirtinger
+from .grids import GridGeometry, _node_values, _non_finite_node, diff4, wirtinger
 from .invariants import InvariantTriple
 from . import grids
 
@@ -233,11 +233,6 @@ def _omega(u: np.ndarray, v: np.ndarray) -> np.ndarray:
             - u[..., 2] * v[..., 0] - u[..., 3] * v[..., 1])
 
 
-def lagrangian_defect(m: ImmersionGrid) -> np.ndarray:
-    """|Omega(f_x, f_y)| with finite-difference partials, per node."""
-    return np.abs(_omega(*gradient(m.f, m.geometry)))
-
-
 # -- the inverse path: immersion -> (t, h, p) ----------------------------------
 
 
@@ -263,28 +258,6 @@ def _cropped(geom: GridGeometry, margin: int) -> tuple[GridGeometry, int]:
     return GridGeometry(geom.nx - 2 * margin, geom.ny - 2 * margin,
                         geom.x0 + margin * geom.dx, geom.y0 + margin * geom.dy,
                         geom.dx, geom.dy), margin
-
-
-def _tangent_columns(m: ImmersionGrid,
-                     tols: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Lagrangian and rank tests of f's `gradient` on the whole grid: the
-    tangent columns (f_y, f_x) as (..., 4, 2), their Gram matrix and its det,
-    once both tests pass."""
-    fx, fy = gradient(m.f, m.geometry)
-    lag_max = float(np.max(np.abs(_omega(fx, fy))))
-    if lag_max > tols.tol_frame:
-        raise NotLagrangian(f"max |Omega(f_x, f_y)| = {lag_max:.3e} > {tols.tol_frame:.3e}")
-
-    M = np.stack([fy, fx], axis=-1)  # tangent columns (..., 4, 2)
-    G = np.swapaxes(M, -1, -2) @ M
-    g00, g01, g11 = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
-    det = g00 * g11 - g01 * g01
-    rank_drop = det <= tols.tol_rank
-    if np.any(rank_drop):
-        node = np.unravel_index(np.argmax(rank_drop), rank_drop.shape)
-        raise NotElliptic(f"df drops rank at node {tuple(map(int, node))}: det of the "
-                          f"tangent Gram matrix {det[node]:.3e} <= tol_rank {tols.tol_rank:.3e}")
-    return M, G, det
 
 
 @functools.lru_cache(maxsize=512)  # interior nodes share one
@@ -327,21 +300,53 @@ _FIT_RADIUS = 0.025
 _FIT_DEGREE = 8
 
 
-def _fitted_partials(m: ImmersionGrid) -> dict:
-    """{(i, j): d_x^i d_y^j f} for 1 <= i + j <= 4 at every node, each
-    (nx, ny, 4), from fits over max(2, round(_FIT_RADIUS / h)) nodes each
-    side: the x fits first, then the y fits."""
+@functools.lru_cache(maxsize=4)  # one command's members and calls share one
+def _fit_operator(n: int, h: float) -> np.ndarray:
+    """Read-only (5, n, n) weights: row i takes an axis's n node values of
+    step h to their ith derivatives at every node, from fits over
+    max(2, round(_FIT_RADIUS / h)) nodes each side."""
+    W = np.stack([_fit_weights(n, k, max(2, round(_FIT_RADIUS / h)), _FIT_DEGREE, h, 4)
+                  for k in range(n)], axis=1)  # order, node, node values
+    W.flags.writeable = False
+    return W
+
+
+def _fitted_partials(m: ImmersionGrid, order: int = 4) -> dict:
+    """{(i, j): d_x^i d_y^j f} for 1 <= i + j <= `order` (at most 4) at every
+    node, each (nx, ny, 4), from `_fit_operator`: the x fits first, then the
+    y fits.  A partial is the same number at any `order`."""
     nx, ny = m.f.shape[:2]
-    Wx, Wy = (np.stack([_fit_weights(n, k, max(2, round(_FIT_RADIUS / h)), _FIT_DEGREE, h, 4)
-                        for k in range(n)], axis=1)  # (5, n, n): order, node, node values
-              for n, h in ((nx, m.geometry.dx), (ny, m.geometry.dy)))
+    Wx, Wy = _fit_operator(nx, m.geometry.dx), _fit_operator(ny, m.geometry.dy)
     out = {}
-    for i in range(5):
+    for i in range(order + 1):
         # y leads in G, so that each y fit is one matrix product too
         G = (Wx[i] @ m.f.reshape(nx, -1)).reshape(nx, ny, 4).transpose(1, 0, 2).reshape(ny, -1)
-        for j in range(i == 0, 5 - i):  # no (0, 0): f itself is not needed
+        for j in range(i == 0, order + 1 - i):  # no (0, 0): f itself is not needed
             out[i, j] = (Wy[j] @ G).reshape(ny, nx, 4).transpose(1, 0, 2)
     return out
+
+
+def lagrangian_defect(m: ImmersionGrid) -> np.ndarray:
+    """|Omega(f_x, f_y)| per node, from f's fitted partials."""
+    P = _fitted_partials(m, 1)
+    return np.abs(_omega(P[1, 0], P[0, 1]))
+
+
+def _tangent_gates(P: dict, tols: Tolerances) -> None:
+    """The Lagrangian and rank tests of the partials f_x = P[1, 0] and
+    f_y = P[0, 1] at every node: max |Omega(f_x, f_y)| at most tol_frame, else
+    NotLagrangian, and the det |f_x|^2 |f_y|^2 - (f_x . f_y)^2 of their Gram
+    matrix above tol_rank, else NotElliptic naming the first failing node."""
+    fx, fy = P[1, 0], P[0, 1]
+    lag_max = float(np.max(np.abs(_omega(fx, fy))))
+    if lag_max > tols.tol_frame:
+        raise NotLagrangian(f"max |Omega(f_x, f_y)| = {lag_max:.3e} > {tols.tol_frame:.3e}")
+    det = np.sum(fx * fx, axis=-1) * np.sum(fy * fy, axis=-1) - np.sum(fx * fy, axis=-1) ** 2
+    rank_drop = det <= tols.tol_rank
+    if np.any(rank_drop):
+        node = np.unravel_index(np.argmax(rank_drop), rank_drop.shape)
+        raise NotElliptic(f"df drops rank at node {tuple(map(int, node))}: det of the "
+                          f"tangent Gram matrix {det[node]:.3e} <= tol_rank {tols.tol_rank:.3e}")
 
 
 def _wirtinger_terms(k: int, l: int = 0) -> dict:
@@ -391,13 +396,13 @@ def invariants_from_immersion(
     """(t, h, p) of an elliptic Lagrangian immersion in a conformal grid
     coordinate by `_closed_forms`, cropped by `margin` nodes per side; t's
     phase, angle(2A) / 2 made continuous, fixes t up to a global sign.  Gates,
-    in order: `_cropped`, `_tangent_columns`, `_ellipticity` above tol_gauge on
+    in order: `_cropped`, `_tangent_gates`, `_ellipticity` above tol_gauge on
     the whole grid (else NotElliptic), and conformal residuals at most
     tol_gauge on the kept nodes (else NotAdapted "conformal").  The report
     holds the kept nodes' `lagrangian_defect` and `conformal` residuals."""
     cropped, margin = _cropped(m.geometry, margin)
-    _tangent_columns(m, tols)
     P = _fitted_partials(m)
+    _tangent_gates(P, tols)
     q = _ellipticity(P)
     if not np.all(q > tols.tol_gauge):  # NaN is refused too
         node = np.unravel_index(np.argmax(~(q > tols.tol_gauge)), q.shape)
@@ -428,9 +433,9 @@ def congruence_matrix(
     so that a motion that is not symplectic (one that scales, say) is no
     congruence, and sup |P + X f_i - f_j| over the grid.  Entries compare f
     node by node, so members on different grid geometries are a ValueError
-    naming both, raised before anything else.  Stage 1's Lagrangian and rank
-    tests (`_tangent_columns`) check each member's whole grid, and a 2-jet that
-    spans less than R^4 (det D D^T <= tol_rank; a Lagrangian plane's) is
+    naming both, raised before anything else.  `_tangent_gates` checks each
+    member's fitted f_x and f_y on its whole grid, and a 2-jet that spans
+    less than R^4 (det D D^T <= tol_rank; a Lagrangian plane's) is
     NotElliptic.  A lone member is not checked at all.
     """
     for m in members[1:]:
@@ -441,7 +446,7 @@ def congruence_matrix(
         return np.zeros((len(members),) * 2)
     margin = _cropped(members[0].geometry, margin)[1]  # before any member is checked
     for m in members:
-        _tangent_columns(m, tols)
+        _tangent_gates(_fitted_partials(m, 1), tols)
     jets = [_two_jet(m, margin) for m in members]
     for D in jets:  # X would be singular, and a congruent pair read at least 1
         det = float(np.prod(np.linalg.svd(D, compute_uv=False) ** 2))

@@ -9,7 +9,7 @@ A field is a plain array of node values, passed with its GridGeometry: here
 and in the invariants and frame layers, operators take `(values, geom)` and
 return arrays.  `gradient` is the one operator that takes both partials of a
 field, and `wirtinger` the one statement of the convention that turns x and y
-coefficients into dz and dzbar coefficients; `diff4` alone takes a `part`.
+coefficients into dz and dzbar coefficients.
 `ComplexGrid` is only the record that `save_grid` writes and `load_grid` reads.
 """
 
@@ -34,22 +34,16 @@ _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 
 
-def diff4(values: np.ndarray, h: float, axis: int, part: tuple = ()) -> np.ndarray:
+def diff4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """4th-order first derivative along `axis` with one-sided boundary closure.
 
     Works on arrays with trailing dimensions (e.g. per-node matrices); only
-    `axis` is differenced.  `part` indexes the trailing dimensions: only that
-    part is differenced, and the result equals that part of the whole
-    derivative, `diff4(values, h, axis)[(slice(None), slice(None), *part)]`,
-    byte for byte.
+    `axis` is differenced.
     """
-    values = np.asarray(values)
-    cut = (slice(None), slice(None), *part)
-    v = np.moveaxis(values, axis, 0)
-    n = v.shape[0]
+    u = np.moveaxis(np.asarray(values), axis, 0)
+    n = u.shape[0]
     if n < 5:
         raise GridTooSmall(f"need at least 5 nodes along axis {axis}, got {n}")
-    u = np.moveaxis(np.ascontiguousarray(values[cut]), axis, 0) if part else v
     out = np.empty_like(u, dtype=np.result_type(u.dtype, float))
     # (-u[4:] + 8 u[3:-1] - 8 u[1:-3] + u[:-4]) / 12h, in this order, in place.
     # A real field takes the first three terms scaled by 1/8 and rescales them,
@@ -69,15 +63,15 @@ def diff4(values: np.ndarray, h: float, axis: int, part: tuple = ()) -> np.ndarr
     mid += u[:-4]
     mid /= 12.0 * h
     # Each edge row is one BLAS product of a stencil with the whole 5-node
-    # slab, the call np.tensordot makes, and only then cut to `part`.  Its last
-    # bits depend on the slab's width and layout, so differencing a sub-block
-    # of a field is not the same as cutting the derivative of the whole field.
-    rest, keep = v.shape[1:], cut[1:]
-    head, tail = v[:5].reshape(5, -1), v[-1:-6:-1].reshape(5, -1)
-    out[0] = np.dot(_EDGE0, head).reshape(rest)[keep] / h
-    out[1] = np.dot(_EDGE1, head).reshape(rest)[keep] / h
-    out[-1] = -np.dot(_EDGE0, tail).reshape(rest)[keep] / h
-    out[-2] = -np.dot(_EDGE1, tail).reshape(rest)[keep] / h
+    # slab, the call np.tensordot makes.  Its last bits depend on the slab's
+    # width and layout, so differencing a sub-block of a field is not the same
+    # as cutting the derivative of the whole field.
+    rest = u.shape[1:]
+    head, tail = u[:5].reshape(5, -1), u[-1:-6:-1].reshape(5, -1)
+    out[0] = np.dot(_EDGE0, head).reshape(rest) / h
+    out[1] = np.dot(_EDGE1, head).reshape(rest) / h
+    out[-1] = -np.dot(_EDGE0, tail).reshape(rest) / h
+    out[-2] = -np.dot(_EDGE1, tail).reshape(rest) / h
     return np.moveaxis(out, 0, axis)
 
 

@@ -3,10 +3,10 @@
 
 `reduction_pipeline` reduces an immersion to its adapted frame in five
 stages and `extract_invariants` reads (t, h, p) off that frame's
-Maurer-Cartan form.  Stage 1 is the library's `_tangent_columns`; each later
-stage differences the running frame again, so p's round-off grows like
-eps / h^4.  Tests compare the closed forms with this reduction, and reduce
-integrated frames with `extract_invariants`.
+Maurer-Cartan form.  Stage 1 differences f with `gradient`; each later stage
+differences the running frame again, so p's round-off grows like eps / h^4.
+Tests compare the closed forms with this reduction, and reduce integrated
+frames with `extract_invariants`.
 """
 
 from __future__ import annotations
@@ -17,17 +17,17 @@ import numpy as np
 
 from symplag.config import DEFAULT_TOLS, Tolerances
 from symplag.core import J4
-from symplag.errors import NotAdapted, NotElliptic
+from symplag.errors import NotAdapted, NotElliptic, NotLagrangian
 from symplag.frames import (
     DEFAULT_MARGIN,
     FrameField,
     ImmersionGrid,
     _cropped,
     _mat2,
-    _tangent_columns,
+    _omega,
     _unwrap2d,
 )
-from symplag.grids import GridGeometry, diff4, wirtinger
+from symplag.grids import GridGeometry, diff4, gradient, wirtinger
 from symplag.invariants import InvariantTriple
 
 
@@ -44,7 +44,8 @@ def _symplectic_inverse(X: np.ndarray) -> np.ndarray:
     +0.0, as from the matrix products with J: on finite input the result is
     byte-identical to -J @ X^T @ J.
     """
-    out = X[..., _INV_ROW, _INV_COL] * _INV_SIGN
+    out = X[..., _INV_ROW, _INV_COL]
+    out *= _INV_SIGN
     out += 0.0
     return out
 
@@ -52,16 +53,17 @@ def _symplectic_inverse(X: np.ndarray) -> np.ndarray:
 _TANGENT = (slice(1, None), slice(1, 3))  # rows 1-4, columns 1-2: alpha and gamma
 
 
-def _mc_coefficient(S: np.ndarray, geom: GridGeometry, Xinv: np.ndarray, axis: int,
+def _mc_coefficient(S: np.ndarray, geom: GridGeometry, axis: int,
                     part: tuple = ()) -> np.ndarray:
     """The dx (axis 0) or dy (axis 1) coefficient of S^-1 dS, the whole or its
-    `part`, given Xinv = X^-1: `diff4` of S with its last four rows multiplied by
-    Xinv in place.  S = [[1, 0], [P, X]] must be affine symplectic, as the frames
-    of `integrate_frame` and `reduction_pipeline` are: then S^-1 dS =
+    `part`: `diff4` of S, cut to `part`, with its last four rows multiplied in
+    place by X^-1, which is taken only once the whole derivative is freed.
+    S = [[1, 0], [P, X]] must be affine symplectic, as the frames of
+    `integrate_frame` and `reduction_pipeline` are: then S^-1 dS =
     [[0, 0], [X^-1 dP, X^-1 dX]], with X^-1 = -J X^T J exact on the group."""
-    d = diff4(S, (geom.dx, geom.dy)[axis], axis, part)
+    d = np.ascontiguousarray(diff4(S, (geom.dx, geom.dy)[axis], axis)[(..., *part)])
     rows = d[..., -4:, :]
-    np.matmul(Xinv, rows, out=rows)
+    np.matmul(_symplectic_inverse(S[..., 1:, 1:]), rows, out=rows)
     return d
 
 
@@ -88,9 +90,8 @@ def _decode(T: np.ndarray) -> _Forms:
 
 def _tangent_forms(S: np.ndarray, geom: GridGeometry) -> list[_Forms]:
     """The decoded tangent blocks of S^-1 S_x and S^-1 S_y, all that the gauge
-    stages read, so only those eight entries of S are differenced."""
-    Xinv = _symplectic_inverse(S[..., 1:, 1:])
-    return [_decode(_mc_coefficient(S, geom, Xinv, a, _TANGENT)) for a in (0, 1)]
+    stages read, so only those eight entries are kept and multiplied by X^-1."""
+    return [_decode(_mc_coefficient(S, geom, a, _TANGENT)) for a in (0, 1)]
 
 
 def _tau_rho(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,11 +114,9 @@ def extract_invariants(
     raises NotAdapted naming it.  tau_antiholo (tau-bar = 0) and rho_conj
     (rho-bar = |h|^2) are consistency residuals that read t's and p's errors.
     """
-    Xinv = _symplectic_inverse(F.S[..., 1:, 1:])
-
     def read(axis):
         # the forms are copies, so each coefficient is freed before the next is taken
-        M = _mc_coefficient(F.S, F.geometry, Xinv, axis)
+        M = _mc_coefficient(F.S, F.geometry, axis)
         return _decode(M[..., 1:, 1:3]), *_tau_rho(M)
 
     (x, tau_x, rho_x), (y, tau_y, rho_y) = read(0), read(1)
@@ -208,6 +207,28 @@ def _alpha_gauge(x: _Forms, y: _Forms) -> tuple[None, np.ndarray]:
     return None, _mat2(0.5 * w.real, -0.5 * w.imag, -0.5 * w.imag, -0.5 * w.real)
 
 
+def _tangent_columns(m: ImmersionGrid,
+                     tols: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Lagrangian and rank tests of f's `gradient` on the whole grid: the
+    tangent columns (f_y, f_x) as (..., 4, 2), their Gram matrix and its det,
+    once both tests pass."""
+    fx, fy = gradient(m.f, m.geometry)
+    lag_max = float(np.max(np.abs(_omega(fx, fy))))
+    if lag_max > tols.tol_frame:
+        raise NotLagrangian(f"max |Omega(f_x, f_y)| = {lag_max:.3e} > {tols.tol_frame:.3e}")
+
+    M = np.stack([fy, fx], axis=-1)  # tangent columns (..., 4, 2)
+    G = np.swapaxes(M, -1, -2) @ M
+    g00, g01, g11 = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
+    det = g00 * g11 - g01 * g01
+    rank_drop = det <= tols.tol_rank
+    if np.any(rank_drop):
+        node = np.unravel_index(np.argmax(rank_drop), rank_drop.shape)
+        raise NotElliptic(f"df drops rank at node {tuple(map(int, node))}: det of the "
+                          f"tangent Gram matrix {det[node]:.3e} <= tol_rank {tols.tol_rank:.3e}")
+    return M, G, det
+
+
 def _tangent_frame(m: ImmersionGrid, tols: Tolerances) -> np.ndarray:
     """Stage 1 of `reduction_pipeline`: the frame with tangent columns (f_y, f_x)
     and their symplectic completion, after the Lagrangian and rank tests."""
@@ -253,7 +274,7 @@ def reduction_pipeline(
     cropped, margin = _cropped(geom, margin)
     S = _tangent_frame(m, tols)
     for gauge in (_gamma_trace_gauge, _eta_gauge, _conformal_gauge, _alpha_gauge):
-        # X^-1 stays inside _tangent_forms: held across _apply_gauge, it raised
+        # X^-1 stays inside _mc_coefficient: held across _apply_gauge, it raised
         # the 121^2 peak from 2.92 to 3.56 frames
         _apply_gauge(S, *gauge(*_tangent_forms(S, geom)))
 

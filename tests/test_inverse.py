@@ -9,7 +9,7 @@ import pytest
 
 import symplag as sg
 from symplag.errors import NotAdapted
-from symplag.frames import _closed_forms, _ellipticity, _fitted_partials
+from symplag.frames import _closed_forms, _ellipticity, _fit_operator, _fitted_partials
 from symplag.generators import _closed_form_at
 
 from closed_forms import MAPS, reparametrized_at, reparametrized_closed_form
@@ -87,12 +87,14 @@ def test_closed_forms_agree_with_the_moving_frame_reduction(n, bounds):
 
 @pytest.mark.parametrize("name, n", [("quad", 61), ("rotation", 121)])
 def test_closed_forms_agree_with_the_reduction_on_a_complex_h(name, n):
-    # diff4's truncation fails these Lagrangian surfaces at tol_frame, and the
-    # reduction's gauge gates at tol_gauge, on these grids; the agreement read
-    # 2.8e-7, 2.3e-8, 3.4e-7 (quad) and 1.1e-9, 1.7e-8, 5.3e-6 (rotation)
+    # the reduction's stage 1 differences f with diff4, whose truncation fails
+    # these Lagrangian surfaces at tol_frame, and its gauge gates fail at
+    # tol_gauge, on these grids, so only it takes loose tolerances; the
+    # agreement read 2.8e-7, 2.3e-8, 3.4e-7 (quad) and 1.1e-9, 1.7e-8, 5.3e-6
+    # (rotation)
     loose = sg.Tolerances(tol_frame=1.0, tol_gauge=1e-3)
     m, *_ = reparametrized_closed_form(PARAMS, *MAPS[name], square(n))
-    inv, _ = sg.invariants_from_immersion(m, loose)
+    inv, _ = sg.invariants_from_immersion(m)
     _, frame_inv, _ = reduction_pipeline(m, loose)
     et = min(np.max(np.abs(inv.t - frame_inv.t)), np.max(np.abs(inv.t + frame_inv.t)))
     assert et <= 1e-6
@@ -101,10 +103,13 @@ def test_closed_forms_agree_with_the_reduction_on_a_complex_h(name, n):
 
 
 @pytest.mark.parametrize("name", ["quad", "cubic", "rotation"])
-def test_reparametrized_surfaces_at_241(name):
-    # worst over the three maps: t 6.5e-11, h 1.6e-10, p 1.25e-6 (cubic);
-    # the bounds are 4x those
-    m, t, h, p = reparametrized_closed_form(PARAMS, *MAPS[name], square(241))
+@pytest.mark.parametrize("n", [61, 121, 241])
+def test_reparametrized_surfaces_at_default_tolerances(n, name):
+    # worst over the three maps: t 6.5e-11, h 1.6e-10, p 1.25e-6 (cubic, 241^2);
+    # the bounds are 4x those.  The fitted f_x and f_y read these surfaces as
+    # Lagrangian to 5e-11; diff4's read 6.2e-7 (quad), 1.4e-6 (cubic) and
+    # 4.1e-8 (rotation) at 61^2, above tol_frame
+    m, t, h, p = reparametrized_closed_form(PARAMS, *MAPS[name], square(n))
     inv, gates = sg.invariants_from_immersion(m)
     et, eh, ep = errors(inv, t, h, p)
     assert et <= 2.6e-10 and eh <= 6.4e-10 and ep <= 5e-6
@@ -159,3 +164,22 @@ def test_a_one_percent_shear_fails_the_conformal_gate():
     with pytest.raises(NotAdapted, match="conformal") as err:
         sg.invariants_from_immersion(m)
     assert 1e-3 < err.value.value < 1e-2
+
+
+def test_the_lagrangian_defect_is_read_one_way():
+    # the invariants report, the library function and the gates all read the
+    # fitted partials, and f_x and f_y are the same numbers at any order
+    m, *_ = reparametrized_closed_form(PARAMS, *MAPS["quad"], square(61))
+    _, gates = sg.invariants_from_immersion(m)
+    assert gates["lagrangian_defect"].tobytes() == sg.lagrangian_defect(m)[8:-8, 8:-8].tobytes()
+    first, whole = _fitted_partials(m, 1), _fitted_partials(m)
+    assert sorted(first) == [(0, 1), (1, 0)]
+    for k in first:
+        assert first[k].tobytes() == whole[k].tobytes()
+
+
+def test_the_fit_operator_is_read_only():
+    W = _fit_operator(61, 0.005)
+    assert W.shape == (5, 61, 61)
+    with pytest.raises(ValueError, match="read-only"):
+        W[0, 0, 0] = 1.0

@@ -10,14 +10,17 @@ tracemalloc peak: the most memory that one call's own allocations hold at
 once.  The input is the constant family with p = 1 on a square of side 0.3
 with origin 0: Theta and the integrated frame come from its invariants, and
 the inverse and `congruence_defect` stages take its closed-form immersion:
-`fitted_partials`, the fits of f's 4-jet, and `invariants_from_immersion`,
-the whole inverse path that contains them.  `congruence_matrix` compares
-the four members of its shift family with lambda in FAMILY_LAMBDAS, each
-integrated from its invariants, as the `family` command does.  `save_grid` writes the family's t,
-one of the three grids the `invariants` command writes, and `load_grid` reads
-it back.  `load_immersion_frame` reads the CSV of the integrated immersion
-and its frame, and `load_immersion` the frame-less CSV of the closed form, the
-file that the `invariants` command reads.
+`fit_operator`, the build of the fit weights with their cache cleared before
+each call, so that the best of 5 is a cold build; `fitted_partials`, the fits
+of f's 4-jet; `invariants_from_immersion`, the whole inverse path that
+contains them; and `lagrangian_defect`, which fits f's first partials only.
+`congruence_matrix` compares the four members of its shift family with
+lambda in FAMILY_LAMBDAS, each integrated from its invariants, as the
+`family` command does.  `save_grid` writes the family's t, one of the three
+grids the `invariants` command writes, and `load_grid` reads it back.
+`load_immersion_frame` reads the CSV of the integrated immersion and its
+frame, and `load_immersion` the frame-less CSV of the closed form, the file
+that the `invariants` command reads.
 
 The timings (`stages_s`) and peaks (`stages_peak_mb`) go under `--label`
 (default "change") in the JSON file `--out`; an existing file keeps its other
@@ -96,8 +99,11 @@ def grid_stages(sg, n: int, workdir: Path) -> dict:
         "flatness_residual": lambda: sg.flatness_residual(theta),
         "integrate_frame_estimate": lambda: sg.integrate_frame(theta),
         "integrate_frame": lambda: sg.integrate_frame(theta, compute_path_defect=False),
+        "fit_operator": lambda: (sg.frames._fit_operator.cache_clear(),
+                                 sg.frames._fit_operator(n, h)),
         "fitted_partials": lambda: sg.frames._fitted_partials(m),
         "invariants_from_immersion": lambda: sg.invariants_from_immersion(m),
+        "lagrangian_defect": lambda: sg.lagrangian_defect(m),
         "congruence_defect": lambda: sg.congruence_defect(m, m),
         "congruence_matrix": lambda: sg.congruence_matrix(members),
         "save_immersion_frame": lambda: sg.save_immersion(m_frame, csv, frame=F),
