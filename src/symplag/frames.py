@@ -228,9 +228,8 @@ def immersion_from_frame(F: FrameField) -> ImmersionGrid:
 
 
 def _omega(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Omega(u, v) = u^T J v per node, for (..., 4) vectors, complex ones too."""
-    return (u[..., 0] * v[..., 2] + u[..., 1] * v[..., 3]
-            - u[..., 2] * v[..., 0] - u[..., 3] * v[..., 1])
+    """Omega(u, v) = u^T J v per node, for (4, ...) vectors, complex ones too."""
+    return u[0] * v[2] + u[1] * v[3] - u[2] * v[0] - u[3] * v[1]
 
 
 # -- the inverse path: immersion -> (t, h, p) ----------------------------------
@@ -294,35 +293,41 @@ def _two_jet(m: ImmersionGrid, k: int) -> np.ndarray:
     return np.stack([G[1, 0], G[0, 1], G[2, 0], G[1, 1], G[0, 2]], axis=-1)
 
 
-# Half-width (physical, so that round-off does not grow as the grid is
-# refined) and degree of the fits of f's 4-jet
-_FIT_RADIUS = 0.025
-_FIT_DEGREE = 8
+_FIT_RADIUS = 0.025  # fit half-width, physical: its round-off does not grow under refinement
+_FIT_DEGREE = 8  # degree of the fits of f's 4-jet
+_FIT_BLOCK = 16  # nodes per block of fit weights
+_ROW_BLOCK = 16  # kept rows per block of the closed forms
 
 
 @functools.lru_cache(maxsize=4)  # one command's members and calls share one
-def _fit_operator(n: int, h: float) -> np.ndarray:
-    """Read-only (5, n, n) weights: row i takes an axis's n node values of
-    step h to their ith derivatives at every node, from fits over
-    max(2, round(_FIT_RADIUS / h)) nodes each side."""
-    W = np.stack([_fit_weights(n, k, max(2, round(_FIT_RADIUS / h)), _FIT_DEGREE, h, 4)
-                  for k in range(n)], axis=1)  # order, node, node values
-    W.flags.writeable = False
-    return W
+def _fit_operator(n: int, h: float) -> tuple:
+    """Read-only blocks (r0, r1, c0, c1, W) of the `_fit_weights` over
+    max(2, round(_FIT_RADIUS / h)) nodes each side on an axis of n nodes of
+    step h: W, (5, r1 - r0, c1 - c0), takes the values at nodes c0 .. c1 - 1,
+    all that the windows of nodes r0 .. r1 - 1 touch, to derivatives 0 to 4."""
+    blocks = []
+    for r0 in range(0, n, _FIT_BLOCK):
+        W = np.stack([_fit_weights(n, k, max(2, round(_FIT_RADIUS / h)), _FIT_DEGREE, h, 4)
+                      for k in range(r0, min(r0 + _FIT_BLOCK, n))], axis=1)
+        c0, c1 = np.flatnonzero(W.any(axis=(0, 1)))[[0, -1]] + [0, 1]
+        W = W[..., c0:c1].copy()
+        W.flags.writeable = False
+        blocks.append((r0, r0 + W.shape[1], int(c0), int(c1), W))
+    return tuple(blocks)
 
 
 def _fitted_partials(m: ImmersionGrid, order: int = 4) -> dict:
-    """{(i, j): d_x^i d_y^j f} for 1 <= i + j <= `order` (at most 4) at every
-    node, each (nx, ny, 4), from `_fit_operator`: the x fits first, then the
-    y fits.  A partial is the same number at any `order`."""
-    nx, ny = m.f.shape[:2]
-    Wx, Wy = _fit_operator(nx, m.geometry.dx), _fit_operator(ny, m.geometry.dy)
-    out = {}
+    """{(i, j): d_x^i d_y^j f}, each (4, nx, ny), for 1 <= i + j <= `order` (at most 4):
+    `_fit_operator`'s x fits, then its y fits.  A partial is the same number at any `order`."""
+    F = np.ascontiguousarray(np.moveaxis(m.f, -1, 0))
+    G, out = np.empty_like(F), {}
     for i in range(order + 1):
-        # y leads in G, so that each y fit is one matrix product too
-        G = (Wx[i] @ m.f.reshape(nx, -1)).reshape(nx, ny, 4).transpose(1, 0, 2).reshape(ny, -1)
+        for r0, r1, c0, c1, W in _fit_operator(m.geometry.nx, m.geometry.dx):
+            np.matmul(W[i], F[:, c0:c1], out=G[:, r0:r1])
         for j in range(i == 0, order + 1 - i):  # no (0, 0): f itself is not needed
-            out[i, j] = (Wy[j] @ G).reshape(ny, nx, 4).transpose(1, 0, 2)
+            P = out[i, j] = np.empty_like(F)
+            for r0, r1, c0, c1, W in _fit_operator(m.geometry.ny, m.geometry.dy):
+                np.matmul(G[..., c0:c1], W[j].T, out=P[..., r0:r1])
     return out
 
 
@@ -341,7 +346,7 @@ def _tangent_gates(P: dict, tols: Tolerances) -> None:
     lag_max = float(np.max(np.abs(_omega(fx, fy))))
     if lag_max > tols.tol_frame:
         raise NotLagrangian(f"max |Omega(f_x, f_y)| = {lag_max:.3e} > {tols.tol_frame:.3e}")
-    det = np.sum(fx * fx, axis=-1) * np.sum(fy * fy, axis=-1) - np.sum(fx * fy, axis=-1) ** 2
+    det = np.sum(fx * fx, axis=0) * np.sum(fy * fy, axis=0) - np.sum(fx * fy, axis=0) ** 2
     rank_drop = det <= tols.tol_rank
     if np.any(rank_drop):
         node = np.unravel_index(np.argmax(rank_drop), rank_drop.shape)
@@ -357,13 +362,6 @@ def _wirtinger_terms(k: int, l: int = 0) -> dict:
     return {(k + l - j, j): c[j] for j in range(k + l + 1) if c[j]}
 
 
-def _pairing(P: dict, a: tuple, b: tuple) -> np.ndarray:
-    """Omega(d_z^k d_zbar^l f, d_z^m d_zbar^n f), a = (k, l) and b = (m, n), from
-    f's partials P, one real pairing of two partials at a time."""
-    return sum(c * d * _omega(P[u], P[v]) for u, c in _wirtinger_terms(*a).items()
-               for v, d in _wirtinger_terms(*b).items())
-
-
 def _closed_forms(P: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """2A = t^2, h, p and the conformal residual |Omega(f_zbar, f_zz)| / |A| in
     a conformal grid coordinate, from partials P of f at any nodes: with
@@ -371,9 +369,11 @@ def _closed_forms(P: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     Omega(f_z, f_zzzz), h = -Omega(f_zz, f_zzbar) / |A| and
     p = -(3/2) C/A - (1/2) D/A + (3/4) (B/A)^2.  On a Lagrangian f, B = A_z and
     C + D = B_z, so p = t (1/t)_zz - C/A, a Schwarzian-type term."""
-    A, B, C, D = (_pairing(P, (k, 0), (l, 0)) for k, l in ((1, 2), (1, 3), (2, 3), (1, 4)))
-    h = -_pairing(P, (2, 0), (1, 1)) / np.abs(A)
-    conformal = np.abs(_pairing(P, (0, 1), (2, 0))) / np.abs(A)
+    fz, fzz, fzzz, fzzzz, fzbar, fzzbar = (
+        sum(c * P[ij] for ij, c in _wirtinger_terms(*kl).items())
+        for kl in ((1, 0), (2, 0), (3, 0), (4, 0), (0, 1), (1, 1)))
+    A, B, C, D = _omega(fz, fzz), _omega(fz, fzzz), _omega(fzz, fzzz), _omega(fz, fzzzz)
+    h, conformal = -_omega(fzz, fzzbar) / np.abs(A), np.abs(_omega(fzbar, fzz)) / np.abs(A)
     return 2.0 * A, h, -1.5 * C / A - 0.5 * D / A + 0.75 * (B / A) ** 2, conformal
 
 
@@ -408,15 +408,15 @@ def invariants_from_immersion(
         node = np.unravel_index(np.argmax(~(q > tols.tol_gauge)), q.shape)
         raise NotElliptic(f"the cubic form is not elliptic at node {tuple(map(int, node))}: "
                           f"q = {q[node]:.3e} is not above tol_gauge {tols.tol_gauge:.3e}")
-    keep = (slice(margin, m.geometry.nx - margin), slice(margin, m.geometry.ny - margin))
-    for k in P:  # each whole-grid partial is freed as its crop is copied
-        P[k] = P[k][keep].copy()
-    t2, h, p, conformal = _closed_forms(P)
+    kept = {k: v[:, margin:margin + cropped.nx, margin:margin + cropped.ny] for k, v in P.items()}
+    t2, h, p, conformal = (np.concatenate(v) for v in zip(*(  # small complex temporaries
+        _closed_forms({k: v[:, r:r + _ROW_BLOCK] for k, v in kept.items()})
+        for r in range(0, cropped.nx, _ROW_BLOCK))))
     worst = float(np.max(conformal))
     if worst > tols.tol_gauge:
         raise NotAdapted("conformal", worst, tols.tol_gauge)
     t = np.sqrt(np.abs(t2)) * np.exp(0.5j * _unwrap2d(np.angle(t2)))
-    report = {"lagrangian_defect": np.abs(_omega(P[1, 0], P[0, 1])), "conformal": conformal}
+    report = {"lagrangian_defect": np.abs(_omega(kept[1, 0], kept[0, 1])), "conformal": conformal}
     return InvariantTriple(cropped, t, h, p), report
 
 

@@ -24,7 +24,6 @@ from symplag.frames import (
     ImmersionGrid,
     _cropped,
     _mat2,
-    _omega,
     _unwrap2d,
 )
 from symplag.grids import GridGeometry, diff4, gradient, wirtinger
@@ -48,6 +47,12 @@ def _symplectic_inverse(X: np.ndarray) -> np.ndarray:
     out *= _INV_SIGN
     out += 0.0
     return out
+
+
+def _omega(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Omega(u, v) = u^T J v per node, for (..., 4) vectors."""
+    return (u[..., 0] * v[..., 2] + u[..., 1] * v[..., 3]
+            - u[..., 2] * v[..., 0] - u[..., 3] * v[..., 1])
 
 
 _TANGENT = (slice(1, None), slice(1, 3))  # rows 1-4, columns 1-2: alpha and gamma

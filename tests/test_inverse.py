@@ -3,13 +3,22 @@ against the moving-frame reduction, under refinement, and on the constant
 family composed with holomorphic changes of coordinate."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import symplag as sg
 from symplag.errors import NotAdapted
-from symplag.frames import _closed_forms, _ellipticity, _fit_operator, _fitted_partials
+from symplag.frames import (
+    _FIT_DEGREE,
+    _FIT_RADIUS,
+    _closed_forms,
+    _ellipticity,
+    _fit_operator,
+    _fit_weights,
+    _fitted_partials,
+)
 from symplag.generators import _closed_form_at
 
 from closed_forms import MAPS, reparametrized_at, reparametrized_closed_form
@@ -179,7 +188,72 @@ def test_the_lagrangian_defect_is_read_one_way():
 
 
 def test_the_fit_operator_is_read_only():
-    W = _fit_operator(61, 0.005)
-    assert W.shape == (5, 61, 61)
-    with pytest.raises(ValueError, match="read-only"):
-        W[0, 0, 0] = 1.0
+    blocks = _fit_operator(61, 0.005)
+    assert [b[:2] for b in blocks] == [(0, 16), (16, 32), (32, 48), (48, 61)]
+    for *_, W in blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            W[0, 0, 0] = 1.0
+
+
+def dense_partials(m) -> dict:
+    """f's partials from whole (5, n, n) fit matrices, one `_fit_weights` row
+    per node: the x fits, then the y fits, as (4, nx, ny) arrays; and the
+    max row sums of |weights| per derivative order on each axis."""
+    g, out, norms = m.geometry, {}, []
+    Wx, Wy = (np.stack([_fit_weights(n, k, max(2, round(_FIT_RADIUS / h)), _FIT_DEGREE, h, 4)
+                        for k in range(n)], axis=1) for n, h in ((g.nx, g.dx), (g.ny, g.dy)))
+    for i in range(5):
+        G = np.tensordot(Wx[i], m.f, axes=(1, 0))
+        for j in range(i == 0, 5 - i):
+            out[i, j] = np.tensordot(Wy[j], G, axes=(1, 1)).transpose(2, 1, 0)
+    return out, [np.max(np.sum(np.abs(W), axis=-1), axis=-1) for W in (Wx, Wy)]
+
+
+@pytest.mark.parametrize("geom", [square(61), square(121), square(241),
+                                  sg.GridGeometry(121, 97, 0.0, 0.0, 0.0025, 0.003),
+                                  sg.GridGeometry(7, 61, 0.0, 0.0, 0.001, 0.005)],
+                         ids=["61", "121", "241", "121x97", "7x61"])
+def test_the_banded_fits_match_whole_fit_matrices(geom):
+    # in units of the round-off of one fit product, eps max |f| |Wx[i]| |Wy[j]|
+    # with |W| the max row sum of |weights|, the worst per order i + j over
+    # these grids read 0.20, 0.16, 0.12, 0.15; the bounds are about twice
+    # those.  The 7-node axis lies in one window, which spans it whole
+    bounds = {1: 0.4, 2: 0.4, 3: 0.25, 4: 0.3}
+    m = sg.closed_form_immersion(PARAMS, geom)
+    P, (want, (nx, ny)) = _fitted_partials(m), dense_partials(m)
+    assert sorted(P) == sorted(want)
+    scale = np.finfo(float).eps * np.max(np.abs(m.f))
+    for (i, j), v in P.items():
+        assert v.shape == (4, geom.nx, geom.ny)
+        err = np.max(np.abs(v - want[i, j])) / (scale * nx[i] * ny[j])
+        assert err <= bounds[i + j], ((i, j), err)
+
+
+def test_a_non_square_anisotropic_grid_recovers_the_closed_form():
+    # nx != ny and dx != dy, at the 121^2 bounds of
+    # test_closed_forms_agree_with_the_moving_frame_reduction; it read t, h, p
+    # to 7.7e-12, 1.8e-11, 1.1e-7
+    geom = sg.GridGeometry(121, 97, 0.0, 0.0, 0.0025, 0.003)
+    xx, yy = geom.mesh()
+    inv, _ = sg.invariants_from_immersion(sg.closed_form_immersion(PARAMS, geom))
+    assert (inv.geometry.nx, inv.geometry.ny) == (105, 81)
+    et, eh, ep = errors(inv, sg.separated_t(PARAMS, xx, yy), np.ones_like(xx),
+                        np.full_like(xx, PARAMS.p))
+    assert et <= 1e-8 and eh <= 1e-7 and ep <= 1e-5, (et, eh, ep)
+
+
+def test_the_inverse_path_peak_memory_is_within_its_bound():
+    # tracemalloc peak of one 241^2 call, its fit weights cached, in units of
+    # f's own size: 16.16 (30.0 MB) while the fits were whole (n, n) matrices
+    # and the crop of each partial was copied; 17.31 (32.2 MB) with banded
+    # fits, a cropped view and closed forms over blocks of 16 kept rows (17.89
+    # over blocks of 32).  The bound is 1.1x the former
+    m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0), square(241))
+    sg.invariants_from_immersion(m)
+    tracemalloc.start()
+    try:
+        sg.invariants_from_immersion(m)
+        peak = tracemalloc.get_traced_memory()[1] / m.f.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 16.16, peak
