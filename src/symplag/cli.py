@@ -43,12 +43,7 @@ from .frames import (
     theta_from_invariants,
 )
 from .grids import ComplexGrid, GridGeometry, _in_two_processes, load_grid, save_grid
-from .invariants import (
-    InvariantTriple,
-    dbar_fubini_residual,
-    inteq_residual,
-    shift_family,
-)
+from .invariants import InvariantTriple, inteq_residual, shift_family
 from .generators import (
     ConstantFamilyParams,
     UmbilicCurveSpec,
@@ -308,10 +303,8 @@ def _run_verify(cfg: JobConfig, rep: Report) -> None:
     inv = _triple(cfg, rep)
     mx = max(rep.add_residual(f"inteq_r{k}", r) for k, r in enumerate(inteq_residual(inv), 1))
     rep.add_flag("inteq", mx, "tol_resid")
-    df = rep.add_residual("dbar_fubini", dbar_fubini_residual(inv))
-    rep.add_flag("dbar_fubini", df, "tol_resid")
     flat = rep.add_residual("flatness", flatness_residual(theta_from_invariants(inv)))
-    rep.add_flag("flatness", flat, "tol_flat")
+    rep.add_flag("flatness", flat, "tol_resid")
 
 
 def _run_integrate(cfg: JobConfig, rep: Report) -> None:
@@ -320,7 +313,7 @@ def _run_integrate(cfg: JobConfig, rep: Report) -> None:
         theta = theta_from_invariants(inv)
         F = integrate_frame(theta, tols=cfg.tolerances)
         m = immersion_from_frame(F)
-    rep.add_flag("flatness", F.flatness_report, "tol_flat")
+    rep.add_flag("flatness", F.flatness_report, "tol_resid")
     if not math.isnan(F.error_estimate):  # NaN below 7 nodes on an axis
         rep.add_flag("error_estimate", F.error_estimate, "tol_congruent")
     # integrate_frame has already refused a defect above tol_frame
@@ -361,19 +354,18 @@ def _recorded(work):
 
 
 def _member(base: InvariantTriple, lam: float, tols: Tolerances) -> tuple:
-    """The inteq max and the integrated immersion of `shift_family(base, lam)`."""
-    inv = shift_family(base, lam)
-    mx = max(float(np.max(np.abs(r))) for r in inteq_residual(inv))
-    F = integrate_frame(theta_from_invariants(inv), tols=tols, compute_path_defect=False)
-    return mx, immersion_from_frame(F)
+    """The flatness report and f of the frame integrated from `shift_family(base, lam)`."""
+    theta = theta_from_invariants(shift_family(base, lam))
+    F = integrate_frame(theta, tols=tols, compute_path_defect=False)
+    return F.flatness_report, immersion_from_frame(F).f
 
 
 def _members(base: InvariantTriple, lambdas: list, tols: Tolerances) -> tuple:
     """`family`'s `_member` of each of `lambdas`, in order.  Returns three lists
-    in member order: the inteq maxima, the immersions' f, and the warnings of
-    the integrations."""
+    in member order: the flatness reports, the immersions' f, and the warnings
+    of the integrations."""
     done, integrating = _recorded(lambda: [_member(base, lam, tols) for lam in lambdas])
-    return [mx for mx, _ in done], [m.f for _, m in done], integrating
+    return [flat for flat, _ in done], [f for _, f in done], integrating
 
 
 def _run_family(cfg: JobConfig, rep: Report) -> None:
@@ -396,12 +388,12 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
         halves = _in_two_processes(
             lambda pipe: (_members(base, lambdas[:k], tols), pickle.load(pipe)),
             lambda: [pickle.dumps(_members(base, lambdas[k:], tols))])
-        maxima, fs, integrating = (
+        flatness, fs, integrating = (
             [a + b for a, b in zip(*halves)] if halves else _members(base, lambdas, tols))
         for w in integrating:  # as one process raises them
             warnings.warn_explicit(*w)
-    for lam, mx in zip(lambdas, maxima):
-        rep.add_flag(f"inteq_lam_{lam!r}", mx, "tol_resid")
+    for lam, flat in zip(lambdas, flatness):
+        rep.add_flag(f"flatness_lam_{lam!r}", flat, "tol_resid")
     members = [ImmersionGrid(base.geometry, f) for f in fs]
     with rep.timed("congruence"):
         matrix = congruence_matrix(members, tols, margin)

@@ -29,9 +29,10 @@ class Tolerances:
     """Named tolerances; every pass/fail flag in the toolkit traces to one of these.
 
     tol_rank      -- determinant/rank threshold for rank drops and never-zero fields
-    tol_resid     -- generic residual threshold (compatibility equations, holomorphy)
+    tol_resid     -- the integrability equations in either form, r1-r3 of
+                     inteq_residual or Theta's flatness (above it integration
+                     warns), and the holomorphy of p
     tol_frame     -- symplectic defect allowed for integrated frame nodes
-    tol_flat      -- flatness residual above which integration warns
     tol_gauge     -- ellipticity and conformality gates of invariant extraction
     tol_congruent -- congruence defect below which two immersions count as congruent
     """
@@ -39,7 +40,6 @@ class Tolerances:
     tol_rank: float = 1e-12
     tol_resid: float = 1e-6
     tol_frame: float = 1e-8
-    tol_flat: float = 1e-6
     tol_gauge: float = 1e-6
     tol_congruent: float = 1e-6
 

@@ -186,7 +186,8 @@ def integrate_frame(
 ) -> FrameField:
     """Integrate dS = S Theta from S = I at the base node with classical RK4 steps.
 
-    Flatness is measured first; a residual above tol_flat is reported as a
+    Flatness, the integrability equations of the invariants that Theta
+    encodes, is measured first; a residual above tol_resid is reported as a
     warning (the integral still exists on each path, it just becomes
     path-dependent).  Each step is checked for blow-up; the finished frame's
     symplectic defect, kept in `symplectic_defect`, above tol_frame raises FrameDefect.
@@ -204,9 +205,9 @@ def integrate_frame(
         if node is not None:
             raise ValueError(f"Theta holds a non-finite value in {name} at node {node}")
     flat = float(np.max(flatness_residual(theta)))
-    if flat > tols.tol_flat:
-        warnings.warn(f"flatness residual {flat:.3e} exceeds tol_flat "
-                      f"{tols.tol_flat:.3e}; frame is path-dependent")
+    if flat > tols.tol_resid:
+        warnings.warn(f"flatness residual {flat:.3e} exceeds tol_resid "
+                      f"{tols.tol_resid:.3e}; frame is path-dependent")
     geom = theta.geometry
     S = _sweep_grid(theta.A, theta.B, geom.dx, geom.dy)
     defect = np.max(np.abs(_symplectic_error(S[..., 1:, 1:])), axis=(-1, -2))
@@ -337,13 +338,15 @@ def lagrangian_defect(m: ImmersionGrid) -> np.ndarray:
     return np.abs(_omega(P[1, 0], P[0, 1]))
 
 
-def _tangent_gates(P: dict, tols: Tolerances) -> None:
+def _tangent_gates(P: dict, tols: Tolerances) -> np.ndarray:
     """The Lagrangian and rank tests of the partials f_x = P[1, 0] and
     f_y = P[0, 1] at every node: max |Omega(f_x, f_y)| at most tol_frame, else
     NotLagrangian, and the det |f_x|^2 |f_y|^2 - (f_x . f_y)^2 of their Gram
-    matrix above tol_rank, else NotElliptic naming the first failing node."""
+    matrix above tol_rank, else NotElliptic naming the first failing node.
+    Returns the |Omega(f_x, f_y)| it gates."""
     fx, fy = P[1, 0], P[0, 1]
-    lag_max = float(np.max(np.abs(_omega(fx, fy))))
+    lag = np.abs(_omega(fx, fy))
+    lag_max = float(np.max(lag))
     if lag_max > tols.tol_frame:
         raise NotLagrangian(f"max |Omega(f_x, f_y)| = {lag_max:.3e} > {tols.tol_frame:.3e}")
     det = np.sum(fx * fx, axis=0) * np.sum(fy * fy, axis=0) - np.sum(fx * fy, axis=0) ** 2
@@ -352,6 +355,7 @@ def _tangent_gates(P: dict, tols: Tolerances) -> None:
         node = np.unravel_index(np.argmax(rank_drop), rank_drop.shape)
         raise NotElliptic(f"df drops rank at node {tuple(map(int, node))}: det of the "
                           f"tangent Gram matrix {det[node]:.3e} <= tol_rank {tols.tol_rank:.3e}")
+    return lag
 
 
 def _wirtinger_terms(k: int, l: int = 0) -> dict:
@@ -402,13 +406,14 @@ def invariants_from_immersion(
     holds the kept nodes' `lagrangian_defect` and `conformal` residuals."""
     cropped, margin = _cropped(m.geometry, margin)
     P = _fitted_partials(m)
-    _tangent_gates(P, tols)
+    lag = _tangent_gates(P, tols)
     q = _ellipticity(P)
     if not np.all(q > tols.tol_gauge):  # NaN is refused too
         node = np.unravel_index(np.argmax(~(q > tols.tol_gauge)), q.shape)
         raise NotElliptic(f"the cubic form is not elliptic at node {tuple(map(int, node))}: "
                           f"q = {q[node]:.3e} is not above tol_gauge {tols.tol_gauge:.3e}")
-    kept = {k: v[:, margin:margin + cropped.nx, margin:margin + cropped.ny] for k, v in P.items()}
+    rows, cols = slice(margin, margin + cropped.nx), slice(margin, margin + cropped.ny)
+    kept = {k: v[:, rows, cols] for k, v in P.items()}
     t2, h, p, conformal = (np.concatenate(v) for v in zip(*(  # small complex temporaries
         _closed_forms({k: v[:, r:r + _ROW_BLOCK] for k, v in kept.items()})
         for r in range(0, cropped.nx, _ROW_BLOCK))))
@@ -416,7 +421,7 @@ def invariants_from_immersion(
     if worst > tols.tol_gauge:
         raise NotAdapted("conformal", worst, tols.tol_gauge)
     t = np.sqrt(np.abs(t2)) * np.exp(0.5j * _unwrap2d(np.angle(t2)))
-    report = {"lagrangian_defect": np.abs(_omega(kept[1, 0], kept[0, 1])), "conformal": conformal}
+    report = {"lagrangian_defect": lag[rows, cols], "conformal": conformal}
     return InvariantTriple(cropped, t, h, p), report
 
 

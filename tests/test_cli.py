@@ -36,7 +36,7 @@ def test_build_config_grid_and_tolerances():
     assert cfg.command == "verify"
     assert cfg.grid == sg.GridGeometry(11, 12, 0.0, 0.5, 0.1, 0.2)
     assert cfg.tolerances.tol_resid == 1e-4
-    assert cfg.tolerances.tol_flat == 1e-6  # untouched default
+    assert cfg.tolerances.tol_gauge == 1e-6  # untouched default
 
 
 def test_build_config_rejects_bad_grid():
@@ -58,7 +58,16 @@ def test_nan_tolerance_rejected():
 def test_non_number_tolerance_in_config_exits_2(tmp_path, capsys, value):
     # a JSON boolean is no tolerance: true would gate flatness at 1.0
     doc = tmp_path / "cfg.json"
-    doc.write_text(json.dumps({"command": "verify", "tolerances": {"tol_flat": value}}))
+    doc.write_text(json.dumps({"command": "verify", "tolerances": {"tol_resid": value}}))
+    assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
+    assert "tol_resid" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_tol_flat_in_config_exits_2(tmp_path, capsys):
+    # tol_resid gates flatness, the integrability equations' other form
+    doc = tmp_path / "cfg.json"
+    doc.write_text(json.dumps({"command": "verify", "tolerances": {"tol_flat": 1e-6}}))
     assert main(["--config", str(doc), "--out", str(tmp_path)]) == 2
     assert "tol_flat" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
@@ -113,6 +122,9 @@ def test_verify_family_passes(tmp_path, capsys):
     assert rep["passed"] is True
     assert rep["config"]["command"] == "verify"
     assert "numpy" in rep["versions"]
+    # the integrability equations, as (t, h, p) and as Theta, on one tolerance
+    assert {k: f["tolerance"] for k, f in rep["flags"].items()} == {
+        "inteq": "tol_resid", "flatness": "tol_resid"}
     assert all(f["passed"] for f in rep["flags"].values())
 
 
@@ -292,13 +304,32 @@ def test_family_command_with_default_params(tmp_path):
 
 
 def test_family_flags_each_member(tmp_path):
-    # two lambdas equal to six digits still get one inteq flag each
+    # two lambdas equal to six digits still get one flatness flag each
     cfg = JobConfig("family", sg.GridGeometry(21, 21, 0.0, 0.0, 0.005, 0.005),
                     {"p": 1.0, "lambdas": [0.1, 0.1000001]}, output_dir=tmp_path)
     flags = run(cfg).flags
-    assert {k for k in flags if k.startswith("inteq_lam_")} == {
-        "inteq_lam_0.1", "inteq_lam_0.1000001"}
+    assert {k for k in flags if k.startswith("flatness_lam_")} == {
+        "flatness_lam_0.1", "flatness_lam_0.1000001"}
     assert not flags["pairwise_noncongruent"]["passed"]  # members 1e-7 apart
+
+
+def test_family_flags_each_members_own_flatness(tmp_path, monkeypatch):
+    # each member's integrability is judged once, by the flatness its
+    # integration measured; the inteq form is not computed again
+    def refused(inv):
+        raise AssertionError("family computed inteq_residual")
+
+    monkeypatch.setattr(cli, "inteq_residual", refused)
+    geom = sg.GridGeometry(21, 21, 0.0, 0.0, 0.005, 0.005)
+    params = {"p": 0.5, "c1": 1.2, "lambdas": [-1.0, 0.0, 1.0]}
+    flags = run(JobConfig("family", geom, params, output_dir=tmp_path)).flags
+    base = triple_from_params(geom, {"p": 0.5, "c1": 1.2})
+    for lam in params["lambdas"]:
+        theta = sg.theta_from_invariants(sg.shift_family(base, lam))
+        F = sg.integrate_frame(theta, compute_path_defect=False)
+        flag = flags[f"flatness_lam_{lam!r}"]
+        assert flag["tolerance"] == "tol_resid" and flag["passed"]
+        assert flag["value"] == F.flatness_report
 
 
 # -- family on two processes: a forked child takes the second half of the members
@@ -523,11 +554,11 @@ def test_bad_immersion_sidecar_exits_2(tmp_path, capsys, field, value, message):
 
 
 def test_report_lists_warnings(tmp_path):
-    cfg = build_config(["integrate", "--out", str(tmp_path), "--tol-flat", "1e-30"])
-    with pytest.warns(UserWarning, match="exceeds tol_flat"):  # passed on as well
+    cfg = build_config(["integrate", "--out", str(tmp_path), "--tol-resid", "1e-30"])
+    with pytest.warns(UserWarning, match="exceeds tol_resid"):  # passed on as well
         run(cfg)
     listed = json.loads((tmp_path / "report.json").read_text())["warnings"]
-    assert any(w["category"] == "UserWarning" and "exceeds tol_flat" in w["message"]
+    assert any(w["category"] == "UserWarning" and "exceeds tol_resid" in w["message"]
                for w in listed)
 
 
