@@ -407,7 +407,7 @@ def _run_invariants(cfg: JobConfig, rep: Report) -> None:
     with rep.timed("load"):
         m, _ = load_immersion(_path("immersion", cfg.params.get("immersion")))
     rep.grids["immersion"] = m.geometry.as_dict()
-    with rep.timed("reduce"):
+    with rep.timed("invariants"):
         inv, gates = invariants_from_immersion(m, cfg.tolerances, _margin(cfg.params))
     rep.grids["invariants"] = inv.geometry.as_dict()
     # invariants_from_immersion has refused what its gates fail: nothing left to flag

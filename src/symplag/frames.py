@@ -297,7 +297,6 @@ def _two_jet(m: ImmersionGrid, k: int) -> np.ndarray:
 _FIT_RADIUS = 0.025  # fit half-width, physical: its round-off does not grow under refinement
 _FIT_DEGREE = 8  # degree of the fits of f's 4-jet
 _FIT_BLOCK = 16  # nodes per block of fit weights
-_ROW_BLOCK = 16  # kept rows per block of the closed forms
 
 
 @functools.lru_cache(maxsize=4)  # one command's members and calls share one
@@ -317,45 +316,50 @@ def _fit_operator(n: int, h: float) -> tuple:
     return tuple(blocks)
 
 
-def _fitted_partials(m: ImmersionGrid, order: int = 4) -> dict:
-    """{(i, j): d_x^i d_y^j f}, each (4, nx, ny), for 1 <= i + j <= `order` (at most 4):
-    `_fit_operator`'s x fits, then its y fits.  A partial is the same number at any `order`."""
+def _fitted_blocks(m: ImmersionGrid, order: int = 4):
+    """(c0, c1, P) per y band of `_fit_operator`: P[i, j], (4, nx, c1 - c0), is
+    d_x^i d_y^j f on columns c0 .. c1 - 1 for 1 <= i + j <= `order` (at most 4),
+    from x fits over the whole grid; a partial is the same number at any `order`."""
     F = np.ascontiguousarray(np.moveaxis(m.f, -1, 0))
-    G, out = np.empty_like(F), {}
+    G = np.empty((order + 1,) + F.shape)
     for i in range(order + 1):
         for r0, r1, c0, c1, W in _fit_operator(m.geometry.nx, m.geometry.dx):
-            np.matmul(W[i], F[:, c0:c1], out=G[:, r0:r1])
-        for j in range(i == 0, order + 1 - i):  # no (0, 0): f itself is not needed
-            P = out[i, j] = np.empty_like(F)
-            for r0, r1, c0, c1, W in _fit_operator(m.geometry.ny, m.geometry.dy):
-                np.matmul(G[..., c0:c1], W[j].T, out=P[..., r0:r1])
-    return out
+            np.matmul(W[i], F[:, c0:c1], out=G[i, :, r0:r1])
+    del F  # else held until the last block
+    for r0, r1, c0, c1, W in _fit_operator(m.geometry.ny, m.geometry.dy):
+        yield r0, r1, {(i, j): G[i, ..., c0:c1] @ W[j].T  # no (0, 0): f itself is not needed
+                       for i in range(order + 1) for j in range(i == 0, order + 1 - i)}
+
+
+def _joined(blocks) -> list:
+    """The arrays of the per-block tuples `blocks`, each joined along its last axis."""
+    return [np.concatenate(v, axis=-1) for v in zip(*blocks)]
+
+
+def _tangent_fields(P: dict) -> tuple[np.ndarray, np.ndarray]:
+    """|Omega(f_x, f_y)| and the det |f_x|^2 |f_y|^2 - (f_x . f_y)^2 of the
+    Gram matrix of the partials f_x = P[1, 0] and f_y = P[0, 1]."""
+    fx, fy = P[1, 0], P[0, 1]
+    det = np.sum(fx * fx, axis=0) * np.sum(fy * fy, axis=0) - np.sum(fx * fy, axis=0) ** 2
+    return np.abs(_omega(fx, fy)), det
 
 
 def lagrangian_defect(m: ImmersionGrid) -> np.ndarray:
     """|Omega(f_x, f_y)| per node, from f's fitted partials."""
-    P = _fitted_partials(m, 1)
-    return np.abs(_omega(P[1, 0], P[0, 1]))
+    return _joined(_tangent_fields(P) for *_, P in _fitted_blocks(m, 1))[0]
 
 
-def _tangent_gates(P: dict, tols: Tolerances) -> np.ndarray:
-    """The Lagrangian and rank tests of the partials f_x = P[1, 0] and
-    f_y = P[0, 1] at every node: max |Omega(f_x, f_y)| at most tol_frame, else
-    NotLagrangian, and the det |f_x|^2 |f_y|^2 - (f_x . f_y)^2 of their Gram
-    matrix above tol_rank, else NotElliptic naming the first failing node.
-    Returns the |Omega(f_x, f_y)| it gates."""
-    fx, fy = P[1, 0], P[0, 1]
-    lag = np.abs(_omega(fx, fy))
+def _tangent_gates(lag: np.ndarray, det: np.ndarray, tols: Tolerances) -> None:
+    """`_tangent_fields`' gates: max lag at most tol_frame, else NotLagrangian, and
+    det above tol_rank, else NotElliptic naming the first failing node."""
     lag_max = float(np.max(lag))
     if lag_max > tols.tol_frame:
         raise NotLagrangian(f"max |Omega(f_x, f_y)| = {lag_max:.3e} > {tols.tol_frame:.3e}")
-    det = np.sum(fx * fx, axis=0) * np.sum(fy * fy, axis=0) - np.sum(fx * fy, axis=0) ** 2
     rank_drop = det <= tols.tol_rank
     if np.any(rank_drop):
         node = np.unravel_index(np.argmax(rank_drop), rank_drop.shape)
         raise NotElliptic(f"df drops rank at node {tuple(map(int, node))}: det of the "
                           f"tangent Gram matrix {det[node]:.3e} <= tol_rank {tols.tol_rank:.3e}")
-    return lag
 
 
 def _wirtinger_terms(k: int, l: int = 0) -> dict:
@@ -387,9 +391,8 @@ def _ellipticity(P: dict) -> np.ndarray:
     three distinct real roots, 1 where it is apolar, NaN where it is 0."""
     a, b, c = (_omega(P[1, 0], P[k]) for k in ((2, 0), (1, 1), (0, 2)))
     d = _omega(P[0, 1], P[0, 2])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (4.0 * (a * c - b * b) * (b * d - c * c) - (a * d - b * c) ** 2) / (
-            a * a + b * b + c * c + d * d) ** 2
+    return (4.0 * (a * c - b * b) * (b * d - c * c) - (a * d - b * c) ** 2) / (
+        a * a + b * b + c * c + d * d) ** 2
 
 
 def invariants_from_immersion(
@@ -405,23 +408,25 @@ def invariants_from_immersion(
     tol_gauge on the kept nodes (else NotAdapted "conformal").  The report
     holds the kept nodes' `lagrangian_defect` and `conformal` residuals."""
     cropped, margin = _cropped(m.geometry, margin)
-    P = _fitted_partials(m)
-    lag = _tangent_gates(P, tols)
-    q = _ellipticity(P)
+    rows, end = slice(margin, margin + cropped.nx), margin + cropped.ny
+
+    def block(c0, c1, P):  # the gates' fields, and the closed forms on the kept columns
+        kept = slice(max(margin - c0, 0), max(min(c1, end) - c0, 0))
+        with np.errstate(divide="ignore", invalid="ignore"):  # q and A = 0 are judged below
+            forms = _ellipticity(P), *_closed_forms({k: v[:, rows, kept] for k, v in P.items()})
+        return (*_tangent_fields(P), *forms)
+
+    lag, det, q, t2, h, p, conformal = _joined(block(*b) for b in _fitted_blocks(m))
+    _tangent_gates(lag, det, tols)
     if not np.all(q > tols.tol_gauge):  # NaN is refused too
         node = np.unravel_index(np.argmax(~(q > tols.tol_gauge)), q.shape)
         raise NotElliptic(f"the cubic form is not elliptic at node {tuple(map(int, node))}: "
                           f"q = {q[node]:.3e} is not above tol_gauge {tols.tol_gauge:.3e}")
-    rows, cols = slice(margin, margin + cropped.nx), slice(margin, margin + cropped.ny)
-    kept = {k: v[:, rows, cols] for k, v in P.items()}
-    t2, h, p, conformal = (np.concatenate(v) for v in zip(*(  # small complex temporaries
-        _closed_forms({k: v[:, r:r + _ROW_BLOCK] for k, v in kept.items()})
-        for r in range(0, cropped.nx, _ROW_BLOCK))))
     worst = float(np.max(conformal))
     if worst > tols.tol_gauge:
         raise NotAdapted("conformal", worst, tols.tol_gauge)
     t = np.sqrt(np.abs(t2)) * np.exp(0.5j * _unwrap2d(np.angle(t2)))
-    report = {"lagrangian_defect": lag[rows, cols], "conformal": conformal}
+    report = {"lagrangian_defect": lag[rows, margin:end], "conformal": conformal}
     return InvariantTriple(cropped, t, h, p), report
 
 
@@ -451,7 +456,7 @@ def congruence_matrix(
         return np.zeros((len(members),) * 2)
     margin = _cropped(members[0].geometry, margin)[1]  # before any member is checked
     for m in members:
-        _tangent_gates(_fitted_partials(m, 1), tols)
+        _tangent_gates(*_joined(_tangent_fields(P) for *_, P in _fitted_blocks(m, 1)), tols)
     jets = [_two_jet(m, margin) for m in members]
     for D in jets:  # X would be singular, and a congruent pair read at least 1
         det = float(np.prod(np.linalg.svd(D, compute_uv=False) ** 2))

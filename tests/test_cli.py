@@ -207,7 +207,7 @@ def test_report_times_each_stage(tmp_path):
     assert main(["--config", str(doc), "--out", str(out2)]) == 0
     rep = json.loads((out2 / "report.json").read_text())
     timings = rep["timings"]
-    assert set(timings) == {"load", "reduce", "write"}
+    assert set(timings) == {"invariants", "load", "write"}
     assert all(s >= 0.0 for s in timings.values())
     assert sum(timings.values()) <= rep["wall_time_s"]
     # family: the members' integrations, then their congruence matrix

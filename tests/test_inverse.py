@@ -17,7 +17,7 @@ from symplag.frames import (
     _ellipticity,
     _fit_operator,
     _fit_weights,
-    _fitted_partials,
+    _fitted_blocks,
 )
 from symplag.generators import _closed_form_at
 
@@ -31,6 +31,14 @@ def square(n: int) -> sg.GridGeometry:
     """The n x n grid of side 0.3 from the origin."""
     h = 0.3 / (n - 1)
     return sg.GridGeometry(n, n, 0.0, 0.0, h, h)
+
+
+def joined_partials(m, order=4) -> dict:
+    """f's fitted partials on the whole grid: `_fitted_blocks`' column blocks,
+    one per y band of the fit operator, joined along the columns."""
+    blocks = list(_fitted_blocks(m, order))
+    assert [b[:2] for b in blocks] == [b[:2] for b in _fit_operator(m.geometry.ny, m.geometry.dy)]
+    return {k: np.concatenate([P[k] for *_, P in blocks], axis=-1) for k in blocks[0][2]}
 
 
 def errors(inv, t, h, p, margin=8):
@@ -162,7 +170,7 @@ def test_p_error_stays_bounded_under_refinement(surface):
 def test_ellipticity_reads_one_on_adapted_cubics():
     # a conformal coordinate makes the cubic form apolar, Re(A dz^3)
     for params in (PARAMS, sg.ConstantFamilyParams(p=-1.5, c1=0.8, c2=1.2)):
-        q = _ellipticity(_fitted_partials(sg.closed_form_immersion(params, square(61))))
+        q = _ellipticity(joined_partials(sg.closed_form_immersion(params, square(61))))
         assert np.max(np.abs(q - 1.0)) <= 1e-9
 
 
@@ -181,10 +189,24 @@ def test_the_lagrangian_defect_is_read_one_way():
     m, *_ = reparametrized_closed_form(PARAMS, *MAPS["quad"], square(61))
     _, gates = sg.invariants_from_immersion(m)
     assert gates["lagrangian_defect"].tobytes() == sg.lagrangian_defect(m)[8:-8, 8:-8].tobytes()
-    first, whole = _fitted_partials(m, 1), _fitted_partials(m)
+    first, whole = joined_partials(m, 1), joined_partials(m)
     assert sorted(first) == [(0, 1), (1, 0)]
     for k in first:
         assert first[k].tobytes() == whole[k].tobytes()
+
+
+def test_a_wide_margin_reads_the_same_numbers():
+    # at 61^2 with margin 20, the kept columns 20 .. 40 leave the y bands of
+    # columns 0 .. 15 and 48 .. 60 with no kept node; every output is the
+    # margin-8 run's, cut by 12 more nodes per side.  t's phase is unwrapped
+    # from each crop's own corner, so t is compared by its modulus
+    m, *_ = reparametrized_closed_form(PARAMS, *MAPS["quad"], square(61))
+    (inv, gates), (wide, wide_gates) = (sg.invariants_from_immersion(m, margin=k) for k in (8, 20))
+    assert wide.t.shape == (21, 21)
+    pairs = [(wide.h, inv.h), (wide.p, inv.p), (np.abs(wide.t), np.abs(inv.t))]
+    pairs += [(wide_gates[k], gates[k]) for k in ("conformal", "lagrangian_defect")]
+    for got, want in pairs:
+        assert got.tobytes() == want[12:-12, 12:-12].tobytes()
 
 
 def test_the_fit_operator_is_read_only():
@@ -220,7 +242,7 @@ def test_the_banded_fits_match_whole_fit_matrices(geom):
     # those.  The 7-node axis lies in one window, which spans it whole
     bounds = {1: 0.4, 2: 0.4, 3: 0.25, 4: 0.3}
     m = sg.closed_form_immersion(PARAMS, geom)
-    P, (want, (nx, ny)) = _fitted_partials(m), dense_partials(m)
+    P, (want, (nx, ny)) = joined_partials(m), dense_partials(m)
     assert sorted(P) == sorted(want)
     scale = np.finfo(float).eps * np.max(np.abs(m.f))
     for (i, j), v in P.items():
@@ -246,8 +268,10 @@ def test_the_inverse_path_peak_memory_is_within_its_bound():
     # tracemalloc peak of one 241^2 call, its fit weights cached, in units of
     # f's own size: 16.16 (30.0 MB) while the fits were whole (n, n) matrices
     # and the crop of each partial was copied; 17.31 (32.2 MB) with banded
-    # fits, a cropped view and closed forms over blocks of 16 kept rows (17.89
-    # over blocks of 32).  The bound is 1.1x the former
+    # fits, 14 whole-grid partials, a cropped view and closed forms over blocks
+    # of 16 kept rows (17.89 over blocks of 32); 9.03 (16.8 MB) with one pass
+    # over the y bands, 5 of them the buffer of the whole-grid x fits.  The
+    # bound is 1.1x the last
     m = sg.closed_form_immersion(sg.ConstantFamilyParams(p=1.0), square(241))
     sg.invariants_from_immersion(m)
     tracemalloc.start()
@@ -256,4 +280,4 @@ def test_the_inverse_path_peak_memory_is_within_its_bound():
         peak = tracemalloc.get_traced_memory()[1] / m.f.nbytes
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 16.16, peak
+    assert peak <= 1.1 * 9.03, peak

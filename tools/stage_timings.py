@@ -11,9 +11,10 @@ once.  The input is the constant family with p = 1 on a square of side 0.3
 with origin 0: Theta and the integrated frame come from its invariants, and
 the inverse and `congruence_defect` stages take its closed-form immersion:
 `fit_operator`, the build of the fit weights with their cache cleared before
-each call, so that the best of 5 is a cold build; `fitted_partials`, the fits
-of f's 4-jet; `invariants_from_immersion`, the whole inverse path that
-contains them; and `lagrangian_defect`, which fits f's first partials only.
+each call, so that the best of 5 is a cold build; `fitted_blocks`, the fits
+of f's 4-jet, one column block at a time, each dropped before the next;
+`invariants_from_immersion`, the whole inverse path that contains them; and
+`lagrangian_defect`, which fits f's first partials only.
 `congruence_matrix` compares the four members of its shift family with
 lambda in FAMILY_LAMBDAS, each integrated from its invariants, as the
 `family` command does.  `save_grid` writes the family's t, one of the three
@@ -36,6 +37,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import collections  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
@@ -101,7 +103,7 @@ def grid_stages(sg, n: int, workdir: Path) -> dict:
         "integrate_frame": lambda: sg.integrate_frame(theta, compute_path_defect=False),
         "fit_operator": lambda: (sg.frames._fit_operator.cache_clear(),
                                  sg.frames._fit_operator(n, h)),
-        "fitted_partials": lambda: sg.frames._fitted_partials(m),
+        "fitted_blocks": lambda: collections.deque(sg.frames._fitted_blocks(m), maxlen=0),
         "invariants_from_immersion": lambda: sg.invariants_from_immersion(m),
         "lagrangian_defect": lambda: sg.lagrangian_defect(m),
         "congruence_defect": lambda: sg.congruence_defect(m, m),
