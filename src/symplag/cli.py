@@ -310,8 +310,7 @@ def _run_verify(cfg: JobConfig, rep: Report) -> None:
 def _run_integrate(cfg: JobConfig, rep: Report) -> None:
     with rep.timed("integrate"):
         inv = _triple(cfg, rep)
-        theta = theta_from_invariants(inv)
-        F = integrate_frame(theta, tols=cfg.tolerances)
+        F = integrate_frame(theta_from_invariants(inv), tols=cfg.tolerances)  # Theta freed here
         m = immersion_from_frame(F)
     rep.add_flag("flatness", F.flatness_report, "tol_resid")
     if not math.isnan(F.error_estimate):  # NaN below 7 nodes on an axis

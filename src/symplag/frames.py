@@ -115,17 +115,30 @@ def theta_from_invariants(inv: InvariantTriple) -> MaurerCartanField:
     return MaurerCartanField(geom, A, B)
 
 
+_BLOCK_ROWS = 16  # x-rows per block of the flatness and symplectic-defect checks
+
+
 def flatness_residual(theta: MaurerCartanField) -> np.ndarray:
-    """Node-wise sup-norm of dB/dx - dA/dy + [A, B] (zero-curvature residual)."""
+    """Node-wise sup-norm of dB/dx - dA/dy + [A, B] (zero-curvature residual),
+    evaluated on blocks of `_BLOCK_ROWS` x-rows.  Each block differences B along
+    x on its rows plus 2 halo rows each side, at least 5 rows, so a row is an
+    edge row of its slab only where it is one of the grid's: every row takes
+    the whole-field derivative's stencil and operands."""
     geom = theta.geometry
     A, B = theta.A, theta.B
-    # (dBdx - dAdy) + (AB - BA), accumulated in place in that order
-    r = diff4(B, geom.dx, axis=0)
-    r -= diff4(A, geom.dy, axis=1)
-    comm = A @ B
-    comm -= B @ A
-    r += comm
-    return np.max(np.abs(r, out=r), axis=(-1, -2))
+    nx = A.shape[0]
+    out = np.empty(A.shape[:2], dtype=np.result_type(A.dtype, B.dtype, float))
+    for r0 in range(0, nx, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, nx)
+        s0, s1 = max(0, min(r0 - 2, nx - 5)), min(nx, max(r1 + 2, 5))
+        # (dBdx - dAdy) + (AB - BA), accumulated in place in that order
+        r = diff4(B[s0:s1], geom.dx, axis=0)[r0 - s0:r1 - s0]
+        r -= diff4(A[r0:r1], geom.dy, axis=1)
+        comm = A[r0:r1] @ B[r0:r1]
+        comm -= B[r0:r1] @ A[r0:r1]
+        r += comm
+        np.max(np.abs(r, out=r), axis=(-1, -2), out=out[r0:r1])
+    return out
 
 
 # -- frame integration --------------------------------------------------------
@@ -135,37 +148,40 @@ def flatness_residual(theta: MaurerCartanField) -> np.ndarray:
 _MID_EDGE = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
 
 
-def _midpoints(M: np.ndarray) -> np.ndarray:
-    """Cubic-interpolated midpoint samples along axis 0; shape (n-1, ...)."""
-    n = M.shape[0]
-    mid = np.empty((n - 1,) + M.shape[1:], dtype=M.dtype)
-    mid[1:-1] = (-M[:-3] + 9.0 * M[1:-2] + 9.0 * M[2:-1] - M[3:]) / 16.0
-    rest = M.shape[1:]
-    mid[0] = np.dot(_MID_EDGE, M[:4].reshape(4, -1)).reshape(rest)
-    mid[-1] = np.dot(_MID_EDGE, M[-1:-5:-1].reshape(4, -1)).reshape(rest)
-    return mid
+def _step_midpoints(M: np.ndarray):
+    """Cubic-interpolated samples of M (n, ...) halfway between nodes k and
+    k + 1, yielded one step at a time: the first and last from the 4 nodes at
+    their end, the others as (-M[k-1] + 9 M[k] + 9 M[k+1] - M[k+2]) / 16
+    rounds.  Each 9 M[k] is formed once, for two steps."""
+    yield np.dot(_MID_EDGE, M[:4].reshape(4, -1)).reshape(M.shape[1:])
+    nine = 9.0 * M[1]
+    for k in range(1, M.shape[0] - 2):
+        mid = nine - M[k - 1]  # -M[k-1] + 9 M[k], to the bit
+        nine = 9.0 * M[k + 1]
+        mid += nine
+        mid -= M[k + 2]
+        mid /= 16.0
+        yield mid
+    yield np.dot(_MID_EDGE, M[-1:-5:-1].reshape(4, -1)).reshape(M.shape[1:])
 
 
 def _rk4(S: np.ndarray, M: np.ndarray, h, sweep: str) -> np.ndarray:
     """RK4 for dS/ds = S M(s) on a batch of lines: start states S (lines, k, k),
-    samples M (n, lines, k, k).  A state norm above 1e12, or NaN, raises
+    samples M (n, lines, k, k), n >= 4.  A state norm above 1e12, or NaN, raises
     IntegrationBlowup naming the `sweep` and the step.  Returns all
     (n, lines, k, k)."""
-    n = M.shape[0]
-    mid = _midpoints(M)
-    out = np.empty((n,) + S.shape, dtype=S.dtype)
+    out = np.empty((M.shape[0],) + S.shape, dtype=S.dtype)
     out[0] = S
-    for k in range(n - 1):
+    for k, mid in enumerate(_step_midpoints(M)):
         k1 = S @ M[k]
-        k2 = (S + 0.5 * h * k1) @ mid[k]
-        k3 = (S + 0.5 * h * k2) @ mid[k]
+        k2 = (S + 0.5 * h * k1) @ mid
+        k3 = (S + 0.5 * h * k2) @ mid
         k4 = (S + h * k3) @ M[k + 1]
-        S = S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norm = np.max(np.abs(S))
+        S = np.add(S, (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=out[k + 1])
+        norm = np.abs(S).max()
         if not norm <= 1e12:  # NaN fails too
             raise IntegrationBlowup(f"frame norm {norm:.3e} is not below 1e12 "
                                     f"at {sweep} sweep step {k}")
-        out[k + 1] = S
     return out
 
 
@@ -210,7 +226,10 @@ def integrate_frame(
                       f"{tols.tol_resid:.3e}; frame is path-dependent")
     geom = theta.geometry
     S = _sweep_grid(theta.A, theta.B, geom.dx, geom.dy)
-    defect = np.max(np.abs(_symplectic_error(S[..., 1:, 1:])), axis=(-1, -2))
+    defect = np.empty((geom.nx, geom.ny))
+    for r0 in range(0, geom.nx, _BLOCK_ROWS):
+        np.max(np.abs(_symplectic_error(S[r0:r0 + _BLOCK_ROWS, :, 1:, 1:])), axis=(-1, -2),
+               out=defect[r0:r0 + _BLOCK_ROWS])
     node = np.unravel_index(np.argmax(defect), defect.shape)
     if defect[node] > tols.tol_frame:
         raise FrameDefect(f"symplectic defect {defect[node]:.3e} exceeds tol_frame "

@@ -72,7 +72,8 @@ def _sqrt_terms(p: float):
 
 
 def _closed_form_at(params: ConstantFamilyParams, xx, yy) -> np.ndarray:
-    """The m1 = m2 = 0 immersion at real arrays xx, yy: complex (..., 4), imaginary part 0."""
+    """The m1 = m2 = 0 immersion at real arrays xx, yy, which broadcast: complex
+    (..., 4), imaginary part 0."""
     p, c1, c2 = params.p, params.c1, params.c2
     sp, sm, _ = _sqrt_terms(p)
     rad = (p + 2.0) * sm  # sqrt((p + 2)(4 - p^2)), continued analytically past p = -2
@@ -99,7 +100,9 @@ def closed_form_immersion(params: ConstantFamilyParams, geom: GridGeometry) -> I
     """Explicit immersion components for the m1 = m2 = 0 configuration."""
     if params.m1 or params.m2:
         raise ParameterDomain("closed form requires m1 = m2 = 0")
-    return ImmersionGrid(geom, _closed_form_at(params, *geom.mesh()).real)
+    # each factor depends on one coordinate, so the grid's axes broadcast to the mesh
+    f = _closed_form_at(params, geom.x[:, None], geom.y[None, :])
+    return ImmersionGrid(geom, np.ascontiguousarray(f.real))  # not a view that holds f
 
 
 # -- totally umbilic immersions from complex curves ---------------------------

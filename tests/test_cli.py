@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -193,6 +194,25 @@ def test_invariants_refuses_a_sheared_grid_coordinate(tmp_path, capsys):
     assert main(["--config", str(doc), "--out", str(tmp_path / "inv")]) == 1
     assert re.search(r"failure: NotAdapted: gauge residual conformal = [45]\.\d{3}e-03 exceeds",
                      capsys.readouterr().err)
+
+
+def test_integrate_command_peak_memory_is_within_its_bound(tmp_path):
+    # tracemalloc peak of a warm 121^2 `integrate`, in frames of n * n * 25 * 8
+    # bytes: 5.24 while the command held Theta through the CSV write, the
+    # sweeps held every midpoint sample and both frame checks were whole-grid
+    # expressions; 3.62 with Theta freed once integrated and integrate_frame
+    # at 1.38.  The bound is 1.1x the last
+    n = 121
+    cfg = JobConfig("integrate", sg.GridGeometry(n, n, 0.0, 0.0, 0.3 / (n - 1), 0.3 / (n - 1)),
+                    {"kind": "constant", "p": 1.0}, output_dir=tmp_path)
+    run(cfg)
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1] / (n * n * 25 * 8)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 3.62, peak
 
 
 def test_report_times_each_stage(tmp_path):

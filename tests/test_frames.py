@@ -15,7 +15,15 @@ from symplag.errors import (
     NotElliptic,
     NotLagrangian,
 )
-from symplag.frames import FrameField, MaurerCartanField, _mat2, _midpoints, _two_jet
+from symplag.frames import (
+    FrameField,
+    MaurerCartanField,
+    _mat2,
+    _step_midpoints,
+    _sweep_grid,
+    _two_jet,
+)
+from symplag.generators import _curve_coefficient
 from symplag.cli import main
 from symplag.grids import diff4, gradient
 
@@ -829,12 +837,95 @@ def test_flatness_residual_is_byte_identical_to_reference():
     assert sg.flatness_residual(theta).tobytes() == expected.tobytes()
 
 
+def whole_field_flatness(A, B, geom):
+    """The residual as one whole-field expression, accumulated in place in
+    `flatness_residual`'s order."""
+    r = diff4(B, geom.dx, 0)
+    r -= diff4(A, geom.dy, 1)
+    comm = A @ B
+    comm -= B @ A
+    r += comm
+    return np.max(np.abs(r, out=r), axis=(-1, -2))
+
+
+@pytest.mark.parametrize("nx, ny", [(5, 7), (6, 6), (16, 9), (17, 33), (33, 40), (61, 61),
+                                    (100, 37), (241, 241)])
+def test_blocked_flatness_is_byte_identical_to_the_whole_field(nx, ny):
+    # blocks of 16 x-rows, tails of 1 row included (17, 33, 241): a block's
+    # slab for B's x-derivative has 2 halo rows and at least 5 rows
+    geom = sg.GridGeometry(nx, ny, 0.0, 0.0, 0.01, 0.013)
+    rng = np.random.default_rng(nx * 1000 + ny)
+    A, B = rng.standard_normal((2, nx, ny, 5, 5))
+    got = sg.flatness_residual(MaurerCartanField(geom, A, B))
+    assert got.tobytes() == whole_field_flatness(A, B, geom).tobytes()
+
+
+def _midpoints(M):
+    """Every cubic-interpolated midpoint sample along axis 0 at once, (n - 1, ...)."""
+    w = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
+    mid = np.empty((M.shape[0] - 1,) + M.shape[1:], dtype=M.dtype)
+    mid[1:-1] = (-M[:-3] + 9.0 * M[1:-2] + 9.0 * M[2:-1] - M[3:]) / 16.0
+    mid[0] = np.dot(w, M[:4].reshape(4, -1)).reshape(M.shape[1:])
+    mid[-1] = np.dot(w, M[-1:-5:-1].reshape(4, -1)).reshape(M.shape[1:])
+    return mid
+
+
+def reference_sweep(A, B, hx, hy):
+    """`_sweep_grid` by an RK4 whose midpoint samples are all computed first."""
+    def rk4(S, M, h):
+        mid = _midpoints(M)
+        out = [S]
+        for k in range(M.shape[0] - 1):
+            k1 = S @ M[k]
+            k2 = (S + 0.5 * h * k1) @ mid[k]
+            k3 = (S + 0.5 * h * k2) @ mid[k]
+            k4 = (S + h * k3) @ M[k + 1]
+            S = S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out.append(S)
+        return np.stack(out)
+    column = rk4(np.eye(A.shape[-1], dtype=A.dtype)[None], B[0][:, None], hy)[:, 0]
+    return rk4(column, A, hx)
+
+
+def sweep_samples():
+    """(A, B, hx, hy) of the row and first-column sweeps, the subgrid sweep and
+    the complex umbilic curve sweep."""
+    _, theta = family_theta(p=1.0)
+    N = _curve_coefficient(0.3 + 0.2 * GEOM.zmesh() - 0.1j * GEOM.zmesh() ** 2, 0.4)
+    return [(theta.A, theta.B, GEOM.dx, GEOM.dy),
+            (theta.A[::2, ::2], theta.B[::2, ::2], 2 * GEOM.dx, 2 * GEOM.dy),
+            (N, N, GEOM.dx, 1j * GEOM.dy)]
+
+
+def test_sweep_with_per_step_midpoints_is_byte_identical_to_precomputed_ones():
+    for A, B, hx, hy in sweep_samples():
+        assert _sweep_grid(A, B, hx, hy).tobytes() == reference_sweep(A, B, hx, hy).tobytes()
+
+
 def test_midpoints_edge_rows_are_byte_identical_to_tensordot():
     # the sample arrays of the row, first-column, subgrid and complex sweeps
-    _, theta = family_theta(p=1.0)
     w = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
-    for M in (theta.A, theta.B[0][:, None], theta.A[::2, ::2],
-              theta.A[..., :3, :3] * (1.0 - 0.5j)):
-        mid = _midpoints(M)
-        assert mid[0].tobytes() == np.tensordot(w, M[:4], axes=(0, 0)).tobytes()
-        assert mid[-1].tobytes() == np.tensordot(w, M[-1:-5:-1], axes=(0, 0)).tobytes()
+    for A, B, *_ in sweep_samples():
+        for M in (A, B[0][:, None]):
+            first, *_, last = _step_midpoints(M)
+            assert first.tobytes() == np.tensordot(w, M[:4], axes=(0, 0)).tobytes()
+            assert last.tobytes() == np.tensordot(w, M[-1:-5:-1], axes=(0, 0)).tobytes()
+
+
+def test_integrate_frame_peak_memory_is_within_its_bound():
+    # tracemalloc peak of a warm 121^2 call with the path defect, in frames of
+    # n * n * 25 * 8 bytes: 3.00 while the sweeps held every midpoint sample
+    # and flatness and the symplectic defect were whole-grid expressions; 1.38
+    # with per-step midpoints and both checks over blocks of 16 x-rows, S and
+    # the subgrid's S2 the most of it.  The bound is 1.1x the last
+    n = 121
+    geom = sg.GridGeometry(n, n, 0.0, 0.0, 0.3 / (n - 1), 0.3 / (n - 1))
+    theta = family_theta(p=1.0, geom=geom)[1]
+    sg.integrate_frame(theta)
+    tracemalloc.start()
+    try:
+        sg.integrate_frame(theta)
+        peak = tracemalloc.get_traced_memory()[1] / (n * n * 25 * 8)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 1.38, peak

@@ -101,6 +101,19 @@ def test_closed_form_imaginary_part_is_exactly_zero(p, c1, c2, x0, y0, d):
     assert np.all(f.imag[finite] == 0.0)
 
 
+@pytest.mark.parametrize("n", [61, 121, 241])
+def test_closed_form_on_its_axes_is_byte_identical_to_the_mesh(n):
+    # every factor depends on one coordinate only, so the broadcast products are
+    # the mesh's per-element operations; f holds no view of a complex buffer
+    geom = sg.GridGeometry(n, n, -0.1, 0.05, 0.3 / (n - 1), 0.3 / (n - 1))
+    for params in (sg.ConstantFamilyParams(p=1.0), sg.ConstantFamilyParams(p=-1.3, c1=0.5, c2=2.0),
+                   sg.ConstantFamilyParams(p=3.2, c1=1.7, c2=0.6)):
+        f = sg.closed_form_immersion(params, geom).f
+        held = f if f.base is None else f.base
+        assert f.flags.c_contiguous and held.dtype == float and held.nbytes == f.nbytes
+        assert f.tobytes() == _closed_form_at(params, *geom.mesh()).real.tobytes()
+
+
 def test_closed_form_requires_pure_exponential():
     with pytest.raises(ParameterDomain):
         sg.closed_form_immersion(

@@ -8,8 +8,11 @@ directory), with BLAS and OpenMP pinned to one thread, and times each stage
 as the best of 5 runs.  A separate pass, not timed, records each stage's
 tracemalloc peak: the most memory that one call's own allocations hold at
 once.  The input is the constant family with p = 1 on a square of side 0.3
-with origin 0: Theta and the integrated frame come from its invariants, and
-the inverse and `congruence_defect` stages take its closed-form immersion:
+with origin 0: Theta and the integrated frame come from its invariants;
+`integrate_command` builds Theta and integrates it with the path defect, as
+the `integrate` command does, so that Theta is freed once integrated, and
+`closed_form_immersion` builds the closed form.  The inverse and
+`congruence_defect` stages take that closed-form immersion:
 `fit_operator`, the build of the fit weights with their cache cleared before
 each call, so that the best of 5 is a cold build; `fitted_blocks`, the fits
 of f's 4-jet, one column block at a time, each dropped before the next;
@@ -101,6 +104,8 @@ def grid_stages(sg, n: int, workdir: Path) -> dict:
         "flatness_residual": lambda: sg.flatness_residual(theta),
         "integrate_frame_estimate": lambda: sg.integrate_frame(theta),
         "integrate_frame": lambda: sg.integrate_frame(theta, compute_path_defect=False),
+        "integrate_command": lambda: sg.integrate_frame(sg.theta_from_invariants(inv)),
+        "closed_form_immersion": lambda: sg.closed_form_immersion(params, geom),
         "fit_operator": lambda: (sg.frames._fit_operator.cache_clear(),
                                  sg.frames._fit_operator(n, h)),
         "fitted_blocks": lambda: collections.deque(sg.frames._fitted_blocks(m), maxlen=0),
