@@ -380,15 +380,15 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
     # refuse a bad margin before integrating the members
     margin = _cropped(base.geometry, _margin(cfg.params))[1]
     # the second half of the members in a child of `_in_two_processes`, which
-    # sends its lists pickled; where the helper returns None, one process
-    # redoes them all, so that any refusal is its own
+    # sends its lists pickled; a refusal in this half, the first, is one
+    # process's, and where the child fails, one process redoes them all
     k = len(lambdas) // 2
     with rep.timed("members"):
-        halves = _in_two_processes(
-            lambda pipe: (_members(base, lambdas[:k], tols), pickle.load(pipe)),
-            lambda: [pickle.dumps(_members(base, lambdas[k:], tols))])
+        halves = _in_two_processes(lambda pipe: (_members(base, lambdas[:k], tols), pipe.read()),
+                                   lambda: [pickle.dumps(_members(base, lambdas[k:], tols))])
         flatness, fs, integrating = (
-            [a + b for a, b in zip(*halves)] if halves else _members(base, lambdas, tols))
+            [a + b for a, b in zip(halves[0], pickle.loads(halves[1]))] if halves and halves[1]
+            else _members(base, lambdas, tols))
         for w in integrating:  # as one process raises them
             warnings.warn_explicit(*w)
     for lam, flat in zip(lambdas, flatness):

@@ -213,12 +213,13 @@ def _in_two_processes(mine, theirs):
     `theirs()` to `pipe`, the binary read end of a pipe; None where one
     process must do all the work.
 
-    None when `os.fork` does not exist, `mine` raises or the child exits
-    non-zero: the caller then does both halves itself, so every result,
-    warning and refusal is one process's.  When `mine` raises, the child is
-    killed, since its half is no longer needed.  The pipe is closed before
-    the child is reaped, so that a child blocked on a full pipe fails on the
-    broken pipe; the child is reaped on every path.
+    None when `os.fork` does not exist or the child exits non-zero: the
+    caller then does both halves itself, so every result, warning and
+    refusal is one process's.  When `mine` raises, the child is killed,
+    since its half is no longer needed, and the error is raised: it is one
+    process's where `mine` does the half that one process does first.  The
+    pipe is closed before the child is reaped, so that a child blocked on a
+    full pipe fails on the broken pipe; the child is reaped on every path.
     """
     if not hasattr(os, "fork"):
         return None
@@ -250,9 +251,9 @@ def _in_two_processes(mine, theirs):
     try:
         with open(r, "rb") as pipe:
             value = mine(pipe)
-    except Exception:  # any: the caller's one-process redo raises what it raises
-        value = None
-        os.kill(pid, signal.SIGKILL)  # so the redo does not wait for its half
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)  # so the error does not wait for its half
+        raise
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     return value if status == 0 else None
@@ -328,10 +329,11 @@ def _rows_in_two_processes(path: Path) -> np.ndarray | None:
     child forked by `_in_two_processes` parses the rows before it, and this
     process those after it, straight from the file, so it never holds the
     file's text; the child's rows go in front of its own.  None when no line
-    starts past the midpoint, the helper returns None (`np.loadtxt` refuses
-    a half, among other failures), the child's half holds no rows, or the
-    halves differ in width: the one-process parse then words any refusal
-    with the row numbers of the whole file.
+    starts past the midpoint, `np.loadtxt` refuses this process's half, the
+    helper returns None (the child's parse fails, among other failures), the
+    child's half holds no rows, or the halves differ in width: the
+    one-process parse then words any refusal with the row numbers of the
+    whole file.
     """
     with open(path, "rb") as fh, io.TextIOWrapper(fh) as rest:
         size = os.fstat(fh.fileno()).st_size
@@ -340,9 +342,11 @@ def _rows_in_two_processes(path: Path) -> np.ndarray | None:
         split = fh.tell()
         if split >= size:
             return None
-        # this process parses from fh's position, the split
-        halves = _in_two_processes(lambda pipe: (_parse_rows(rest), pipe.read()),
-                                   lambda: _child_rows(path, split))
+        try:  # this process parses from fh's position, the split
+            halves = _in_two_processes(lambda pipe: (_parse_rows(rest), pipe.read()),
+                                       lambda: _child_rows(path, split))
+        except ValueError:
+            return None
     if halves is None:
         return None
     mine, theirs = halves

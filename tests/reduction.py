@@ -23,11 +23,17 @@ from symplag.frames import (
     FrameField,
     ImmersionGrid,
     _cropped,
-    _mat2,
     _unwrap2d,
 )
 from symplag.grids import GridGeometry, diff4, gradient, wirtinger
 from symplag.invariants import InvariantTriple
+
+
+def _mat2(a, b, c, d) -> np.ndarray:
+    """Per-node 2x2 matrices [[a, b], [c, d]] from fields of a's shape (or scalars)."""
+    out = np.empty(np.shape(a) + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
 
 
 # -J X^T J as one gather: entry (r, c) is X[c ^ 2, r ^ 2], negated off the diagonal blocks

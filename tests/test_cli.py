@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -402,9 +403,11 @@ def test_family_forks_once_and_joins_two_halves(tmp_path, monkeypatch):
     assert_no_child_process()
     assert len(forked) == 1 and len(values) == 1
     # lambdas -1, 0, 1: the maxima and immersions of one member in this
-    # process, of two in the child, then each half's integration warnings
-    assert [len(half) for half in values[0]] == [3, 3]
-    assert [[len(lists) for lists in half[:2]] for half in values[0]] == [[1] * 2, [2] * 2]
+    # process, of two in the child (sent pickled), then each half's
+    # integration warnings
+    halves = [values[0][0], pickle.loads(values[0][1])]
+    assert [len(half) for half in halves] == [3, 3]
+    assert [[len(lists) for lists in half[:2]] for half in halves] == [[1] * 2, [2] * 2]
 
 
 @forks
@@ -476,6 +479,28 @@ def _failing_member(monkeypatch, lam_at_fault: float) -> None:
         return member(base, lam, tols)
 
     monkeypatch.setattr(cli, "_member", failing)
+
+
+@forks
+def test_family_failure_in_this_process_integrates_each_member_once(tmp_path, monkeypatch,
+                                                                    capsys):
+    # lambdas -1, -0.5, 0, 0.5, 1: this process integrates -1 and -0.5 and
+    # fails on -0.5; it raises that error, as one process does, with no redo
+    member, parent, calls = cli._member, os.getpid(), []
+
+    def failing(base, lam, tols):
+        if os.getpid() == parent:
+            calls.append(lam)
+        if lam == -0.5:
+            raise IntegrationBlowup(f"injected at lam {lam}")
+        return member(base, lam, tols)
+
+    monkeypatch.setattr(cli, "_member", failing)
+    config = tmp_path / "family.json"
+    config.write_text(json.dumps({"params": {"lambdas": [-1.0, -0.5, 0.0, 0.5, 1.0]}}))
+    err = _family_refusal(tmp_path, monkeypatch, capsys, ["--config", str(config)])
+    assert err == "failure: IntegrationBlowup: injected at lam -0.5\n"
+    assert calls == [-1.0, -0.5] * 2  # with os.fork, then without it
 
 
 @forks

@@ -18,7 +18,6 @@ from symplag.errors import (
 from symplag.frames import (
     FrameField,
     MaurerCartanField,
-    _mat2,
     _step_midpoints,
     _sweep_grid,
     _two_jet,
@@ -36,6 +35,7 @@ from reduction import (
     _decode,
     _eta_gauge,
     _gamma_trace_gauge,
+    _mat2,
     _mc_coefficient,
     _omega_bar_coefficient,
     _tangent_forms,
@@ -88,6 +88,72 @@ def test_theta_matches_constant_coefficient_matrices():
     assert np.array_equal(theta.A[..., 2, 0], -t.imag)
     assert np.array_equal(theta.B[..., 1, 0], -t.imag)
     assert np.array_equal(theta.B[..., 2, 0], -t.real)
+
+
+def mat2_theta(inv):
+    """Theta as four per-node 2x2 blocks per coefficient, copied into A and B:
+    the assembly that `theta_from_invariants` writes entry by entry."""
+    geom, t, h, p = inv.geometry, inv.t, inv.h, inv.p
+    h1, h2, habs2 = h.real, h.imag, np.abs(h) ** 2
+    h_zbar = sg.d_zbar(h, geom)
+    ups_x, ups_y = 2.0 * h_zbar.real, -2.0 * h_zbar.imag
+    rho_x, rho_y = p + habs2, 1j * (p - habs2)
+    A, B = np.zeros((2, geom.nx, geom.ny, 5, 5))
+    A[..., 1, 0], A[..., 2, 0], B[..., 1, 0], B[..., 2, 0] = t.real, -t.imag, -t.imag, -t.real
+    for M, alpha, beta, gamma in (
+            (A, _mat2(h1, -h2, -h2, -h1),
+             _mat2(ups_x + rho_x.real, -rho_x.imag, -rho_x.imag, ups_x - rho_x.real),
+             [[1.0, 0.0], [0.0, -1.0]]),
+            (B, _mat2(-h2, -h1, -h1, h2),
+             _mat2(ups_y + rho_y.real, -rho_y.imag, -rho_y.imag, ups_y - rho_y.real),
+             [[0.0, 1.0], [1.0, 0.0]])):
+        M[..., 1:3, 1:3] = alpha
+        M[..., 1:3, 3:5] = beta
+        M[..., 3:5, 1:3] = gamma
+        M[..., 3:5, 3:5] = -np.swapaxes(alpha, -1, -2)
+    return A, B
+
+
+def theta_triples(geom):
+    """The constant family, two h = 0 triples with holomorphic t and p, and a
+    triple with a complex, non-constant h, on `geom`."""
+    z = geom.zmesh()
+    return [sg.family_triple(sg.ConstantFamilyParams(p=0.7, c1=1.3, c2=0.7), geom),
+            sg.InvariantTriple(geom, 1.0 + 0.3 * z, 0.0, 0.5 + 0.2 * z ** 2),
+            sg.InvariantTriple(geom, (1.0 + 0.5j) + (0.4 - 0.2j) * z, 0.0,
+                               0.3 + 0.4j * z + 0.2 * z ** 2),
+            sg.InvariantTriple(geom, 1.2 + 0.1j * z,
+                               (0.3 - 0.2j) + (0.5 + 0.1j) * z + 0.4j * np.conj(z) ** 2,
+                               -0.2 + 0.6j * z)]
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (11, 11), (13, 29), (121, 121)],
+                         ids=["5x7", "11x11", "13x29", "121x121"])
+def test_theta_is_byte_identical_to_the_block_assembly(shape):
+    nx, ny = shape
+    geom = sg.GridGeometry(nx, ny, -0.1, 0.05, 0.3 / (nx - 1), 0.2 / (ny - 1))
+    for inv in theta_triples(geom):
+        theta = sg.theta_from_invariants(inv)
+        A, B = mat2_theta(inv)
+        assert theta.A.tobytes() == A.tobytes() and theta.B.tobytes() == B.tobytes()
+
+
+def test_theta_peak_memory_is_within_its_bound():
+    # tracemalloc peak of a warm 121^2 call, in frames of n * n * 25 * 8 bytes:
+    # 3.16 while four (nx, ny, 2, 2) blocks and two broadcast gamma blocks
+    # were copied into A and B; 2.72 with each entry written straight into
+    # them, A and B the 2 of it.  The bound is 1.1x the last
+    n = 121
+    geom = sg.GridGeometry(n, n, 0.0, 0.0, 0.3 / (n - 1), 0.3 / (n - 1))
+    inv = family_theta(p=1.0, geom=geom)[0]
+    sg.theta_from_invariants(inv)
+    tracemalloc.start()
+    try:
+        sg.theta_from_invariants(inv)
+        peak = tracemalloc.get_traced_memory()[1] / (n * n * 25 * 8)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 2.72, peak
 
 
 def test_flatness_small_for_compatible_triple():

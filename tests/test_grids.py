@@ -234,7 +234,8 @@ def test_save_grid_forks_once_and_joins_two_halves(tmp_path, monkeypatch):
 @forks
 def test_in_two_processes_kills_the_child_when_mine_fails(monkeypatch):
     # the child's half is not needed once this process's fails: waiting for it
-    # would hold up the one-process redo for as long as the child takes
+    # would hold up the error for as long as the child takes.  The error is
+    # mine's own: where mine's half comes first, it is what one process raises
     forked, values = _spied_forks(monkeypatch)
 
     def mine(pipe):
@@ -245,9 +246,10 @@ def test_in_two_processes_kills_the_child_when_mine_fails(monkeypatch):
         return [b"too late"]
 
     start = time.perf_counter()
-    assert grids._in_two_processes(mine, theirs) is None
+    with pytest.raises(RuntimeError, match="^refused$"):
+        grids._in_two_processes(mine, theirs)
     assert time.perf_counter() - start < 5.0
-    assert len(forked) == 1 and values == [None]
+    assert len(forked) == 1 and values == []  # the helper returned nothing
     assert_no_child_process()
 
 
