@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import pickle
 import sys
 import time
 import warnings
@@ -42,7 +41,7 @@ from .frames import (
     save_immersion,
     theta_from_invariants,
 )
-from .grids import ComplexGrid, GridGeometry, _in_two_processes, load_grid, save_grid
+from .grids import ComplexGrid, GridGeometry, _in_two_processes, _recorded, load_grid, save_grid
 from .invariants import InvariantTriple, inteq_residual, shift_family
 from .generators import (
     ConstantFamilyParams,
@@ -344,27 +343,11 @@ def _run_example(cfg: JobConfig, rep: Report) -> None:
     rep.grids["immersion"] = m.geometry.as_dict()
 
 
-def _recorded(work):
-    """work() and the warnings it raised, as `warnings.warn_explicit` arguments."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = work()
-    return value, [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-
 def _member(base: InvariantTriple, lam: float, tols: Tolerances) -> tuple:
     """The flatness report and f of the frame integrated from `shift_family(base, lam)`."""
     theta = theta_from_invariants(shift_family(base, lam))
     F = integrate_frame(theta, tols=tols, compute_path_defect=False)
     return F.flatness_report, immersion_from_frame(F).f
-
-
-def _members(base: InvariantTriple, lambdas: list, tols: Tolerances) -> tuple:
-    """`family`'s `_member` of each of `lambdas`, in order.  Returns three lists
-    in member order: the flatness reports, the immersions' f, and the warnings
-    of the integrations."""
-    done, integrating = _recorded(lambda: [_member(base, lam, tols) for lam in lambdas])
-    return [flat for flat, _ in done], [f for _, f in done], integrating
 
 
 def _run_family(cfg: JobConfig, rep: Report) -> None:
@@ -379,21 +362,15 @@ def _run_family(cfg: JobConfig, rep: Report) -> None:
     base = _triple(cfg, rep)  # params.lam is refused: lambdas shift
     # refuse a bad margin before integrating the members
     margin = _cropped(base.geometry, _margin(cfg.params))[1]
-    # the second half of the members in a child of `_in_two_processes`, which
-    # sends its lists pickled; a refusal in this half, the first, is one
-    # process's, and where the child fails, one process redoes them all
+    # the second half of the members in a child of `_in_two_processes`
     k = len(lambdas) // 2
     with rep.timed("members"):
-        halves = _in_two_processes(lambda pipe: (_members(base, lambdas[:k], tols), pipe.read()),
-                                   lambda: [pickle.dumps(_members(base, lambdas[k:], tols))])
-        flatness, fs, integrating = (
-            [a + b for a, b in zip(halves[0], pickle.loads(halves[1]))] if halves and halves[1]
-            else _members(base, lambdas, tols))
-        for w in integrating:  # as one process raises them
-            warnings.warn_explicit(*w)
-    for lam, flat in zip(lambdas, flatness):
+        halves = _in_two_processes(lambda: [_member(base, lam, tols) for lam in lambdas[:k]],
+                                   lambda: [_member(base, lam, tols) for lam in lambdas[k:]])
+    done = halves[0] + halves[1]
+    for lam, (flat, _) in zip(lambdas, done):
         rep.add_flag(f"flatness_lam_{lam!r}", flat, "tol_resid")
-    members = [ImmersionGrid(base.geometry, f) for f in fs]
+    members = [ImmersionGrid(base.geometry, f) for _, f in done]
     with rep.timed("congruence"):
         matrix = congruence_matrix(members, tols, margin)
     rep.residuals["congruence_matrix"] = {"lambdas": lambdas,

@@ -71,9 +71,10 @@ def _sqrt_terms(p: float):
     return sp, sm, sp * sm
 
 
-def _closed_form_at(params: ConstantFamilyParams, xx, yy) -> np.ndarray:
-    """The m1 = m2 = 0 immersion at real arrays xx, yy, which broadcast: complex
-    (..., 4), imaginary part 0."""
+def _closed_form_components(params: ConstantFamilyParams, xx, yy):
+    """The four components of the m1 = m2 = 0 immersion at arrays xx, yy, which
+    broadcast, one at a time, each complex; at real xx, yy their imaginary
+    parts are 0."""
     p, c1, c2 = params.p, params.c1, params.c2
     sp, sm, _ = _sqrt_terms(p)
     rad = (p + 2.0) * sm  # sqrt((p + 2)(4 - p^2)), continued analytically past p = -2
@@ -81,28 +82,35 @@ def _closed_form_at(params: ConstantFamilyParams, xx, yy) -> np.ndarray:
     chy, shy = np.cosh(sm * yy), np.sinh(sm * yy)
     e4x = np.exp(4.0 * xx)
     pref = np.exp(-2.0 * xx) / ((p - 2.0) * rad)
-    Acomp = [
-        -c1 * e4x * rad * chy - c2 * (p * p - 4.0) * shy,
-        -c1 * e4x * (p * p - 4.0) * shy - c2 * rad * chy,
-        c1 * e4x * rad * chy,
-        c2 * rad * chy,
-    ]
-    Bcomp = [
-        c1 * e4x * p * sm * sp * chy - c2 * (p - 2.0) * sp * shy,
-        c1 * e4x * (p - 2.0) * sp * shy - c2 * p * sm * sp * chy,
-        -2.0 * c1 * e4x * sm * sp * chy - c2 * (p - 2.0) * sp * shy,
-        c1 * e4x * (p - 2.0) * sp * shy + 2.0 * c2 * sm * sp * chy,
-    ]
-    return np.stack([pref * (chx * Aj + shx * Bj) for Aj, Bj in zip(Acomp, Bcomp)], axis=-1)
+    # pref (chx A_j + shx B_j) for j = 1 .. 4, each A_j and B_j built when its component is
+    yield pref * (chx * (-c1 * e4x * rad * chy - c2 * (p * p - 4.0) * shy)
+                  + shx * (c1 * e4x * p * sm * sp * chy - c2 * (p - 2.0) * sp * shy))
+    yield pref * (chx * (-c1 * e4x * (p * p - 4.0) * shy - c2 * rad * chy)
+                  + shx * (c1 * e4x * (p - 2.0) * sp * shy - c2 * p * sm * sp * chy))
+    yield pref * (chx * (c1 * e4x * rad * chy)
+                  + shx * (-2.0 * c1 * e4x * sm * sp * chy - c2 * (p - 2.0) * sp * shy))
+    yield pref * (chx * (c2 * rad * chy)
+                  + shx * (c1 * e4x * (p - 2.0) * sp * shy + 2.0 * c2 * sm * sp * chy))
+
+
+def _closed_form_at(params: ConstantFamilyParams, xx, yy) -> np.ndarray:
+    """The m1 = m2 = 0 immersion at arrays xx, yy, which broadcast: complex
+    (..., 4), imaginary part 0 at real xx, yy."""
+    return np.stack(list(_closed_form_components(params, xx, yy)), axis=-1)
 
 
 def closed_form_immersion(params: ConstantFamilyParams, geom: GridGeometry) -> ImmersionGrid:
     """Explicit immersion components for the m1 = m2 = 0 configuration."""
     if params.m1 or params.m2:
         raise ParameterDomain("closed form requires m1 = m2 = 0")
-    # each factor depends on one coordinate, so the grid's axes broadcast to the mesh
-    f = _closed_form_at(params, geom.x[:, None], geom.y[None, :])
-    return ImmersionGrid(geom, np.ascontiguousarray(f.real))  # not a view that holds f
+    # each factor depends on one coordinate, so the grid's axes broadcast to the
+    # mesh; a component's real part is written, and the component dropped,
+    # before the next is built
+    components = _closed_form_components(params, geom.x[:, None], geom.y[None, :])
+    f = np.empty((geom.nx, geom.ny, 4))
+    for j in range(4):
+        f[..., j] = next(components).real
+    return ImmersionGrid(geom, f)
 
 
 # -- totally umbilic immersions from complex curves ---------------------------

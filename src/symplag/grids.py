@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 import json
 import os
-import shutil
+import pickle
 import signal
 import warnings
 from dataclasses import dataclass, fields
@@ -208,27 +208,36 @@ def _grid_rows(geom: GridGeometry, values: np.ndarray, rows: range):
         yield ("".join([head + t for t in tails]) % tuple(values[i].ravel().tolist())).encode()
 
 
-def _in_two_processes(mine, theirs):
-    """`mine(pipe)`, run while a forked child writes the bytes-like chunks of
-    `theirs()` to `pipe`, the binary read end of a pipe; None where one
-    process must do all the work.
+def _recorded(work):
+    """work() and the warnings it raised, as `warnings.warn_explicit` arguments."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = work()
+    return value, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
-    None when `os.fork` does not exist or the child exits non-zero: the
-    caller then does both halves itself, so every result, warning and
-    refusal is one process's.  When `mine` raises, the child is killed,
-    since its half is no longer needed, and the error is raised: it is one
-    process's where `mine` does the half that one process does first.  The
-    pipe is closed before the child is reaped, so that a child blocked on a
-    full pipe fails on the broken pipe; the child is reaped on every path.
+
+def _in_two_processes(first, second):
+    """(first(), second()), with the values, warnings and refusals of one
+    process that calls first() and then second().
+
+    Where `os.fork` exists, a forked child runs second() under `_recorded`
+    and pickles its value and warnings down a pipe while this process runs
+    first(); the child's warnings are raised here after first()'s.  When
+    first() raises, the child is killed, since its half is no longer needed,
+    and the error is raised.  When `os.fork` does not exist, or the child
+    exits non-zero or sends no whole pickle, this process calls second()
+    itself: only that half is redone.  The pipe is closed before the child is
+    reaped, so that a child blocked on a full pipe fails on the broken pipe;
+    the child is reaped on every path.
     """
     if not hasattr(os, "fork"):
-        return None
+        return first(), second()
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns when a process with threads (an idle BLAS pool
-            # is one) forks.  The child only runs `theirs`, writes the pipe and
-            # calls _exit.  `theirs` formats or parses CSV rows, or integrates
+            # is one) forks.  The child only runs `second`, writes the pipe and
+            # calls _exit.  `second` formats or parses CSV rows, or integrates
             # `family` members with BLAS matrix products: no BLAS call is in
             # flight at the fork, and OpenBLAS's fork handler stops its pool first.
             warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
@@ -243,20 +252,29 @@ def _in_two_processes(mine, theirs):
         try:
             os.close(r)
             with open(w, "wb") as out:
-                out.writelines(theirs())
+                pickle.dump(_recorded(second), out, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
     os.close(w)
     try:
         with open(r, "rb") as pipe:
-            value = mine(pipe)
+            mine = first()
+            try:
+                sent = pickle.load(pipe)
+            except Exception:  # nothing, or a truncated pickle
+                sent = None
     except BaseException:
         os.kill(pid, signal.SIGKILL)  # so the error does not wait for its half
         raise
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return value if status == 0 else None
+    if status != 0 or sent is None:
+        return mine, second()
+    theirs, caught = sent
+    for message in caught:  # as one process raises them, after first()'s
+        warnings.warn_explicit(*message)
+    return mine, theirs
 
 
 def _save_table(path: str | Path, geom: GridGeometry, header: list[str],
@@ -271,31 +289,23 @@ def _save_table(path: str | Path, geom: GridGeometry, header: list[str],
     written.
 
     Two processes format the rows (`_in_two_processes`): once the header is
-    written, a child formats grid rows nx//2 .. nx-1 while this process
-    writes the rows before them, then copies the child's rows after them.
-    Where the helper returns None, the file is cut back to the header and
-    this process writes every row.  Both use `_grid_rows`, so the bytes are
-    those one process writes.
+    written, a child formats grid rows nx//2 .. nx-1 into one bytes object
+    while this process writes the rows before them, then writes the child's
+    after them.  Where the child fails, this process formats its rows
+    itself.  Both use `_grid_rows`, so the bytes are those one process
+    writes.
     """
     path = Path(path)
     node = _non_finite_node(values)
     if node is not None:
         raise ValueError(f"{path}: node {node} holds a non-finite value")
-    names = (",".join(["x", "y", *header]) + "\r\n").encode()
-    rows = range(geom.nx)
-    half = rows[geom.nx // 2:]
+    mid = geom.nx // 2
     with open(path, "wb") as fh:
-        fh.write(names)
-
-        def mine(pipe):
-            fh.writelines(_grid_rows(geom, values, rows[:half.start]))
-            shutil.copyfileobj(pipe, fh)
-            return True
-
-        if _in_two_processes(mine, lambda: list(_grid_rows(geom, values, half))) is None:
-            fh.seek(len(names))
-            fh.truncate()
-            fh.writelines(_grid_rows(geom, values, rows))
+        fh.write((",".join(["x", "y", *header]) + "\r\n").encode())
+        _, tail = _in_two_processes(
+            lambda: fh.writelines(_grid_rows(geom, values, range(mid))),
+            lambda: b"".join(_grid_rows(geom, values, range(mid, geom.nx))))
+        fh.write(tail)
     with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
         json.dump(geom.as_dict(), fh, indent=2)
 
@@ -309,15 +319,13 @@ def _parse_rows(fh) -> np.ndarray:
         return np.loadtxt(fh, delimiter=",", ndmin=2)
 
 
-def _child_rows(path: Path, split: int) -> list:
+def _child_rows(path: Path, split: int) -> np.ndarray:
     """The rows of `path` before byte `split`, parsed in the child of
-    `_rows_in_two_processes`: their width as int64 bytes, then the float64
-    rows; nothing where `np.loadtxt` finds none."""
+    `_rows_in_two_processes`."""
     with open(path, "rb") as fh:
         text = io.TextIOWrapper(io.BytesIO(fh.read(split)))
     text.readline()  # the header, read as `_load_table` reads it
-    rows = _parse_rows(text)
-    return [np.int64(rows.shape[1]).tobytes(), rows] if len(rows) else []
+    return _parse_rows(text)
 
 
 def _rows_in_two_processes(path: Path) -> np.ndarray | None:
@@ -328,12 +336,11 @@ def _rows_in_two_processes(path: Path) -> np.ndarray | None:
     The split is the first line start past the file's byte midpoint.  A
     child forked by `_in_two_processes` parses the rows before it, and this
     process those after it, straight from the file, so it never holds the
-    file's text; the child's rows go in front of its own.  None when no line
-    starts past the midpoint, `np.loadtxt` refuses this process's half, the
-    helper returns None (the child's parse fails, among other failures), the
-    child's half holds no rows, or the halves differ in width: the
-    one-process parse then words any refusal with the row numbers of the
-    whole file.
+    file's text; the child's rows go in front of its own.  Where the child
+    fails, this process parses its rows too.  None when no line starts past
+    the midpoint, `np.loadtxt` refuses either half, the child's half holds
+    no rows, or the halves differ in width: the one-process parse then words
+    any refusal with the row numbers of the whole file.
     """
     with open(path, "rb") as fh, io.TextIOWrapper(fh) as rest:
         size = os.fstat(fh.fileno()).st_size
@@ -343,17 +350,13 @@ def _rows_in_two_processes(path: Path) -> np.ndarray | None:
         if split >= size:
             return None
         try:  # this process parses from fh's position, the split
-            halves = _in_two_processes(lambda pipe: (_parse_rows(rest), pipe.read()),
-                                       lambda: _child_rows(path, split))
+            mine, theirs = _in_two_processes(lambda: _parse_rows(rest),
+                                             lambda: _child_rows(path, split))
         except ValueError:
             return None
-    if halves is None:
+    if not len(theirs) or theirs.shape[1] != mine.shape[1]:
         return None
-    mine, theirs = halves
-    if not theirs or np.frombuffer(theirs, np.int64, 1)[0] != mine.shape[1]:
-        return None
-    return np.concatenate([np.frombuffer(theirs, float, offset=8).reshape(-1, mine.shape[1]),
-                           mine])
+    return np.concatenate([theirs, mine])
 
 
 def _load_table(path: str | Path,
@@ -371,9 +374,10 @@ def _load_table(path: str | Path,
     (nx, ny, k) array of the k value columns.
 
     Two processes parse the rows (`_rows_in_two_processes`), through the
-    `_in_two_processes` that `_save_table` uses too.  Where the halves are
-    not joined, one `np.loadtxt` call parses them all; the arrays, and the
-    text of every refusal, are those of that call.
+    `_in_two_processes` that `_save_table` uses too; where the child fails,
+    this process parses its half as well.  Where the halves are not joined,
+    one `np.loadtxt` call parses them all; the arrays, and the text of every
+    refusal, are those of that call.
     """
     path = Path(path)
     sidecar = path.with_suffix(path.suffix + ".json")

@@ -1,6 +1,5 @@
 import json
 import os
-import pickle
 import re
 import subprocess
 import sys
@@ -395,19 +394,35 @@ def test_family_report_is_that_of_one_process(tmp_path, monkeypatch, params):
     assert matrix.tobytes() == sg.congruence_matrix(members).tobytes()
 
 
+def _members_integrated_here(monkeypatch, in_the_child=None) -> list:
+    """Patch cli._member to record the lambdas this process integrates; in a
+    forked child it calls `in_the_child` first, where one is given."""
+    member, parent, calls = cli._member, os.getpid(), []
+
+    def recorded(base, lam, tols):
+        if os.getpid() != parent and in_the_child is not None:
+            in_the_child()
+        if os.getpid() == parent:
+            calls.append(lam)
+        return member(base, lam, tols)
+
+    monkeypatch.setattr(cli, "_member", recorded)
+    return calls
+
+
 @forks
 def test_family_forks_once_and_joins_two_halves(tmp_path, monkeypatch):
     forked, values = _spied_forks(monkeypatch)
     monkeypatch.setattr(cli, "_in_two_processes", grids._in_two_processes)  # the spy
+    calls = _members_integrated_here(monkeypatch)
     run(JobConfig("family", DEFAULT_GRID, {}, output_dir=tmp_path))
     assert_no_child_process()
     assert len(forked) == 1 and len(values) == 1
-    # lambdas -1, 0, 1: the maxima and immersions of one member in this
-    # process, of two in the child (sent pickled), then each half's
-    # integration warnings
-    halves = [values[0][0], pickle.loads(values[0][1])]
-    assert [len(half) for half in halves] == [3, 3]
-    assert [[len(lists) for lists in half[:2]] for half in halves] == [[1] * 2, [2] * 2]
+    # lambdas -1, 0, 1: the flatness report and immersion of one member in
+    # this process, of two in the child, which this process does not redo
+    assert calls == [-1.0]
+    assert [len(half) for half in values[0]] == [1, 2]
+    assert all(len(member) == 2 for half in values[0] for member in half)
 
 
 @forks
@@ -436,20 +451,12 @@ def test_family_mixed_warnings_keep_the_order_of_one_process(tmp_path, monkeypat
 @forks
 def test_family_child_that_sends_nothing_gives_the_report_of_one_process(tmp_path,
                                                                          monkeypatch):
-    # the child exits 0 before it writes: the pipe is empty, and one process
-    # redoes every member
-    members, parent, sizes = cli._members, os.getpid(), []
-
-    def silent_in_the_child(base, lambdas, *args):
-        if os.getpid() != parent:
-            os._exit(0)
-        sizes.append(len(lambdas))
-        return members(base, lambdas, *args)
-
-    monkeypatch.setattr(cli, "_members", silent_in_the_child)
+    # the child exits 0 before it writes: the pipe is empty, and this process
+    # integrates the child's members, and only those, again
+    calls = _members_integrated_here(monkeypatch, lambda: os._exit(0))
     fork, one = _family_reports(tmp_path, monkeypatch, CENTRED, UMBILIC)
     assert fork == one
-    assert sizes == [1, 3, 3]  # the parent's half, its redo, the run without fork
+    assert calls == [-1.0, 0.0, 1.0] * 2  # with os.fork, then without it
     assert json.loads(fork)["warnings"] == []
 
 

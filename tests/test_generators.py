@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -112,6 +113,25 @@ def test_closed_form_on_its_axes_is_byte_identical_to_the_mesh(n):
         held = f if f.base is None else f.base
         assert f.flags.c_contiguous and held.dtype == float and held.nbytes == f.nbytes
         assert f.tobytes() == _closed_form_at(params, *geom.mesh()).real.tobytes()
+
+
+def test_closed_form_peak_memory_is_within_its_bound():
+    # tracemalloc peak of one 241^2 call, in units of f's own size: 7.52
+    # (14.0 MB) while the eight complex products A_j, B_j and the complex stack
+    # of the four components were alive together; 2.59 (4.81 MB) with each
+    # component's real part written into f before the next is built.  The
+    # bound is 1.1x the last
+    n = 241
+    geom = sg.GridGeometry(n, n, 0.0, 0.0, 0.3 / (n - 1), 0.3 / (n - 1))
+    params = sg.ConstantFamilyParams(p=1.0, c1=1.3, c2=0.7)
+    sg.closed_form_immersion(params, geom)
+    tracemalloc.start()
+    try:
+        f = sg.closed_form_immersion(params, geom).f
+        peak = tracemalloc.get_traced_memory()[1] / f.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 2.59, peak
 
 
 def test_closed_form_requires_pure_exponential():

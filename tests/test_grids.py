@@ -214,8 +214,8 @@ def _spied_forks(monkeypatch) -> tuple[list, list]:
         forked.append(1)
         return fork()
 
-    def spied(mine, theirs):
-        values.append(helper(mine, theirs))
+    def spied(first, second):
+        values.append(helper(first, second))
         return values[-1]
 
     monkeypatch.setattr(os, "fork", counted_fork)
@@ -223,31 +223,136 @@ def _spied_forks(monkeypatch) -> tuple[list, list]:
     return forked, values
 
 
+def _rows_formatted_here(monkeypatch, in_the_child=None) -> list:
+    """Patch grids._grid_rows to record the rows this process formats; in a
+    forked child it calls `in_the_child` first, where one is given."""
+    grid_rows, parent, calls = grids._grid_rows, os.getpid(), []
+
+    def recorded(geom, values, rows):
+        if os.getpid() != parent and in_the_child is not None:
+            in_the_child()
+        if os.getpid() == parent:
+            calls.append(rows)
+        return grid_rows(geom, values, rows)
+
+    monkeypatch.setattr(grids, "_grid_rows", recorded)
+    return calls
+
+
 @forks
 def test_save_grid_forks_once_and_joins_two_halves(tmp_path, monkeypatch):
     forked, values = _spied_forks(monkeypatch)
-    sg.save_grid(sg.ComplexGrid(GEOM, np.ones((21, 17), dtype=complex)), tmp_path / "field.csv")
-    assert len(forked) == 1 and values == [True]  # not the one-process fallback
+    calls = _rows_formatted_here(monkeypatch)
+    write = partial(sg.save_grid, sg.ComplexGrid(GEOM, np.ones((21, 17), dtype=complex)))
+    write(tmp_path / "field.csv")
     assert_no_child_process()
+    # this process wrote grid rows 0 .. 9 and the child's 11, which it did not format
+    assert len(forked) == 1 and calls == [range(10)]
+    assert values[0][0] is None and values[0][1].count(b"\r\n") == 11 * 17
+    monkeypatch.delattr(os, "fork")
+    write(tmp_path / "one.csv")
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+# -- the contract of grids._in_two_processes: one process's values, warnings
+# and refusals, with and without os.fork
+
+def _fork_or_not(monkeypatch, fork: bool) -> None:
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    elif not hasattr(os, "fork"):
+        pytest.skip("os.fork does not exist")
+
+
+both_ways = pytest.mark.parametrize("fork", [True, False], ids=["forked", "one-process"])
+
+
+@both_ways
+def test_in_two_processes_returns_both_halves(monkeypatch, fork):
+    _fork_or_not(monkeypatch, fork)
+    first, second = grids._in_two_processes(lambda: [1, 2], lambda: np.arange(3.0))
+    assert first == [1, 2] and second.tobytes() == np.arange(3.0).tobytes()
+    assert_no_child_process()
+
+
+@both_ways
+def test_in_two_processes_raises_the_second_warning_once_after_the_first(monkeypatch, fork):
+    _fork_or_not(monkeypatch, fork)
+
+    def warning(text):
+        warnings.warn(text, UserWarning)
+        return text
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert grids._in_two_processes(lambda: warning("first"),
+                                       lambda: warning("second")) == ("first", "second")
+    assert [str(w.message) for w in caught] == ["first", "second"]
+    assert_no_child_process()
+
+
+@both_ways
+def test_in_two_processes_calls_a_failing_second_here_once_more(tmp_path, monkeypatch, fork):
+    # the child's error is not sent: this process calls second() and raises its own
+    _fork_or_not(monkeypatch, fork)
+    log = tmp_path / "calls"
+
+    def second():
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        raise RuntimeError("refused")
+
+    with pytest.raises(RuntimeError, match="^refused$"):
+        grids._in_two_processes(lambda: None, second)
+    assert_no_child_process()
+    here = [int(pid) == os.getpid() for pid in log.read_text().split()]
+    assert here == ([False, True] if fork else [True])  # the child's call, then this one
+
+
+class _ExitWhenPickled:
+    """A value whose pickling ends the (forked) process that pickles it."""
+
+    def __reduce__(self):
+        os._exit(0)
+
+
+@forks
+@pytest.mark.parametrize("sent", [b"", b"x" * 200_000], ids=["nothing", "truncated"])
+def test_in_two_processes_redoes_a_silent_childs_half_here(monkeypatch, sent):
+    # the child exits 0 before it writes, or in the middle of its pickle,
+    # which is larger than a pipe buffer: this process calls second() itself
+    forked, _ = _spied_forks(monkeypatch)
+    parent, calls = os.getpid(), []
+
+    def second():
+        if os.getpid() != parent and not sent:
+            os._exit(0)
+        calls.append(1)
+        return [sent, _ExitWhenPickled()]
+
+    first, theirs = grids._in_two_processes(lambda: "first", second)
+    assert_no_child_process()
+    assert len(forked) == 1 and first == "first" and calls == [1]
+    assert theirs[0] == sent and isinstance(theirs[1], _ExitWhenPickled)
 
 
 @forks
 def test_in_two_processes_kills_the_child_when_mine_fails(monkeypatch):
-    # the child's half is not needed once this process's fails: waiting for it
-    # would hold up the error for as long as the child takes.  The error is
-    # mine's own: where mine's half comes first, it is what one process raises
+    # the child's half is not needed once this process's, first(), fails:
+    # waiting for it would hold up the error for as long as the child takes.
+    # The error is first()'s own, as one process raises it
     forked, values = _spied_forks(monkeypatch)
 
-    def mine(pipe):
+    def first():
         raise RuntimeError("refused")
 
-    def theirs():
+    def second():
         time.sleep(30.0)
-        return [b"too late"]
+        return "too late"
 
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="^refused$"):
-        grids._in_two_processes(mine, theirs)
+        grids._in_two_processes(first, second)
     assert time.perf_counter() - start < 5.0
     assert len(forked) == 1 and values == []  # the helper returned nothing
     assert_no_child_process()
@@ -256,20 +361,15 @@ def test_in_two_processes_kills_the_child_when_mine_fails(monkeypatch):
 @forks
 def test_save_grid_writes_the_bytes_of_one_process_when_the_child_fails(tmp_path,
                                                                          monkeypatch):
-    grid_rows, parent, calls = grids._grid_rows, os.getpid(), []
+    def cannot_format():
+        raise RuntimeError("cannot format")
 
-    def failing_in_the_child(geom, values, rows):
-        if os.getpid() != parent:
-            raise RuntimeError("cannot format")
-        calls.append(rows)
-        return grid_rows(geom, values, rows)
-
-    monkeypatch.setattr(grids, "_grid_rows", failing_in_the_child)
+    calls = _rows_formatted_here(monkeypatch, cannot_format)
     path = tmp_path / "field.csv"
     write = partial(sg.save_grid, sg.ComplexGrid(GEOM, np.ones((21, 17), dtype=complex)))
     write(path)
     assert_no_child_process()
-    assert calls == [range(10), range(21)]  # this process's half, then every row
+    assert calls == [range(10), range(10, 21)]  # this process's half, then the child's
     with monkeypatch.context() as one_process:
         one_process.delattr(os, "fork")
         write(tmp_path / "one.csv")
@@ -284,19 +384,23 @@ def _split(data: bytes) -> int:
 
 @forks
 def test_load_grid_reads_as_one_process_when_the_child_fails(tmp_path, monkeypatch):
-    parse_rows, parent = grids._parse_rows, os.getpid()
+    # the child's parse fails: this process parses both halves and joins them
+    parse_rows, parent, calls = grids._parse_rows, os.getpid(), []
 
     def failing_in_the_child(fh):
         if os.getpid() != parent:
             raise RuntimeError("cannot parse")
+        calls.append(1)
         return parse_rows(fh)
 
     path = tmp_path / "field.csv"
     values = np.arange(21 * 17).reshape(21, 17) * (1.0 + 0.5j) / 7.0
     sg.save_grid(sg.ComplexGrid(GEOM, values), path)
     monkeypatch.setattr(grids, "_parse_rows", failing_in_the_child)
-    assert grids._rows_in_two_processes(path) is None
+    joined = grids._rows_in_two_processes(path)
     assert_no_child_process()
+    assert calls == [1, 1]  # this process's half, then the child's
+    assert joined.tobytes() == np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).tobytes()
     loaded = sg.load_grid(path).values
     assert_no_child_process()
     with monkeypatch.context() as one_process:
